@@ -255,6 +255,7 @@ def _print_outcome(outcome):
     print(f"OUTCOME: status {outcome.status}")
     print(f"OUTCOME: t_end {outcome.t_end:.17g}")
     print(f"OUTCOME: sup_norm_end {outcome.sup_norm_end:.17g}")
+    print(f"OUTCOME: steps {outcome.steps}")
     est = outcome.blowup_estimate
     if est is not None:
         print(f"OUTCOME: T_cross {est.T_cross:.17g}")

@@ -10,7 +10,9 @@ a guarded numerical protocol otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+import numbers
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -27,6 +29,13 @@ INDETERMINATE = "Indeterminate"
 _EXP_TOL = 1e-12  # tolerance when comparing exponents for borderline cases
 
 
+def as_real(value, key: str) -> float:
+    """value as a float; bool and non-real values raise a ConfigurationError naming key."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigurationError(f"{key} must be a real number, not {value!r}")
+    return float(value)
+
+
 # ---------------------------------------------------------------------------
 # iterated logarithms
 
@@ -40,20 +49,30 @@ def log_tower(j: int) -> float:
     return t
 
 
-def iterated_log(j: int, t):
-    """ln_j t  (ln_1 = ln, ln_{j+1} = ln o ln_j).  Requires t > T_{j-1}."""
-    if j < 1:
-        raise DomainError("iterated_log depth must be >= 1")
+def _log_chain(s, depth: int, log):
+    """(ln_depth s, l_depth(s)) by repeated log (math.log or np.log); (s, 1.0) at depth 0."""
+    v, prod = s, 1.0
+    for _ in range(depth):
+        v = log(v)
+        prod = prod * v
+    return v, prod
+
+
+def _checked_log_chain(name: str, j: int, t):
     threshold = log_tower(j - 1)
     arr = np.asarray(t, dtype=float)
     if np.any(arr <= threshold):
         raise DomainError(
-            f"iterated_log depth {j} needs t > {threshold!r}; got min {arr.min()!r}"
-        )
-    v = np.log(arr)
-    for _ in range(j - 1):
-        v = np.log(v)
-    return float(v) if np.isscalar(t) or arr.ndim == 0 else v
+            f"{name} depth {j} needs t > {threshold!r}; got min {arr.min()!r}")
+    v, prod = _log_chain(arr, j, np.log)
+    return (float(v), float(prod)) if arr.ndim == 0 else (v, prod)
+
+
+def iterated_log(j: int, t):
+    """ln_j t  (ln_1 = ln, ln_{j+1} = ln o ln_j).  Requires t > T_{j-1}."""
+    if j < 1:
+        raise DomainError("iterated_log depth must be >= 1")
+    return _checked_log_chain("iterated_log", j, t)[0]
 
 
 def log_product(j: int, t):
@@ -62,20 +81,8 @@ def log_product(j: int, t):
         raise DomainError("log_product depth must be >= 0")
     if j == 0:
         arr = np.asarray(t, dtype=float)
-        out = np.ones_like(arr)
-        return 1.0 if arr.ndim == 0 else out
-    threshold = log_tower(j - 1)
-    arr = np.asarray(t, dtype=float)
-    if np.any(arr <= threshold):
-        raise DomainError(
-            f"log_product depth {j} needs t > {threshold!r}; got min {arr.min()!r}"
-        )
-    v = np.log(arr)
-    prod = v.copy() if v.ndim else np.array(v)
-    for _ in range(j - 1):
-        v = np.log(v)
-        prod = prod * v
-    return float(prod) if arr.ndim == 0 else prod
+        return 1.0 if arr.ndim == 0 else np.ones_like(arr)
+    return _checked_log_chain("log_product", j, t)[1]
 
 
 def log_product_weighted(j: int, gamma: float, t):
@@ -115,6 +122,8 @@ class CoefficientSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ConfigurationError(f"unknown coefficient family {self.family!r}")
+        for key in ("amplitude", "gamma", "lam", "log_power"):
+            as_real(getattr(self, key), key)
         if not math.isfinite(self.amplitude) or self.amplitude < 0:
             raise ConfigurationError("amplitude must be finite and >= 0")
         if not math.isfinite(self.gamma):
@@ -123,15 +132,16 @@ class CoefficientSpec:
             raise ConfigurationError("gamma must be >= 0")
         if not math.isfinite(self.lam) or self.lam < 0:
             raise ConfigurationError("lambda must be finite and >= 0")
-        if int(self.log_depth) != self.log_depth or self.log_depth < 0:
+        if not isinstance(self.log_depth, numbers.Integral) \
+                or isinstance(self.log_depth, bool) or self.log_depth < 0:
             raise ConfigurationError("log_depth must be a nonnegative integer")
         if self.log_power < 0:
             raise ConfigurationError("log_power must be >= 0")
         if self.family == "tabulated":
             if not self.table:
                 raise ConfigurationError("tabulated family needs a nonempty table")
-            ts = [row[0] for row in self.table]
-            vs = [row[1] for row in self.table]
+            ts = [as_real(row[0], "table entry") for row in self.table]
+            vs = [as_real(row[1], "table entry") for row in self.table]
             if any(b <= a for a, b in zip(ts, ts[1:])):
                 raise ConfigurationError("table times must be strictly increasing")
             if ts[0] < 0:
@@ -163,11 +173,23 @@ class CoefficientSpec:
     @classmethod
     def tabulated(cls, table: Sequence[Sequence[float]],
                   amplitude: float = 1.0) -> "CoefficientSpec":
-        rows = tuple((float(a), float(b)) for a, b in table)
+        rows = tuple((as_real(a, "table entry"), as_real(b, "table entry"))
+                     for a, b in table)
         return cls("tabulated", amplitude=amplitude, table=rows)
 
     def __call__(self, t):
         return eval_coeff(self, t)
+
+    @cached_property
+    def scalar(self) -> Callable[[float], float]:
+        """Pure-math evaluator for one float t >= 0, compiled on first use."""
+        f = _formula(self, math.exp, math.log)
+
+        def scalar(t: float) -> float:
+            if t < 0:
+                raise DomainError("coefficients are defined for t >= 0")
+            return float(f(t))
+        return scalar
 
     @property
     def is_zero(self) -> bool:
@@ -178,51 +200,45 @@ class CoefficientSpec:
         return False
 
 
+def _formula(spec: CoefficientSpec, exp, log) -> Callable:
+    """The coefficient as a function of t >= 0, built on exp and log from
+    math (one float) or numpy (arrays)."""
+    amp, neg_gamma, neg_lam = spec.amplitude, -spec.gamma, -spec.lam
+    if spec.family == "constant":
+        return lambda t: amp
+    if spec.family == "power":
+        return lambda t: amp * (1.0 + t) ** neg_gamma
+    if spec.family == "exp_decay":
+        return lambda t: amp * exp(neg_lam * t)
+    if spec.family == "tabulated":
+        ts, vs = map(np.array, zip(*spec.table))
+        return lambda t: amp * np.interp(t, ts, vs)
+    depth, gamma, log_power = spec.log_depth, spec.gamma, spec.log_power
+    tower = log_tower(depth)
+
+    def power_log(t):
+        s = tower + t
+        v, prod = _log_chain(s, depth, log)
+        denom = s ** gamma * prod
+        if depth >= 1 and log_power != 0.0:
+            denom = denom * v ** log_power
+        return amp / denom
+    return power_log
+
+
 ZERO = CoefficientSpec.constant(0.0)
 
 
 def eval_coeff(spec: CoefficientSpec, t):
     """Evaluate the coefficient at t (scalar or array), t >= 0."""
     if isinstance(t, (int, float)):
-        tf = float(t)
-        if tf < 0:
-            raise DomainError("coefficients are defined for t >= 0")
-        fam = spec.family
-        if fam == "constant":
-            return spec.amplitude
-        if fam == "power":
-            return spec.amplitude * (1.0 + tf) ** (-spec.gamma)
-        if fam == "exp_decay":
-            return spec.amplitude * math.exp(-spec.lam * tf)
-        if fam == "power_log":
-            s = log_tower(spec.log_depth) + tf
-            denom = s ** spec.gamma * log_product(spec.log_depth, s)
-            if spec.log_depth >= 1 and spec.log_power != 0.0:
-                denom *= iterated_log(spec.log_depth, s) ** spec.log_power
-            return spec.amplitude / denom
-        ts = np.array([row[0] for row in spec.table])
-        vs = np.array([row[1] for row in spec.table])
-        return spec.amplitude * float(np.interp(tf, ts, vs))
-
+        return spec.scalar(float(t))
     arr = np.asarray(t, dtype=float)
     if np.any(arr < 0):
         raise DomainError("coefficients are defined for t >= 0")
-    fam = spec.family
-    if fam == "constant":
+    if spec.family == "constant":
         return np.full_like(arr, spec.amplitude)
-    if fam == "power":
-        return spec.amplitude * (1.0 + arr) ** (-spec.gamma)
-    if fam == "exp_decay":
-        return spec.amplitude * np.exp(-spec.lam * arr)
-    if fam == "power_log":
-        s = log_tower(spec.log_depth) + arr
-        denom = s ** spec.gamma * log_product(spec.log_depth, s)
-        if spec.log_depth >= 1 and spec.log_power != 0.0:
-            denom = denom * iterated_log(spec.log_depth, s) ** spec.log_power
-        return spec.amplitude / denom
-    ts = np.array([row[0] for row in spec.table])
-    vs = np.array([row[1] for row in spec.table])
-    return spec.amplitude * np.interp(arr, ts, vs)
+    return _formula(spec, np.exp, np.log)(arr)
 
 
 def coefficient_sup(spec: CoefficientSpec, t_max: float, samples: int = 10001) -> float:
@@ -278,6 +294,8 @@ def spec_from_json(doc: dict, where: str = "coefficient") -> CoefficientSpec:
     for key in doc:
         if key not in allowed:
             raise ConfigurationError(f"unknown key {key!r} in {where}")
+        if key in ("amplitude", "gamma", "lambda", "log_power"):
+            as_real(doc[key], f"{where}.{key}")
     try:
         if family == "tabulated":
             return CoefficientSpec.tabulated(doc["table"],
@@ -294,6 +312,8 @@ def spec_from_json(doc: dict, where: str = "coefficient") -> CoefficientSpec:
         raise ConfigurationError(f"{where} is missing required key {exc}") from exc
     except ConfigurationError as exc:
         raise ConfigurationError(f"{where}: {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{where}.table must be a list of [t, value] pairs") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -336,17 +356,9 @@ class CumulativeIntegral:
         ts = np.array([0.0] + [row[0] for row in sp.table if row[0] > 0.0])
         vs = eval_coeff(sp, ts)
         cum = np.concatenate([[0.0], np.cumsum(0.5 * (vs[1:] + vs[:-1]) * np.diff(ts))])
-        flat = np.atleast_1d(arr)
-        out = np.empty_like(flat)
-        for i, t in enumerate(flat):
-            j = np.searchsorted(ts, t, side="right") - 1
-            if j >= len(ts) - 1:
-                out[i] = cum[-1] + eval_coeff(sp, float(ts[-1])) * (t - ts[-1])
-            else:
-                fa = vs[j]
-                fb = eval_coeff(sp, float(t))
-                out[i] = cum[j] + 0.5 * (fa + fb) * (t - ts[j])
-        return out.reshape(np.shape(arr))
+        # past the last node f is constant, so the trapezoid is exact there too
+        j = np.searchsorted(ts, arr, side="right") - 1
+        return cum[j] + 0.5 * (vs[j] + eval_coeff(sp, arr)) * (arr - ts[j])
 
     def _numeric_cumulative(self, arr):
         flat = np.atleast_1d(arr)

@@ -5,6 +5,10 @@ integral of u^q there.  Diffusion is advanced implicitly (backward Euler on a
 symmetrizable tridiagonal system, factor cached per step size); reaction and
 boundary flux are explicit with a rate-controlled adaptive step, so blow-up is
 resolved without coupling dt to h^2 on long global runs.
+
+Coefficients are evaluated once per step: `run` and `verify_comparison` pass
+the step_values at the step's start (c(t), both endpoint slopes, accumulator
+weight) to `choose_dt` and `step`, which otherwise evaluate them themselves.
 """
 
 from __future__ import annotations
@@ -12,12 +16,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
-from .coeffs import CoefficientSpec, CumulativeIntegral, eval_coeff
+from .coeffs import CoefficientSpec, CumulativeIntegral, as_real, eval_coeff
 from .errors import ConfigurationError, NotApplicableError, SolverFault
 
 STATUS_BLOWUP = "BlowUp"
@@ -38,8 +42,10 @@ class MemoryRule:
     def __init__(self, k: CoefficientSpec):
         self.k = k
 
-    def slope(self, t: float, M: float) -> float:
-        return eval_coeff(self.k, t) * M
+    def flux(self, t: float, M_left: float, M_right: float) -> tuple:
+        """(left slope, right slope, accumulator weight) at t."""
+        k_t = eval_coeff(self.k, t)
+        return k_t * M_left, k_t * M_right, 1.0
 
     def acc_weight(self, t: float) -> float:
         return 1.0
@@ -63,8 +69,13 @@ class WeightedMemoryRule:
         self.cum = cum
         self.q = q
 
+    def flux(self, t: float, M_left: float, M_right: float) -> tuple:
+        C = self.cum(t)
+        damped = eval_coeff(self.k, t) * math.exp(-C)
+        return damped * M_left, damped * M_right, _exp(self.q * C)
+
     def slope(self, t: float, M: float) -> float:
-        return eval_coeff(self.k, t) * math.exp(-self.cum(t)) * M
+        return self.flux(t, M, M)[0]
 
     def acc_weight(self, t: float) -> float:
         return _exp(self.q * self.cum(t))
@@ -76,8 +87,9 @@ class PrescribedFluxRule:
     def __init__(self, g: Callable[[float], float]):
         self.g = g
 
-    def slope(self, t: float, M: float) -> float:
-        return float(self.g(t))
+    def flux(self, t: float, M_left: float, M_right: float) -> tuple:
+        g = float(self.g(t))
+        return g, g, 0.0
 
     def acc_weight(self, t: float) -> float:
         return 0.0
@@ -108,11 +120,12 @@ class InitialSpec:
             vals = self.value
             if not isinstance(vals, (list, tuple, np.ndarray)) or len(vals) < 3:
                 raise ConfigurationError("tabulated initial data needs >= 3 node values")
-            if any((not math.isfinite(float(v))) or float(v) < 0 for v in vals):
+            vals = [as_real(v, "initial.value entry") for v in vals]
+            if any(not math.isfinite(v) or v < 0 for v in vals):
                 raise ConfigurationError("initial data must be finite and >= 0")
         else:
-            v = self.value
-            if not isinstance(v, (int, float)) or not math.isfinite(v) or v < 0:
+            v = as_real(self.value, "initial.value")
+            if not math.isfinite(v) or v < 0:
                 raise ConfigurationError("initial amplitude must be finite and >= 0")
 
     def evaluate(self, length: float, n_nodes: int) -> np.ndarray:
@@ -146,7 +159,6 @@ class SolverControls:
     n_nodes: int = 201
     theta: float = 0.1
     dt_max: float = 2e-3
-    dt_init: Optional[float] = None
     blowup_threshold: float = 1e10
     t_max: float = 10.0
     snapshot_every: Optional[float] = None
@@ -159,8 +171,6 @@ class SolverControls:
             raise ConfigurationError("safety factor theta must lie in (0, 1]")
         if self.dt_max <= 0 or self.t_max <= 0 or self.blowup_threshold <= 0:
             raise ConfigurationError("dt_max, t_max, blowup_threshold must be > 0")
-        if self.dt_init is not None and self.dt_init <= 0:
-            raise ConfigurationError("dt_init must be > 0")
         if self.snapshot_every is not None and self.snapshot_every <= 0:
             raise ConfigurationError("snapshot_every must be > 0")
         if self.max_steps < 1:
@@ -184,7 +194,7 @@ class Scenario:
     k: CoefficientSpec
     u0: InitialSpec
     controls: SolverControls = field(default_factory=SolverControls)
-    boundary: Optional[object] = None   # boundary rule override
+    boundary: Optional[object] = None   # rule with flux() and acc_weight()
 
     def __post_init__(self):
         if not (isinstance(self.length, (int, float)) and self.length > 0):
@@ -218,10 +228,10 @@ class State:
     M_left: float
     M_right: float
     steps: int = 0
+    sup: float = field(init=False)
 
-    @property
-    def sup(self) -> float:
-        return float(np.max(self.u))
+    def __post_init__(self):
+        self.sup = float(self.u.max())
 
     def mass(self, h: float) -> float:
         return float(np.trapezoid(self.u, dx=h))
@@ -253,6 +263,7 @@ class SimulationOutcome:
     snapshots: list
     blowup_estimate: Optional[BlowupEstimate] = None
     reason: str = ""
+    steps: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +288,7 @@ def _solve_diffusion(rhs: np.ndarray, dt: float, h: float) -> np.ndarray:
     b = rhs.copy()
     b[0] /= _SQRT2
     b[-1] /= _SQRT2
-    v = cho_solve_banded((cb, False), b)
+    v = cho_solve_banded((cb, False), b, overwrite_b=True, check_finite=False)
     v[0] *= _SQRT2
     v[-1] *= _SQRT2
     return v
@@ -286,27 +297,34 @@ def _solve_diffusion(rhs: np.ndarray, dt: float, h: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # stepping
 
-def step(state: State, scenario: Scenario, dt: float, rule=None) -> State:
+def step_values(state: State, scenario: Scenario, rule=None) -> tuple:
+    """(c(t), left slope, right slope, accumulator weight) at state.t."""
+    rule = rule if rule is not None else scenario.boundary_rule()
+    t = state.t
+    return (eval_coeff(scenario.c, t),) + rule.flux(t, state.M_left, state.M_right)
+
+
+def step(state: State, scenario: Scenario, dt: float, rule=None,
+         values=None) -> State:
     """One IMEX step: explicit reaction and boundary flux, implicit diffusion,
-    then the trapezoid update of the memory accumulators."""
+    then the trapezoid update of the memory accumulators.  `values` are the
+    step_values of state, when the caller already has them."""
     if dt <= 0.0 or not math.isfinite(dt):
         raise ConfigurationError("dt must be positive and finite")
     rule = rule if rule is not None else scenario.boundary_rule()
+    c_t, g_left, g_right, w0 = values or step_values(state, scenario, rule)
     u = state.u
     h = scenario.h
     t = state.t
-    c_t = eval_coeff(scenario.c, t)
     with np.errstate(over="ignore", invalid="ignore"):
         if c_t != 0.0:
             rhs = u + (dt * c_t) * np.power(u, scenario.p)
         else:
             rhs = u.copy()
-        g_left = rule.slope(t, state.M_left)
-        g_right = rule.slope(t, state.M_right)
         rhs[0] += dt * (2.0 / h) * g_left
         rhs[-1] += dt * (2.0 / h) * g_right
 
-    if np.all(np.isfinite(rhs)):
+    if np.isfinite(rhs).all():
         u_new = _solve_diffusion(rhs, dt, h)
         m = float(u_new.min())
         if m < 0.0:
@@ -320,13 +338,11 @@ def step(state: State, scenario: Scenario, dt: float, rule=None) -> State:
         u_new = np.where(np.isfinite(rhs), rhs, np.inf)
 
     q = scenario.q
-    w0 = rule.acc_weight(t)
     w1 = rule.acc_weight(t + dt)
-    with np.errstate(over="ignore", invalid="ignore"):
-        M_left = state.M_left + 0.5 * dt * (_acc_term(w0, float(u[0]), q)
-                                            + _acc_term(w1, float(u_new[0]), q))
-        M_right = state.M_right + 0.5 * dt * (_acc_term(w0, float(u[-1]), q)
-                                              + _acc_term(w1, float(u_new[-1]), q))
+    M_left = state.M_left + 0.5 * dt * (_acc_term(w0, float(u[0]), q)
+                                        + _acc_term(w1, float(u_new[0]), q))
+    M_right = state.M_right + 0.5 * dt * (_acc_term(w0, float(u[-1]), q)
+                                          + _acc_term(w1, float(u_new[-1]), q))
     return State(t + dt, u_new, float(M_left), float(M_right), state.steps + 1)
 
 
@@ -337,24 +353,23 @@ def _acc_term(w: float, ub: float, q: float) -> float:
     return w * ub ** q
 
 
-def choose_dt(state: State, scenario: Scenario, rule=None) -> float:
+def choose_dt(state: State, scenario: Scenario, rule=None,
+              values=None) -> float:
     """Rate-controlled step: the explicit reaction and flux terms may change u
     by about theta relative per step.  The quadratic flux term resolves
-    boundary-driven blow-up, where the slope grows faster than the field."""
+    boundary-driven blow-up, where the slope grows faster than the field.
+    `values` are the step_values of state, when the caller already has them."""
     ctr = scenario.controls
-    rule = rule if rule is not None else scenario.boundary_rule()
+    c_t, g_left, g_right, _ = values or step_values(state, scenario, rule)
     sup = state.sup
-    t = state.t
     if sup <= 0.0:
         rate_react = 0.0
     else:
         s = sup if scenario.p >= 1.0 else max(sup, 1e-6)
-        rate_react = eval_coeff(scenario.c, t) * s ** (scenario.p - 1.0)
-    g_left = abs(rule.slope(t, state.M_left))
-    g_right = abs(rule.slope(t, state.M_right))
+        rate_react = c_t * s ** (scenario.p - 1.0)
     scale_left = max(float(state.u[0]), 1e-6 * sup, 1e-300)
     scale_right = max(float(state.u[-1]), 1e-6 * sup, 1e-300)
-    nu = max(g_left / scale_left, g_right / scale_right)
+    nu = max(abs(g_left) / scale_left, abs(g_right) / scale_right)
     denom = rate_react + nu + nu * nu + 1e-30
     if not math.isfinite(denom):
         # runaway flux estimate; take a token step so the overflow lands in
@@ -362,8 +377,7 @@ def choose_dt(state: State, scenario: Scenario, rule=None) -> float:
         return ctr.dt_max * 2.0 ** -60
     dt = min(ctr.dt_max, ctr.theta / denom)
     if state.steps == 0:
-        h = scenario.h
-        dt = min(dt, ctr.dt_init if ctr.dt_init is not None else ctr.theta * h * h)
+        dt = min(dt, ctr.theta * scenario.h * scenario.h)
     return dt
 
 
@@ -409,7 +423,8 @@ def run(scenario: Scenario, rule=None) -> SimulationOutcome:
             status, reason = STATUS_ABORTED, "step budget exhausted"
             break
 
-        dt = _ladder(choose_dt(state, scenario, rule), ctr.dt_max)
+        values = step_values(state, scenario, rule)
+        dt = _ladder(choose_dt(state, scenario, rule, values), ctr.dt_max)
         while next_snap <= state.t + 1e-12:
             next_snap += snap_dt
         hit_snap = False
@@ -420,7 +435,7 @@ def run(scenario: Scenario, rule=None) -> SimulationOutcome:
             dt = ctr.t_max - state.t
             hit_snap = False
         try:
-            state = step(state, scenario, dt, rule)
+            state = step(state, scenario, dt, rule, values)
         except SolverFault as fault:
             status, reason = STATUS_ABORTED, str(fault)
             break
@@ -449,7 +464,7 @@ def run(scenario: Scenario, rule=None) -> SimulationOutcome:
     return SimulationOutcome(status=status, t_end=t_end,
                              sup_norm_end=state.sup, trace=trace,
                              snapshots=snapshots, blowup_estimate=estimate,
-                             reason=reason)
+                             reason=reason, steps=state.steps)
 
 
 def estimate_blowup_time(trace: Trace, p: float,
@@ -543,11 +558,14 @@ def verify_comparison(scenario_low: Scenario,
         if st_low.steps >= ctr.max_steps:
             truncated, note = True, "step budget exhausted"
             break
-        dt = _ladder(choose_dt(st_low, a, rule_a), ctr.dt_max)
+        values_low = step_values(st_low, a, rule_a)
+        values_high = values_low[:1] + rule_b.flux(st_high.t, st_high.M_left,
+                                                   st_high.M_right)
+        dt = _ladder(choose_dt(st_low, a, rule_a, values_low), ctr.dt_max)
         dt = min(dt, ctr.t_max - st_low.t)
         try:
-            st_low = step(st_low, a, dt, rule_a)
-            st_high = step(st_high, b, dt, rule_b)
+            st_low = step(st_low, a, dt, rule_a, values_low)
+            st_high = step(st_high, b, dt, rule_b, values_high)
         except SolverFault as fault:
             truncated, note = True, str(fault)
             break

@@ -7,6 +7,7 @@ import pytest
 
 from memheat.cli import config_to_json, dispatch, main, parse_config
 from memheat.errors import ConfigurationError
+from memheat.pde_core import run
 
 
 def base_doc(**over):
@@ -77,6 +78,33 @@ def test_missing_and_invalid_values():
         parse_config(json.dumps(base_doc(domain={"nodes": 2})))
 
 
+@pytest.mark.parametrize("block, bad, key", [
+    ("c", {"family": "constant", "amplitude": "1"}, "c.amplitude"),
+    ("c", {"family": "constant", "amplitude": True}, "c.amplitude"),
+    ("k", {"family": "power", "gamma": False}, "k.gamma"),
+    ("k", {"family": "power_log", "gamma": 2.0, "log_depth": 1,
+           "log_power": "1"}, "k.log_power"),
+    ("initial", {"family": "constant", "value": True}, "initial.value"),
+    ("initial", {"family": "cos_bump", "value": "0.5"}, "initial.value"),
+])
+def test_bool_and_non_real_numbers_exit_2_naming_the_key(tmp_path, capsys,
+                                                          block, bad, key):
+    cfg = write_cfg(tmp_path, base_doc(**{block: bad}))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"{key} must be a real number" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_tabulated_entries_reject_bool():
+    doc = base_doc(c={"family": "tabulated", "table": [[0.0, True], [1.0, 0.0]]})
+    with pytest.raises(ConfigurationError, match="table entry must be a real number"):
+        parse_config(json.dumps(doc))
+    doc = base_doc(initial={"family": "tabulated", "value": [1.0, True, 1.0]})
+    with pytest.raises(ConfigurationError, match="initial.value entry"):
+        parse_config(json.dumps(doc))
+
+
 def test_tabulated_initial_slope_violation_is_cited():
     vals = list(np.linspace(0.0, 1.0, 51))
     doc = base_doc(initial={"family": "tabulated", "value": vals})
@@ -118,6 +146,17 @@ def test_run_writes_artifacts_and_reports(tmp_path, capsys):
     first = snaps[0].read_text().splitlines()
     assert first[0] == "x,u"
     assert len(first) == 52          # header + one row per node
+
+
+def test_run_reports_step_count(tmp_path, capsys):
+    doc = base_doc(solver={"t_max": 0.5})
+    cfg = write_cfg(tmp_path, doc)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    lines = [l for l in capsys.readouterr().out.splitlines()
+             if l.startswith("OUTCOME: steps ")]
+    assert len(lines) == 1
+    expected = run(parse_config(json.dumps(doc)).scenario).steps
+    assert int(lines[0].split()[-1]) == expected > 0
 
 
 def test_run_is_deterministic(tmp_path):

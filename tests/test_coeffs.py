@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, special
 
 from memheat.coeffs import (
@@ -117,6 +119,70 @@ def test_tabulated_eval_and_extrapolation():
 def test_negative_time_rejected():
     with pytest.raises(DomainError):
         eval_coeff(CoefficientSpec.constant(1.0), -0.1)
+
+
+_amplitudes = st.floats(0.0, 1e3)
+_exponents = st.floats(0.0, 5.0)
+_tables = st.lists(st.tuples(st.floats(0.0, 100.0), st.floats(0.0, 10.0)),
+                   min_size=1, max_size=6, unique_by=lambda row: row[0])
+_specs = st.one_of(
+    st.builds(CoefficientSpec.constant, _amplitudes),
+    st.builds(CoefficientSpec.power, _amplitudes, _exponents),
+    st.builds(CoefficientSpec.exp_decay, _amplitudes, _exponents),
+    st.builds(CoefficientSpec.power_log, _amplitudes, _exponents,
+              st.integers(0, 3), st.floats(0.0, 3.0)),
+    st.builds(lambda rows, a: CoefficientSpec.tabulated(sorted(rows), amplitude=a),
+              _tables, _amplitudes),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_specs, st.floats(0.0, 1e6))
+def test_compiled_scalar_evaluator_matches_array_path(spec, t):
+    want = eval_coeff(spec, np.array([t]))[0]
+    assert math.isclose(spec.scalar(t), want, rel_tol=1e-14, abs_tol=1e-300)
+    assert eval_coeff(spec, t) == spec.scalar(t)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_specs, st.floats(max_value=0.0, exclude_max=True, allow_infinity=False))
+def test_compiled_scalar_evaluator_rejects_negative_time(spec, t):
+    with pytest.raises(DomainError):
+        spec.scalar(t)
+
+
+def test_compiled_scalar_evaluator_is_built_on_first_use():
+    spec = CoefficientSpec.power_log(1.0, 2.0, 1, 1.0)
+    assert "scalar" not in vars(spec)
+    spec(0.5)
+    assert "scalar" in vars(spec)
+    assert spec == CoefficientSpec.power_log(1.0, 2.0, 1, 1.0)
+
+
+@pytest.mark.parametrize("bad", [True, "1", None, [1.0], complex(1.0, 0.0)])
+@pytest.mark.parametrize("key", ["amplitude", "gamma", "lam", "log_power"])
+def test_spec_rejects_bool_and_non_real_parameters(key, bad):
+    with pytest.raises(ConfigurationError, match=f"{key} must be a real number"):
+        CoefficientSpec("power_log", **{key: bad})
+
+
+@pytest.mark.parametrize("table", [[[0.0, True]], [["0", 1.0]], [[0.0, None]]])
+def test_tabulated_rejects_bool_and_non_real_entries(table):
+    with pytest.raises(ConfigurationError, match="table entry must be a real number"):
+        CoefficientSpec.tabulated(table)
+    with pytest.raises(ConfigurationError, match="table entry must be a real number"):
+        CoefficientSpec("tabulated", table=tuple(map(tuple, table)))
+
+
+def test_spec_json_names_the_bad_key():
+    with pytest.raises(ConfigurationError, match="c.amplitude must be a real number"):
+        spec_from_json({"family": "constant", "amplitude": True}, where="c")
+    with pytest.raises(ConfigurationError, match="k.lambda must be a real number"):
+        spec_from_json({"family": "exp_decay", "lambda": "0.5"}, where="k")
+    with pytest.raises(ConfigurationError, match="k.table must be a list"):
+        spec_from_json({"family": "tabulated", "table": 5}, where="k")
+    with pytest.raises(ConfigurationError, match="log_depth"):
+        spec_from_json({"family": "power_log", "log_depth": True}, where="k")
 
 
 def test_spec_validation():

@@ -24,8 +24,10 @@ from memheat.pde_core import (
     mass_inequality_check,
     run,
     step,
+    step_values,
     verify_comparison,
 )
+from memheat.transform import to_transformed
 
 ONE = CoefficientSpec.constant(1.0)
 
@@ -118,6 +120,47 @@ def test_choose_dt_stays_positive_at_threshold():
     assert choose_dt(st, scn) > 0.0
 
 
+def _powerlog_k_case():
+    scn = scenario(p=2.0, q=2.0, c=CoefficientSpec.power(1.0, 2.0),
+                   k=CoefficientSpec.power_log(1.0, 2.0, 1, 1.0),
+                   u0=("constant", 0.1), n_nodes=51)
+    return scn, scn.boundary_rule()
+
+
+def _weighted_rule_case():
+    base = scenario(p=1.0, q=2.0, c=CoefficientSpec.power_log(1.0, 1.0, 1),
+                    k=CoefficientSpec.power(2.0, 1.0), u0=("cos_bump", 0.5),
+                    n_nodes=51)
+    twin = to_transformed(base).scenario
+    return twin, twin.boundary
+
+
+@pytest.mark.parametrize("case", [_powerlog_k_case, _weighted_rule_case])
+def test_shared_step_values_match_self_evaluating_kernel(case):
+    scn, rule = case()
+    assert isinstance(rule, (MemoryRule, WeightedMemoryRule))
+    shared = own = fresh_state(scn)
+    for _ in range(200):
+        values = step_values(shared, scn, rule)
+        dt = _ladder(choose_dt(shared, scn, rule, values), scn.controls.dt_max)
+        assert _ladder(choose_dt(own, scn, rule), scn.controls.dt_max) == dt
+        shared = step(shared, scn, dt, rule, values)
+        own = step(own, scn, dt, rule)
+        assert np.array_equal(shared.u, own.u)
+        assert (shared.t, shared.M_left, shared.M_right) == (own.t, own.M_left, own.M_right)
+    assert shared.M_left > 0.0 and shared.sup == float(np.max(shared.u))
+
+
+def test_rule_flux_agrees_with_slope_and_weight():
+    cum = CumulativeIntegral(ONE)
+    rule = WeightedMemoryRule(ONE, cum, q=2.0)
+    t = math.log(2.0)
+    assert rule.flux(t, 3.0, 5.0) == (rule.slope(t, 3.0), rule.slope(t, 5.0),
+                                      rule.acc_weight(t))
+    assert MemoryRule(ONE).flux(1.0, 2.0, 4.0) == (2.0, 4.0, 1.0)
+    assert PrescribedFluxRule(lambda t: 0.5).flux(1.0, 2.0, 4.0) == (0.5, 0.5, 0.0)
+
+
 def test_dt_ladder_rounds_down_to_powers_of_two():
     assert _ladder(5e-3, 2e-3) == 2e-3
     assert _ladder(1e-3, 2e-3) == pytest.approx(1e-3, rel=1e-15)
@@ -126,6 +169,14 @@ def test_dt_ladder_rounds_down_to_powers_of_two():
 
 # ---------------------------------------------------------------------------
 # full runs
+
+def test_run_step_count_is_pinned():
+    scn = scenario(p=2.0, q=2.0, c=ONE, k=ZERO, u0=("constant", 1.0),
+                   n_nodes=51, t_max=2.0)
+    out = run(scn)
+    assert out.status == "BlowUp"
+    assert out.steps == 779
+
 
 def test_uniform_blowup_matches_ode_closed_form():
     # spatially uniform: the run reduces to u' = u^2, u(0)=1, blow-up at t=1
