@@ -9,10 +9,11 @@ a guarded numerical protocol otherwise.
 
 from __future__ import annotations
 
+import bisect
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -27,6 +28,7 @@ DIVERGES = "Diverges"
 INDETERMINATE = "Indeterminate"
 
 _EXP_TOL = 1e-12  # tolerance when comparing exponents for borderline cases
+_MAX_LOG_DEPTH = 3  # T_4 = e^(T_3) = e^(3.8e6) overflows a float
 
 
 def as_real(value, key: str) -> float:
@@ -34,6 +36,13 @@ def as_real(value, key: str) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigurationError(f"{key} must be a real number, not {value!r}")
     return float(value)
+
+
+def _check_log_depth(value, key: str) -> None:
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) \
+            or not 0 <= value <= _MAX_LOG_DEPTH:
+        raise ConfigurationError(
+            f"{key} must be an integer in [0, {_MAX_LOG_DEPTH}], not {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -132,9 +141,7 @@ class CoefficientSpec:
             raise ConfigurationError("gamma must be >= 0")
         if not math.isfinite(self.lam) or self.lam < 0:
             raise ConfigurationError("lambda must be finite and >= 0")
-        if not isinstance(self.log_depth, numbers.Integral) \
-                or isinstance(self.log_depth, bool) or self.log_depth < 0:
-            raise ConfigurationError("log_depth must be a nonnegative integer")
+        _check_log_depth(self.log_depth, "log_depth")
         if self.log_power < 0:
             raise ConfigurationError("log_power must be >= 0")
         if self.family == "tabulated":
@@ -296,6 +303,8 @@ def spec_from_json(doc: dict, where: str = "coefficient") -> CoefficientSpec:
             raise ConfigurationError(f"unknown key {key!r} in {where}")
         if key in ("amplitude", "gamma", "lambda", "log_power"):
             as_real(doc[key], f"{where}.{key}")
+        elif key == "log_depth":
+            _check_log_depth(doc[key], f"{where}.log_depth")
     try:
         if family == "tabulated":
             return CoefficientSpec.tabulated(doc["table"],
@@ -319,8 +328,36 @@ def spec_from_json(doc: dict, where: str = "coefficient") -> CoefficientSpec:
 # ---------------------------------------------------------------------------
 # cumulative integrals
 
+def log_lane(spec: CoefficientSpec) -> Optional[tuple[float, int]]:
+    """(A, j) when spec = A/((T_j+t) l_j(T_j+t)) with j >= 1, else None.
+
+    On this lane C(t) = A ln_{j+1}(T_j+t), since ln_{j+1}(T_j) = 0.
+    """
+    if (spec.family == "power_log" and spec.log_depth >= 1
+            and abs(spec.gamma - 1.0) <= _EXP_TOL and spec.log_power == 0.0):
+        return spec.amplitude, spec.log_depth
+    return None
+
+
+def _log_lane_chain(t, j: int):
+    """ln_{j+1}(T_j + t) without cancellation at small t.
+
+    ln(T_i + d) = T_{i-1} + log1p(d/T_i) for i >= 1, so peeling one tower
+    level per log leaves d = log1p(d/T_i) at each level, down to T_0 = 1.
+    """
+    d = t
+    for i in range(j, -1, -1):
+        d = np.log1p(d / log_tower(i))
+    return d
+
+
 class CumulativeIntegral:
-    """C(t) = int_0^t f, plus tails and log-domain exponential integrals."""
+    """C(t) = int_0^t f, plus tails and log-domain exponential integrals.
+
+    C(t) is closed form for constant, power, exp_decay and the log lane of
+    power_log (`log_lane`), exact piecewise for tabulated, and adaptive
+    quadrature on a growing knot cache for the rest of power_log.
+    """
 
     def __init__(self, spec: CoefficientSpec):
         self.spec = spec
@@ -347,6 +384,8 @@ class CumulativeIntegral:
                 out = sp.amplitude * (-np.expm1(-sp.lam * arr)) / sp.lam
         elif sp.family == "tabulated":
             out = self._tabulated_cumulative(arr)
+        elif log_lane(sp) is not None:
+            out = sp.amplitude * _log_lane_chain(arr, sp.log_depth)
         else:
             out = self._numeric_cumulative(arr)
         return float(out) if scalar or arr.ndim == 0 else out
@@ -371,7 +410,7 @@ class CumulativeIntegral:
         # extend the knot cache monotonically; integrand is smooth and decreasing
         kt, kc = self._knots_t, self._knots_c
         if t <= kt[-1]:
-            j = int(np.searchsorted(kt, t, side="right")) - 1
+            j = bisect.bisect_right(kt, t) - 1
             if kt[j] == t:
                 return kc[j]
             val, _ = integrate.quad(lambda x: eval_coeff(self.spec, x), kt[j], t,
@@ -718,6 +757,21 @@ def _numeric_verdict(f, t_lower, policy: QuadraturePolicy, points) -> IntegralVe
 # ---------------------------------------------------------------------------
 # square-root-window supremum
 
+@lru_cache(maxsize=16)
+def _window_rule(t0: float, nodes: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Gauss-Legendre rule on s in [0, sqrt(t0)]: (s^2, weights, scale).
+
+    Built on first use (never at import) and shared read-only by callers.
+    """
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    half = 0.5 * math.sqrt(t0)
+    s = half * (x + 1.0)
+    s2 = s * s
+    s2.flags.writeable = False
+    w.flags.writeable = False
+    return s2, w, 2.0 * half
+
+
 def sqrt_window_integral(flux: Callable, t: float, t0: float, nodes: int = 48) -> float:
     """int_{t-t0}^{t} flux(tau)/sqrt(t-tau) dtau via the substitution tau = t - s^2.
 
@@ -726,10 +780,8 @@ def sqrt_window_integral(flux: Callable, t: float, t0: float, nodes: int = 48) -
     """
     if t < t0:
         raise DomainError("window integral needs t >= t0")
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    half = 0.5 * math.sqrt(t0)
-    s = half * (x + 1.0)
-    return float(2.0 * half * np.sum(w * flux(t - s * s)))
+    s2, w, scale = _window_rule(float(t0), nodes)
+    return float(scale * np.sum(w * flux(t - s2)))
 
 
 @dataclass(frozen=True)
@@ -745,6 +797,8 @@ def memory_window_check(k: CoefficientSpec, t0: float = 1.0, alpha: float = 2.0,
                         nodes: int = 48, flux: Optional[Callable] = None) -> WindowBound:
     """Supremum over t in [alpha, t_probe] of the sqrt-window integral of tau*k(tau).
 
+    `flux` (default tau*k(tau)) maps a 1-D array of times to a 1-D array of
+    values; it is called once, on every window node of every probe time.
     `holds` reports whether the running sup has stabilized: the last probed
     decade adds nothing beyond the earlier maximum (within 0.1%).
     """
@@ -754,7 +808,9 @@ def memory_window_check(k: CoefficientSpec, t0: float = 1.0, alpha: float = 2.0,
         def flux(ts):
             return np.asarray(ts, dtype=float) * eval_coeff(k, ts)
     times = np.geomspace(alpha, t_probe, n_probes)
-    vals = np.array([sqrt_window_integral(flux, float(t), t0, nodes) for t in times])
+    s2, w, scale = _window_rule(float(t0), nodes)
+    fvals = np.asarray(flux((times[:, None] - s2).ravel()), dtype=float)
+    vals = scale * np.sum(w * fvals.reshape(n_probes, nodes), axis=1)
     k_sup = float(vals.max())
     early_mask = times <= t_probe / 10.0
     if not early_mask.any():

@@ -27,6 +27,7 @@ from .coeffs import (
     eval_coeff,
     growth_form,
     integrate_improper,
+    log_lane,
     memory_window_check,
     numeric_improper,
     tail_verdict,
@@ -139,14 +140,6 @@ def _subharmonic(c: CoefficientSpec) -> Optional[tuple[float, float]]:
     return None
 
 
-def _log_lane(c: CoefficientSpec) -> Optional[tuple[float, int]]:
-    """(A, j) when c = A/((T_j+t) l_j(T_j+t)), whose C(t) = A ln_{j+1}(T_j+t)."""
-    if (c.family == "power_log" and c.log_depth >= 1
-            and abs(c.gamma - 1.0) <= _TOL and c.log_power == 0.0):
-        return c.amplitude, c.log_depth
-    return None
-
-
 def _weight_form(c: CoefficientSpec, q: float, kind: str) -> Optional[GrowthForm]:
     """Tail growth form of the exponential weight, per lane.
 
@@ -177,7 +170,7 @@ def _weight_form(c: CoefficientSpec, q: float, kind: str) -> Optional[GrowthForm
             return GrowthForm(stretch_rate=rate, stretch_pow=1.0 - g,
                               power=1.0 - q + g * (q + 1.0))
         return GrowthForm(stretch_rate=rate, stretch_pow=1.0 - g, power=g)
-    lg = _log_lane(c)
+    lg = log_lane(c)
     if lg is not None:
         A, j = lg
         logs = (0.0,) * (j - 1) + (A * (q - 1.0),)

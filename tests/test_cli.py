@@ -96,6 +96,14 @@ def test_bool_and_non_real_numbers_exit_2_naming_the_key(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+def test_log_depth_beyond_tower_range_exits_2_naming_the_key(tmp_path, capsys):
+    bad = {"family": "power_log", "gamma": 2.0, "log_depth": 4}
+    cfg = write_cfg(tmp_path, base_doc(k=bad))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "k.log_depth must be an integer in [0, 3]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_tabulated_entries_reject_bool():
     doc = base_doc(c={"family": "tabulated", "table": [[0.0, True], [1.0, 0.0]]})
     with pytest.raises(ConfigurationError, match="table entry must be a real number"):

@@ -13,6 +13,7 @@ from memheat.coeffs import (
     CONVERGES,
     DIVERGES,
     INDETERMINATE,
+    ZERO,
     CoefficientSpec,
     CumulativeIntegral,
     GrowthForm,
@@ -22,6 +23,7 @@ from memheat.coeffs import (
     growth_form,
     integrate_improper,
     iterated_log,
+    log_lane,
     log_product,
     log_product_weighted,
     log_tower,
@@ -31,6 +33,7 @@ from memheat.coeffs import (
     sqrt_window_integral,
     tail_verdict,
 )
+from memheat.criteria import effective_flux
 from memheat.errors import ConfigurationError, DomainError
 
 E = math.e
@@ -183,6 +186,8 @@ def test_spec_json_names_the_bad_key():
         spec_from_json({"family": "tabulated", "table": 5}, where="k")
     with pytest.raises(ConfigurationError, match="log_depth"):
         spec_from_json({"family": "power_log", "log_depth": True}, where="k")
+    with pytest.raises(ConfigurationError, match=r"c.log_depth must be an integer in \[0, 3\]"):
+        spec_from_json({"family": "power_log", "gamma": 1.0, "log_depth": 4}, where="c")
 
 
 def test_spec_validation():
@@ -198,6 +203,10 @@ def test_spec_validation():
         CoefficientSpec.tabulated([[0.0, -1.0]])
     with pytest.raises(ConfigurationError):
         CoefficientSpec("constant", table=((0.0, 1.0),))
+    # the tower T_4 overflows a float, so depth 4 is refused up front
+    with pytest.raises(ConfigurationError, match="log_depth"):
+        CoefficientSpec.power_log(1.0, 1.0, 4)
+    assert CoefficientSpec.power_log(1.0, 1.0, 3)(1e8) > 0.0
 
 
 def test_is_zero():
@@ -287,6 +296,43 @@ def test_cumulative_array_monotone():
     ts = np.linspace(0.0, 20.0, 9)
     vals = C(ts)
     assert np.all(np.diff(vals) > 0)
+
+
+def _quad_cumulative(spec, t):
+    # adaptive quad over geometric panels, so each panel sees one scale
+    edges = [0.0] + [e for e in np.geomspace(1e-9, 1e8, 35) if e < t] + [t]
+    return math.fsum(integrate.quad(spec.scalar, a, b, epsabs=0.0, epsrel=1e-13,
+                                    limit=200)[0]
+                     for a, b in zip(edges, edges[1:]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(1e-3, 1e3), st.integers(1, 3), st.floats(-9.0, 8.0))
+def test_cumulative_log_lane_closed_form_matches_quad(amp, depth, log10_t):
+    spec = CoefficientSpec.power_log(amp, 1.0, depth)
+    assert log_lane(spec) == (amp, depth)
+    C = CumulativeIntegral(spec)
+    t = 10.0 ** log10_t
+    assert C(t) == pytest.approx(_quad_cumulative(spec, t), rel=1e-10)
+    assert C._knots_t == [0.0]  # closed form: the quadrature knot cache is unused
+
+
+def test_log_lane_needs_unit_gamma_no_log_power_and_depth():
+    assert log_lane(CoefficientSpec.power_log(2.0, 1.0, 2)) == (2.0, 2)
+    assert log_lane(CoefficientSpec.power_log(2.0, 1.0, 0)) is None
+    assert log_lane(CoefficientSpec.power_log(2.0, 2.0, 1)) is None
+    assert log_lane(CoefficientSpec.power_log(2.0, 1.0, 1, log_power=1.0)) is None
+    assert log_lane(CoefficientSpec.power(2.0, 1.0)) is None
+
+
+def test_cumulative_numeric_revisits_match_quad():
+    # off the log lane, C(t) comes from the knot cache plus one quad piece
+    spec = CoefficientSpec.power_log(1.0, 2.0, 1, log_power=1.0)
+    C = CumulativeIntegral(spec)
+    forward = [0.5, 3.0, 40.0, 2000.0, 1e5]
+    for t in forward + [1e5, 7.0, 0.25, 3.0, 1500.0, 40.0]:
+        assert C(t) == pytest.approx(_quad_cumulative(spec, t), rel=1e-10)
+    assert C._knots_t == sorted(C._knots_t)
 
 
 def test_tail_value():
@@ -519,6 +565,43 @@ def test_memory_window_check_growing():
     res = memory_window_check(CoefficientSpec.constant(1.0), t_probe=1e4)
     assert not res.holds
     assert res.k_sup == pytest.approx(2.0 * 1e4 - 2.0 / 3.0, rel=1e-6)
+
+
+_WINDOW_KS = [CoefficientSpec.power(1.0, 3.0),
+               CoefficientSpec.power_log(1.0, 2.0, 1, log_power=1.0),
+               CoefficientSpec.constant(0.5)]
+
+
+@pytest.mark.parametrize("k", _WINDOW_KS, ids=lambda k: k.family)
+def test_memory_window_check_matches_per_probe_integrals(k):
+    res = memory_window_check(k)
+
+    def flux(ts):
+        return np.asarray(ts, dtype=float) * eval_coeff(k, ts)
+    want = [sqrt_window_integral(flux, float(t), 1.0) for t in res.probe_times]
+    np.testing.assert_allclose(res.values, want, rtol=1e-14, atol=0.0)
+
+
+def test_memory_window_check_effective_flux_matches_per_probe_integrals():
+    k = CoefficientSpec.power(1.0, 3.0)
+    flux = effective_flux(CoefficientSpec.power_log(1.0, 1.0, 1), k, 2.0, t_cap=2e4)
+    res = memory_window_check(k, t0=0.5, alpha=1.0, flux=flux)
+    want = [sqrt_window_integral(flux, float(t), 0.5) for t in res.probe_times]
+    np.testing.assert_allclose(res.values, want, rtol=1e-14, atol=0.0)
+
+
+def test_memory_window_check_calls_flux_on_one_flat_array():
+    shapes = []
+
+    def flux(ts):
+        assert ts.ndim == 1
+        shapes.append(ts.shape)
+        return np.ones_like(ts)
+
+    res = memory_window_check(ZERO, t_probe=100.0, n_probes=30, nodes=12, flux=flux)
+    assert shapes == [(30 * 12,)]
+    # flux 1 over a width-1 window: int_0^1 s^-1/2 ds = 2
+    np.testing.assert_allclose(res.values, 2.0, rtol=1e-14)
 
 
 def test_memory_window_check_guard():
