@@ -14,13 +14,12 @@ from .coeffs import (CONVERGES, DIVERGES, INDETERMINATE, FAMILIES, ZERO,
                      integrate_improper, memory_window_check, numeric_improper,
                      power_weight_form, spec_from_json, spec_to_json,
                      sqrt_window_integral, tail_verdict)
-from .constructions import (AuxiliarySolution, DominationReport, Eigenpair,
+from .constructions import (AuxiliarySolution, DominationReport,
                             ResidualReport, SupersolutionSpec,
                             build_th00_supersolution, build_th2_supersolution,
                             build_th4_supersolution, check_domination,
-                            dirichlet_eigenpair, small_data_threshold,
-                            solve_auxiliary_linear, verify_supersolution,
-                            z_ode_residual, z_profile)
+                            small_data_threshold, solve_auxiliary_linear,
+                            verify_supersolution, z_ode_residual, z_profile)
 from .criteria import (FAILS, HOLDS, REGIME_BLOWUP_ALL, REGIME_BOUNDED_SMALL,
                        REGIME_GLOBAL_ALL, REGIME_GLOBAL_SMALL,
                        REGIME_INDETERMINATE, UNDECIDED, ConditionReport,
@@ -50,9 +49,9 @@ __all__ = [
     "growth_form", "integrate_improper", "memory_window_check",
     "numeric_improper", "power_weight_form", "spec_from_json", "spec_to_json",
     "sqrt_window_integral", "tail_verdict",
-    "AuxiliarySolution", "DominationReport", "Eigenpair", "ResidualReport",
+    "AuxiliarySolution", "DominationReport", "ResidualReport",
     "SupersolutionSpec", "build_th00_supersolution", "build_th2_supersolution",
-    "build_th4_supersolution", "check_domination", "dirichlet_eigenpair",
+    "build_th4_supersolution", "check_domination",
     "small_data_threshold", "solve_auxiliary_linear", "verify_supersolution",
     "z_ode_residual", "z_profile",
     "FAILS", "HOLDS", "REGIME_BLOWUP_ALL", "REGIME_BOUNDED_SMALL",

@@ -94,13 +94,6 @@ def log_product(j: int, t):
     return _checked_log_chain("log_product", j, t)[1]
 
 
-def log_product_weighted(j: int, gamma: float, t):
-    """l_{j,gamma}(t) = l_j(t) * (ln_j t)^gamma.  Requires j >= 1."""
-    if j < 1:
-        raise DomainError("log_product_weighted depth must be >= 1")
-    return log_product(j, t) * iterated_log(j, t) ** gamma
-
-
 # ---------------------------------------------------------------------------
 # coefficient specs
 
@@ -197,6 +190,18 @@ class CoefficientSpec:
                 raise DomainError("coefficients are defined for t >= 0")
             return float(f(t))
         return scalar
+
+    @cached_property
+    def canonical(self) -> "CoefficientSpec":
+        """The same function in its simplest family, found on first use:
+        power with gamma 0 and exp_decay with lambda 0 are constant, and
+        power_log with log_depth 0 is power."""
+        if self.family == "power_log" and self.log_depth == 0:
+            return CoefficientSpec.power(self.amplitude, self.gamma).canonical
+        if (self.family == "power" and self.gamma == 0.0
+                or self.family == "exp_decay" and self.lam == 0.0):
+            return CoefficientSpec.constant(self.amplitude)
+        return self
 
     @property
     def is_zero(self) -> bool:
@@ -354,13 +359,14 @@ def _log_lane_chain(t, j: int):
 class CumulativeIntegral:
     """C(t) = int_0^t f, plus tails and log-domain exponential integrals.
 
-    C(t) is closed form for constant, power, exp_decay and the log lane of
-    power_log (`log_lane`), exact piecewise for tabulated, and adaptive
-    quadrature on a growing knot cache for the rest of power_log.
+    C(t) works on the canonical form of the spec, so aliases share a path:
+    closed form for constant, power, exp_decay and the log lane of power_log
+    (`log_lane`), exact piecewise for tabulated, and adaptive quadrature on a
+    growing knot cache for the rest of power_log.
     """
 
     def __init__(self, spec: CoefficientSpec):
-        self.spec = spec
+        self.spec = spec.canonical
         self._knots_t = [0.0]
         self._knots_c = [0.0]
 
@@ -378,10 +384,7 @@ class CumulativeIntegral:
             else:
                 out = sp.amplitude * ((1.0 + arr) ** (1.0 - sp.gamma) - 1.0) / (1.0 - sp.gamma)
         elif sp.family == "exp_decay":
-            if sp.lam == 0.0:
-                out = sp.amplitude * arr
-            else:
-                out = sp.amplitude * (-np.expm1(-sp.lam * arr)) / sp.lam
+            out = sp.amplitude * (-np.expm1(-sp.lam * arr)) / sp.lam
         elif sp.family == "tabulated":
             out = self._tabulated_cumulative(arr)
         elif log_lane(sp) is not None:
@@ -513,20 +516,16 @@ def growth_form(spec: CoefficientSpec) -> Optional[GrowthForm]:
     """Tail growth form of a family, or None when unknown (tabulated)."""
     if spec.is_zero:
         return GrowthForm(zero=True)
+    spec = spec.canonical
     fam = spec.family
     if fam == "constant":
         return GrowthForm()
     if fam == "power":
         return GrowthForm(power=-spec.gamma)
     if fam == "exp_decay":
-        if spec.lam == 0.0:
-            return GrowthForm()
         return GrowthForm(exp_rate=-spec.lam)
     if fam == "power_log":
-        j = spec.log_depth
-        logs = ()
-        if j >= 1:
-            logs = (-1.0,) * (j - 1) + (-(1.0 + spec.log_power),)
+        logs = (-1.0,) * (spec.log_depth - 1) + (-(1.0 + spec.log_power),)
         return GrowthForm(power=-spec.gamma, logs=logs)
     return None
 

@@ -45,34 +45,6 @@ from .pde_core import (
 
 
 # ---------------------------------------------------------------------------
-# eigenpair
-
-@dataclass(frozen=True)
-class Eigenpair:
-    """First eigenpair of -u'' with zero endpoint values on (0, L)."""
-
-    lambda1: float
-    phi: np.ndarray
-    length: float
-
-    @property
-    def nu_slope(self) -> float:
-        """-dphi/dnu at either endpoint (inward slope, the same by symmetry)."""
-        return math.pi / self.length
-
-
-def dirichlet_eigenpair(length: float, n_nodes: int) -> Eigenpair:
-    """Closed form: lambda1 = (pi/L)^2, phi = sin(pi x / L), sup phi = 1."""
-    if n_nodes < 3:
-        raise ConfigurationError("node count must be >= 3")
-    if length <= 0:
-        raise ConfigurationError("domain length must be > 0")
-    x = np.linspace(0.0, length, n_nodes)
-    return Eigenpair((math.pi / length) ** 2,
-                     np.sin(math.pi * x / length), length)
-
-
-# ---------------------------------------------------------------------------
 # auxiliary linear runs
 
 @dataclass
@@ -142,7 +114,7 @@ def solve_auxiliary_linear(flux, length: float, n_nodes: int, t_max: float,
     ok = out.status == "GlobalToHorizon"
     if ok and t_settle > t_max:
         state = State(float(out.snapshots[-1][0]),
-                      out.snapshots[-1][1].copy(), 0.0, 0.0, steps=1)
+                      out.snapshots[-1][1].copy(), 0.0, 0.0)
         rs = sup_run[-1]
         dt = dt_max
         try:

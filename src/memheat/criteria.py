@@ -111,33 +111,20 @@ class EffectiveFluxConditions:
 
 def _constant_rate(c: CoefficientSpec) -> Optional[float]:
     """A when c(t) = A exactly for all t, else None."""
-    if c.family == "constant":
-        return c.amplitude
-    if c.family == "power" and c.gamma == 0.0:
-        return c.amplitude
-    if c.family == "exp_decay" and c.lam == 0.0:
-        return c.amplitude
-    if c.family == "power_log" and c.log_depth == 0 and c.gamma == 0.0:
-        return c.amplitude
-    return None
+    c = c.canonical
+    return c.amplitude if c.family == "constant" else None
 
 
 def _harmonic_amp(c: CoefficientSpec) -> Optional[float]:
     """beta when c(t) = beta/(1+t) exactly, else None."""
-    if c.family == "power" and abs(c.gamma - 1.0) <= _TOL:
-        return c.amplitude
-    if c.family == "power_log" and c.log_depth == 0 and abs(c.gamma - 1.0) <= _TOL:
-        return c.amplitude
-    return None
+    c = c.canonical
+    return c.amplitude if c.family == "power" and abs(c.gamma - 1.0) <= _TOL else None
 
 
 def _subharmonic(c: CoefficientSpec) -> Optional[tuple[float, float]]:
     """(A, gamma) when c = A(1+t)^-gamma with 0 < gamma < 1, else None."""
-    if c.family == "power" and 0.0 < c.gamma < 1.0:
-        return c.amplitude, c.gamma
-    if c.family == "power_log" and c.log_depth == 0 and 0.0 < c.gamma < 1.0:
-        return c.amplitude, c.gamma
-    return None
+    c = c.canonical
+    return (c.amplitude, c.gamma) if c.family == "power" and 0.0 < c.gamma < 1.0 else None
 
 
 def _weight_form(c: CoefficientSpec, q: float, kind: str) -> Optional[GrowthForm]:

@@ -177,7 +177,7 @@ def energy_drift(prob: OdeProblem, outcome: OdeOutcome,
     terms there, so cancellation between large terms is measured honestly.
     Only defined for constant b, where the quantity is a first integral.
     """
-    if prob.b.family != "constant":
+    if prob.b.canonical.family != "constant":
         raise NotApplicableError("energy conservation needs constant b")
     b0 = float(prob.b.amplitude)
     w = prob.q + 1.0

@@ -6,9 +6,12 @@ symmetrizable tridiagonal system, factor cached per step size); reaction and
 boundary flux are explicit with a rate-controlled adaptive step, so blow-up is
 resolved without coupling dt to h^2 on long global runs.
 
-Coefficients are evaluated once per step: `run` and `verify_comparison` pass
-the step_values at the step's start (c(t), both endpoint slopes, accumulator
-weight) to `choose_dt` and `step`, which otherwise evaluate them themselves.
+One generator, `advance`, takes every rate-controlled step: it owns the stop
+rules (`_stop`), the laddered `choose_dt`, landing on snapshot times and
+t_max, and the `step` call, and evaluates the step_values (c(t), both
+endpoint slopes, accumulator weight) once per step for `choose_dt` and
+`step`.  `run` records the trace and snapshots of the yielded steps;
+`verify_comparison` steps the high field on the yielded dt and c(t).
 """
 
 from __future__ import annotations
@@ -73,9 +76,6 @@ class WeightedMemoryRule:
         C = self.cum(t)
         damped = eval_coeff(self.k, t) * math.exp(-C)
         return damped * M_left, damped * M_right, _exp(self.q * C)
-
-    def slope(self, t: float, M: float) -> float:
-        return self.flux(t, M, M)[0]
 
     def acc_weight(self, t: float) -> float:
         return _exp(self.q * self.cum(t))
@@ -392,59 +392,65 @@ def _ladder(dt: float, dt_max: float) -> float:
 # ---------------------------------------------------------------------------
 # full runs
 
-def run(scenario: Scenario, rule=None) -> SimulationOutcome:
-    """Advance until blow-up, the horizon, or an abort; record the trace at
-    the snapshot cadence plus every step once the sup nears the threshold."""
-    rule = rule if rule is not None else scenario.boundary_rule()
+def _stop(state: State, ctr: SolverControls) -> Optional[tuple]:
+    """(status, reason) when a run must halt at state, else None."""
+    if math.isnan(state.sup):
+        return STATUS_ABORTED, "NaN detected in the field"
+    if state.sup >= ctr.blowup_threshold:
+        return STATUS_BLOWUP, ""
+    if state.t >= ctr.t_max - 1e-12:
+        return STATUS_GLOBAL, ""
+    if state.steps >= ctr.max_steps:
+        return STATUS_ABORTED, "step budget exhausted"
+    return None
+
+
+def advance(scenario: Scenario, state: State):
+    """Step from state until `_stop` halts, with the laddered `choose_dt`
+    cut to land on snapshot times and t_max.  Yields (state, dt, values,
+    landed) after each step: values are the step_values it used, landed is
+    true on a snapshot time or the horizon.  A SolverFault propagates."""
     ctr = scenario.controls
-    h = scenario.h
-    state = State(0.0, scenario.initial_field(), 0.0, 0.0)
+    rule = scenario.boundary_rule()
     snap_dt = ctr.snapshot_every if ctr.snapshot_every is not None else ctr.t_max / 100.0
     next_snap = snap_dt
-    dense_from = 0.01 * ctr.blowup_threshold
-
-    rows = [(0.0, state.sup, state.mass(h), 0.0, 0.0, 0.0)]
-    snapshots = [(0.0, state.u.copy())]
-    status = None
-    reason = ""
-
-    while True:
-        sup = state.sup
-        if math.isnan(sup):
-            status, reason = STATUS_ABORTED, "NaN detected in the field"
-            break
-        if sup >= ctr.blowup_threshold:
-            status = STATUS_BLOWUP
-            break
-        if state.t >= ctr.t_max - 1e-12:
-            status = STATUS_GLOBAL
-            break
-        if state.steps >= ctr.max_steps:
-            status, reason = STATUS_ABORTED, "step budget exhausted"
-            break
-
+    while _stop(state, ctr) is None:
         values = step_values(state, scenario, rule)
         dt = _ladder(choose_dt(state, scenario, rule, values), ctr.dt_max)
         while next_snap <= state.t + 1e-12:
             next_snap += snap_dt
-        hit_snap = False
-        if state.t + dt >= next_snap - 1e-12:
+        hit_snap = state.t + dt >= next_snap - 1e-12
+        if hit_snap:
             dt = next_snap - state.t
-            hit_snap = True
         if state.t + dt > ctr.t_max:
             dt = ctr.t_max - state.t
             hit_snap = False
-        try:
-            state = step(state, scenario, dt, rule, values)
-        except SolverFault as fault:
-            status, reason = STATUS_ABORTED, str(fault)
-            break
-        if hit_snap or state.sup >= dense_from or state.t >= ctr.t_max - 1e-12:
-            rows.append((state.t, state.sup, state.mass(h),
-                         state.M_left, state.M_right, dt))
+        state = step(state, scenario, dt, rule, values)
         if hit_snap:
-            snapshots.append((state.t, state.u.copy()))
             next_snap += snap_dt
+        yield state, dt, values, hit_snap or state.t >= ctr.t_max - 1e-12
+
+
+def run(scenario: Scenario) -> SimulationOutcome:
+    """Advance until blow-up, the horizon, or an abort; record the trace at
+    the snapshot cadence plus every step once the sup nears the threshold."""
+    ctr = scenario.controls
+    h = scenario.h
+    state = State(0.0, scenario.initial_field(), 0.0, 0.0)
+    dense_from = 0.01 * ctr.blowup_threshold
+
+    rows = [(0.0, state.sup, state.mass(h), 0.0, 0.0, 0.0)]
+    snapshots = [(0.0, state.u.copy())]
+    try:
+        for state, dt, _, landed in advance(scenario, state):
+            if landed or state.sup >= dense_from:
+                rows.append((state.t, state.sup, state.mass(h),
+                             state.M_left, state.M_right, dt))
+            if landed:
+                snapshots.append((state.t, state.u.copy()))
+        status, reason = _stop(state, ctr)
+    except SolverFault as fault:
+        status, reason = STATUS_ABORTED, str(fault)
 
     if rows[-1][0] != state.t:
         rows.append((state.t, state.sup, state.mass(h),
@@ -521,8 +527,8 @@ class ComparisonReport:
 
 def verify_comparison(scenario_low: Scenario,
                       scenario_high: Scenario) -> ComparisonReport:
-    """Run both problems on the low run's accepted step sequence and check
-    u_low <= u_high (relative tolerance 1e-8) at every shared step."""
+    """Run both problems on the steps `run` takes for the low problem and
+    check u_low <= u_high (relative tolerance 1e-8) at every shared step."""
     a, b = scenario_low, scenario_high
     if (a.length, a.p, a.q, a.c, a.k, a.controls) != (b.length, b.p, b.q, b.c,
                                                       b.k, b.controls):
@@ -536,46 +542,37 @@ def verify_comparison(scenario_low: Scenario,
         raise ConfigurationError(
             "sublinear exponents require strictly positive lower data")
 
-    ctr = a.controls
-    rule_a = a.boundary_rule()
+    threshold = a.controls.blowup_threshold
     rule_b = b.boundary_rule()
     st_low = State(0.0, u0_low, 0.0, 0.0)
     st_high = State(0.0, u0_high, 0.0, 0.0)
     max_viol = 0.0
-    truncated = False
-    note = ""
-    while True:
-        sup_h = st_high.sup
-        sup_l = st_low.sup
-        if not math.isfinite(sup_h) or sup_h >= ctr.blowup_threshold:
-            truncated, note = True, "high run reached the blow-up threshold"
-            break
-        if not math.isfinite(sup_l) or sup_l >= ctr.blowup_threshold:
-            truncated, note = True, "low run reached the blow-up threshold"
-            break
-        if st_low.t >= ctr.t_max - 1e-12:
-            break
-        if st_low.steps >= ctr.max_steps:
-            truncated, note = True, "step budget exhausted"
-            break
-        values_low = step_values(st_low, a, rule_a)
-        values_high = values_low[:1] + rule_b.flux(st_high.t, st_high.M_left,
-                                                   st_high.M_right)
-        dt = _ladder(choose_dt(st_low, a, rule_a, values_low), ctr.dt_max)
-        dt = min(dt, ctr.t_max - st_low.t)
-        try:
-            st_low = step(st_low, a, dt, rule_a, values_low)
-            st_high = step(st_high, b, dt, rule_b, values_high)
-        except SolverFault as fault:
-            truncated, note = True, str(fault)
-            break
-        with np.errstate(invalid="ignore"):
-            gap = float(np.max(st_low.u - st_high.u))
-        if math.isfinite(gap) and math.isfinite(st_high.sup):
-            viol = max(0.0, gap) / (1.0 + st_high.sup)
-            max_viol = max(max_viol, viol)
+    note = None
+    try:
+        # the high field is checked before every low step, the first one
+        # included; "not sup < threshold" also catches NaN
+        if st_high.sup < threshold:
+            for st_low, dt, values, _ in advance(a, st_low):
+                values_high = values[:1] + rule_b.flux(st_high.t, st_high.M_left,
+                                                       st_high.M_right)
+                st_high = step(st_high, b, dt, rule_b, values_high)
+                with np.errstate(invalid="ignore"):
+                    gap = float(np.max(st_low.u - st_high.u))
+                if math.isfinite(gap) and math.isfinite(st_high.sup):
+                    max_viol = max(max_viol, max(0.0, gap) / (1.0 + st_high.sup))
+                if not st_high.sup < threshold:
+                    break
+    except SolverFault as fault:
+        note = str(fault)
+    if note is None:
+        if not st_high.sup < threshold:
+            note = "high run reached the blow-up threshold"
+        else:
+            status, note = _stop(st_low, a.controls)
+            if status == STATUS_BLOWUP:
+                note = "low run reached the blow-up threshold"
     return ComparisonReport(holds=max_viol <= 1e-8, max_violation=max_viol,
-                            t_end=st_low.t, truncated=truncated, note=note)
+                            t_end=st_low.t, truncated=bool(note), note=note)
 
 
 def mass_inequality_check(trace, scenario: Scenario,

@@ -25,7 +25,6 @@ from memheat.coeffs import (
     iterated_log,
     log_lane,
     log_product,
-    log_product_weighted,
     log_tower,
     memory_window_check,
     spec_from_json,
@@ -66,11 +65,6 @@ def test_log_product_values():
     assert log_product(2, math.exp(E)) == pytest.approx(E)
     assert log_product(0, 123.0) == 1.0
     assert log_product(1, E**2) == pytest.approx(2.0)
-
-
-def test_log_product_weighted_value():
-    # l_{1,2}(e^2) = l_1(e^2) * (ln e^2)^2 = 2 * 4 = 8
-    assert log_product_weighted(1, 2.0, E**2) == pytest.approx(8.0)
 
 
 def test_log_product_array():
@@ -333,6 +327,54 @@ def test_cumulative_numeric_revisits_match_quad():
     for t in forward + [1e5, 7.0, 0.25, 3.0, 1500.0, 40.0]:
         assert C(t) == pytest.approx(_quad_cumulative(spec, t), rel=1e-10)
     assert C._knots_t == sorted(C._knots_t)
+
+
+def _power_aliases(a, gamma):
+    """Spellings of a (1+t)^-gamma; the first one is the canonical form."""
+    specs = [CoefficientSpec.power(a, gamma), CoefficientSpec.power_log(a, gamma, 0),
+             CoefficientSpec.power_log(a, gamma, 0, log_power=2.5)]
+    if gamma == 0.0:
+        specs = [CoefficientSpec.constant(a), CoefficientSpec.exp_decay(a, 0.0)] + specs
+    return specs
+
+
+def test_canonical_maps_aliases_and_keeps_everything_else():
+    for gamma in (0.0, 0.5, 2.0):
+        specs = _power_aliases(1.5, gamma)
+        assert all(s.canonical == specs[0] for s in specs)
+    for spec in (CoefficientSpec.exp_decay(1.5, 0.3),
+                 CoefficientSpec.power_log(1.5, 0.0, 1),
+                 CoefficientSpec.tabulated([[0.0, 1.0], [1.0, 1.0]])):
+        assert spec.canonical is spec
+    # the JSON round trip keeps the user's spelling
+    alias = CoefficientSpec.power_log(2.0, 0.0, 0)
+    assert spec_from_json(spec_to_json(alias)) == alias
+    assert spec_to_json(alias)["family"] == "power_log"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(1e-3, 1e3), st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.7]),
+       st.lists(st.floats(0.0, 1e6), min_size=1, max_size=40))
+def test_cumulative_of_aliases_matches_canonical_without_quad(a, gamma, ts):
+    specs = _power_aliases(a, gamma)
+    ts = np.array(ts)
+    calls = []
+    real_quad = integrate.quad
+
+    def counting_quad(*args, **kw):
+        calls.append(args[1:3])
+        return real_quad(*args, **kw)
+
+    integrate.quad = counting_quad
+    try:
+        want = CumulativeIntegral(specs[0])(ts)
+        for spec in specs:
+            C = CumulativeIntegral(spec)
+            np.testing.assert_allclose(C(ts), want, rtol=1e-14, atol=0.0)
+            assert C(float(ts[-1])) == pytest.approx(want[-1], rel=1e-14, abs=0.0)
+    finally:
+        integrate.quad = real_quad
+    assert calls == []
 
 
 def test_tail_value():

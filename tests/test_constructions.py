@@ -12,7 +12,6 @@ from memheat.constructions import (
     build_th2_supersolution,
     build_th4_supersolution,
     check_domination,
-    dirichlet_eigenpair,
     small_data_threshold,
     solve_auxiliary_linear,
     verify_supersolution,
@@ -29,38 +28,6 @@ def scenario(p, q, c, k, u0_value=1.0, length=1.0, **ctrl):
     return Scenario(length=length, p=p, q=q, c=c, k=k,
                     u0=InitialSpec("constant", u0_value),
                     controls=SolverControls(**ctrl))
-
-
-# ---------------------------------------------------------------------------
-# eigenpair
-
-def test_eigenpair_closed_form_values():
-    eig = dirichlet_eigenpair(math.pi, 101)
-    assert eig.lambda1 == pytest.approx(1.0, rel=1e-14)
-    eig1 = dirichlet_eigenpair(1.0, 101)
-    assert eig1.lambda1 == pytest.approx(math.pi ** 2, rel=1e-14)
-    assert eig1.phi[50] == pytest.approx(1.0, rel=1e-14)   # midpoint node
-    assert eig1.phi[0] == 0.0 and abs(eig1.phi[-1]) < 1e-13
-    assert np.all(eig1.phi[1:-1] > 0.0)
-    assert eig1.nu_slope == pytest.approx(math.pi, rel=1e-14)
-
-
-def test_eigenpair_discrete_laplacian_second_order():
-    def residual(n):
-        eig = dirichlet_eigenpair(1.0, n)
-        h = 1.0 / (n - 1)
-        lap = (eig.phi[:-2] - 2 * eig.phi[1:-1] + eig.phi[2:]) / h**2
-        return np.max(np.abs(lap + eig.lambda1 * eig.phi[1:-1]))
-
-    order = math.log2(residual(101) / residual(201))
-    assert 1.8 <= order <= 2.2
-
-
-def test_eigenpair_validation():
-    with pytest.raises(ConfigurationError):
-        dirichlet_eigenpair(1.0, 2)
-    with pytest.raises(ConfigurationError):
-        dirichlet_eigenpair(-1.0, 11)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from memheat.coeffs import (
@@ -35,6 +37,26 @@ ZERO = CoefficientSpec.constant(0.0)
 
 def cond_ids(verdict):
     return [c.id for c in verdict.conditions]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.floats(0.05, 5.0), st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+       st.sampled_from([(1.0, 2.0), (2.0, 2.0), (1.0, 3.0), (0.5, 0.8)]),
+       st.booleans())
+def test_verdicts_agree_across_coefficient_aliases(a, gamma, pq, alias_is_c):
+    # constant / power gamma=0 / exp_decay lambda=0 / power_log depth 0
+    # (and power / power_log depth 0 for gamma > 0) name the same function
+    aliases = [CoefficientSpec.power(a, gamma), CoefficientSpec.power_log(a, gamma, 0),
+               CoefficientSpec.power_log(a, gamma, 0, log_power=1.5)]
+    if gamma == 0.0:
+        aliases += [CoefficientSpec.constant(a), CoefficientSpec.exp_decay(a, 0.0)]
+    other = CoefficientSpec.power(1.0, 3.0)
+    seen = set()
+    for alias in aliases:
+        c, k = (alias, other) if alias_is_c else (other, alias)
+        v = classify_regime(*pq, c, k)
+        seen.add((v.regime, v.rule, tuple((x.id, x.outcome) for x in v.conditions)))
+    assert len(seen) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,16 @@ def test_energy_conserved_free_motion():
     assert energy_drift(prob, out) <= 1e-12
 
 
+def test_energy_accepts_constant_aliases():
+    prob = closed_form_problem()
+    out = integrate_ode(prob, r_max=10.0)
+    want = energy_drift(prob, out)
+    for b in (CoefficientSpec.power(1.0, 0.0), CoefficientSpec.exp_decay(1.0, 0.0),
+              CoefficientSpec.power_log(1.0, 0.0, 0)):
+        assert energy_drift(OdeProblem(a=0.0, y_a=1.0, yp_a=math.sqrt(2.0 / 3.0),
+                                       q=2.0, b=b), out) == want
+
+
 def test_energy_needs_constant_b():
     prob = OdeProblem(a=0.0, y_a=1.0, yp_a=1.0, q=2.0,
                       b=CoefficientSpec.power(1.0, 1.0))

@@ -87,7 +87,7 @@ def test_weighted_rule_damps_slope_and_inflates_accumulator():
     cum = CumulativeIntegral(ONE)  # C(t) = t
     rule = WeightedMemoryRule(ONE, cum, q=2.0)
     t = math.log(2.0)
-    assert rule.slope(t, 3.0) == pytest.approx(1.5, rel=1e-12)
+    assert rule.flux(t, 3.0, 3.0)[0] == pytest.approx(1.5, rel=1e-12)
     assert rule.acc_weight(t) == pytest.approx(4.0, rel=1e-12)
 
 
@@ -155,8 +155,8 @@ def test_rule_flux_agrees_with_slope_and_weight():
     cum = CumulativeIntegral(ONE)
     rule = WeightedMemoryRule(ONE, cum, q=2.0)
     t = math.log(2.0)
-    assert rule.flux(t, 3.0, 5.0) == (rule.slope(t, 3.0), rule.slope(t, 5.0),
-                                      rule.acc_weight(t))
+    assert rule.flux(t, 3.0, 5.0) == (rule.flux(t, 3.0, 3.0)[0],
+                                      rule.flux(t, 5.0, 5.0)[0], rule.acc_weight(t))
     assert MemoryRule(ONE).flux(1.0, 2.0, 4.0) == (2.0, 4.0, 1.0)
     assert PrescribedFluxRule(lambda t: 0.5).flux(1.0, 2.0, 4.0) == (0.5, 0.5, 0.0)
 
@@ -347,6 +347,21 @@ def test_comparison_identical_scenarios_is_exact():
     rep = verify_comparison(scn, scn)
     assert rep.holds
     assert rep.max_violation <= 1e-12
+
+
+@pytest.mark.parametrize("scn", [
+    # blow-up after snapshot landings at the default cadence t_max/100
+    scenario(p=2.0, q=2.0, c=ONE, k=ZERO, u0=("constant", 1.0),
+             n_nodes=51, t_max=2.0),
+    # horizon reached by landing on the summed snapshot times 0.1 + ... + 0.1
+    scenario(p=2.0, q=2.0, c=ZERO, k=ONE, u0=("cos_bump", 0.5),
+             n_nodes=51, t_max=1.0, snapshot_every=0.1),
+])
+def test_comparison_takes_the_steps_of_run(scn):
+    out = run(scn)
+    rep = verify_comparison(scn, scn)
+    assert rep.t_end == out.trace.t[-1] == out.snapshots[-1][0]
+    assert rep.holds and rep.max_violation == 0.0
 
 
 def test_comparison_zero_below_one_until_blowup():
