@@ -9,11 +9,10 @@ a radial comparison ODE.
 
 from .coeffs import (CONVERGES, DIVERGES, INDETERMINATE, FAMILIES, ZERO,
                      CoefficientSpec, CumulativeIntegral, GrowthForm,
-                     IntegralVerdict, QuadraturePolicy, WindowBound,
-                     coefficient_sup, eval_coeff, growth_form,
-                     integrate_improper, memory_window_check, numeric_improper,
-                     power_weight_form, spec_from_json, spec_to_json,
-                     sqrt_window_integral, tail_verdict)
+                     IntegralVerdict, WindowBound, coefficient_sup,
+                     eval_coeff, growth_form, integrate_improper,
+                     memory_window_check, numeric_improper, spec_from_json,
+                     spec_to_json, sqrt_window_integral, tail_verdict)
 from .constructions import (AuxiliarySolution, DominationReport,
                             ResidualReport, SupersolutionSpec,
                             build_th00_supersolution, build_th2_supersolution,
@@ -45,10 +44,9 @@ __version__ = "0.1.0"
 __all__ = [
     "CONVERGES", "DIVERGES", "INDETERMINATE", "FAMILIES", "ZERO",
     "CoefficientSpec", "CumulativeIntegral", "GrowthForm", "IntegralVerdict",
-    "QuadraturePolicy", "WindowBound", "coefficient_sup", "eval_coeff",
-    "growth_form", "integrate_improper", "memory_window_check",
-    "numeric_improper", "power_weight_form", "spec_from_json", "spec_to_json",
-    "sqrt_window_integral", "tail_verdict",
+    "WindowBound", "coefficient_sup", "eval_coeff", "growth_form",
+    "integrate_improper", "memory_window_check", "numeric_improper",
+    "spec_from_json", "spec_to_json", "sqrt_window_integral", "tail_verdict",
     "AuxiliarySolution", "DominationReport", "ResidualReport",
     "SupersolutionSpec", "build_th00_supersolution", "build_th2_supersolution",
     "build_th4_supersolution", "check_domination",

@@ -282,8 +282,6 @@ def _cmd_classify(config: RunConfig) -> int:
     print(f"VERDICT: {verdict.regime} via {verdict.rule}")
     for cond in verdict.conditions:
         print(f"OUTCOME: {cond.id} {cond.outcome} ({cond.evidence})")
-    if verdict.small_data_bound is not None:
-        print(f"OUTCOME: small-data-bound {verdict.small_data_bound:.17g}")
     if verdict.notes:
         print(f"OUTCOME: note {verdict.notes}")
     return 0

@@ -4,7 +4,10 @@ The solver and the regime classifier consume nonnegative continuous
 coefficients of time.  Five parametric families cover the regimes the
 classifier distinguishes; each family knows its own tail behavior, so
 convergence questions are answered in closed form whenever possible and by
-a guarded numerical protocol otherwise.
+a guarded numerical protocol otherwise.  Every judgement on behaviour as
+t -> inf that the classifier and the oracle make lives here: improper
+integrals against a power weight, boundedness of a growth form, and the
+sampled monotonicity and sup-stabilization checks.
 """
 
 from __future__ import annotations
@@ -253,20 +256,17 @@ def eval_coeff(spec: CoefficientSpec, t):
     return _formula(spec, np.exp, np.log)(arr)
 
 
-def coefficient_sup(spec: CoefficientSpec, t_max: float, samples: int = 10001) -> float:
+def coefficient_sup(spec: CoefficientSpec, t_max: float) -> float:
     """sup of the coefficient on [0, t_max].
 
     The four analytic families are nonincreasing, so the sup sits at t = 0;
-    a dense sample is taken anyway and the max of both answers returned.
+    a tabulated spec is piecewise linear, so its sup sits at 0, at t_max or
+    at a node in between.
     """
-    analytic = eval_coeff(spec, 0.0)
-    if spec.family == "tabulated":
-        ts = np.array([row[0] for row in spec.table])
-        inside = ts[(ts >= 0) & (ts <= t_max)]
-        cand = eval_coeff(spec, inside) if inside.size else np.array([])
-        analytic = max([analytic, eval_coeff(spec, t_max)] + list(cand))
-    grid = np.linspace(0.0, t_max, samples)
-    return float(max(analytic, eval_coeff(spec, grid).max()))
+    if spec.family != "tabulated":
+        return eval_coeff(spec, 0.0)
+    ts = [0.0, t_max] + [t for t, _ in spec.table if t <= t_max]
+    return float(eval_coeff(spec, np.array(ts)).max())
 
 
 # ---------------------------------------------------------------------------
@@ -508,10 +508,6 @@ class GrowthForm:
         )
 
 
-def power_weight_form(a: float) -> GrowthForm:
-    return GrowthForm(power=a)
-
-
 def growth_form(spec: CoefficientSpec) -> Optional[GrowthForm]:
     """Tail growth form of a family, or None when unknown (tabulated)."""
     if spec.is_zero:
@@ -555,8 +551,59 @@ def tail_verdict(form: GrowthForm) -> tuple[str, str]:
     return DIVERGES, "harmonic tail with all iterated-log exponents = -1"
 
 
+def form_bounded(form: GrowthForm) -> bool:
+    """Whether a function with this growth form stays bounded as t -> inf.
+
+    The factors are compared in order of dominance (exponential, stretched
+    exponential, power, then each iterated log); the first nonzero exponent
+    decides, and a form with none is a constant.
+    """
+    if form.zero:
+        return True
+    for e in (form.exp_rate, form.stretch_rate, form.power) + form.logs:
+        if abs(e) > _EXP_TOL:
+            return e < 0.0
+    return True
+
+
+# ---------------------------------------------------------------------------
+# sampled checks for eventual behaviour
+
+def sampled_nonincreasing(values) -> bool:
+    """Whether samples taken in time order never rise by more than 1e-9
+    relative; a non-finite sample fails."""
+    v = np.asarray(values, dtype=float)
+    return bool(np.isfinite(v).all()
+                and np.all(np.diff(v) <= 1e-9 * np.maximum(v[:-1], 1e-300)))
+
+
+def sup_stabilized(times, values) -> tuple[float, float, bool]:
+    """(sup, early sup, holds) of samples on a geometric grid of times.
+
+    The early sup is taken over the times up to a tenth of the last one
+    (at least the first quarter of the grid); `holds` when every sample is
+    finite and the last decade adds at most 0.1% to the early sup.
+    """
+    times, values = np.asarray(times), np.asarray(values, dtype=float)
+    early_mask = times <= times[-1] / 10.0
+    if not early_mask.any():
+        early_mask = times <= times[max(1, len(times) // 4)]
+    late, early = float(values.max()), float(values[early_mask].max())
+    holds = (bool(np.isfinite(values).all())
+             and late <= early * (1.0 + 1e-3) + 1e-12 * (1.0 + abs(early)))
+    return late, early, holds
+
+
 # ---------------------------------------------------------------------------
 # improper integrals
+
+# thresholds of the numerical decade protocol
+_NUMERIC_T_MAX = 1e9
+_EPS_FLAT = 1e-6          # relative decade increment that counts as flat
+_RATIO_CONVERGE = 0.9     # sustained decade ratio below this => geometric tail
+_RATIO_DRIFT = 0.005      # max allowed drift among the final ratios
+_RATIO_DIVERGE = 0.999    # sustained ratio at/above this => still growing
+
 
 @dataclass(frozen=True)
 class IntegralVerdict:
@@ -573,74 +620,24 @@ class IntegralVerdict:
         return self.status == DIVERGES
 
 
-@dataclass(frozen=True)
-class QuadraturePolicy:
-    t_max: float = 1e9
-    eps_flat: float = 1e-6        # relative decade increment that counts as flat
-    ratio_converge: float = 0.9   # sustained decade ratio below this => geometric tail
-    ratio_drift: float = 0.005    # max allowed drift among the final ratios
-    ratio_diverge: float = 0.999  # sustained ratio at/above this => still growing
-    force_numeric: bool = False
+def integrate_improper(spec: CoefficientSpec, weight: float = 0.0,
+                       t_lower: float = 0.0) -> IntegralVerdict:
+    """Verdict on int_{t_lower}^inf t^weight * spec(t) dt.
 
-
-DEFAULT_POLICY = QuadraturePolicy()
-
-
-def _parse_weight(weight):
-    """-> (power_exponent or None, callable)."""
-    if weight is None:
-        return 0.0, (lambda t: np.ones_like(np.asarray(t, dtype=float)))
-    if isinstance(weight, str):
-        w = weight.strip().lower()
-        if w in ("1", "one"):
-            return 0.0, (lambda t: np.ones_like(np.asarray(t, dtype=float)))
-        if w == "t":
-            return 1.0, (lambda t: np.asarray(t, dtype=float))
-        raise ConfigurationError(f"unknown weight descriptor {weight!r}")
-    if isinstance(weight, (int, float)):
-        a = float(weight)
-        if a == 0.0:
-            return 0.0, (lambda t: np.ones_like(np.asarray(t, dtype=float)))
-        return a, (lambda t: np.asarray(t, dtype=float) ** a)
-    if isinstance(weight, tuple) and len(weight) == 2 and weight[0] == "power":
-        return _parse_weight(float(weight[1]))
-    if callable(weight):
-        return None, weight
-    raise ConfigurationError(f"unknown weight descriptor {weight!r}")
-
-
-def integrate_improper(spec: CoefficientSpec, weight="1", t_lower: float = 0.0,
-                       policy: Optional[QuadraturePolicy] = None, *,
-                       weight_form: Optional[GrowthForm] = None) -> IntegralVerdict:
-    """Verdict on int_{t_lower}^inf weight(t) * spec(t) dt.
-
-    Closed-form families get an analytic verdict; tabulated specs and callable
-    weights without a declared growth form go through the numerical protocol.
+    Families with a growth form get an analytic verdict; tabulated specs go
+    through the numerical protocol.
     """
     if t_lower < 0:
         raise DomainError("t_lower must be >= 0")
-    policy = policy or DEFAULT_POLICY
-    a, wfun = _parse_weight(weight)
+    a = float(weight)
 
     def integrand(t):
-        return wfun(t) * eval_coeff(spec, t)
-
-    points = None
-    if spec.family == "tabulated":
-        points = [row[0] for row in spec.table]
-
-    if policy.force_numeric:
-        return _numeric_verdict(integrand, t_lower, policy, points)
+        return np.asarray(t, dtype=float) ** a * eval_coeff(spec, t)
 
     form = growth_form(spec)
-    wform = power_weight_form(a) if a is not None else weight_form
-    if form is None or wform is None:
-        return _numeric_verdict(integrand, t_lower, policy, points)
-
-    try:
-        total = form.times(wform)
-    except NotApplicableError:
-        return _numeric_verdict(integrand, t_lower, policy, points)
+    if form is None:
+        return numeric_improper(integrand, t_lower, [row[0] for row in spec.table])
+    total = form.times(GrowthForm(power=a))
     status, reason = tail_verdict(total)
     if status == DIVERGES:
         return IntegralVerdict(DIVERGES, None, f"closed form: {reason}")
@@ -678,17 +675,10 @@ def _convergent_value(integrand, t_lower, spec, form: GrowthForm):
     except Exception:
         pass
     # fall back to decade summation with a geometric tail estimate
-    verdict = _numeric_verdict(integrand, t_lower, DEFAULT_POLICY, None)
+    verdict = numeric_improper(integrand, t_lower)
     if verdict.value is not None:
         return verdict.value, "; value from decade summation"
     return math.nan, "; value unresolved numerically"
-
-
-def numeric_improper(f: Callable, t_lower: float = 0.0,
-                     policy: Optional[QuadraturePolicy] = None,
-                     points: Optional[Sequence[float]] = None) -> IntegralVerdict:
-    """Decade protocol on an arbitrary scalar integrand callable."""
-    return _numeric_verdict(f, t_lower, policy or DEFAULT_POLICY, points)
 
 
 def _panel(f, a, b, points):
@@ -700,14 +690,16 @@ def _panel(f, a, b, points):
     return val
 
 
-def _numeric_verdict(f, t_lower, policy: QuadraturePolicy, points) -> IntegralVerdict:
+def numeric_improper(f: Callable, t_lower: float = 0.0,
+                     points: Optional[Sequence[float]] = None) -> IntegralVerdict:
+    """Decade protocol on an arbitrary scalar integrand callable."""
     tiny = 1e-300
     start = max(t_lower, 1.0)
     total = _panel(f, t_lower, start, points) if start > t_lower else 0.0
     incs: list[float] = []
     a = start
-    while a < policy.t_max:
-        b = min(a * 10.0, policy.t_max)
+    while a < _NUMERIC_T_MAX:
+        b = min(a * 10.0, _NUMERIC_T_MAX)
         inc = _panel(f, a, b, points)
         if not math.isfinite(inc):
             return IntegralVerdict(DIVERGES, None,
@@ -720,7 +712,7 @@ def _numeric_verdict(f, t_lower, policy: QuadraturePolicy, points) -> IntegralVe
                 return IntegralVerdict(CONVERGES, total,
                                        "numeric: tail vanishes beyond the data")
             rel = abs(inc) / max(abs(total), tiny)
-            if rel < policy.eps_flat and inc <= prev:
+            if rel < _EPS_FLAT and inc <= prev:
                 r = inc / prev if prev > tiny else 0.0
                 tail = inc * r / (1.0 - r) if 0.0 <= r < 1.0 else 0.0
                 return IntegralVerdict(
@@ -737,12 +729,12 @@ def _numeric_verdict(f, t_lower, policy: QuadraturePolicy, points) -> IntegralVe
         rs = [incs[i] / incs[i - 1] for i in range(len(incs) - 3, len(incs))
               if incs[i - 1] > tiny]
         if len(rs) == 3:
-            if min(rs) >= policy.ratio_diverge or rs[-1] > 1.0:
+            if min(rs) >= _RATIO_DIVERGE or rs[-1] > 1.0:
                 return IntegralVerdict(
                     DIVERGES, None,
-                    f"numeric: partial sums still growing at t={policy.t_max:.3g}"
+                    f"numeric: partial sums still growing at t={_NUMERIC_T_MAX:.3g}"
                     f" (decade ratio {rs[-1]:.4f})")
-            if max(rs) < policy.ratio_converge and max(rs) - min(rs) < policy.ratio_drift:
+            if max(rs) < _RATIO_CONVERGE and max(rs) - min(rs) < _RATIO_DRIFT:
                 r = rs[-1]
                 tail = incs[-1] * r / (1.0 - r)
                 return IntegralVerdict(
@@ -750,7 +742,7 @@ def _numeric_verdict(f, t_lower, policy: QuadraturePolicy, points) -> IntegralVe
                     f"numeric: stable geometric decade decay (ratio {r:.4f})")
     return IntegralVerdict(
         INDETERMINATE, None,
-        f"numeric: undecided at t={policy.t_max:.3g}; partial sum {total:.6g}")
+        f"numeric: undecided at t={_NUMERIC_T_MAX:.3g}; partial sum {total:.6g}")
 
 
 # ---------------------------------------------------------------------------
@@ -798,8 +790,8 @@ def memory_window_check(k: CoefficientSpec, t0: float = 1.0, alpha: float = 2.0,
 
     `flux` (default tau*k(tau)) maps a 1-D array of times to a 1-D array of
     values; it is called once, on every window node of every probe time.
-    `holds` reports whether the running sup has stabilized: the last probed
-    decade adds nothing beyond the earlier maximum (within 0.1%).
+    `holds` reports whether the sup has stabilized (`sup_stabilized`): it is
+    finite and the last probed decade adds at most 0.1% to the earlier sup.
     """
     if alpha < t0:
         raise DomainError("probe start must be >= the window width t0")
@@ -810,10 +802,5 @@ def memory_window_check(k: CoefficientSpec, t0: float = 1.0, alpha: float = 2.0,
     s2, w, scale = _window_rule(float(t0), nodes)
     fvals = np.asarray(flux((times[:, None] - s2).ravel()), dtype=float)
     vals = scale * np.sum(w * fvals.reshape(n_probes, nodes), axis=1)
-    k_sup = float(vals.max())
-    early_mask = times <= t_probe / 10.0
-    if not early_mask.any():
-        early_mask = times <= times[max(1, len(times) // 4)]
-    k_early = float(vals[early_mask].max())
-    holds = k_sup <= k_early * (1.0 + 1e-3) + 1e-12 * (1.0 + abs(k_early))
-    return WindowBound(k_sup=k_sup, holds=bool(holds), probe_times=times, values=vals)
+    k_sup, _, holds = sup_stabilized(times, vals)
+    return WindowBound(k_sup=k_sup, holds=holds, probe_times=times, values=vals)

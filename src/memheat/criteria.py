@@ -25,11 +25,14 @@ from .coeffs import (
     IntegralVerdict,
     WindowBound,
     eval_coeff,
+    form_bounded,
     growth_form,
     integrate_improper,
     log_lane,
     memory_window_check,
     numeric_improper,
+    sampled_nonincreasing,
+    sup_stabilized,
     tail_verdict,
 )
 from .errors import ConfigurationError
@@ -45,6 +48,7 @@ FAILS = "fails"
 UNDECIDED = "undecided"
 
 _TOL = 1e-12
+_T_LARGE = 1e3  # where "for large t" sampling starts
 
 
 @dataclass(frozen=True)
@@ -74,7 +78,6 @@ class RegimeVerdict:
     regime: str
     rule: str
     conditions: tuple[ConditionReport, ...]
-    small_data_bound: Optional[float] = None
     notes: str = ""
 
 
@@ -127,7 +130,7 @@ def _subharmonic(c: CoefficientSpec) -> Optional[tuple[float, float]]:
     return (c.amplitude, c.gamma) if c.family == "power" and 0.0 < c.gamma < 1.0 else None
 
 
-def _weight_form(c: CoefficientSpec, q: float, kind: str) -> Optional[GrowthForm]:
+def _weight_growth(c: CoefficientSpec, q: float, kind: str) -> Optional[GrowthForm]:
     """Tail growth form of the exponential weight, per lane.
 
     kind "blowup": t^{1-q} e^{-C} (int_0^t e^C)^q
@@ -167,74 +170,55 @@ def _weight_form(c: CoefficientSpec, q: float, kind: str) -> Optional[GrowthForm
     return None
 
 
-def _form_bounded_above(form: GrowthForm) -> bool:
-    """Whether a function with this tail growth form stays bounded as t -> inf."""
-    if form.zero:
-        return True
-    if abs(form.exp_rate) > _TOL:
-        return form.exp_rate < 0.0
-    if abs(form.stretch_rate) > _TOL:
-        return form.stretch_rate < 0.0
-    if abs(form.power) > _TOL:
-        return form.power < 0.0
-    for e in form.logs:
-        if abs(e) > _TOL:
-            return e < 0.0
-    return True
-
-
 # ---------------------------------------------------------------------------
 # sampled checks for "for large values of t" conditions
 
-def _sampled_nonincreasing(values: Callable, t_large: float,
-                           t_probe: float = 1e7, n: int = 400) -> FlagReport:
-    ts = np.geomspace(t_large, t_probe, n)
+def _samples(values: Callable, n: int):
+    ts = np.geomspace(_T_LARGE, 1e7, n)
     with np.errstate(all="ignore"):
-        v = np.asarray(values(ts), dtype=float)
+        return ts, np.asarray(values(ts), dtype=float)
+
+
+def _sampled_nonincreasing(values: Callable, n: int = 400) -> FlagReport:
+    ts, v = _samples(values, n)
     if not np.all(np.isfinite(v)):
         return FlagReport(False, "sampled values overflow; not nonincreasing")
-    ok = bool(np.all(np.diff(v) <= 1e-9 * np.maximum(v[:-1], 1e-300)))
-    return FlagReport(ok, f"sampled on t in [{t_large:.3g}, {t_probe:.3g}] "
+    ok = sampled_nonincreasing(v)
+    return FlagReport(ok, f"sampled on t in [{ts[0]:.3g}, {ts[-1]:.3g}] "
                           f"({n} points): {'nonincreasing' if ok else 'increase detected'}")
 
 
-def _sampled_bounded(values: Callable, t_large: float,
-                     t_probe: float = 1e7, n: int = 400) -> FlagReport:
-    ts = np.geomspace(t_large, t_probe, n)
-    with np.errstate(all="ignore"):
-        v = np.asarray(values(ts), dtype=float)
+def _sampled_bounded(values: Callable, n: int = 400) -> FlagReport:
+    ts, v = _samples(values, n)
     if not np.all(np.isfinite(v)):
         return FlagReport(False, "sampled values overflow; unbounded")
-    early = float(v[ts <= t_probe / 10.0].max())
-    late = float(v.max())
-    ok = late <= early * (1.0 + 1e-3) + 1e-12 * (1.0 + abs(early))
+    late, early, ok = sup_stabilized(ts, v)
     return FlagReport(ok, f"sampled sup {late:.6g} vs early sup {early:.6g} "
-                          f"on t in [{t_large:.3g}, {t_probe:.3g}]")
+                          f"on t in [{ts[0]:.3g}, {ts[-1]:.3g}]")
 
 
-def _envelope_bounded(kl: CoefficientSpec, t_large: float) -> FlagReport:
+def _envelope_bounded(kl: CoefficientSpec) -> FlagReport:
     """Whether t^2 * kl(t) is bounded for large t (i.e. kl <= const/t^2)."""
     form = growth_form(kl)
     if form is not None:
         total = form.times(GrowthForm(power=2.0))
-        ok = _form_bounded_above(total)
+        ok = form_bounded(total)
         return FlagReport(ok, f"growth form of t^2*k: "
                               f"{'bounded' if ok else 'unbounded'} tail")
-    return _sampled_bounded(lambda ts: ts ** 2 * eval_coeff(kl, ts), t_large)
+    return _sampled_bounded(lambda ts: ts ** 2 * eval_coeff(kl, ts))
 
 
 # ---------------------------------------------------------------------------
 # condition groups
 
-def memory_moment_conditions(q: float, k_lower: CoefficientSpec,
-                             t_large: float = 1e3) -> MemoryMomentConditions:
+def memory_moment_conditions(q: float, k_lower: CoefficientSpec) -> MemoryMomentConditions:
     """Divergence of int t*k_lower plus the envelope/monotonicity alternatives."""
     if q <= 1.0:
         raise ConfigurationError("memory blow-up conditions require q > 1")
-    moment = integrate_improper(k_lower, weight="t")
-    envelope = _envelope_bounded(k_lower, t_large)
+    moment = integrate_improper(k_lower, weight=1.0)
+    envelope = _envelope_bounded(k_lower)
     monotone = _sampled_nonincreasing(
-        lambda ts: ts ** (1.0 - q) * eval_coeff(k_lower, ts), t_large)
+        lambda ts: ts ** (1.0 - q) * eval_coeff(k_lower, ts))
     return MemoryMomentConditions(moment, envelope, monotone)
 
 
@@ -249,8 +233,7 @@ def _log_weight(cum: CumulativeIntegral, q: float, kind: str, t: float) -> float
 
 
 def weighted_memory_conditions(q: float, c: CoefficientSpec,
-                               k_lower: CoefficientSpec,
-                               t_large: float = 1e3) -> WeightedMemoryConditions:
+                               k_lower: CoefficientSpec) -> WeightedMemoryConditions:
     """Exponentially weighted blow-up conditions for linear reaction (p = 1).
 
     The weight t^{1-q} e^{-C(t)} (int_0^t e^C)^q multiplies k_lower inside the
@@ -268,7 +251,7 @@ def weighted_memory_conditions(q: float, c: CoefficientSpec,
             ln = (1.0 - q) * np.log(ts) - 2.0 * Cv + np.log(eval_coeff(k_lower, ts))
         return np.exp(np.clip(ln, -745.0, 705.0))
 
-    monotone = _sampled_nonincreasing(mono_vals, t_large)
+    monotone = _sampled_nonincreasing(mono_vals)
 
     if k_lower.is_zero:
         zero = IntegralVerdict(CONVERGES, 0.0, "lower memory envelope vanishes")
@@ -277,10 +260,10 @@ def weighted_memory_conditions(q: float, c: CoefficientSpec,
 
     if c.is_zero:
         # weights collapse: t^{1-q} * t^q = t exactly
-        base = integrate_improper(k_lower, weight="t")
+        base = integrate_improper(k_lower, weight=1.0)
         blow = IntegralVerdict(base.status, base.value,
                                f"weights collapse at c = 0 to the t-moment; {base.evidence}")
-        envelope = _envelope_bounded(k_lower, t_large)
+        envelope = _envelope_bounded(k_lower)
         env = FlagReport(envelope.holds,
                          f"weights collapse at c = 0 to t^2*k; {envelope.evidence}")
         return WeightedMemoryConditions(blow, env, monotone)
@@ -289,22 +272,22 @@ def weighted_memory_conditions(q: float, c: CoefficientSpec,
     if c_tail.converges:
         # e^{-C} in [e^{-C_inf}, 1] and int_0^t e^C in [t, e^{C_inf} t]:
         # the weighted integrand is sandwiched by constant multiples of t*k
-        base = integrate_improper(k_lower, weight="t")
+        base = integrate_improper(k_lower, weight=1.0)
         blow = IntegralVerdict(base.status, None,
                                "bounded exponential weights (convergent reaction "
                                f"integral); equivalent to the t-moment: {base.evidence}")
-        envelope = _envelope_bounded(k_lower, t_large)
+        envelope = _envelope_bounded(k_lower)
         env = FlagReport(envelope.holds,
                          f"bounded exponential weights; reduces to t^2*k: {envelope.evidence}")
         return WeightedMemoryConditions(blow, env, monotone)
 
     kform = growth_form(k_lower)
-    wblow = _weight_form(c, q, "blowup")
-    wbound = _weight_form(c, q, "bound")
+    wblow = _weight_growth(c, q, "blowup")
+    wbound = _weight_growth(c, q, "bound")
     if kform is not None and wblow is not None and wbound is not None:
         status, reason = tail_verdict(wblow.times(kform))
         blow = IntegralVerdict(status, None, f"weighted growth-form reduction: {reason}")
-        ok = _form_bounded_above(wbound.times(kform))
+        ok = form_bounded(wbound.times(kform))
         env = FlagReport(ok, "weighted growth-form reduction: companion weight "
                              f"{'bounded' if ok else 'unbounded'}")
         return WeightedMemoryConditions(blow, env, monotone)
@@ -325,19 +308,19 @@ def weighted_memory_conditions(q: float, c: CoefficientSpec,
                         for t in np.atleast_1d(ts)])
         return np.exp(np.clip(out, -745.0, 705.0))
 
-    env = _sampled_bounded(bound_vals, t_large, n=80)
+    env = _sampled_bounded(bound_vals, n=80)
     return WeightedMemoryConditions(blow, env, monotone)
 
 
 # ---------------------------------------------------------------------------
 # effective flux for the small-data side of linear reaction
 
-def effective_flux(c: CoefficientSpec, k: CoefficientSpec, q: float,
-                   t_cap: float = 2e4) -> Callable:
+def effective_flux(c: CoefficientSpec, k: CoefficientSpec, q: float) -> Callable:
     """Vectorized kappa(t) = k(t) e^{-C(t)} int_0^t e^{q C(tau)} dtau.
 
     Closed forms for constant and harmonic reaction lanes; otherwise a dense
-    grid accumulation in log space up to t_cap with linear interpolation.
+    grid accumulation in log space up to t = 2e4 (twice the last probe of
+    `memory_window_check`) with linear interpolation.
     """
     if c.is_zero:
         return lambda ts: np.asarray(ts, dtype=float) * eval_coeff(k, ts)
@@ -365,9 +348,8 @@ def effective_flux(c: CoefficientSpec, k: CoefficientSpec, q: float,
         return kappa_harm
 
     cum = CumulativeIntegral(c)
-    lead = np.linspace(0.0, min(10.0, t_cap), 2001)
-    rest = np.geomspace(min(10.0, t_cap), t_cap, 4000)[1:] if t_cap > 10.0 else []
-    grid = np.concatenate([lead, rest])
+    grid = np.concatenate([np.linspace(0.0, 10.0, 2001),
+                           np.geomspace(10.0, 2e4, 4000)[1:]])
     Cg = np.asarray(cum(grid))
     panel = (np.log(0.5 * np.diff(grid))
              + np.logaddexp(q * Cg[:-1], q * Cg[1:]))
@@ -381,9 +363,8 @@ def effective_flux(c: CoefficientSpec, k: CoefficientSpec, q: float,
     return kappa_grid
 
 
-def effective_flux_conditions(q: float, c: CoefficientSpec, k: CoefficientSpec,
-                              t0: float = 1.0, alpha: float = 2.0,
-                              t_probe: float = 1e4) -> EffectiveFluxConditions:
+def effective_flux_conditions(q: float, c: CoefficientSpec,
+                              k: CoefficientSpec) -> EffectiveFluxConditions:
     """Small-data side for linear reaction: integrability of the effective flux
     kappa = k e^{-C} int e^{qC}, its square-root-window bound, and the
     reaction-tail condition that upgrades global to bounded."""
@@ -393,22 +374,22 @@ def effective_flux_conditions(q: float, c: CoefficientSpec, k: CoefficientSpec,
 
     if k.is_zero:
         flux = IntegralVerdict(CONVERGES, 0.0, "flux coefficient vanishes")
-        window = memory_window_check(k, t0=t0, alpha=alpha, t_probe=t_probe)
+        window = memory_window_check(k)
         return EffectiveFluxConditions(flux, window, reaction_tail)
 
     if c.is_zero:
-        flux = integrate_improper(k, weight="t")
-        window = memory_window_check(k, t0=t0, alpha=alpha, t_probe=t_probe)
+        flux = integrate_improper(k, weight=1.0)
+        window = memory_window_check(k)
         return EffectiveFluxConditions(flux, window, reaction_tail)
 
     if reaction_tail.converges:
-        base = integrate_improper(k, weight="t")
+        base = integrate_improper(k, weight=1.0)
         flux = IntegralVerdict(base.status, None,
                                "bounded exponential weights (convergent reaction "
                                f"integral); equivalent to the t-moment: {base.evidence}")
     else:
         kform = growth_form(k)
-        wflux = _weight_form(c, q, "flux")
+        wflux = _weight_growth(c, q, "flux")
         if kform is not None and wflux is not None:
             status, reason = tail_verdict(wflux.times(kform))
             flux = IntegralVerdict(status, None,
@@ -426,15 +407,14 @@ def effective_flux_conditions(q: float, c: CoefficientSpec, k: CoefficientSpec,
             raw = numeric_improper(integrand, t_lower=0.0)
             flux = IntegralVerdict(raw.status, None, f"log-space numerics: {raw.evidence}")
 
-    window = memory_window_check(k, t0=t0, alpha=alpha, t_probe=t_probe,
-                                 flux=effective_flux(c, k, q, t_cap=2.0 * t_probe))
+    window = memory_window_check(k, flux=effective_flux(c, k, q))
     return EffectiveFluxConditions(flux, window, reaction_tail)
 
 
 def total_forcing_condition(c: CoefficientSpec, k: CoefficientSpec) -> IntegralVerdict:
     """Verdict on int_0^inf (c(t) + t k(t)) dt."""
     vc = integrate_improper(c)
-    vk = integrate_improper(k, weight="t")
+    vk = integrate_improper(k, weight=1.0)
     if vc.diverges or vk.diverges:
         which = "reaction part" if vc.diverges else "memory moment part"
         return IntegralVerdict(DIVERGES, None, f"{which} diverges")
@@ -461,8 +441,7 @@ def _flag_report(cid: str, f: FlagReport) -> ConditionReport:
 
 
 def classify_regime(p: float, q: float, c: CoefficientSpec, k: CoefficientSpec,
-                    k_lower: Optional[CoefficientSpec] = None, *,
-                    t_large: float = 1e3) -> RegimeVerdict:
+                    k_lower: Optional[CoefficientSpec] = None) -> RegimeVerdict:
     """Walk the rule ladder; first certified rule wins.
 
     Rules, in order: every-solution-global for max(p,q) <= 1; blow-up of all
@@ -500,7 +479,7 @@ def classify_regime(p: float, q: float, c: CoefficientSpec, k: CoefficientSpec,
                                  notes="superlinear reaction with divergent mass")
 
     if q > 1.0:
-        mm = memory_moment_conditions(q, kl, t_large=t_large)
+        mm = memory_moment_conditions(q, kl)
         conds.append(_verdict_report("memory-moment", mm.moment, want=DIVERGES))
         conds.append(_flag_report("memory-envelope", mm.envelope))
         conds.append(_flag_report("memory-moment-monotone", mm.monotone))
@@ -510,7 +489,7 @@ def classify_regime(p: float, q: float, c: CoefficientSpec, k: CoefficientSpec,
                                  notes="divergent memory moment with a tame envelope")
 
     if p == 1.0 and q > 1.0:
-        wm = weighted_memory_conditions(q, c, kl, t_large=t_large)
+        wm = weighted_memory_conditions(q, c, kl)
         conds.append(_verdict_report("weighted-memory", wm.blowup_integral,
                                      want=DIVERGES))
         conds.append(_flag_report("weighted-envelope", wm.envelope))

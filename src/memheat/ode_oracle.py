@@ -20,10 +20,13 @@ from scipy.integrate import solve_ivp
 
 from .coeffs import (
     CoefficientSpec,
+    GrowthForm,
     IntegralVerdict,
     eval_coeff,
+    form_bounded,
     growth_form,
     integrate_improper,
+    sampled_nonincreasing,
 )
 from .errors import ConfigurationError, NotApplicableError, SolverFault
 
@@ -205,18 +208,6 @@ class Th0Report:
     applies: bool
 
 
-def _bounded_from_form(form, q: float) -> bool:
-    """Does the growth envelope admit b <= B r^{-(q+1)} eventually?"""
-    if form.zero:
-        return True
-    if form.exp_rate or form.stretch_rate:
-        return form.exp_rate < 0 or form.stretch_rate < 0
-    excess = form.power + (q + 1.0)
-    if abs(excess) <= 1e-12:
-        return all(e <= 1e-12 for e in form.logs)
-    return excess < 0
-
-
 def check_th0_criterion(b: CoefficientSpec, q: float, a: float = 0.0,
                         t_large: float = 1e3) -> Th0Report:
     """Blow-up criterion record for y'' >= b y^q from nonnegative data.
@@ -232,21 +223,20 @@ def check_th0_criterion(b: CoefficientSpec, q: float, a: float = 0.0,
         raise ConfigurationError("start point a must be >= 0")
     if t_large <= 0:
         raise ConfigurationError("t_large must be > 0")
-    divergence = integrate_improper(b, weight=float(q), t_lower=a)
+    divergence = integrate_improper(b, weight=q, t_lower=a)
 
     if b.family == "tabulated":
         lo = max(t_large, a, 1.0)
         rs = np.geomspace(lo, 100.0 * lo, 241)
-        vals = np.asarray(eval_coeff(b, rs), dtype=float)
-        slack = 1.0 + 1e-9
-        alt_monotone = bool(np.all(vals[1:] <= vals[:-1] * slack + 1e-300))
-        weighted = rs ** (q + 1.0) * vals
-        alt_bounded = bool(np.all(weighted[1:] <= weighted[:-1] * slack + 1e-300))
+        vals = eval_coeff(b, rs)
+        alt_monotone = sampled_nonincreasing(vals)
+        alt_bounded = sampled_nonincreasing(rs ** (q + 1.0) * vals)
     else:
         # every closed-form family here is eventually nonincreasing:
         # amplitudes are >= 0 and all time factors decay or stay flat
         alt_monotone = True
-        alt_bounded = _bounded_from_form(growth_form(b), q)
+        # b <= B r^{-(q+1)} eventually iff r^{q+1} b stays bounded
+        alt_bounded = form_bounded(growth_form(b).times(GrowthForm(power=q + 1.0)))
 
     applies = divergence.diverges and (alt_bounded or alt_monotone)
     return Th0Report(divergence=divergence, alt_bounded=alt_bounded,

@@ -84,7 +84,7 @@ class EquivalenceReport:
 
 
 def _mapped_trace(trace: Trace, cum: CumulativeIntegral) -> Trace:
-    factor = np.exp(np.array([cum(float(t)) for t in trace.t]))
+    factor = np.exp(cum(trace.t))
     return Trace(t=trace.t, sup_norm=trace.sup_norm * factor,
                  mass_w=trace.mass_w * factor, M_left=trace.M_left,
                  M_right=trace.M_right, dt=trace.dt)

@@ -17,9 +17,9 @@ from memheat.coeffs import (
     CoefficientSpec,
     CumulativeIntegral,
     GrowthForm,
-    QuadraturePolicy,
     coefficient_sup,
     eval_coeff,
+    form_bounded,
     growth_form,
     integrate_improper,
     iterated_log,
@@ -27,9 +27,12 @@ from memheat.coeffs import (
     log_product,
     log_tower,
     memory_window_check,
+    numeric_improper,
+    sampled_nonincreasing,
     spec_from_json,
     spec_to_json,
     sqrt_window_integral,
+    sup_stabilized,
     tail_verdict,
 )
 from memheat.criteria import effective_flux
@@ -213,6 +216,9 @@ def test_coefficient_sup():
     assert coefficient_sup(CoefficientSpec.power(1.0, 2.0), 10.0) == pytest.approx(1.0)
     bump = CoefficientSpec.tabulated([[0.0, 0.0], [1.0, 5.0], [2.0, 0.0]], amplitude=2.0)
     assert coefficient_sup(bump, 10.0) == pytest.approx(10.0)
+    spec = CoefficientSpec.power_log(2.0, 1.5, 2, log_power=1.0)
+    assert coefficient_sup(spec, 50.0) == spec(0.0)
+    assert coefficient_sup(bump, 0.5) == bump(0.5)  # t_max on the rising edge
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +235,12 @@ def test_json_round_trip_all_families():
     for spec in specs:
         doc = json.loads(json.dumps(spec_to_json(spec)))
         assert spec_from_json(doc) == spec
+
+
+@settings(max_examples=200, deadline=None)
+@given(_specs)
+def test_spec_json_round_trip(spec):
+    assert spec_from_json(json.loads(json.dumps(spec_to_json(spec)))) == spec
 
 
 def test_json_key_names():
@@ -449,6 +461,42 @@ def test_tail_verdict_ladder():
     assert tail_verdict(GrowthForm(stretch_rate=0.5, stretch_pow=0.5, power=-9.0))[0] == DIVERGES
 
 
+def test_form_bounded_ladder():
+    # the first nonzero exponent decides, in the order exp, stretch, power, logs
+    assert form_bounded(GrowthForm(zero=True))
+    assert form_bounded(GrowthForm())
+    assert form_bounded(GrowthForm(exp_rate=-1.0, stretch_rate=2.0, stretch_pow=0.5,
+                                   power=9.0))
+    assert not form_bounded(GrowthForm(exp_rate=1e-3, power=-9.0))
+    assert form_bounded(GrowthForm(stretch_rate=-0.5, stretch_pow=0.5, power=9.0))
+    assert not form_bounded(GrowthForm(stretch_rate=0.5, stretch_pow=0.5, power=-9.0))
+    assert form_bounded(GrowthForm(power=-0.5, logs=(3.0,)))
+    assert not form_bounded(GrowthForm(power=0.5, logs=(-3.0,)))
+    # ln^-1 * ln ln is bounded: the ln exponent outranks the ln_2 one
+    assert form_bounded(GrowthForm(logs=(-1.0, 1.0)))
+    assert not form_bounded(GrowthForm(logs=(1.0, -1.0)))
+    assert form_bounded(GrowthForm(logs=(0.0, -1.0)))
+    assert not form_bounded(GrowthForm(logs=(0.0, 1e-3)))
+
+
+def test_sampled_nonincreasing_tolerance_and_overflow():
+    assert sampled_nonincreasing([3.0, 2.0, 2.0 * (1.0 + 5e-10), 0.0, 0.0])
+    assert not sampled_nonincreasing([3.0, 2.0, 2.0 * (1.0 + 2e-9)])
+    assert not sampled_nonincreasing([3.0, np.inf, 1.0])
+    assert not sampled_nonincreasing([np.inf, np.inf])
+
+
+def test_sup_stabilized_last_decade():
+    ts = np.geomspace(1.0, 1000.0, 31)
+    late = ts > 100.0
+    sup, early, holds = sup_stabilized(ts, np.where(late, 1.0 + 5e-4, 1.0))
+    assert holds and sup == 1.0 + 5e-4 and early == 1.0
+    assert not sup_stabilized(ts, np.where(late, 1.0 + 2e-3, 1.0))[2]
+    # an overflow is not a stabilized sup, even when it overflows early
+    assert not sup_stabilized(ts, np.full_like(ts, np.inf))[2]
+    assert not sup_stabilized(ts, np.where(late, np.nan, 1.0))[2]
+
+
 # ---------------------------------------------------------------------------
 # improper integrals: analytic lane
 
@@ -462,16 +510,16 @@ def test_improper_power_weight_one():
 
 def test_improper_power_weight_t():
     # int_0^inf t (1+t)^-3 dt = 1/2
-    v = integrate_improper(CoefficientSpec.power(1.0, 3.0), weight="t")
+    v = integrate_improper(CoefficientSpec.power(1.0, 3.0), weight=1.0)
     assert v.status == CONVERGES
     assert v.value == pytest.approx(0.5, rel=1e-6)
     # int t (1+t)^-2 diverges (harmonic)
-    assert integrate_improper(CoefficientSpec.power(1.0, 2.0), weight="t").status == DIVERGES
-    assert integrate_improper(CoefficientSpec.power(1.0, 1.5), weight="t").status == DIVERGES
+    assert integrate_improper(CoefficientSpec.power(1.0, 2.0), weight=1.0).status == DIVERGES
+    assert integrate_improper(CoefficientSpec.power(1.0, 1.5), weight=1.0).status == DIVERGES
 
 
 def test_improper_exp_decay():
-    v = integrate_improper(CoefficientSpec.exp_decay(2.0, 0.5), weight="t")
+    v = integrate_improper(CoefficientSpec.exp_decay(2.0, 0.5), weight=1.0)
     # int_0^inf 2 t e^{-t/2} dt = 8
     assert v.status == CONVERGES
     assert v.value == pytest.approx(8.0, rel=1e-6)
@@ -494,13 +542,13 @@ def test_improper_power_log_borderlines():
 def test_improper_weight_t_power_log():
     # t * c with c = 1/((e+t)^2 ln^2(e+t)): total power -1, ln exponent -2
     v = integrate_improper(
-        CoefficientSpec.power_log(1.0, 2.0, 1, log_power=1.0), weight="t")
+        CoefficientSpec.power_log(1.0, 2.0, 1, log_power=1.0), weight=1.0)
     assert v.status == CONVERGES
     # substituting u = ln(e+t) turns int_0^inf t/((e+t)^2 ln^2(e+t)) dt into
     # int_1^inf (1 - e^{1-u})/u^2 du = 1 - e*E_2(1) = e*E_1(1)
     assert v.value == pytest.approx(math.e * special.exp1(1.0), rel=1e-6)
     assert integrate_improper(
-        CoefficientSpec.power_log(1.0, 2.0, 1), weight="t").status == DIVERGES
+        CoefficientSpec.power_log(1.0, 2.0, 1), weight=1.0).status == DIVERGES
 
 
 def test_improper_zero_and_lower_limit():
@@ -514,7 +562,10 @@ def test_improper_zero_and_lower_limit():
 # ---------------------------------------------------------------------------
 # improper integrals: numeric lane
 
-FORCED = QuadraturePolicy(force_numeric=True)
+def forced_numeric(spec, weight=0.0):
+    """The numeric protocol on the integrand integrate_improper builds."""
+    return numeric_improper(
+        lambda t: np.asarray(t, dtype=float) ** weight * eval_coeff(spec, t))
 
 
 @pytest.mark.parametrize("gamma,weight,expected", [
@@ -527,8 +578,9 @@ FORCED = QuadraturePolicy(force_numeric=True)
 ])
 def test_numeric_agrees_with_analytic_power(gamma, weight, expected):
     spec = CoefficientSpec.power(1.0, gamma)
-    analytic = integrate_improper(spec, weight=weight)
-    numeric = integrate_improper(spec, weight=weight, policy=FORCED)
+    a = {"1": 0.0, "t": 1.0}[weight]
+    analytic = integrate_improper(spec, weight=a)
+    numeric = forced_numeric(spec, weight=a)
     assert analytic.status == expected
     assert numeric.status == expected
     if expected == CONVERGES:
@@ -536,7 +588,7 @@ def test_numeric_agrees_with_analytic_power(gamma, weight, expected):
 
 
 def test_numeric_exp_decay_value():
-    v = integrate_improper(CoefficientSpec.exp_decay(1.0, 1.0), policy=FORCED)
+    v = forced_numeric(CoefficientSpec.exp_decay(1.0, 1.0))
     assert v.status == CONVERGES
     assert v.value == pytest.approx(1.0, rel=1e-6)
 
@@ -557,14 +609,14 @@ def test_numeric_honest_indeterminate_on_slow_logs():
     # 1/((e+t) ln^2(e+t)) converges, but so slowly that the numeric protocol
     # cannot certify it by t = 1e9; the analytic lane resolves it instead
     spec = CoefficientSpec.power_log(1.0, 1.0, 1, log_power=1.0)
-    assert integrate_improper(spec, policy=FORCED).status == INDETERMINATE
+    assert forced_numeric(spec).status == INDETERMINATE
     assert integrate_improper(spec).status == CONVERGES
 
 
 def test_numeric_divergent_borderline_detected():
     # constant-in-decades increments: ratios ~= 1 -> divergence verdict
     spec = CoefficientSpec.power(1.0, 1.0)
-    assert integrate_improper(spec, policy=FORCED).status == DIVERGES
+    assert forced_numeric(spec).status == DIVERGES
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +678,7 @@ def test_memory_window_check_matches_per_probe_integrals(k):
 
 def test_memory_window_check_effective_flux_matches_per_probe_integrals():
     k = CoefficientSpec.power(1.0, 3.0)
-    flux = effective_flux(CoefficientSpec.power_log(1.0, 1.0, 1), k, 2.0, t_cap=2e4)
+    flux = effective_flux(CoefficientSpec.power_log(1.0, 1.0, 1), k, 2.0)
     res = memory_window_check(k, t0=0.5, alpha=1.0, flux=flux)
     want = [sqrt_window_integral(flux, float(t), 0.5) for t in res.probe_times]
     np.testing.assert_allclose(res.values, want, rtol=1e-14, atol=0.0)

@@ -109,7 +109,6 @@ def test_small_data_barrier():
     tf = [c for c in v.conditions if c.id == "total-forcing"][0]
     # int (1+t)^-2 + int t(1+t)^-3 = 1 + 1/2
     assert tf.verdict.value == pytest.approx(1.5, rel=1e-6)
-    assert v.small_data_bound is None  # threshold needs the barrier machinery
 
 
 def test_weighted_memory_blowup_borderline():
@@ -181,7 +180,7 @@ def test_k_scaling_monotonicity():
 ])
 def test_weighted_reduces_exactly_at_zero_reaction(k):
     res = weighted_memory_conditions(2.0, ZERO, k)
-    base = integrate_improper(k, weight="t")
+    base = integrate_improper(k, weight=1.0)
     assert res.blowup_integral.status == base.status
     assert res.blowup_integral.value == base.value
 
@@ -189,12 +188,20 @@ def test_weighted_reduces_exactly_at_zero_reaction(k):
 def test_effective_flux_reduces_exactly_at_zero_reaction():
     k = CoefficientSpec.power(1.0, 3.0)
     res = effective_flux_conditions(2.0, ZERO, k)
-    base = integrate_improper(k, weight="t")
+    base = integrate_improper(k, weight=1.0)
     assert res.flux_integral.status == base.status
     assert res.flux_integral.value == base.value
     direct = memory_window_check(k)
     assert res.window.k_sup == pytest.approx(direct.k_sup, rel=1e-12)
     assert res.window.holds == direct.holds
+
+
+def test_effective_flux_window_overflow_is_not_stabilized():
+    # constant reaction with q = 2: kappa grows like e^t and overflows a float
+    # inside the probe range, so the window sup cannot have stabilized
+    res = effective_flux_conditions(2.0, CONST1, CoefficientSpec.power(1.0, 4.0))
+    assert math.isinf(res.window.k_sup)
+    assert not res.window.holds
 
 
 def test_weighted_constant_reaction_rate_balance():
