@@ -19,9 +19,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-
-from .coeffs import CoefficientSpec, spec_from_json, spec_to_json
+from .coeffs import spec_from_json, spec_to_json
 from .constructions import (
     build_th00_supersolution,
     build_th2_supersolution,

@@ -32,6 +32,7 @@ INDETERMINATE = "Indeterminate"
 
 _EXP_TOL = 1e-12  # tolerance when comparing exponents for borderline cases
 _MAX_LOG_DEPTH = 3  # T_4 = e^(T_3) = e^(3.8e6) overflows a float
+T_LARGE = 1e3  # where sampling "for large t" starts
 
 
 def as_real(value, key: str) -> float:
@@ -70,31 +71,17 @@ def _log_chain(s, depth: int, log):
     return v, prod
 
 
-def _checked_log_chain(name: str, j: int, t):
-    threshold = log_tower(j - 1)
-    arr = np.asarray(t, dtype=float)
-    if np.any(arr <= threshold):
-        raise DomainError(
-            f"{name} depth {j} needs t > {threshold!r}; got min {arr.min()!r}")
-    v, prod = _log_chain(arr, j, np.log)
-    return (float(v), float(prod)) if arr.ndim == 0 else (v, prod)
-
-
 def iterated_log(j: int, t):
     """ln_j t  (ln_1 = ln, ln_{j+1} = ln o ln_j).  Requires t > T_{j-1}."""
     if j < 1:
         raise DomainError("iterated_log depth must be >= 1")
-    return _checked_log_chain("iterated_log", j, t)[0]
-
-
-def log_product(j: int, t):
-    """l_j(t) = prod_{i=1..j} ln_i t, with l_0 = 1."""
-    if j < 0:
-        raise DomainError("log_product depth must be >= 0")
-    if j == 0:
-        arr = np.asarray(t, dtype=float)
-        return 1.0 if arr.ndim == 0 else np.ones_like(arr)
-    return _checked_log_chain("log_product", j, t)[1]
+    threshold = log_tower(j - 1)
+    arr = np.asarray(t, dtype=float)
+    if np.any(arr <= threshold):
+        raise DomainError(
+            f"iterated_log depth {j} needs t > {threshold!r}; got min {arr.min()!r}")
+    v, _ = _log_chain(arr, j, np.log)
+    return float(v) if arr.ndim == 0 else v
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +369,9 @@ class CumulativeIntegral:
             if abs(sp.gamma - 1.0) <= _EXP_TOL:
                 out = sp.amplitude * np.log1p(arr)
             else:
-                out = sp.amplitude * ((1.0 + arr) ** (1.0 - sp.gamma) - 1.0) / (1.0 - sp.gamma)
+                # (1+t)^(1-gamma) - 1 as expm1, without cancellation at small t
+                e = 1.0 - sp.gamma
+                out = sp.amplitude * np.expm1(e * np.log1p(arr)) / e
         elif sp.family == "exp_decay":
             out = sp.amplitude * (-np.expm1(-sp.lam * arr)) / sp.lam
         elif sp.family == "tabulated":

@@ -2,9 +2,12 @@
 
 Given the exponent pair (p, q) and the coefficient specs c, k, the classifier
 walks a fixed rule ladder and reports the first certified regime together with
-every condition it actually evaluated.  Conditions involving exponential
-weights built from C(t) = int_0^t c are reduced in closed form per coefficient
-lane; anything outside the lanes falls back to guarded numerics in log space.
+every condition it actually evaluated.  For linear reaction (p = 1) the
+conditions use exponential weights t^a e^{-mC} (int_0^t e^{rC})^n built from
+C(t) = int_0^t c, each described once by its exponents (`_Weight`).  One
+cascade (`_weighted_integral`) decides every weighted integral: k = 0, c = 0,
+a convergent reaction integral, a growth form per coefficient lane, and
+guarded numerics in log space for everything else.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from .coeffs import (
     CONVERGES,
     DIVERGES,
     INDETERMINATE,
+    T_LARGE,
     CoefficientSpec,
     CumulativeIntegral,
     GrowthForm,
@@ -48,7 +52,6 @@ FAILS = "fails"
 UNDECIDED = "undecided"
 
 _TOL = 1e-12
-_T_LARGE = 1e3  # where "for large t" sampling starts
 
 
 @dataclass(frozen=True)
@@ -110,79 +113,76 @@ class EffectiveFluxConditions:
 
 
 # ---------------------------------------------------------------------------
-# coefficient lanes for the exponential weights
+# exponential weights built from C(t) = int_0^t c
 
-def _constant_rate(c: CoefficientSpec) -> Optional[float]:
-    """A when c(t) = A exactly for all t, else None."""
-    c = c.canonical
-    return c.amplitude if c.family == "constant" else None
+@dataclass(frozen=True)
+class _Weight:
+    """The weight t^a e^{-m C(t)} (int_0^t e^{r C})^n of a p = 1 condition."""
+
+    a: float
+    m: float
+    r: float
+    n: float
+
+    @classmethod
+    def blowup(cls, q: float) -> "_Weight":
+        return cls(1.0 - q, 1.0, 1.0, q)
+
+    @classmethod
+    def bound(cls, q: float) -> "_Weight":
+        return cls(1.0 - q, 2.0, 1.0, q + 1.0)
+
+    @classmethod
+    def flux(cls, q: float) -> "_Weight":
+        return cls(0.0, 1.0, q, 1.0)
 
 
-def _harmonic_amp(c: CoefficientSpec) -> Optional[float]:
-    """beta when c(t) = beta/(1+t) exactly, else None."""
-    c = c.canonical
-    return c.amplitude if c.family == "power" and abs(c.gamma - 1.0) <= _TOL else None
+def _weight_growth(c: CoefficientSpec, w: _Weight) -> Optional[GrowthForm]:
+    """Tail growth form of the weight w, per lane of c.
 
-
-def _subharmonic(c: CoefficientSpec) -> Optional[tuple[float, float]]:
-    """(A, gamma) when c = A(1+t)^-gamma with 0 < gamma < 1, else None."""
-    c = c.canonical
-    return (c.amplitude, c.gamma) if c.family == "power" and 0.0 < c.gamma < 1.0 else None
-
-
-def _weight_growth(c: CoefficientSpec, q: float, kind: str) -> Optional[GrowthForm]:
-    """Tail growth form of the exponential weight, per lane.
-
-    kind "blowup": t^{1-q} e^{-C} (int_0^t e^C)^q
-    kind "bound":  t^{1-q} e^{-2C} (int_0^t e^C)^{q+1}
-    kind "flux":   e^{-C} int_0^t e^{qC}
+    On each lane int_0^t e^{rC} ~ e^{rC} t^s up to a constant, with s = 0
+    for constant c, 1 for harmonic c, gamma for subharmonic c and 1 on the
+    log lane; so w ~ t^{a + n s} e^{x C} with x = n r - m.
     """
-    A = _constant_rate(c)
-    if A is not None and A > 0.0:
-        if kind == "blowup" or kind == "bound":
-            return GrowthForm(exp_rate=(q - 1.0) * A, power=1.0 - q)
-        return GrowthForm(exp_rate=(q - 1.0) * A)
-    beta = _harmonic_amp(c)
-    if beta is not None:
-        if kind == "blowup":
-            return GrowthForm(power=1.0 + beta * (q - 1.0))
-        if kind == "bound":
-            return GrowthForm(power=2.0 + beta * (q - 1.0))
-        return GrowthForm(power=1.0 + beta * (q - 1.0))
-    sub = _subharmonic(c)
-    if sub is not None:
-        A, g = sub
-        rate = (q - 1.0) * A / (1.0 - g)
-        if kind == "blowup":
-            return GrowthForm(stretch_rate=rate, stretch_pow=1.0 - g,
-                              power=1.0 - q + g * q)
-        if kind == "bound":
-            return GrowthForm(stretch_rate=rate, stretch_pow=1.0 - g,
-                              power=1.0 - q + g * (q + 1.0))
-        return GrowthForm(stretch_rate=rate, stretch_pow=1.0 - g, power=g)
-    lg = log_lane(c)
-    if lg is not None:
-        A, j = lg
-        logs = (0.0,) * (j - 1) + (A * (q - 1.0),)
-        if kind == "blowup" or kind == "flux":
-            return GrowthForm(power=1.0, logs=logs)
-        return GrowthForm(power=2.0, logs=logs)
+    c = c.canonical
+    x = w.n * w.r - w.m
+    if c.family == "constant" and c.amplitude > 0.0:
+        return GrowthForm(exp_rate=x * c.amplitude, power=w.a)
+    if c.family == "power" and abs(c.gamma - 1.0) <= _TOL:
+        return GrowthForm(power=w.a + w.n + x * c.amplitude)
+    if c.family == "power" and 0.0 < c.gamma < 1.0:
+        g = c.gamma
+        return GrowthForm(stretch_rate=x * c.amplitude / (1.0 - g),
+                          stretch_pow=1.0 - g, power=w.a + w.n * g)
+    lane = log_lane(c)
+    if lane is not None:
+        A, j = lane
+        return GrowthForm(power=w.a + w.n, logs=(0.0,) * (j - 1) + (x * A,))
     return None
+
+
+def _log_weight(cum: CumulativeIntegral, w: _Weight, t: float) -> float:
+    """ln w(t), evaluated without overflow."""
+    return w.a * math.log(t) - w.m * cum(t) + w.n * cum.log_int_exp(t, w.r)
+
+
+def _log_weighted(cum: CumulativeIntegral, w: _Weight, k: CoefficientSpec,
+                  t: float) -> float:
+    """ln of w(t) k(t), with k floored at 1e-300."""
+    return _log_weight(cum, w, t) + math.log(max(eval_coeff(k, t), 1e-300))
 
 
 # ---------------------------------------------------------------------------
 # sampled checks for "for large values of t" conditions
 
 def _samples(values: Callable, n: int):
-    ts = np.geomspace(_T_LARGE, 1e7, n)
+    ts = np.geomspace(T_LARGE, 1e7, n)
     with np.errstate(all="ignore"):
         return ts, np.asarray(values(ts), dtype=float)
 
 
 def _sampled_nonincreasing(values: Callable, n: int = 400) -> FlagReport:
     ts, v = _samples(values, n)
-    if not np.all(np.isfinite(v)):
-        return FlagReport(False, "sampled values overflow; not nonincreasing")
     ok = sampled_nonincreasing(v)
     return FlagReport(ok, f"sampled on t in [{ts[0]:.3g}, {ts[-1]:.3g}] "
                           f"({n} points): {'nonincreasing' if ok else 'increase detected'}")
@@ -190,8 +190,6 @@ def _sampled_nonincreasing(values: Callable, n: int = 400) -> FlagReport:
 
 def _sampled_bounded(values: Callable, n: int = 400) -> FlagReport:
     ts, v = _samples(values, n)
-    if not np.all(np.isfinite(v)):
-        return FlagReport(False, "sampled values overflow; unbounded")
     late, early, ok = sup_stabilized(ts, v)
     return FlagReport(ok, f"sampled sup {late:.6g} vs early sup {early:.6g} "
                           f"on t in [{ts[0]:.3g}, {ts[-1]:.3g}]")
@@ -222,93 +220,73 @@ def memory_moment_conditions(q: float, k_lower: CoefficientSpec) -> MemoryMoment
     return MemoryMomentConditions(moment, envelope, monotone)
 
 
-def _log_weight(cum: CumulativeIntegral, q: float, kind: str, t: float) -> float:
-    """ln of the exponential weight at one time, evaluated without overflow."""
-    if kind == "blowup":
-        return ((1.0 - q) * math.log(t) - cum(t) + q * cum.log_int_exp(t, 1.0))
-    if kind == "bound":
-        return ((1.0 - q) * math.log(t) - 2.0 * cum(t)
-                + (q + 1.0) * cum.log_int_exp(t, 1.0))
-    return -cum(t) + cum.log_int_exp(t, q)
+def _weighted_integral(c: CoefficientSpec, c_tail: Optional[IntegralVerdict],
+                       k: CoefficientSpec, w: _Weight,
+                       cum: CumulativeIntegral) -> IntegralVerdict:
+    """Verdict on int_0^inf w k for the blow-up or the flux weight.
+
+    The first rule that applies decides: k = 0; c = 0, where the weight is
+    exactly t; a convergent reaction integral (c_tail), where the weight lies
+    between constant multiples of t; the growth-form reduction; log-space
+    numerics.  c_tail is read only when k and c are both nonzero.
+    """
+    if k.is_zero:
+        return IntegralVerdict(CONVERGES, 0.0, "memory coefficient vanishes")
+    if c.is_zero:
+        base = integrate_improper(k, weight=1.0)
+        return IntegralVerdict(base.status, base.value,
+                               f"weights collapse at c = 0 to the t-moment; {base.evidence}")
+    if c_tail.converges:
+        base = integrate_improper(k, weight=1.0)
+        return IntegralVerdict(base.status, None,
+                               "bounded exponential weights (convergent reaction "
+                               f"integral); equivalent to the t-moment: {base.evidence}")
+    kform, wform = growth_form(k), _weight_growth(c, w)
+    if kform is not None and wform is not None:
+        status, reason = tail_verdict(wform.times(kform))
+        return IntegralVerdict(status, None, f"weighted growth-form reduction: {reason}")
+
+    def integrand(t):
+        return math.exp(min(_log_weighted(cum, w, k, t), 700.0)) if t > 0.0 else 0.0
+
+    raw = numeric_improper(integrand, t_lower=0.0)
+    return IntegralVerdict(raw.status, None, f"log-space numerics: {raw.evidence}")
 
 
 def weighted_memory_conditions(q: float, c: CoefficientSpec,
                                k_lower: CoefficientSpec) -> WeightedMemoryConditions:
     """Exponentially weighted blow-up conditions for linear reaction (p = 1).
 
-    The weight t^{1-q} e^{-C(t)} (int_0^t e^C)^q multiplies k_lower inside the
-    divergence test; the two alternatives bound or monotonize the companion
-    weights for large t.
+    The blow-up weight t^{1-q} e^{-C(t)} (int_0^t e^C)^q multiplies k_lower
+    inside the divergence test; the two alternatives bound the companion
+    weight t^{1-q} e^{-2C} (int_0^t e^C)^{q+1} times k_lower, or monotonize
+    t^{1-q} e^{-2C} k_lower, for large t.
     """
     if q <= 1.0:
         raise ConfigurationError("weighted memory conditions require q > 1")
     cum = CumulativeIntegral(c)
 
     # (2.4)-style monotonicity: always decided by log-space sampling
-    def mono_vals(ts):
-        Cv = cum(ts)
-        with np.errstate(all="ignore"):
-            ln = (1.0 - q) * np.log(ts) - 2.0 * Cv + np.log(eval_coeff(k_lower, ts))
-        return np.exp(np.clip(ln, -745.0, 705.0))
+    monotone = _sampled_nonincreasing(lambda ts: np.exp(
+        (1.0 - q) * np.log(ts) - 2.0 * cum(ts) + np.log(eval_coeff(k_lower, ts))))
+    c_tail = None if k_lower.is_zero or c.is_zero else integrate_improper(c)
+    blow = _weighted_integral(c, c_tail, k_lower, _Weight.blowup(q), cum)
 
-    monotone = _sampled_nonincreasing(mono_vals)
-
+    bound = _Weight.bound(q)
+    kform, wform = growth_form(k_lower), _weight_growth(c, bound)
     if k_lower.is_zero:
-        zero = IntegralVerdict(CONVERGES, 0.0, "lower memory envelope vanishes")
-        return WeightedMemoryConditions(zero, FlagReport(True, "weight times zero"),
-                                        monotone)
-
-    if c.is_zero:
-        # weights collapse: t^{1-q} * t^q = t exactly
-        base = integrate_improper(k_lower, weight=1.0)
-        blow = IntegralVerdict(base.status, base.value,
-                               f"weights collapse at c = 0 to the t-moment; {base.evidence}")
-        envelope = _envelope_bounded(k_lower)
-        env = FlagReport(envelope.holds,
-                         f"weights collapse at c = 0 to t^2*k; {envelope.evidence}")
-        return WeightedMemoryConditions(blow, env, monotone)
-
-    c_tail = integrate_improper(c)
-    if c_tail.converges:
-        # e^{-C} in [e^{-C_inf}, 1] and int_0^t e^C in [t, e^{C_inf} t]:
-        # the weighted integrand is sandwiched by constant multiples of t*k
-        base = integrate_improper(k_lower, weight=1.0)
-        blow = IntegralVerdict(base.status, None,
-                               "bounded exponential weights (convergent reaction "
-                               f"integral); equivalent to the t-moment: {base.evidence}")
+        env = FlagReport(True, "weight times zero")
+    elif c.is_zero or c_tail.converges:
         envelope = _envelope_bounded(k_lower)
         env = FlagReport(envelope.holds,
                          f"bounded exponential weights; reduces to t^2*k: {envelope.evidence}")
-        return WeightedMemoryConditions(blow, env, monotone)
-
-    kform = growth_form(k_lower)
-    wblow = _weight_growth(c, q, "blowup")
-    wbound = _weight_growth(c, q, "bound")
-    if kform is not None and wblow is not None and wbound is not None:
-        status, reason = tail_verdict(wblow.times(kform))
-        blow = IntegralVerdict(status, None, f"weighted growth-form reduction: {reason}")
-        ok = form_bounded(wbound.times(kform))
+    elif kform is not None and wform is not None:
+        ok = form_bounded(wform.times(kform))
         env = FlagReport(ok, "weighted growth-form reduction: companion weight "
                              f"{'bounded' if ok else 'unbounded'}")
-        return WeightedMemoryConditions(blow, env, monotone)
-
-    # log-space numerics: exact integrand, overflow treated as divergence
-    def integrand(t):
-        if t <= 0.0:
-            return 0.0
-        ln = _log_weight(cum, q, "blowup", t) + math.log(max(eval_coeff(k_lower, t), 1e-300))
-        return math.exp(min(ln, 700.0))
-
-    blow = numeric_improper(integrand, t_lower=0.0)
-    blow = IntegralVerdict(blow.status, None, f"log-space numerics: {blow.evidence}")
-
-    def bound_vals(ts):
-        out = np.array([_log_weight(cum, q, "bound", float(t))
-                        + math.log(max(eval_coeff(k_lower, float(t)), 1e-300))
-                        for t in np.atleast_1d(ts)])
-        return np.exp(np.clip(out, -745.0, 705.0))
-
-    env = _sampled_bounded(bound_vals, n=80)
+    else:
+        env = _sampled_bounded(lambda ts: np.exp(
+            [_log_weighted(cum, bound, k_lower, float(t)) for t in ts]), n=80)
     return WeightedMemoryConditions(blow, env, monotone)
 
 
@@ -318,14 +296,16 @@ def weighted_memory_conditions(q: float, c: CoefficientSpec,
 def effective_flux(c: CoefficientSpec, k: CoefficientSpec, q: float) -> Callable:
     """Vectorized kappa(t) = k(t) e^{-C(t)} int_0^t e^{q C(tau)} dtau.
 
-    Closed forms for constant and harmonic reaction lanes; otherwise a dense
-    grid accumulation in log space up to t = 2e4 (twice the last probe of
-    `memory_window_check`) with linear interpolation.
+    Exactly t k(t) when c = 0 or k = 0, closed forms for constant and
+    harmonic reaction lanes; otherwise a dense grid accumulation in log space
+    up to t = 2e4 (twice the last probe of `memory_window_check`) with linear
+    interpolation.
     """
-    if c.is_zero:
+    if c.is_zero or k.is_zero:
         return lambda ts: np.asarray(ts, dtype=float) * eval_coeff(k, ts)
-    A = _constant_rate(c)
-    if A is not None:
+    cc = c.canonical
+    if cc.family == "constant":
+        A = cc.amplitude
 
         def kappa_const(ts):
             ts = np.asarray(ts, dtype=float)
@@ -335,8 +315,8 @@ def effective_flux(c: CoefficientSpec, k: CoefficientSpec, q: float) -> Callable
             # 0 * inf only arises when k vanishes there, so kappa is 0
             return np.nan_to_num(out, nan=0.0, posinf=np.inf)
         return kappa_const
-    beta = _harmonic_amp(c)
-    if beta is not None:
+    if cc.family == "power" and abs(cc.gamma - 1.0) <= _TOL:
+        beta = cc.amplitude
         e = q * beta
 
         def kappa_harm(ts):
@@ -371,42 +351,7 @@ def effective_flux_conditions(q: float, c: CoefficientSpec,
     if q <= 1.0:
         raise ConfigurationError("effective flux conditions require q > 1")
     reaction_tail = integrate_improper(c)
-
-    if k.is_zero:
-        flux = IntegralVerdict(CONVERGES, 0.0, "flux coefficient vanishes")
-        window = memory_window_check(k)
-        return EffectiveFluxConditions(flux, window, reaction_tail)
-
-    if c.is_zero:
-        flux = integrate_improper(k, weight=1.0)
-        window = memory_window_check(k)
-        return EffectiveFluxConditions(flux, window, reaction_tail)
-
-    if reaction_tail.converges:
-        base = integrate_improper(k, weight=1.0)
-        flux = IntegralVerdict(base.status, None,
-                               "bounded exponential weights (convergent reaction "
-                               f"integral); equivalent to the t-moment: {base.evidence}")
-    else:
-        kform = growth_form(k)
-        wflux = _weight_growth(c, q, "flux")
-        if kform is not None and wflux is not None:
-            status, reason = tail_verdict(wflux.times(kform))
-            flux = IntegralVerdict(status, None,
-                                   f"weighted growth-form reduction: {reason}")
-        else:
-            cum = CumulativeIntegral(c)
-
-            def integrand(t):
-                if t <= 0.0:
-                    return 0.0
-                ln = (_log_weight(cum, q, "flux", t)
-                      + math.log(max(eval_coeff(k, t), 1e-300)))
-                return math.exp(min(ln, 700.0))
-
-            raw = numeric_improper(integrand, t_lower=0.0)
-            flux = IntegralVerdict(raw.status, None, f"log-space numerics: {raw.evidence}")
-
+    flux = _weighted_integral(c, reaction_tail, k, _Weight.flux(q), CumulativeIntegral(c))
     window = memory_window_check(k, flux=effective_flux(c, k, q))
     return EffectiveFluxConditions(flux, window, reaction_tail)
 

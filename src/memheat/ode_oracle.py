@@ -19,6 +19,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .coeffs import (
+    T_LARGE,
     CoefficientSpec,
     GrowthForm,
     IntegralVerdict,
@@ -208,25 +209,22 @@ class Th0Report:
     applies: bool
 
 
-def check_th0_criterion(b: CoefficientSpec, q: float, a: float = 0.0,
-                        t_large: float = 1e3) -> Th0Report:
+def check_th0_criterion(b: CoefficientSpec, q: float, a: float = 0.0) -> Th0Report:
     """Blow-up criterion record for y'' >= b y^q from nonnegative data.
 
     applies = (int_a^inf r^q b(r) dr diverges) and at least one regularity
     alternative holds (eventual domination by B r^{-(q+1)}, or eventual
     monotone decay).  Closed-form families are judged analytically;
-    tabulated ones by sampling beyond t_large.
+    tabulated ones by sampling beyond `coeffs.T_LARGE`.
     """
     if q <= 1:
         raise ConfigurationError("exponent q must be > 1")
     if a < 0:
         raise ConfigurationError("start point a must be >= 0")
-    if t_large <= 0:
-        raise ConfigurationError("t_large must be > 0")
     divergence = integrate_improper(b, weight=q, t_lower=a)
 
     if b.family == "tabulated":
-        lo = max(t_large, a, 1.0)
+        lo = max(T_LARGE, a, 1.0)
         rs = np.geomspace(lo, 100.0 * lo, 241)
         vals = eval_coeff(b, rs)
         alt_monotone = sampled_nonincreasing(vals)

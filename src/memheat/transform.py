@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .coeffs import ZERO, CoefficientSpec, CumulativeIntegral
+from .coeffs import ZERO, CumulativeIntegral
 from .errors import ConfigurationError, NotApplicableError
 from .pde_core import (
     BlowupEstimate,

@@ -3,9 +3,10 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
@@ -24,7 +25,6 @@ from memheat.coeffs import (
     integrate_improper,
     iterated_log,
     log_lane,
-    log_product,
     log_tower,
     memory_window_check,
     numeric_improper,
@@ -61,18 +61,6 @@ def test_iterated_log_domain_guard():
         iterated_log(2, E)  # needs t > T_1 = e
     with pytest.raises(DomainError):
         iterated_log(1, 1.0)
-
-
-def test_log_product_values():
-    # l_2(e^e) = ln(e^e) * ln_2(e^e) = e * 1 = e
-    assert log_product(2, math.exp(E)) == pytest.approx(E)
-    assert log_product(0, 123.0) == 1.0
-    assert log_product(1, E**2) == pytest.approx(2.0)
-
-
-def test_log_product_array():
-    ts = np.array([E**2, E**3])
-    np.testing.assert_allclose(log_product(1, ts), [2.0, 3.0])
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +355,7 @@ def test_canonical_maps_aliases_and_keeps_everything_else():
 @settings(max_examples=60, deadline=None)
 @given(st.floats(1e-3, 1e3), st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.7]),
        st.lists(st.floats(0.0, 1e6), min_size=1, max_size=40))
+@example(a=1.0, gamma=3.7, ts=[1.192092896e-07])  # once lost digits at small t
 def test_cumulative_of_aliases_matches_canonical_without_quad(a, gamma, ts):
     specs = _power_aliases(a, gamma)
     ts = np.array(ts)
@@ -387,6 +376,51 @@ def test_cumulative_of_aliases_matches_canonical_without_quad(a, gamma, ts):
     finally:
         integrate.quad = real_quad
     assert calls == []
+
+
+def _mp_integrand(spec):
+    """The closed-form lanes of c as mpmath functions of an mpf t."""
+    a = mpmath.mpf(spec.amplitude)
+    if spec.family == "constant":
+        return lambda t: a
+    if spec.family == "power":
+        return lambda t: a * (1 + t) ** -mpmath.mpf(spec.gamma)
+    if spec.family == "exp_decay":
+        return lambda t: a * mpmath.exp(-mpmath.mpf(spec.lam) * t)
+    tower = mpmath.mpf(1)
+    for _ in range(spec.log_depth):
+        tower = mpmath.exp(tower)
+
+    def log_lane(t):
+        s = v = tower + t
+        for _ in range(spec.log_depth):
+            v = mpmath.log(v)
+            s *= v
+        return a / s
+    return log_lane
+
+
+_closed_form_lanes = st.one_of(
+    st.builds(CoefficientSpec.constant, st.floats(0.1, 10.0)),
+    st.builds(CoefficientSpec.power, st.floats(0.1, 10.0),
+              st.sampled_from([0.5, 1.0, 2.0, 3.7])),
+    st.builds(CoefficientSpec.exp_decay, st.floats(0.1, 10.0), st.floats(1e-3, 1e2)),
+    st.builds(CoefficientSpec.power_log, st.floats(0.1, 10.0), st.just(1.0),
+              st.integers(1, 3)),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_closed_form_lanes, st.floats(-12.0, 6.0))
+def test_cumulative_closed_forms_match_mpmath(spec, log10_t):
+    # reference: mpmath.quad at 30 digits over decade panels
+    t = 10.0 ** log10_t
+    with mpmath.workdps(30):
+        edges = [0] + [mpmath.mpf(10) ** e for e in range(-12, 7) if 10.0 ** e < t] + [t]
+        want = float(mpmath.quad(_mp_integrand(spec), edges))
+    C = CumulativeIntegral(spec)
+    assert C(t) == pytest.approx(want, rel=1e-13, abs=0.0)
+    assert C(np.array([t]))[0] == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 def test_tail_value():

@@ -12,6 +12,7 @@ from memheat.coeffs import (
     CONVERGES,
     DIVERGES,
     CoefficientSpec,
+    CumulativeIntegral,
     eval_coeff,
     integrate_improper,
     memory_window_check,
@@ -29,6 +30,7 @@ from memheat.criteria import (
     total_forcing_condition,
     weighted_memory_conditions,
 )
+from memheat.criteria import _log_weight, _Weight, _weight_growth
 from memheat.errors import ConfigurationError
 
 CONST1 = CoefficientSpec.constant(1.0)
@@ -204,6 +206,44 @@ def test_effective_flux_window_overflow_is_not_stabilized():
     assert not res.window.holds
 
 
+def test_effective_flux_window_at_zero_memory_is_the_plain_window():
+    # kappa = t k exactly when k = 0, whatever lane c is on
+    res = effective_flux_conditions(2.0, CoefficientSpec.power(1.0, 0.5), ZERO)
+    plain = memory_window_check(ZERO)
+    assert (res.window.k_sup, res.window.holds) == (plain.k_sup, plain.holds)
+    np.testing.assert_array_equal(res.window.values, plain.values)
+
+
+def _ln_leading_term(form, t):
+    """ln of e^{exp_rate t} e^{stretch_rate t^stretch_pow} t^power prod ln_i(t)^logs[i]."""
+    ln = form.exp_rate * t + form.stretch_rate * t ** form.stretch_pow + form.power * math.log(t)
+    v = t
+    for e in form.logs:
+        v = math.log(v)
+        ln += e * math.log(v)
+    return ln
+
+
+@pytest.mark.parametrize("c", [
+    CoefficientSpec.constant(0.5),
+    CoefficientSpec.power(1.0, 1.0),
+    CoefficientSpec.power(0.7, 0.5),
+    CoefficientSpec.power_log(1.0, 1.0, 1),
+    CoefficientSpec.power_log(1.0, 1.0, 2),
+], ids=["constant", "harmonic", "subharmonic", "log1", "log2"])
+def test_weight_growth_forms_track_the_weights(c):
+    # ln w - ln(leading term) tends to a constant.  Over t in [1e4, 1e6] it
+    # moves by at most 0.16 (log lane, q = 3, bound weight: the 1/ln t
+    # correction of int e^{rC}); a power exponent off by 0.1 moves it by
+    # another 0.1 ln 100 = 0.46, so either sign of such an error fails
+    cum = CumulativeIntegral(c)
+    for q in (1.5, 3.0):
+        for w in (_Weight.blowup(q), _Weight.bound(q), _Weight.flux(q)):
+            form = _weight_growth(c, w)
+            drift = [_log_weight(cum, w, t) - _ln_leading_term(form, t) for t in (1e4, 1e6)]
+            assert abs(drift[1] - drift[0]) < 0.23, (q, w)
+
+
 def test_weighted_constant_reaction_rate_balance():
     # c = 1: weight grows like e^{(q-1)t}; flux e^{-2qt} wins -> convergence
     q = 2.0
@@ -231,6 +271,16 @@ def test_weighted_numeric_fallback_stretched_growth():
     res = weighted_memory_conditions(2.0, c, CoefficientSpec.power(1.0, 5.0))
     assert res.blowup_integral.status == DIVERGES
     assert "numeric" in res.blowup_integral.evidence
+
+
+def test_weighted_envelope_overflow_is_not_bounded():
+    # off every lane with tabulated k, the companion weight is sampled; at
+    # q = 10 it passes e^709 before t = 1e3, and an overflow is not a bound
+    c = CoefficientSpec.power_log(1.0, 0.5, 1)
+    k = CoefficientSpec.tabulated([[0.0, 1.0], [1.0, 1.0]])
+    res = weighted_memory_conditions(10.0, c, k)
+    assert res.envelope.holds is False
+    assert "inf" in res.envelope.evidence
 
 
 def test_effective_flux_closed_forms_match_quadrature():

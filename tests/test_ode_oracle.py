@@ -204,8 +204,6 @@ def test_criterion_validation():
         check_th0_criterion(ZERO, q=1.0)
     with pytest.raises(ConfigurationError):
         check_th0_criterion(ZERO, q=2.0, a=-1.0)
-    with pytest.raises(ConfigurationError):
-        check_th0_criterion(ZERO, q=2.0, t_large=0.0)
 
 
 # ---------------------------------------------------------------------------
