@@ -233,20 +233,21 @@ def config_to_json(config: RunConfig) -> dict:
 # ---------------------------------------------------------------------------
 # artifacts
 
-def _write_csv(path: Path, header: str, rows):
-    lines = [header]
-    lines.extend(",".join(f"{v:.17g}" for v in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+def _write_csv(path: Path, header: str, columns):
+    """One %.17g field per value of the equal-length array columns."""
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    body = "".join(row % r for r in zip(*(col.tolist() for col in columns)))
+    path.write_text(header + "\n" + body)
 
 
 def _write_run_artifacts(outcome, scenario: Scenario, outdir: Path):
     outdir.mkdir(parents=True, exist_ok=True)
     tr = outcome.trace
     _write_csv(outdir / "trace.csv", TRACE_HEADER,
-               zip(tr.t, tr.sup_norm, tr.mass_w, tr.M_left, tr.M_right, tr.dt))
+               (tr.t, tr.sup_norm, tr.mass_w, tr.M_left, tr.M_right, tr.dt))
     x = scenario.grid()
     for i, (t, u) in enumerate(outcome.snapshots):
-        _write_csv(outdir / f"snap_{i:06d}.csv", "x,u", zip(x, u))
+        _write_csv(outdir / f"snap_{i:06d}.csv", "x,u", (x, u))
 
 
 def _print_outcome(outcome):

@@ -334,9 +334,11 @@ def effective_flux(c: CoefficientSpec, k: CoefficientSpec, q: float) -> Callable
     panel = (np.log(0.5 * np.diff(grid))
              + np.logaddexp(q * Cg[:-1], q * Cg[1:]))
     ln_int = np.concatenate([[-np.inf], np.logaddexp.accumulate(panel)])
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         ln_kappa = np.log(np.maximum(eval_coeff(k, grid), 1e-300)) - Cg + ln_int
-    vals = np.exp(np.clip(ln_kappa, -745.0, 705.0))
+        # an overflowing kappa is inf, not a plateau that reads as stabilized;
+        # np.interp is inf, not nan, beside an inf node
+        vals = np.exp(np.maximum(ln_kappa, -745.0))
 
     def kappa_grid(ts):
         return np.interp(np.asarray(ts, dtype=float), grid, vals)

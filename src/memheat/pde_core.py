@@ -2,9 +2,10 @@
 
 The outward slope at each endpoint equals k(t) times the accumulated history
 integral of u^q there.  Diffusion is advanced implicitly (backward Euler on a
-symmetrizable tridiagonal system, factor cached per step size); reaction and
-boundary flux are explicit with a rate-controlled adaptive step, so blow-up is
-resolved without coupling dt to h^2 on long global runs.
+symmetrizable tridiagonal system, factor cached per step size and solved by
+LAPACK dpbtrs); reaction and boundary flux are explicit with a rate-controlled
+adaptive step, so blow-up is resolved without coupling dt to h^2 on long
+global runs.
 
 One generator, `advance`, takes every rate-controlled step: it owns the stop
 rules (`_stop`), the laddered `choose_dt`, landing on snapshot times and
@@ -22,7 +23,8 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg import cholesky_banded
+from scipy.linalg.lapack import dpbtrs
 
 from .coeffs import CoefficientSpec, CumulativeIntegral, as_real, eval_coeff
 from .errors import ConfigurationError, NotApplicableError, SolverFault
@@ -228,10 +230,11 @@ class State:
     M_left: float
     M_right: float
     steps: int = 0
-    sup: float = field(init=False)
+    sup: Optional[float] = None     # max of u; computed when not given
 
     def __post_init__(self):
-        self.sup = float(self.u.max())
+        if self.sup is None:
+            self.sup = float(self.u.max())
 
     def mass(self, h: float) -> float:
         return float(np.trapezoid(self.u, dx=h))
@@ -283,12 +286,20 @@ def _banded_factor(n: int, h: float, dt: float):
     return cholesky_banded(ab, lower=False)
 
 
+def cho_solve_banded(cb: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve with the upper banded Cholesky factor cb, overwriting b."""
+    x, info = dpbtrs(cb, b, lower=0, overwrite_b=1)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK dpbtrs")
+    return x
+
+
 def _solve_diffusion(rhs: np.ndarray, dt: float, h: float) -> np.ndarray:
     cb = _banded_factor(rhs.size, h, dt)
     b = rhs.copy()
     b[0] /= _SQRT2
     b[-1] /= _SQRT2
-    v = cho_solve_banded((cb, False), b, overwrite_b=True, check_finite=False)
+    v = cho_solve_banded(cb, b)
     v[0] *= _SQRT2
     v[-1] *= _SQRT2
     return v
@@ -324,18 +335,22 @@ def step(state: State, scenario: Scenario, dt: float, rule=None,
         rhs[0] += dt * (2.0 / h) * g_left
         rhs[-1] += dt * (2.0 / h) * g_right
 
-    if np.isfinite(rhs).all():
-        u_new = _solve_diffusion(rhs, dt, h)
-        m = float(u_new.min())
+    # a non-finite rhs always solves to a non-finite field, so the finiteness
+    # of rhs needs testing only when the min or max of the solve is not finite
+    u_new = _solve_diffusion(rhs, dt, h)
+    m = float(u_new.min())
+    sup = float(u_new.max())
+    if (math.isfinite(m) and math.isfinite(sup)) or np.isfinite(rhs).all():
         if m < 0.0:
-            scale = max(float(u_new.max()), 1e-300)
-            if m < -1e-10 * scale:
+            if m < -1e-10 * max(sup, 1e-300):
                 raise SolverFault(
                     f"negative undershoot {m:.3e} at t={t:.6g} (dt too large)")
             np.clip(u_new, 0.0, None, out=u_new)
+            sup = float(u_new.max())
     else:
         # reaction or flux overflowed: blow-up trigger, not an error
         u_new = np.where(np.isfinite(rhs), rhs, np.inf)
+        sup = math.inf
 
     q = scenario.q
     w1 = rule.acc_weight(t + dt)
@@ -343,7 +358,8 @@ def step(state: State, scenario: Scenario, dt: float, rule=None,
                                         + _acc_term(w1, float(u_new[0]), q))
     M_right = state.M_right + 0.5 * dt * (_acc_term(w0, float(u[-1]), q)
                                           + _acc_term(w1, float(u_new[-1]), q))
-    return State(t + dt, u_new, float(M_left), float(M_right), state.steps + 1)
+    return State(t + dt, u_new, float(M_left), float(M_right), state.steps + 1,
+                 sup)
 
 
 def _acc_term(w: float, ub: float, q: float) -> float:

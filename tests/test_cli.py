@@ -1,11 +1,12 @@
 """End-to-end command-line tests over temp configs and output dirs."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
-from memheat.cli import config_to_json, dispatch, main, parse_config
+from memheat.cli import _write_csv, config_to_json, dispatch, main, parse_config
 from memheat.errors import ConfigurationError
 from memheat.pde_core import run
 
@@ -327,3 +328,15 @@ def test_dispatch_rejects_unknown_command(tmp_path):
         dispatch("explode", cfg)
     with pytest.raises(ConfigurationError):
         dispatch("run", cfg, refine=-1)
+
+
+def test_csv_writer_matches_per_value_formatting(tmp_path):
+    specials = [math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, 2.2250738585072014e-308,
+                1e308, 1.7976931348623157e308, 0.1, 1.0 / 3.0, -2.5, 1e16, 123456789.0]
+    a = np.array(specials)
+    b = np.array(specials[::-1])
+    _write_csv(tmp_path / "out.csv", "a,b", (a, b))
+    expected = "a,b\n" + "".join(f"{x:.17g},{y:.17g}\n" for x, y in zip(a, b))
+    assert (tmp_path / "out.csv").read_text() == expected
+    _write_csv(tmp_path / "empty.csv", "a", (np.array([]),))
+    assert (tmp_path / "empty.csv").read_text() == "a\n"

@@ -206,6 +206,27 @@ def test_effective_flux_window_overflow_is_not_stabilized():
     assert not res.window.holds
 
 
+def test_effective_flux_grid_lane_overflow_is_not_stabilized():
+    # the window of effective_flux_conditions(10, c, k), without its slow flux
+    # integral; off-lane c: kappa comes from the log-space grid and passes
+    # e^705 near t = 240, where it must read inf, not a constant plateau
+    k = CoefficientSpec.exp_decay(1.0, 1e-3)
+
+    def window(amplitude):
+        c = CoefficientSpec.power_log(amplitude, 0.5, 1)
+        return memory_window_check(k, flux=effective_flux(c, k, 10.0))
+
+    big = window(10.0)
+    assert not big.holds
+    assert math.isinf(big.k_sup)
+    assert not np.isnan(big.values).any()
+    # amplitude 1 stays below the overflow: finite values, still not stabilized
+    small = window(1.0)
+    assert not small.holds
+    assert np.isfinite(small.values).all()
+    assert small.k_sup == pytest.approx(8.132901094461697e+113, rel=1e-9)
+
+
 def test_effective_flux_window_at_zero_memory_is_the_plain_window():
     # kappa = t k exactly when k = 0, whatever lane c is on
     res = effective_flux_conditions(2.0, CoefficientSpec.power(1.0, 0.5), ZERO)

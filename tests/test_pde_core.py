@@ -1,12 +1,20 @@
 """Solver tests against closed-form and hand-computed oracles."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from memheat.coeffs import ZERO, CoefficientSpec, CumulativeIntegral
-from memheat.errors import ConfigurationError, NotApplicableError
+from memheat.errors import ConfigurationError, NotApplicableError, SolverFault
 from memheat.pde_core import (
     BlowupEstimate,
     InitialSpec,
@@ -18,7 +26,10 @@ from memheat.pde_core import (
     State,
     Trace,
     WeightedMemoryRule,
+    _banded_factor,
     _ladder,
+    _solve_diffusion,
+    advance,
     choose_dt,
     estimate_blowup_time,
     mass_inequality_check,
@@ -29,6 +40,7 @@ from memheat.pde_core import (
 )
 from memheat.transform import to_transformed
 
+ROOT = Path(__file__).resolve().parent.parent
 ONE = CoefficientSpec.constant(1.0)
 
 
@@ -95,6 +107,114 @@ def test_step_rejects_nonpositive_dt():
     scn = scenario()
     with pytest.raises(ConfigurationError):
         step(fresh_state(scn), scn, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the stepping kernel's branches
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(3, 401), level=st.integers(0, 60), data=st.data())
+def test_direct_solve_matches_scipy_wrapper_bitwise(n, level, data):
+    h = 1.0 / (n - 1)
+    dt = 2e-3 * 2.0 ** -level
+    rhs = data.draw(arrays(np.float64, n, elements=st.floats(0.0, 1e12)))
+    kept = rhs.copy()
+    b = rhs.copy()
+    b[0] /= math.sqrt(2.0)
+    b[-1] /= math.sqrt(2.0)
+    want = scipy.linalg.cho_solve_banded((_banded_factor(n, h, dt), False), b,
+                                         check_finite=False)
+    want[0] *= math.sqrt(2.0)
+    want[-1] *= math.sqrt(2.0)
+    got = _solve_diffusion(rhs, dt, h)
+    assert got.tobytes() == want.tobytes()
+    assert rhs.tobytes() == kept.tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_reaction_step_is_inf_where_rhs_overflowed():
+    scn = scenario(p=2.0, c=ONE, k=ZERO, n_nodes=51)
+    node = 10
+    u = np.ones(51)
+    u[node] = 1e200
+    dt = 1e-3
+    new = step(State(0.0, u, 0.0, 0.0), scn, dt)
+    assert new.u[node] == math.inf
+    # the rhs of every other node, 1 + dt * 1^2, is taken as it is
+    np.testing.assert_array_equal(np.delete(new.u, node), np.full(50, 1.0 + dt))
+    assert new.sup == math.inf
+
+
+def _prescribed_outflow_case(overshoot):
+    # outward slope g on both ends of u = 1: the solve is 1 + g w, with w the
+    # solve of the end-row unit flux, so g = -(1 + overshoot) / w[0] puts the
+    # end values near -overshoot
+    scn = scenario(c=ZERO, k=ZERO, u0=("constant", 1.0), n_nodes=51)
+    dt = 1e-4
+    unit = np.zeros(51)
+    unit[[0, -1]] = dt * 2.0 / scn.h
+    g = -(1.0 + overshoot) / _solve_diffusion(unit, dt, scn.h)[0]
+    return scn, PrescribedFluxRule(lambda t: g), dt
+
+
+def test_large_outflow_raises_negative_undershoot():
+    scn, rule, dt = _prescribed_outflow_case(1.0)
+    with pytest.raises(SolverFault, match="negative undershoot"):
+        step(fresh_state(scn), scn, dt, rule=rule)
+
+
+def test_slight_negative_result_is_clipped_to_zero():
+    scn, rule, dt = _prescribed_outflow_case(1e-12)
+    rhs = np.ones(51)
+    rhs[[0, -1]] += dt * 2.0 / scn.h * rule.g(0.0)
+    assert -1e-10 < _solve_diffusion(rhs, dt, scn.h).min() < 0.0
+    new = step(fresh_state(scn), scn, dt, rule=rule)
+    assert new.u.min() == 0.0 and new.u[0] == 0.0 and new.u[-1] == 0.0
+    assert new.sup == float(new.u.max()) > 0.9
+
+
+@pytest.mark.parametrize("make", [
+    lambda: scenario(p=2.0, q=2.0, c=ONE, k=ZERO, n_nodes=51, t_max=2.0),
+    lambda: scenario(p=1.5, q=2.0, c=ZERO, k=ONE, u0=("cos_bump", 1.0),
+                     n_nodes=41, t_max=3.0),
+    lambda: _weighted_rule_case()[0],
+], ids=["reaction", "boundary", "weighted"])
+def test_advance_state_sup_is_the_field_max(make):
+    scn = make()
+    n = 0
+    for state, _, _, _ in advance(scn, fresh_state(scn)):
+        assert state.sup == float(state.u.max())
+        n += 1
+    assert n > 100
+
+
+_TRACED_PASS = """
+import tracer
+from memheat import pde_core
+from memheat.coeffs import ZERO, CoefficientSpec
+t = tracer.Tracer()
+tracer.install(t)
+scn = pde_core.Scenario(1.0, 2.0, 2.0, CoefficientSpec.constant(1.0), ZERO,
+                        pde_core.InitialSpec("constant", 1.0),
+                        pde_core.SolverControls(n_nodes=51, t_max=2.0))
+steps = pde_core.run(scn).steps
+spans = t.summary()
+print(steps, *(spans[name]["calls"] for name in
+               ("pde_core.step", "pde_core.solve", "pde_core.factor")))
+"""
+
+
+def test_traced_benchmark_wraps_the_kernel_names():
+    # perfbench/tracer.py patches pde_core.cho_solve_banded and
+    # pde_core.cholesky_banded by name; a missing name fails its install
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), str(ROOT / "perfbench")]))
+    proc = subprocess.run([sys.executable, "-c", _TRACED_PASS], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    run_steps, steps, solves, factors = map(int, proc.stdout.split())
+    assert run_steps == steps == solves == 779
+    assert factors >= 1
 
 
 # ---------------------------------------------------------------------------
