@@ -35,7 +35,8 @@ from .pde_core import (STATUS_ABORTED, STATUS_BLOWUP, STATUS_GLOBAL,
                        MemoryRule, PrescribedFluxRule, Scenario,
                        SimulationOutcome, SolverControls, Trace,
                        WeightedMemoryRule, estimate_blowup_time,
-                       mass_inequality_check, run, verify_comparison)
+                       mass_inequality_check, run, run_group,
+                       verify_comparison)
 from .transform import (EquivalenceReport, TransformedScenario,
                         equivalence_check, from_transformed, to_transformed)
 
@@ -64,7 +65,7 @@ __all__ = [
     "ComparisonReport", "InitialSpec", "MemoryRule", "PrescribedFluxRule",
     "Scenario", "SimulationOutcome", "SolverControls", "Trace",
     "WeightedMemoryRule", "estimate_blowup_time", "mass_inequality_check",
-    "run", "verify_comparison",
+    "run", "run_group", "verify_comparison",
     "EquivalenceReport", "TransformedScenario", "equivalence_check",
     "from_transformed", "to_transformed",
     "__version__",

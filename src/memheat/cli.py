@@ -40,6 +40,7 @@ from .pde_core import (
     Scenario,
     SolverControls,
     run,
+    run_group,
 )
 from .transform import equivalence_check
 
@@ -327,11 +328,16 @@ def _cmd_verify(config: RunConfig, transform: bool) -> int:
 
 def _cmd_sweep(config: RunConfig, outdir: Path) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
+    cells = list(config.cells())
     rows = []
-    for i, scn in enumerate(config.cells()):
-        outcome = run(scn)
+    for i, (scn, outcome) in enumerate(zip(cells, run_group(cells))):
         verdict = classify_regime(scn.p, scn.q, scn.c, scn.k)
-        _write_run_artifacts(outcome, scn, outdir / f"cell_{i:04d}")
+        name = f"cell_{i:04d}"
+        _write_run_artifacts(outcome, scn, outdir / name)
+        # `memheat run --config cell_NNNN/config.json` reruns this cell
+        cell = RunConfig(scenario=scn, out_dir=str(Path(config.out_dir) / name))
+        (outdir / name / "config.json").write_text(
+            json.dumps(config_to_json(cell), indent=2) + "\n")
         rows.append((scn.p, scn.q, scn.c.family, scn.c.gamma,
                      scn.k.family, scn.k.gamma, verdict.regime,
                      outcome.status, outcome.t_end, outcome.sup_norm_end))

@@ -7,17 +7,27 @@ LAPACK dpbtrs); reaction and boundary flux are explicit with a rate-controlled
 adaptive step, so blow-up is resolved without coupling dt to h^2 on long
 global runs.
 
-One generator, `advance`, takes every rate-controlled step: it owns the stop
-rules (`_stop`), the laddered `choose_dt`, landing on snapshot times and
-t_max, and the `step` call, and evaluates the step_values (c(t), both
-endpoint slopes, accumulator weight) once per step for `choose_dt` and
-`step`.  `run` records the trace and snapshots of the yielded steps;
-`verify_comparison` steps the high field on the yielded dt and c(t).
+One generator, `advance`, takes every rate-controlled step of a single
+field: it owns the stop rules (`_stop`), the laddered `choose_dt`, landing
+on snapshot times and t_max (`_Clock`), and the `step` call, and evaluates
+the step_values (c(t), both endpoint slopes, accumulator weight) once per
+step for `choose_dt` and `step`.  `run` records the trace and snapshots of
+the yielded steps; `verify_comparison` steps the high field on the yielded
+dt and c(t).
+
+`run_group` returns `[run(s) for s in scenarios]` bit for bit for scenarios
+that share length, controls and initial data, such as the cells of a sweep.
+Each cell still evaluates its own step_values and laddered dt, but the cells
+on a common dt advance as one lockstep block of fields: one reaction per
+distinct p, one multi-column solve and one min and max per row.  A cell
+whose dt differs, or whose row leaves the nonnegative finite branch, leaves
+the block and finishes through `advance` from its last state.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable, Optional
@@ -295,8 +305,10 @@ def cho_solve_banded(cb: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _solve_diffusion(rhs: np.ndarray, dt: float, h: float) -> np.ndarray:
-    cb = _banded_factor(rhs.size, h, dt)
-    b = rhs.copy()
+    """Implicit diffusion solve of a field (n,), or of every column of a
+    block (n, m), on the cached factor."""
+    cb = _banded_factor(rhs.shape[0], h, dt)
+    b = rhs.copy(order="F")
     b[0] /= _SQRT2
     b[-1] /= _SQRT2
     v = cho_solve_banded(cb, b)
@@ -307,6 +319,25 @@ def _solve_diffusion(rhs: np.ndarray, dt: float, h: float) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # stepping
+
+def _reaction(u: np.ndarray, c_dt, p: float) -> np.ndarray:
+    # u + c_dt u^p for a field, or for block rows that share p with c_dt a
+    # column: a scalar exponent keeps np.power's sqrt and square fast paths,
+    # so each block row equals the field's result bit for bit
+    r = np.power(u, p)
+    r *= c_dt
+    r += u
+    return r
+
+
+def _flux_solve(rhs: np.ndarray, dt: float, h: float, g_left, g_right) -> np.ndarray:
+    """Add the explicit boundary flux to rhs in place, then solve the
+    implicit diffusion.  rhs is a field (n,) or a block (n, m) with one field
+    per column and the slopes as per-column arrays."""
+    rhs[0] += dt * (2.0 / h) * g_left
+    rhs[-1] += dt * (2.0 / h) * g_right
+    return _solve_diffusion(rhs, dt, h)
+
 
 def step_values(state: State, scenario: Scenario, rule=None) -> tuple:
     """(c(t), left slope, right slope, accumulator weight) at state.t."""
@@ -325,19 +356,13 @@ def step(state: State, scenario: Scenario, dt: float, rule=None,
     rule = rule if rule is not None else scenario.boundary_rule()
     c_t, g_left, g_right, w0 = values or step_values(state, scenario, rule)
     u = state.u
-    h = scenario.h
     t = state.t
     with np.errstate(over="ignore", invalid="ignore"):
-        if c_t != 0.0:
-            rhs = u + (dt * c_t) * np.power(u, scenario.p)
-        else:
-            rhs = u.copy()
-        rhs[0] += dt * (2.0 / h) * g_left
-        rhs[-1] += dt * (2.0 / h) * g_right
-
-    # a non-finite rhs always solves to a non-finite field, so the finiteness
-    # of rhs needs testing only when the min or max of the solve is not finite
-    u_new = _solve_diffusion(rhs, dt, h)
+        rhs = _reaction(u, dt * c_t, scenario.p) if c_t != 0.0 else u.copy()
+        # a non-finite rhs always solves to a non-finite field, so the
+        # finiteness of rhs needs testing only when the min or max of the
+        # solve is not finite
+        u_new = _flux_solve(rhs, dt, scenario.h, g_left, g_right)
     m = float(u_new.min())
     sup = float(u_new.max())
     if (math.isfinite(m) and math.isfinite(sup)) or np.isfinite(rhs).all():
@@ -351,22 +376,33 @@ def step(state: State, scenario: Scenario, dt: float, rule=None,
         # reaction or flux overflowed: blow-up trigger, not an error
         u_new = np.where(np.isfinite(rhs), rhs, np.inf)
         sup = math.inf
+    return _stepped(state, dt, u_new, sup, rule, w0, scenario.q)
 
-    q = scenario.q
-    w1 = rule.acc_weight(t + dt)
+
+def _stepped(state: State, dt: float, u_new: np.ndarray, sup: float, rule,
+             w0: float, q: float) -> State:
+    """The state after a step of dt to u_new, with the trapezoid update of
+    the memory accumulators (weight w0 at state.t)."""
+    w1 = rule.acc_weight(state.t + dt)
+    u = state.u
     M_left = state.M_left + 0.5 * dt * (_acc_term(w0, float(u[0]), q)
                                         + _acc_term(w1, float(u_new[0]), q))
     M_right = state.M_right + 0.5 * dt * (_acc_term(w0, float(u[-1]), q)
                                           + _acc_term(w1, float(u_new[-1]), q))
-    return State(t + dt, u_new, float(M_left), float(M_right), state.steps + 1,
-                 sup)
+    return State(state.t + dt, u_new, float(M_left), float(M_right),
+                 state.steps + 1, sup)
 
 
 def _acc_term(w: float, ub: float, q: float) -> float:
     # a vanished boundary value contributes nothing even if the weight overflowed
     if ub == 0.0:
         return 0.0
-    return w * ub ** q
+    try:
+        return w * ub ** q
+    except OverflowError:
+        # the power passed the float range; a zero weight (prescribed flux)
+        # still contributes nothing
+        return math.inf if w != 0.0 else 0.0
 
 
 def choose_dt(state: State, scenario: Scenario, rule=None,
@@ -421,6 +457,33 @@ def _stop(state: State, ctr: SolverControls) -> Optional[tuple]:
     return None
 
 
+class _Clock:
+    """The snapshot times and the horizon that steps land on.  The next
+    snapshot time is rebuilt from t by the same float additions, so a clock
+    made for a state partway through a run lands where the run's own did."""
+
+    def __init__(self, ctr: SolverControls):
+        self.snap_dt = (ctr.snapshot_every if ctr.snapshot_every is not None
+                        else ctr.t_max / 100.0)
+        self.next_snap = self.snap_dt
+        self.t_max = ctr.t_max
+
+    def cut(self, t: float, dt: float) -> tuple:
+        """(dt cut to land on the next snapshot time or t_max, whether the
+        step from t lands on a snapshot time or the horizon)."""
+        while self.next_snap <= t + 1e-12:
+            self.next_snap += self.snap_dt
+        hit_snap = t + dt >= self.next_snap - 1e-12
+        if hit_snap:
+            dt = self.next_snap - t
+        if t + dt > self.t_max:
+            dt = self.t_max - t
+            hit_snap = False
+        if hit_snap:
+            self.next_snap += self.snap_dt
+        return dt, hit_snap or t + dt >= self.t_max - 1e-12
+
+
 def advance(scenario: Scenario, state: State):
     """Step from state until `_stop` halts, with the laddered `choose_dt`
     cut to land on snapshot times and t_max.  Yields (state, dt, values,
@@ -428,65 +491,158 @@ def advance(scenario: Scenario, state: State):
     true on a snapshot time or the horizon.  A SolverFault propagates."""
     ctr = scenario.controls
     rule = scenario.boundary_rule()
-    snap_dt = ctr.snapshot_every if ctr.snapshot_every is not None else ctr.t_max / 100.0
-    next_snap = snap_dt
+    clock = _Clock(ctr)
     while _stop(state, ctr) is None:
         values = step_values(state, scenario, rule)
-        dt = _ladder(choose_dt(state, scenario, rule, values), ctr.dt_max)
-        while next_snap <= state.t + 1e-12:
-            next_snap += snap_dt
-        hit_snap = state.t + dt >= next_snap - 1e-12
-        if hit_snap:
-            dt = next_snap - state.t
-        if state.t + dt > ctr.t_max:
-            dt = ctr.t_max - state.t
-            hit_snap = False
+        dt, landed = clock.cut(state.t, _ladder(
+            choose_dt(state, scenario, rule, values), ctr.dt_max))
         state = step(state, scenario, dt, rule, values)
-        if hit_snap:
-            next_snap += snap_dt
-        yield state, dt, values, hit_snap or state.t >= ctr.t_max - 1e-12
+        yield state, dt, values, landed
+
+
+class _Run:
+    """One run in progress: its state, and the trace rows and snapshots that
+    `run` records, at every snapshot time and the horizon plus every step
+    once the sup nears the threshold."""
+
+    def __init__(self, scenario: Scenario, u0: np.ndarray):
+        self.scenario = scenario
+        self.rule = scenario.boundary_rule()
+        self.state = state = State(0.0, u0, 0.0, 0.0)
+        self.h = scenario.h
+        self.dense_from = 0.01 * scenario.controls.blowup_threshold
+        self.rows = [(0.0, state.sup, state.mass(self.h), 0.0, 0.0, 0.0)]
+        self.snapshots = [(0.0, u0.copy())]
+        self.outcome = None
+
+    def add(self, state: State, dt: float, landed: bool):
+        self.state = state
+        if landed or state.sup >= self.dense_from:
+            self.rows.append((state.t, state.sup, state.mass(self.h),
+                              state.M_left, state.M_right, dt))
+        if landed:
+            self.snapshots.append((state.t, state.u.copy()))
+
+    def follow(self) -> SimulationOutcome:
+        """Record the steps `advance` takes from the state to its halt."""
+        try:
+            for state, dt, _, landed in advance(self.scenario, self.state):
+                self.add(state, dt, landed)
+            status, reason = _stop(self.state, self.scenario.controls)
+        except SolverFault as fault:
+            status, reason = STATUS_ABORTED, str(fault)
+        return self.finish(status, reason)
+
+    def finish(self, status: str, reason: str) -> SimulationOutcome:
+        ctr = self.scenario.controls
+        state, rows, snapshots = self.state, self.rows, self.snapshots
+        if rows[-1][0] != state.t:
+            rows.append((state.t, state.sup, state.mass(self.h),
+                         state.M_left, state.M_right, 0.0))
+        if snapshots[-1][0] != state.t:
+            snapshots.append((state.t, state.u.copy()))
+        trace = Trace(*(np.array(col) for col in zip(*rows)))
+        estimate = None
+        if status == STATUS_BLOWUP:
+            estimate = estimate_blowup_time(trace, self.scenario.p,
+                                            threshold=ctr.blowup_threshold)
+        t_end = state.t
+        if status == STATUS_GLOBAL:
+            t_end = max(t_end, ctr.t_max)
+        self.outcome = SimulationOutcome(
+            status=status, t_end=t_end, sup_norm_end=state.sup, trace=trace,
+            snapshots=snapshots, blowup_estimate=estimate, reason=reason,
+            steps=state.steps)
+        return self.outcome
 
 
 def run(scenario: Scenario) -> SimulationOutcome:
     """Advance until blow-up, the horizon, or an abort; record the trace at
     the snapshot cadence plus every step once the sup nears the threshold."""
-    ctr = scenario.controls
-    h = scenario.h
-    state = State(0.0, scenario.initial_field(), 0.0, 0.0)
-    dense_from = 0.01 * ctr.blowup_threshold
+    return _Run(scenario, scenario.initial_field()).follow()
 
-    rows = [(0.0, state.sup, state.mass(h), 0.0, 0.0, 0.0)]
-    snapshots = [(0.0, state.u.copy())]
-    try:
-        for state, dt, _, landed in advance(scenario, state):
-            if landed or state.sup >= dense_from:
-                rows.append((state.t, state.sup, state.mass(h),
-                             state.M_left, state.M_right, dt))
-            if landed:
-                snapshots.append((state.t, state.u.copy()))
-        status, reason = _stop(state, ctr)
-    except SolverFault as fault:
-        status, reason = STATUS_ABORTED, str(fault)
 
-    if rows[-1][0] != state.t:
-        rows.append((state.t, state.sup, state.mass(h),
-                     state.M_left, state.M_right, 0.0))
-    if snapshots[-1][0] != state.t:
-        snapshots.append((state.t, state.u.copy()))
-    cols = [np.array(col) for col in zip(*rows)]
-    trace = Trace(*cols)
+def run_group(scenarios) -> list:
+    """[run(s) for s in scenarios], bit for bit, for scenarios that agree in
+    length, controls and initial data.
 
-    estimate = None
-    if status == STATUS_BLOWUP:
-        estimate = estimate_blowup_time(trace, scenario.p,
-                                        threshold=ctr.blowup_threshold)
-    t_end = state.t
-    if status == STATUS_GLOBAL:
-        t_end = max(t_end, ctr.t_max)
-    return SimulationOutcome(status=status, t_end=t_end,
-                             sup_norm_end=state.sup, trace=trace,
-                             snapshots=snapshots, blowup_estimate=estimate,
-                             reason=reason, steps=state.steps)
+    The cells step in lockstep: each evaluates its own step_values and
+    laddered dt, and the cells on the most common dt (the larger on a tie)
+    take the step as one block, with one multi-column diffusion solve.  A
+    cell with another dt, or whose new row is negative somewhere or not
+    finite, leaves the block and finishes through `advance` from its last
+    state, which redoes that step as `run` takes it.
+    """
+    scenarios = list(scenarios)
+    if not scenarios:
+        return []
+    head = scenarios[0]
+    for scn in scenarios[1:]:
+        if (scn.length, scn.controls, scn.u0) != (head.length, head.controls,
+                                                  head.u0):
+            raise ConfigurationError(
+                "group scenarios must agree in length, controls and initial data")
+    ctr = head.controls
+    h = head.h
+    u0 = head.initial_field()
+    runs = [_Run(scn, u0) for scn in scenarios]
+    clock = _Clock(ctr)
+    # the run of each row of U; sorted by p, the rows of one p are adjacent
+    block = sorted(runs, key=lambda r: r.scenario.p)
+    U = np.tile(u0, (len(block), 1))
+    while block:
+        plans = []
+        for row, r in enumerate(block):
+            stop = _stop(r.state, ctr)
+            if stop is not None:
+                r.finish(*stop)
+                continue
+            values = step_values(r.state, r.scenario, r.rule)
+            dt = _ladder(choose_dt(r.state, r.scenario, r.rule, values),
+                         ctr.dt_max)
+            plans.append((row, r, values, dt))
+        votes = Counter(plan[3] for plan in plans)
+        dt_block = max(votes, key=lambda d: (votes[d], d), default=None)
+        members = [plan for plan in plans if plan[3] == dt_block]
+        if len(members) < 2:
+            members = []
+        for _, r, _, dt_r in plans:
+            if dt_r != dt_block or not members:
+                r.follow()
+        if not members:
+            break
+
+        if len(members) < len(block):
+            U = U[[plan[0] for plan in members]]
+        dt, landed = clock.cut(members[0][1].state.t, dt_block)
+        c_t, g_left, g_right, _ = zip(*(plan[2] for plan in members))
+        c_dt = dt * np.array(c_t)
+        by_p = {}
+        for row, (_, r, _, _) in enumerate(members):
+            if c_t[row] != 0.0:
+                by_p.setdefault(r.scenario.p, []).append(row)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rhs = U.copy()
+            for p, rows in by_p.items():
+                if rows[-1] - rows[0] == len(rows) - 1:
+                    rows = slice(rows[0], rows[-1] + 1)     # a view, no copy
+                rhs[rows] = _reaction(U[rows], c_dt[rows, None], p)
+            U_new = _flux_solve(rhs.T, dt, h, np.array(g_left),
+                                np.array(g_right)).T
+        lows = U_new.min(axis=1).tolist()
+        sups = U_new.max(axis=1).tolist()
+
+        block, kept = [], []
+        for row, (_, r, values, _) in enumerate(members):
+            if lows[row] >= 0.0 and sups[row] < math.inf:
+                r.add(_stepped(r.state, dt, U_new[row], sups[row], r.rule,
+                               values[3], r.scenario.q), dt, landed)
+                block.append(r)
+                kept.append(row)
+            else:
+                r.follow()
+        U = U_new if len(kept) == len(members) else U_new[kept]
+    return [r.outcome for r in runs]
 
 
 def estimate_blowup_time(trace: Trace, p: float,

@@ -274,6 +274,35 @@ def test_sweep_grid_rows_and_consistency(tmp_path, capsys):
     assert row[8] == t_end
 
 
+def test_sweep_cell_config_reruns_the_cell_byte_for_byte(tmp_path, capsys):
+    # the p = 2 cells blow up, so their dt leaves the lockstep block's
+    doc = base_doc(
+        exponents={"p": [1.0, 2.0], "q": 2.0},
+        k=[{"family": "constant", "amplitude": 0.0},
+           {"family": "power", "amplitude": 1.0, "gamma": 4.0}],
+        solver={"t_max": 1.5},
+        output={"dir": "out", "snapshot_every": 0.1},
+    )
+    cfg = write_cfg(tmp_path, doc)
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "sw")]) == 0
+    out = capsys.readouterr().out
+    assert "outcome=BlowUp" in out and "outcome=GlobalToHorizon" in out
+    cells = sorted((tmp_path / "sw").glob("cell_*"))
+    assert len(cells) == 4
+    for cell in cells:
+        cell_doc = json.loads((cell / "config.json").read_text())
+        assert cell_doc["output"]["dir"] == f"out/{cell.name}"
+        assert not isinstance(cell_doc["exponents"]["p"], list)
+        rerun = tmp_path / "rerun" / cell.name
+        assert main(["run", "--config", str(cell / "config.json"),
+                     "--out", str(rerun)]) == 0
+        csvs = sorted(p.name for p in cell.glob("*.csv"))
+        assert "trace.csv" in csvs and len(csvs) > 2
+        assert csvs == sorted(p.name for p in rerun.iterdir())
+        for name in csvs:
+            assert (cell / name).read_bytes() == (rerun / name).read_bytes(), name
+
+
 def test_sweep_lists_rejected_outside_sweep(tmp_path, capsys):
     cfg = write_cfg(tmp_path, base_doc(exponents={"p": [1.0, 2.0], "q": 2.0}))
     assert main(["run", "--config", cfg]) == 2

@@ -1,9 +1,11 @@
 """Solver tests against closed-form and hand-computed oracles."""
 
+import itertools
 import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from memheat.coeffs import ZERO, CoefficientSpec, CumulativeIntegral
+from memheat.criteria import REGIME_GLOBAL_ALL, classify_regime
 from memheat.errors import ConfigurationError, NotApplicableError, SolverFault
 from memheat.pde_core import (
     BlowupEstimate,
@@ -34,6 +37,7 @@ from memheat.pde_core import (
     estimate_blowup_time,
     mass_inequality_check,
     run,
+    run_group,
     step,
     step_values,
     verify_comparison,
@@ -113,21 +117,32 @@ def test_step_rejects_nonpositive_dt():
 # the stepping kernel's branches
 
 @settings(max_examples=100, deadline=None)
-@given(n=st.integers(3, 401), level=st.integers(0, 60), data=st.data())
-def test_direct_solve_matches_scipy_wrapper_bitwise(n, level, data):
+@given(n=st.integers(3, 401), m=st.integers(0, 4), level=st.integers(0, 60),
+       data=st.data())
+def test_direct_solve_matches_scipy_wrapper_bitwise(n, m, level, data):
+    # m = 0 solves a field (n,); m > 0 a block (n, m), one field per column,
+    # each of which must equal its own one-column solve
     h = 1.0 / (n - 1)
     dt = 2e-3 * 2.0 ** -level
-    rhs = data.draw(arrays(np.float64, n, elements=st.floats(0.0, 1e12)))
+    rhs = data.draw(arrays(np.float64, (n, m) if m else n,
+                           elements=st.floats(0.0, 1e12)))
     kept = rhs.copy()
-    b = rhs.copy()
-    b[0] /= math.sqrt(2.0)
-    b[-1] /= math.sqrt(2.0)
-    want = scipy.linalg.cho_solve_banded((_banded_factor(n, h, dt), False), b,
-                                         check_finite=False)
-    want[0] *= math.sqrt(2.0)
-    want[-1] *= math.sqrt(2.0)
+
+    def wrapper(col):
+        b = col.copy()
+        b[0] /= math.sqrt(2.0)
+        b[-1] /= math.sqrt(2.0)
+        x = scipy.linalg.cho_solve_banded((_banded_factor(n, h, dt), False), b,
+                                          check_finite=False)
+        x[0] *= math.sqrt(2.0)
+        x[-1] *= math.sqrt(2.0)
+        return x
+
     got = _solve_diffusion(rhs, dt, h)
-    assert got.tobytes() == want.tobytes()
+    assert got.shape == rhs.shape
+    pairs = [(got, rhs)] if not m else [(got[:, j], rhs[:, j]) for j in range(m)]
+    for x, col in pairs:
+        assert x.tobytes() == wrapper(col).tobytes()
     assert rhs.tobytes() == kept.tobytes()
 
 
@@ -189,6 +204,7 @@ def test_advance_state_sup_is_the_field_max(make):
 
 
 _TRACED_PASS = """
+from dataclasses import replace
 import tracer
 from memheat import pde_core
 from memheat.coeffs import ZERO, CoefficientSpec
@@ -197,24 +213,32 @@ tracer.install(t)
 scn = pde_core.Scenario(1.0, 2.0, 2.0, CoefficientSpec.constant(1.0), ZERO,
                         pde_core.InitialSpec("constant", 1.0),
                         pde_core.SolverControls(n_nodes=51, t_max=2.0))
+names = ("pde_core.step", "pde_core.solve", "pde_core.factor")
 steps = pde_core.run(scn).steps
+single = [t.summary()[name]["calls"] for name in names]
+# with k = 0 the cells differ only in q, so they share every dt
+group = [o.steps for o in pde_core.run_group([scn, replace(scn, q=3.0)])]
 spans = t.summary()
-print(steps, *(spans[name]["calls"] for name in
-               ("pde_core.step", "pde_core.solve", "pde_core.factor")))
+print(steps, *single, *group,
+      *(spans[name]["calls"] - calls for name, calls in zip(names, single)))
 """
 
 
 def test_traced_benchmark_wraps_the_kernel_names():
     # perfbench/tracer.py patches pde_core.cho_solve_banded and
-    # pde_core.cholesky_banded by name; a missing name fails its install
+    # pde_core.cholesky_banded by name; a missing name fails its install.
+    # A lockstep block makes one traced solve per block step.
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src"), str(ROOT / "perfbench")]))
     proc = subprocess.run([sys.executable, "-c", _TRACED_PASS], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    run_steps, steps, solves, factors = map(int, proc.stdout.split())
+    (run_steps, steps, solves, factors, group_a, group_b, group_steps,
+     group_solves, group_factors) = map(int, proc.stdout.split())
     assert run_steps == steps == solves == 779
     assert factors >= 1
+    assert group_a == group_b == group_solves == 779
+    assert group_steps == 0 and group_factors == 0
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +479,129 @@ def test_estimate_omits_fit_with_short_history():
     tr = _trace_from(1.0 - gap, 1.0 / gap)
     est = estimate_blowup_time(tr, p=2.0, threshold=1e8)
     assert est.T_fit is None
+
+
+# ---------------------------------------------------------------------------
+# lockstep groups
+
+def _assert_same_outcome(got, want):
+    assert (got.status, got.reason, got.steps) == (want.status, want.reason,
+                                                   want.steps)
+    assert repr((got.t_end, got.sup_norm_end, got.blowup_estimate)) == repr(
+        (want.t_end, want.sup_norm_end, want.blowup_estimate))
+    for name in ("t", "sup_norm", "mass_w", "M_left", "M_right", "dt"):
+        assert (getattr(got.trace, name).tobytes()
+                == getattr(want.trace, name).tobytes()), name
+    assert [t for t, _ in got.snapshots] == [t for t, _ in want.snapshots]
+    for (_, u_got), (_, u_want) in zip(got.snapshots, want.snapshots):
+        assert u_got.tobytes() == u_want.tobytes()
+
+
+_EXPONENT = st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0])
+_AMPLITUDE = st.floats(0.1, 3.0)
+_C = st.one_of(
+    st.just(ZERO),
+    st.builds(CoefficientSpec.constant, _AMPLITUDE),
+    st.builds(CoefficientSpec.power, _AMPLITUDE, st.floats(0.5, 3.0)),
+    st.builds(CoefficientSpec.exp_decay, _AMPLITUDE, st.floats(0.1, 2.0)),
+    st.builds(CoefficientSpec.power_log, _AMPLITUDE, st.floats(0.5, 3.0),
+              st.integers(1, 2), st.floats(0.0, 2.0)))
+_K = st.one_of(
+    st.just(ZERO),
+    st.builds(CoefficientSpec.constant, _AMPLITUDE),
+    st.builds(CoefficientSpec.power, _AMPLITUDE, st.floats(1.0, 4.0)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(11, 61), t_max=st.floats(0.05, 0.3),
+       family=st.sampled_from(["constant", "cos_bump"]),
+       value=st.floats(0.05, 1.5),
+       cells=st.lists(st.tuples(_EXPONENT, _EXPONENT, _C, _K),
+                      min_size=1, max_size=5))
+def test_run_group_equals_run_bitwise(n, t_max, family, value, cells):
+    ctrl = dict(n_nodes=n, t_max=t_max, max_steps=3000)
+    group = [scenario(p, q, c, k, (family, value), **ctrl)
+             for p, q, c, k in cells]
+    # a fast reaction blow-up, whose dt leaves the block's well before t_max
+    group.append(scenario(2.0, 1.0, CoefficientSpec.constant(8.0 / (value * t_max)),
+                          ZERO, (family, value), **ctrl))
+    for got, scn in zip(run_group(group), group):
+        _assert_same_outcome(got, run(scn))
+
+
+def test_run_group_member_fault_ends_aborted_as_under_run():
+    # an outflow at the vanishing ends of a bump undershoots on the first
+    # step; the two outflow cells share that step's dt, so the block takes it
+    outflow = PrescribedFluxRule(lambda t: -0.1)
+    base = scenario(p=2.0, q=2.0, u0=("cos_bump", 1.0), n_nodes=201, t_max=0.1)
+    group = [replace(base, boundary=outflow), replace(base, p=3.0, boundary=outflow),
+             replace(base, c=ONE)]
+    outs = run_group(group)
+    for got, scn in zip(outs, group):
+        _assert_same_outcome(got, run(scn))
+    assert [o.status for o in outs] == ["Aborted", "Aborted", "GlobalToHorizon"]
+    assert outs[0].reason.startswith("negative undershoot")
+
+
+def _accumulator_overflow_case():
+    # the boundary values pass 1.8e308 ** (1 / 40) long before the threshold
+    return scenario(p=2.0, q=40.0, c=ONE, k=ZERO, n_nodes=51, t_max=2.0)
+
+
+def test_accumulator_overflow_ends_blowup():
+    out = run(_accumulator_overflow_case())
+    assert out.status == "BlowUp"
+    assert out.trace.M_left[-1] == math.inf
+
+
+def test_run_group_overflowing_member_ends_blowup_as_under_run():
+    group = [_accumulator_overflow_case(),
+             replace(_accumulator_overflow_case(), q=2.0)]
+    outs = run_group(group)
+    for got, scn in zip(outs, group):
+        _assert_same_outcome(got, run(scn))
+    assert [o.status for o in outs] == ["BlowUp", "BlowUp"]
+
+
+def test_run_group_rejects_cells_that_differ_beyond_coefficients():
+    assert run_group([]) == []
+    base = scenario(n_nodes=21, t_max=0.1)
+    for other in (replace(base, u0=InitialSpec("constant", 2.0)),
+                  replace(base, length=2.0),
+                  scenario(n_nodes=31, t_max=0.1)):
+        with pytest.raises(ConfigurationError):
+            run_group([base, other])
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(5, 41), q=_EXPONENT, k=_K,
+       family=st.sampled_from(["constant", "cos_bump"]),
+       value=st.floats(0.0, 2.0))
+def test_mass_never_decreases_without_reaction(n, q, k, family, value):
+    # diffusion keeps the trapezoid mass and an inward flux k M >= 0 adds
+    # to it, so every step may lose only rounding
+    scn = scenario(p=2.0, q=q, c=ZERO, k=k, u0=(family, value), n_nodes=n,
+                   t_max=0.3, max_steps=2000)
+    state = fresh_state(scn)
+    mass = state.mass(scn.h)
+    for state, _, _, _ in advance(scn, state):
+        new = state.mass(scn.h)
+        assert new >= mass * (1.0 - 1e-13)
+        mass = new
+
+
+def test_no_global_all_cell_blows_up():
+    ps = qs = (0.5, 1.0, 2.0)
+    cs = (ONE, CoefficientSpec.power(1.0, 2.0))
+    ks = (ONE, CoefficientSpec.power(1.0, 3.0))
+    group = [scenario(p, q, c, k, n_nodes=41, t_max=3.0, max_steps=20000)
+             for p, q, c, k in itertools.product(ps, qs, cs, ks)]
+    checked = 0
+    for scn, out in zip(group, run_group(group)):
+        if classify_regime(scn.p, scn.q, scn.c, scn.k).regime == REGIME_GLOBAL_ALL:
+            assert out.status != "BlowUp", (scn.p, scn.q, scn.c, scn.k)
+            checked += 1
+    assert checked > 0
 
 
 # ---------------------------------------------------------------------------
