@@ -104,6 +104,15 @@ def test_tabulated_eval_and_extrapolation():
     assert k2(2.5) == pytest.approx(1.0)
 
 
+def test_tabulated_eval_finite_between_close_nodes():
+    # nodes closer than the value step over DBL_MAX: a slope would overflow
+    k = CoefficientSpec.tabulated([[0.0, 0.0], [2.2250738585072014e-308, 4.0]])
+    t = 1.1125369292536007e-308
+    assert k.scalar(t) == 2.0
+    np.testing.assert_array_equal(k(np.array([0.0, t, 1.0])), [0.0, 2.0, 4.0])
+    assert CoefficientSpec.tabulated(k.table, amplitude=0.0).scalar(t) == 0.0
+
+
 def test_negative_time_rejected():
     with pytest.raises(DomainError):
         eval_coeff(CoefficientSpec.constant(1.0), -0.1)
