@@ -326,11 +326,23 @@ def _cmd_verify(config: RunConfig, transform: bool) -> int:
     return 0 if rep.passed else 4
 
 
+# a lockstep group holds the trace rows and snapshots of all its runs until
+# they end, so a sweep runs its cells in groups of at most this many
+SWEEP_GROUP_CELLS = 32
+
+
+def _run_cells(cells: list):
+    """The outcomes of cells, in order, from lockstep groups of at most
+    SWEEP_GROUP_CELLS cells."""
+    for start in range(0, len(cells), SWEEP_GROUP_CELLS):
+        yield from run_group(cells[start:start + SWEEP_GROUP_CELLS])
+
+
 def _cmd_sweep(config: RunConfig, outdir: Path) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     cells = list(config.cells())
     rows = []
-    for i, (scn, outcome) in enumerate(zip(cells, run_group(cells))):
+    for i, (scn, outcome) in enumerate(zip(cells, _run_cells(cells))):
         verdict = classify_regime(scn.p, scn.q, scn.c, scn.k)
         name = f"cell_{i:04d}"
         _write_run_artifacts(outcome, scn, outdir / name)

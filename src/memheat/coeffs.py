@@ -213,7 +213,7 @@ def _formula(spec: CoefficientSpec, exp, log) -> Callable:
     if spec.family == "exp_decay":
         return lambda t: amp * exp(neg_lam * t)
     if spec.family == "tabulated":
-        return _table_formula(spec.table, amp, scalar=exp is math.exp)
+        return _table_formula(spec.table, amp)
     depth, gamma, log_power = spec.log_depth, spec.gamma, spec.log_power
     tower = log_tower(depth)
 
@@ -227,35 +227,25 @@ def _formula(spec: CoefficientSpec, exp, log) -> Callable:
     return power_log
 
 
-def _table_formula(table, amp: float, scalar: bool) -> Callable:
-    """Piecewise-linear interpolation through `table`, constant outside it.
+def _table_formula(table, amp: float) -> Callable:
+    """Piecewise-linear interpolation through `table`, constant outside it,
+    at one float t or an array of times.
 
-    Each segment is weighted as (1 - w) * v0 + w * v1 with w in [0, 1], not
-    by a slope as np.interp does: a slope (v1 - v0) / (t1 - t0) overflows to
-    inf when two nodes sit closer than the value step over DBL_MAX, and the
-    weight form stays within rounding of [min(v0, v1), max(v0, v1)].  The scalar and the
-    array form do the same IEEE operations, so they agree to the bit."""
-    ts, vs = [row[0] for row in table], [row[1] for row in table]
-    n = len(ts)
-    if scalar:
-        def table_scalar(t):
-            i = bisect.bisect_right(ts, t)
-            if i == 0 or i == n:
-                return amp * vs[min(i, n - 1)]
-            w = (t - ts[i - 1]) / (ts[i] - ts[i - 1])
-            return amp * ((1.0 - w) * vs[i - 1] + w * vs[i])
-        return table_scalar
-    if n == 1:
-        return lambda t: np.full_like(t, amp * vs[0])
-    # per segment k: start time, width, end values; the interior nodes pick k
-    inner, t0, dt = np.array(ts[1:-1]), np.array(ts[:-1]), np.diff(ts)
-    v0, v1 = np.array(vs[:-1]), np.array(vs[1:])
+    Each segment is weighted as (1 - w) * v0 + w * v1 with w clamped to
+    [0, 1], not by a slope as np.interp does: a slope (v1 - v0) / (t1 - t0)
+    overflows to inf when two nodes sit closer than the value step over
+    DBL_MAX.  The ends return the first and last value exactly."""
+    ts, vs = (np.array(col) for col in zip(*table))
+    if ts.size == 1:
+        return lambda t: amp * vs[0] + 0.0 * t
+    # per segment j: start time, width, end values; the interior nodes pick j
+    inner, t0, width, v0, v1 = ts[1:-1], ts[:-1], np.diff(ts), vs[:-1], vs[1:]
 
-    def table_array(t):
-        k = np.searchsorted(inner, t, side="right")
-        w = np.minimum(np.maximum((t - t0[k]) / dt[k], 0.0), 1.0)
-        return amp * ((1.0 - w) * v0[k] + w * v1[k])
-    return table_array
+    def table_at(t):
+        j = np.searchsorted(inner, t, side="right")
+        w = np.minimum(np.maximum((t - t0[j]) / width[j], 0.0), 1.0)
+        return amp * ((1.0 - w) * v0[j] + w * v1[j])
+    return table_at
 
 
 ZERO = CoefficientSpec.constant(0.0)

@@ -60,6 +60,9 @@ class MemoryRule:
     def flux(self, t: float, M_left: float, M_right: float) -> tuple:
         """(left slope, right slope, accumulator weight) at t."""
         k_t = eval_coeff(self.k, t)
+        if k_t == 0.0:
+            # no feedback, also once an accumulator has overflowed to inf
+            return 0.0, 0.0, 1.0
         return k_t * M_left, k_t * M_right, 1.0
 
     def acc_weight(self, t: float) -> float:
@@ -87,6 +90,9 @@ class WeightedMemoryRule:
     def flux(self, t: float, M_left: float, M_right: float) -> tuple:
         C = self.cum(t)
         damped = eval_coeff(self.k, t) * math.exp(-C)
+        if damped == 0.0:
+            # no feedback, also once an accumulator has overflowed to inf
+            return 0.0, 0.0, _exp(self.q * C)
         return damped * M_left, damped * M_right, _exp(self.q * C)
 
     def acc_weight(self, t: float) -> float:
@@ -564,7 +570,7 @@ def run(scenario: Scenario) -> SimulationOutcome:
 
 def run_group(scenarios) -> list:
     """[run(s) for s in scenarios], bit for bit, for scenarios that agree in
-    length, controls and initial data.
+    length, controls and initial field.
 
     The cells step in lockstep: each evaluates its own step_values and
     laddered dt, and the cells on the most common dt (the larger on a tie)
@@ -577,14 +583,14 @@ def run_group(scenarios) -> list:
     if not scenarios:
         return []
     head = scenarios[0]
-    for scn in scenarios[1:]:
-        if (scn.length, scn.controls, scn.u0) != (head.length, head.controls,
-                                                  head.u0):
-            raise ConfigurationError(
-                "group scenarios must agree in length, controls and initial data")
     ctr = head.controls
     h = head.h
     u0 = head.initial_field()
+    for scn in scenarios[1:]:
+        if ((scn.length, scn.controls) != (head.length, ctr)
+                or not np.array_equal(scn.initial_field(), u0)):
+            raise ConfigurationError(
+                "group scenarios must agree in length, controls and initial data")
     runs = [_Run(scn, u0) for scn in scenarios]
     clock = _Clock(ctr)
     # the run of each row of U; sorted by p, the rows of one p are adjacent

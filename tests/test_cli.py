@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from memheat import cli
 from memheat.cli import _write_csv, config_to_json, dispatch, main, parse_config
 from memheat.errors import ConfigurationError
 from memheat.pde_core import run
@@ -301,6 +302,28 @@ def test_sweep_cell_config_reruns_the_cell_byte_for_byte(tmp_path, capsys):
         assert csvs == sorted(p.name for p in rerun.iterdir())
         for name in csvs:
             assert (cell / name).read_bytes() == (rerun / name).read_bytes(), name
+
+
+def test_sweep_in_small_groups_writes_what_one_group_writes(tmp_path, capsys,
+                                                            monkeypatch):
+    # groups of 2 split the 5 cells 2 + 2 + 1; the last runs alone
+    doc = base_doc(
+        exponents={"p": [1.0, 2.0, 3.0, 1.5, 0.5], "q": 2.0},
+        solver={"t_max": 0.5},
+        output={"dir": "out", "snapshot_every": 0.1},
+    )
+    cfg = write_cfg(tmp_path, doc)
+    outs = {}
+    for group_cells in (cli.SWEEP_GROUP_CELLS, 2):
+        monkeypatch.setattr(cli, "SWEEP_GROUP_CELLS", group_cells)
+        assert main(["sweep", "--config", cfg,
+                     "--out", str(tmp_path / str(group_cells))]) == 0
+        files = sorted((tmp_path / str(group_cells)).rglob("*.*"))
+        outs[group_cells] = (capsys.readouterr().out, [
+            (p.relative_to(tmp_path / str(group_cells)), p.read_bytes())
+            for p in files])
+    assert outs[2] == outs[cli.SWEEP_GROUP_CELLS]
+    assert len(outs[2][1]) > 5 * 3
 
 
 def test_sweep_lists_rejected_outside_sweep(tmp_path, capsys):

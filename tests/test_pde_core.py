@@ -552,6 +552,21 @@ def test_accumulator_overflow_ends_blowup():
     out = run(_accumulator_overflow_case())
     assert out.status == "BlowUp"
     assert out.trace.M_left[-1] == math.inf
+    # with k = 0 the memory exponent cannot matter, overflow or not
+    same = run(replace(_accumulator_overflow_case(), q=2.0))
+    assert (out.steps, out.t_end, out.sup_norm_end) == (
+        same.steps, same.t_end, same.sup_norm_end)
+    assert math.isfinite(out.sup_norm_end)
+
+
+def test_overflowed_accumulator_without_memory_reaches_the_horizon():
+    # u = e^t stays below the threshold up to t = 18, while u_b^40 passes
+    # the float range near t = 17.74: k = 0 keeps the inf accumulator out
+    # of the flux
+    out = run(scenario(p=1.0, q=40.0, c=ONE, k=ZERO, n_nodes=51, t_max=18.0))
+    assert out.status == "GlobalToHorizon"
+    assert out.trace.M_left[-1] == math.inf
+    assert 1e7 < out.sup_norm_end < math.exp(18.0)
 
 
 def test_run_group_overflowing_member_ends_blowup_as_under_run():
@@ -566,11 +581,20 @@ def test_run_group_overflowing_member_ends_blowup_as_under_run():
 def test_run_group_rejects_cells_that_differ_beyond_coefficients():
     assert run_group([]) == []
     base = scenario(n_nodes=21, t_max=0.1)
+    table = replace(base, u0=InitialSpec("tabulated", np.full(21, 0.5)))
     for other in (replace(base, u0=InitialSpec("constant", 2.0)),
                   replace(base, length=2.0),
                   scenario(n_nodes=31, t_max=0.1)):
         with pytest.raises(ConfigurationError):
             run_group([base, other])
+    with pytest.raises(ConfigurationError):
+        run_group([table, replace(table, u0=InitialSpec(
+            "tabulated", np.full(21, 0.7)))])
+    # equal node values in distinct arrays make one initial field
+    group = [table, replace(table, u0=InitialSpec("tabulated", np.full(21, 0.5)),
+                            c=ONE)]
+    for got, scn in zip(run_group(group), group):
+        _assert_same_outcome(got, run(scn))
 
 
 @settings(max_examples=30, deadline=None)
