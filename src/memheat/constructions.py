@@ -12,11 +12,13 @@ trusted blindly.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
+from scipy.optimize import brentq
 
 from .coeffs import (
     ZERO,
@@ -144,6 +146,16 @@ def solve_auxiliary_linear(flux, length: float, n_nodes: int, t_max: float,
 # ---------------------------------------------------------------------------
 # barrier specs
 
+# ln of the largest float: e^t overflows past it
+_LOG_MAX = math.log(sys.float_info.max)
+
+
+def _horizon_error(kind: str, t_cap: float) -> NotApplicableError:
+    return NotApplicableError(
+        f"the {kind} barrier passes the float range after t = {t_cap:.6g}; "
+        f"that is the largest horizon it can represent")
+
+
 @dataclass
 class SupersolutionSpec:
     kind: str                   # Th00 | Th2 | Th4
@@ -170,6 +182,10 @@ def build_th00_supersolution(scenario: Scenario, T: float) -> SupersolutionSpec:
     M = max(coefficient_sup(scenario.c, T), coefficient_sup(scenario.k, T))
     b = max(lam + 2.0 * M, 2.0 * M / (scenario.q * slope))
     d = max(float(scenario.initial_field().max()), 1.0)
+    # the barrier peaks at 2 d e^{bT}
+    t_cap = (_LOG_MAX - math.log(2.0 * d)) / b
+    if T > t_cap:
+        raise _horizon_error("exponential", t_cap)
 
     def evaluate(x: np.ndarray, t: float) -> np.ndarray:
         return d * math.exp(b * t) * (2.0 - np.sin(math.pi * np.asarray(x) / L))
@@ -273,6 +289,11 @@ def build_th4_supersolution(scenario: Scenario, t_max: float,
             f"effective flux integral must converge ({conds.flux_integral.status})")
     if not conds.window.holds:
         raise NotApplicableError("effective-flux window bound fails")
+    cum = CumulativeIntegral(c)
+    # alpha h <= H^{-1/(q-1)} <= 1, so the barrier is finite while e^C is
+    if cum(t_max) > _LOG_MAX:
+        raise _horizon_error("exponential-factor",
+                             brentq(lambda t: cum(t) - _LOG_MAX, 0.0, t_max))
     kappa = effective_flux(c, k, q)
     flux = ZERO if k.is_zero else (lambda t: float(kappa(t)))
     aux = solve_auxiliary_linear(flux, scenario.length,
@@ -283,7 +304,6 @@ def build_th4_supersolution(scenario: Scenario, t_max: float,
     H = aux.bound
     alpha_max = H ** (-q / (q - 1.0))
     alpha = alpha_max if alpha is None else min(alpha, alpha_max)
-    cum = CumulativeIntegral(c)
     grid = aux.grid
 
     def evaluate(x: np.ndarray, t: float) -> np.ndarray:
@@ -318,41 +338,131 @@ class ResidualReport:
         return (self.r_int_min, self.r_bnd_min, self.r_init_min)
 
 
+# the residual check holds about this many bytes of barrier rows at a time
+_BLOCK_BYTES = 1 << 20
+
+
+def _time_stencil(times: np.ndarray):
+    """Row stencils of np.gradient(U, times, axis=0, edge_order=2).
+
+    Row i of dU/dt is a[i] U[j] + b[i] U[j+1] + c[i] U[j+2] with j = i-1
+    clipped to [0, n-3], except that on uniform times the interior rows are
+    (U[i+1] - U[i-1]) / (2 dt).  Uniform spacing is decided on all of times,
+    as np.gradient does, and the weights are its expressions, so the rows
+    come out bit for bit.  The edges are second order: the one-sided
+    first-order stencil underestimates d/dt of fast exponentials by more
+    than the barrier margin.  Returns (dt or None, a, b, c).
+    """
+    n = len(times)
+    if n < 3:
+        raise ConfigurationError("the residual check needs at least 3 times")
+    dx = np.diff(times)
+    a, b, c = np.empty(n), np.empty(n), np.empty(n)
+    if (dx == dx[0]).all():
+        dt = dx[0]
+        a[0], b[0], c[0] = -1.5 / dt, 2. / dt, -0.5 / dt
+        a[-1], b[-1], c[-1] = 0.5 / dt, -2. / dt, 1.5 / dt
+        return dt, a, b, c
+    dx1, dx2 = dx[:-1], dx[1:]
+    a[1:-1] = -(dx2) / (dx1 * (dx1 + dx2))
+    b[1:-1] = (dx2 - dx1) / (dx1 * dx2)
+    c[1:-1] = dx1 / (dx2 * (dx1 + dx2))
+    dx1, dx2 = dx[0], dx[1]
+    a[0] = -(2. * dx1 + dx2) / (dx1 * (dx1 + dx2))
+    b[0] = (dx1 + dx2) / (dx1 * dx2)
+    c[0] = - dx1 / (dx2 * (dx1 + dx2))
+    dx1, dx2 = dx[-2], dx[-1]
+    a[-1] = (dx2) / (dx1 * (dx1 + dx2))
+    b[-1] = - (dx2 + dx1) / (dx1 * dx2)
+    c[-1] = (2. * dx2 + dx1) / (dx2 * (dx1 + dx2))
+    return None, a, b, c
+
+
+def _time_derivative(W: np.ndarray, lo: int, s: int, e: int,
+                     stencil) -> np.ndarray:
+    """Rows s..e-1 of dU/dt from the rows lo.. of U held in W."""
+    dt, a, b, c = stencil
+    n = len(a)
+    out = np.empty((e - s, W.shape[1]))
+    i0, i1 = max(s, 1), min(e, n - 1)
+    f0 = W[i0 - 1 - lo:i1 - 1 - lo]
+    f1 = W[i0 - lo:i1 - lo]
+    f2 = W[i0 + 1 - lo:i1 + 1 - lo]
+    if dt is not None:
+        out[i0 - s:i1 - s] = (f2 - f0) / (2. * dt)
+    else:
+        out[i0 - s:i1 - s] = (a[i0:i1, None] * f0 + b[i0:i1, None] * f1
+                              + c[i0:i1, None] * f2)
+    for i, j in ((0, 0), (n - 1, n - 3)):
+        if s <= i < e:
+            out[i - s] = (a[i] * W[j - lo] + b[i] * W[j + 1 - lo]
+                          + c[i] * W[j + 2 - lo])
+    return out
+
+
 def _residual_mins(spec: SupersolutionSpec, scenario: Scenario,
                    times: np.ndarray, x: np.ndarray):
+    """(interior, boundary, initial) residual minima and their locations.
+
+    The barrier's rows go through in blocks of about _BLOCK_BYTES, each with
+    one row of halo on either side, so the memory does not grow with
+    len(times) * len(x).  The interior minimum and its location are those of
+    np.argmin over the whole row-major residual array: the first occurrence
+    wins, and so does a NaN.  Only the three edge columns at each end and
+    row 0 are kept whole, for the boundary and initial residuals.
+    """
+    n, m = len(times), len(x)
     h = x[1] - x[0]
-    U = np.stack([spec.evaluate(x, float(t)) for t in times])
+    stencil = _time_stencil(times)
     cvals = eval_coeff(scenario.c, times)
     kvals = eval_coeff(scenario.k, times)
+    rows = max(1, _BLOCK_BYTES // (8 * m))
 
-    with np.errstate(over="ignore"):
-        react = cvals[:, None] * U ** scenario.p
-    # second-order edges: the one-sided first-order stencil underestimates
-    # d/dt of fast exponentials by more than the barrier margin
-    dUdt = np.gradient(U, times, axis=0, edge_order=2)
-    lap = (U[:, :-2] - 2.0 * U[:, 1:-1] + U[:, 2:]) / (h * h)
-    r_int = dUdt[:, 1:-1] - lap - react[:, 1:-1]
+    left, right = np.empty((n, 3)), np.empty((n, 3))
+    W, lo = np.empty((0, m)), 0         # rows lo, lo+1, ... of U
+    r_min, i_min = math.inf, None
+    for s in range(0, n, rows):
+        e = min(s + rows, n)
+        # dU/dt needs one row on either side, three rows at the two ends
+        new_lo, hi = max(0, min(s - 1, n - 3)), min(n, max(e + 1, 3))
+        W = np.vstack([W[new_lo - lo:]]
+                      + [spec.evaluate(x, float(t))
+                         for t in times[lo + len(W):hi]])
+        lo = new_lo
+        U = W[s - lo:e - lo]
+        left[s:e], right[s:e] = U[:, :3], U[:, -3:]
+        if s == 0:
+            row0 = U[0].copy()
 
-    slope_nu_l = (3.0 * U[:, 0] - 4.0 * U[:, 1] + U[:, 2]) / (2.0 * h)
-    slope_nu_r = (3.0 * U[:, -1] - 4.0 * U[:, -2] + U[:, -3]) / (2.0 * h)
+        with np.errstate(over="ignore"):
+            react = cvals[s:e, None] * U[:, 1:-1] ** scenario.p
+        lap = (U[:, :-2] - 2.0 * U[:, 1:-1] + U[:, 2:]) / (h * h)
+        r_int = _time_derivative(W[:, 1:-1], lo, s, e, stencil) - lap - react
+        k = int(np.argmin(r_int))
+        r = r_int.flat[k]
+        if i_min is None or (not math.isnan(r_min)
+                             and (math.isnan(r) or r < r_min)):
+            r_min, i_min = r, (s + k // (m - 2), k % (m - 2))
+
+    slope_nu_l = (3.0 * left[:, 0] - 4.0 * left[:, 1] + left[:, 2]) / (2.0 * h)
+    slope_nu_r = (3.0 * right[:, 2] - 4.0 * right[:, 1] + right[:, 0]) / (2.0 * h)
     with np.errstate(over="ignore"):
-        mem_l = cumulative_trapezoid(U[:, 0] ** scenario.q, times, initial=0.0)
-        mem_r = cumulative_trapezoid(U[:, -1] ** scenario.q, times, initial=0.0)
+        mem_l = cumulative_trapezoid(left[:, 0] ** scenario.q, times, initial=0.0)
+        mem_r = cumulative_trapezoid(right[:, 2] ** scenario.q, times, initial=0.0)
     r_bnd = np.stack([slope_nu_l - kvals * mem_l, slope_nu_r - kvals * mem_r])
 
     u0_on_x = np.interp(x, scenario.grid(), scenario.initial_field())
-    r_init = U[0] - u0_on_x
+    r_init = row0 - u0_on_x
 
-    i_int = np.unravel_index(np.argmin(r_int), r_int.shape)
     i_bnd = np.unravel_index(np.argmin(r_bnd), r_bnd.shape)
     i_init = int(np.argmin(r_init))
     worst = {
-        "interior": (float(x[i_int[1] + 1]), float(times[i_int[0]])),
+        "interior": (float(x[i_min[1] + 1]), float(times[i_min[0]])),
         "boundary": (float(x[0] if i_bnd[0] == 0 else x[-1]),
                      float(times[i_bnd[1]])),
         "initial": (float(x[i_init]), 0.0),
     }
-    mins = (float(r_int.min()), float(r_bnd.min()), float(r_init.min()))
+    mins = (float(r_min), float(r_bnd.min()), float(r_init.min()))
     return mins, worst
 
 

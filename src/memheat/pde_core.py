@@ -86,17 +86,26 @@ class WeightedMemoryRule:
         self.k = k
         self.cum = cum
         self.q = q
+        # (t, C(t), e^{q C(t)}) at the last t asked: a step's acc_weight at
+        # t + dt is the next step's flux at the same t
+        self._last = (math.nan, 0.0, 1.0)
+
+    def _at(self, t: float) -> tuple:
+        if t != self._last[0]:
+            C = self.cum(t)
+            self._last = (t, C, _exp(self.q * C))
+        return self._last
 
     def flux(self, t: float, M_left: float, M_right: float) -> tuple:
-        C = self.cum(t)
+        _, C, w = self._at(t)
         damped = eval_coeff(self.k, t) * math.exp(-C)
         if damped == 0.0:
             # no feedback, also once an accumulator has overflowed to inf
-            return 0.0, 0.0, _exp(self.q * C)
-        return damped * M_left, damped * M_right, _exp(self.q * C)
+            return 0.0, 0.0, w
+        return damped * M_left, damped * M_right, w
 
     def acc_weight(self, t: float) -> float:
-        return _exp(self.q * self.cum(t))
+        return self._at(t)[2]
 
 
 class PrescribedFluxRule:

@@ -224,6 +224,25 @@ def test_verify_uncovered_exponents_exit_2(tmp_path, capsys):
     assert "no barrier construction" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc, kind, t_cap", [
+    # d e^{bt}: b = pi^2 + 2 and d = 1, so 2 e^{bT} passes DBL_MAX near 59.7
+    (base_doc(domain={"nodes": 51}, exponents={"p": 0.5, "q": 0.5},
+              k={"family": "constant", "amplitude": 1.0},
+              solver={"t_max": 70.0}), "exponential", "59.7399"),
+    # e^{C(t)} with C(t) = 20 t passes DBL_MAX at t = ln(DBL_MAX) / 20
+    (base_doc(domain={"nodes": 21}, exponents={"p": 1.0, "q": 2.0},
+              c={"family": "constant", "amplitude": 20.0},
+              k={"family": "exp_decay", "amplitude": 1.0, "lambda": 50.0},
+              solver={"t_max": 40.0}), "exponential-factor", "35.4891"),
+])
+def test_verify_barrier_past_float_range_exits_2_naming_the_horizon(
+        tmp_path, capsys, doc, kind, t_cap):
+    assert main(["verify", "--config", write_cfg(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"CONFIG ERROR: the {kind} barrier")
+    assert f"after t = {t_cap};" in err
+
+
 def test_verify_transform_equivalence(tmp_path, capsys):
     doc = base_doc(exponents={"p": 1.0, "q": 2.0},
                    c={"family": "power", "amplitude": 1.0, "gamma": 2.0},

@@ -1,11 +1,17 @@
 """Barrier construction tests with closed-form and arithmetic oracles."""
 
+import functools
 import math
+import struct
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_trapezoid
 
-from memheat.coeffs import ZERO, CoefficientSpec
+from memheat import constructions
+from memheat.coeffs import ZERO, CoefficientSpec, eval_coeff
 from memheat.constructions import (
     SupersolutionSpec,
     build_th00_supersolution,
@@ -276,6 +282,159 @@ def test_factor_barrier_residuals_pass():
     spec = build_th4_supersolution(scn, t_max=20.0)
     rep = verify_supersolution(spec, scn, T=20.0)
     assert rep.passed, rep
+
+
+# ---------------------------------------------------------------------------
+# streamed residual check
+
+def _whole_array_residual_mins(spec, scenario, times, x):
+    """The residual check on whole (n_t, n_x) arrays: the reference that the
+    time-blocked constructions._residual_mins must match bit for bit."""
+    h = x[1] - x[0]
+    U = np.stack([spec.evaluate(x, float(t)) for t in times])
+    cvals = eval_coeff(scenario.c, times)
+    kvals = eval_coeff(scenario.k, times)
+
+    with np.errstate(over="ignore"):
+        react = cvals[:, None] * U ** scenario.p
+    dUdt = np.gradient(U, times, axis=0, edge_order=2)
+    lap = (U[:, :-2] - 2.0 * U[:, 1:-1] + U[:, 2:]) / (h * h)
+    r_int = dUdt[:, 1:-1] - lap - react[:, 1:-1]
+
+    slope_nu_l = (3.0 * U[:, 0] - 4.0 * U[:, 1] + U[:, 2]) / (2.0 * h)
+    slope_nu_r = (3.0 * U[:, -1] - 4.0 * U[:, -2] + U[:, -3]) / (2.0 * h)
+    with np.errstate(over="ignore"):
+        mem_l = cumulative_trapezoid(U[:, 0] ** scenario.q, times, initial=0.0)
+        mem_r = cumulative_trapezoid(U[:, -1] ** scenario.q, times, initial=0.0)
+    r_bnd = np.stack([slope_nu_l - kvals * mem_l, slope_nu_r - kvals * mem_r])
+
+    u0_on_x = np.interp(x, scenario.grid(), scenario.initial_field())
+    r_init = U[0] - u0_on_x
+
+    i_int = np.unravel_index(np.argmin(r_int), r_int.shape)
+    i_bnd = np.unravel_index(np.argmin(r_bnd), r_bnd.shape)
+    i_init = int(np.argmin(r_init))
+    worst = {
+        "interior": (float(x[i_int[1] + 1]), float(times[i_int[0]])),
+        "boundary": (float(x[0] if i_bnd[0] == 0 else x[-1]),
+                     float(times[i_bnd[1]])),
+        "initial": (float(x[i_init]), 0.0),
+    }
+    mins = (float(r_int.min()), float(r_bnd.min()), float(r_init.min()))
+    return mins, worst
+
+
+def _nonfinite_barrier(x, t):
+    # from t = 0.1 a spike of 1e300 gives residuals near -1e304; from t = 0.3
+    # a column of inf gives -inf beside a NaN in the same row; from t = 0.7 a
+    # NaN column gives more NaNs: the first NaN must win
+    u = (1.0 + t) * (2.0 - np.sin(math.pi * np.asarray(x)))
+    m = len(u)
+    if t >= 0.1:
+        u[3 * m // 4] = 1e300
+    if t >= 0.3:
+        u[m // 4] = math.inf
+    if t >= 0.7:
+        u[m // 2] = math.nan
+    return u
+
+
+def _bad_rate_barrier():
+    two = CoefficientSpec.constant(2.0)
+    scn = scenario(0.5, 1.0, ZERO, two, u0_value=1.0, length=10.0)
+    spec = build_th00_supersolution(scn, T=3.0)
+    b_bad, d = spec.params["b"] / 2.0, spec.params["d"]
+    return scn, SupersolutionSpec(
+        "Th00", {}, lambda x, t: d * math.exp(b_bad * t)
+        * (2.0 - np.sin(math.pi * np.asarray(x) / 10.0))), 3.0
+
+
+def _barrier_case(kind):
+    c2, k3 = CoefficientSpec.power(1.0, 2.0), CoefficientSpec.power(1.0, 3.0)
+    if kind == "th00":      # the certify benchmark's verify_th00
+        scn = scenario(0.5, 0.5, ONE, ONE, t_max=5.0)
+        return scn, build_th00_supersolution(scn, T=5.0), 5.0
+    if kind == "th2":
+        scn = scenario(2.0, 2.0, c2, k3, u0_value=0.05, t_max=5.0)
+        return scn, build_th2_supersolution(scn, t_max=5.0), 5.0
+    if kind == "th4":       # the certify benchmark's verify_th4
+        scn = scenario(1.0, 2.0, c2, CoefficientSpec.power(1.0, 4.0),
+                       u0_value=0.05, t_max=2.0)
+        return scn, build_th4_supersolution(scn, t_max=2.0), 2.0
+    if kind == "b_bad":
+        return _bad_rate_barrier()
+    if kind in ("wave", "uniform"):
+        # flat in x with c = 0, so the residual is dU/dt itself, most
+        # negative mid-horizon: its rows there take the interior stencil
+        return scenario(1.0, 1.0, ZERO, ZERO), SupersolutionSpec(
+            "Th00", {}, lambda x, t: np.full(len(x), 3.0 + math.cos(t))), 5.0
+    scn = scenario(1.0, 1.0, ONE, ONE, u0_value=1.0)
+    if kind == "zero":
+        return scn, SupersolutionSpec(
+            "Th00", {}, lambda x, t: np.zeros_like(np.asarray(x, dtype=float))), 1.0
+    return scn, SupersolutionSpec("Th00", {}, _nonfinite_barrier), 1.0
+
+
+@functools.lru_cache(maxsize=None)
+def _residual_case(kind):
+    """The scenario, the barrier, and for the coarse and the refined grid of
+    verify_supersolution: (times, x, whole-array reference)."""
+    scn, spec, T = _barrier_case(kind)
+    grids = []
+    with mock.patch.object(constructions, "_residual_mins",
+                           lambda sp, sc, times, x: grids.append((times, x))
+                           or ((0.0, 0.0, 0.0), {})):
+        verify_supersolution(spec, scn, T)
+    if kind == "uniform":
+        # dyadic steps are exact, so np.gradient takes its uniform branch
+        times = np.arange(257) * (T / 256)
+        grids = [(times, grids[0][1]),
+                 (constructions._refine_axis(times), grids[1][1])]
+    return scn, spec, [(times, x, _whole_array_residual_mins(spec, scn, times, x))
+                       for times, x in grids]
+
+
+def _bits(v):
+    # NaN payloads are not printed, so any NaN matches any NaN
+    return "nan" if math.isnan(v) else struct.pack("<d", v)
+
+
+@pytest.mark.parametrize("rows", [None, 1, 2, 7])
+@pytest.mark.parametrize("grid", [0, 1], ids=["coarse", "refined"])
+@pytest.mark.parametrize("kind", ["th00", "th2", "th4", "b_bad", "zero",
+                                  "nonfinite", "wave", "uniform"])
+def test_streamed_residuals_match_whole_array_bit_for_bit(monkeypatch, kind,
+                                                          grid, rows):
+    scn, spec, grids = _residual_case(kind)
+    times, x, (ref_mins, ref_worst) = grids[grid]
+    if rows is not None:
+        # 7 rows divide none of the grids' time counts
+        assert len(times) % 7 != 0
+        monkeypatch.setattr(constructions, "_BLOCK_BYTES", rows * 8 * len(x))
+    mins, worst = constructions._residual_mins(spec, scn, times, x)
+    assert [_bits(v) for v in mins] == [_bits(v) for v in ref_mins]
+    assert worst == ref_worst
+
+
+def test_streamed_residuals_keep_the_first_nan():
+    _, _, grids = _residual_case("nonfinite")
+    for times, x, (mins, worst) in grids:
+        assert math.isnan(mins[0])
+        assert worst["interior"] == (x[len(x) // 4], times[times >= 0.3][0])
+
+
+def test_residual_check_memory_is_bounded():
+    # the certify benchmark's verify_th00: 2001 x 201, refined 4001 x 401
+    scn = scenario(0.5, 0.5, ONE, ONE, t_max=5.0)
+    spec = build_th00_supersolution(scn, T=5.0)
+    tracemalloc.start()
+    try:
+        rep = verify_supersolution(spec, scn, T=5.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.passed
+    assert peak <= 16e6
 
 
 # ---------------------------------------------------------------------------

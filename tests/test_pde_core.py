@@ -305,6 +305,22 @@ def test_rule_flux_agrees_with_slope_and_weight():
     assert PrescribedFluxRule(lambda t: 0.5).flux(1.0, 2.0, 4.0) == (0.5, 0.5, 0.0)
 
 
+def test_weighted_rule_asks_c_once_per_step():
+    scn, rule = _weighted_rule_case()
+    cum = rule.cum
+    asked = []
+    rule.cum = lambda t: asked.append(t) or cum(t)
+    state = fresh_state(scn)
+    for state, _, _, _ in itertools.islice(advance(scn, state), 200):
+        pass
+    # each step's acc_weight at t + dt is the next step's flux at t + dt
+    assert len(asked) == len(set(asked)) == state.steps + 1
+    # and the memo returns what the formulas give
+    fresh = WeightedMemoryRule(rule.k, cum, rule.q)
+    assert rule.flux(state.t, 2.0, 3.0) == fresh.flux(state.t, 2.0, 3.0)
+    assert rule.acc_weight(state.t) == math.exp(rule.q * cum(state.t))
+
+
 def test_dt_ladder_rounds_down_to_powers_of_two():
     assert _ladder(5e-3, 2e-3) == 2e-3
     assert _ladder(1e-3, 2e-3) == pytest.approx(1e-3, rel=1e-15)
@@ -662,6 +678,23 @@ def test_comparison_zero_below_one_until_blowup():
     assert rep.holds
     assert rep.truncated
     assert "blow-up" in rep.note
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(5, 21), t_max=st.floats(0.05, 0.5),
+       p=st.floats(1.0, 3.0), q=st.floats(1.0, 3.0),
+       c=st.floats(0.0, 5.0), k=st.floats(0.0, 5.0),
+       family=st.sampled_from(["constant", "cos_bump"]),
+       value=st.floats(0.0, 2.0), scale=st.floats(1.0, 4.0))
+def test_comparison_principle_holds_for_scaled_data(n, t_max, p, q, c, k,
+                                                    family, value, scale):
+    # p, q >= 1 and c, k >= 0: data scaled up by >= 1 stays on top
+    ctrl = dict(n_nodes=n, t_max=t_max, max_steps=5000)
+    c, k = CoefficientSpec.constant(c), CoefficientSpec.constant(k)
+    low = scenario(p, q, c, k, (family, value), **ctrl)
+    high = scenario(p, q, c, k, (family, scale * value), **ctrl)
+    rep = verify_comparison(low, high)
+    assert rep.holds, rep
 
 
 def test_comparison_rejects_mismatched_scenarios():
