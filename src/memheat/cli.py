@@ -246,9 +246,12 @@ def _write_run_artifacts(outcome, scenario: Scenario, outdir: Path):
     tr = outcome.trace
     _write_csv(outdir / "trace.csv", TRACE_HEADER,
                (tr.t, tr.sup_norm, tr.mass_w, tr.M_left, tr.M_right, tr.dt))
-    x = scenario.grid()
-    for i, (t, u) in enumerate(outcome.snapshots):
-        _write_csv(outdir / f"snap_{i:06d}.csv", "x,u", (x, u))
+    # every snapshot has the same x column: format it once, into the rows
+    # that each snapshot's u column fills as _write_csv would
+    rows = "x,u\n" + "".join(["%.17g,%%.17g\n" % x
+                              for x in scenario.grid().tolist()])
+    for i, (_, u) in enumerate(outcome.snapshots):
+        (outdir / f"snap_{i:06d}.csv").write_text(rows % tuple(u.tolist()))
 
 
 def _print_outcome(outcome):

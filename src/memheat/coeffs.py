@@ -378,29 +378,38 @@ class CumulativeIntegral:
         self._knots_c = [0.0]
 
     def __call__(self, t):
-        sp = self.spec
-        scalar = isinstance(t, (int, float))
+        if isinstance(t, (int, float)):
+            # a float takes the same numpy ufuncs as a 0-d array, which give
+            # the same bits, without the array
+            if t < 0:
+                raise DomainError("cumulative integral defined for t >= 0")
+            return float(self._cumulative(float(t)))
         arr = np.asarray(t, dtype=float)
         if np.any(arr < 0):
             raise DomainError("cumulative integral defined for t >= 0")
+        out = self._cumulative(arr)
+        return float(out) if arr.ndim == 0 else out
+
+    def _cumulative(self, t):
+        """C(t) for a float or an array t >= 0."""
+        sp = self.spec
+        if sp.family == "tabulated":
+            return self._tabulated_cumulative(np.asarray(t))
         if sp.family == "constant":
-            out = sp.amplitude * arr
-        elif sp.family == "power":
+            return sp.amplitude * t
+        if sp.family == "power":
             if abs(sp.gamma - 1.0) <= _EXP_TOL:
-                out = sp.amplitude * np.log1p(arr)
-            else:
-                # (1+t)^(1-gamma) - 1 as expm1, without cancellation at small t
-                e = 1.0 - sp.gamma
-                out = sp.amplitude * np.expm1(e * np.log1p(arr)) / e
-        elif sp.family == "exp_decay":
-            out = sp.amplitude * (-np.expm1(-sp.lam * arr)) / sp.lam
-        elif sp.family == "tabulated":
-            out = self._tabulated_cumulative(arr)
-        elif log_lane(sp) is not None:
-            out = sp.amplitude * _log_lane_chain(arr, sp.log_depth)
-        else:
-            out = self._numeric_cumulative(arr)
-        return float(out) if scalar or arr.ndim == 0 else out
+                return sp.amplitude * np.log1p(t)
+            # (1+t)^(1-gamma) - 1 as expm1, without cancellation at small t
+            e = 1.0 - sp.gamma
+            return sp.amplitude * np.expm1(e * np.log1p(t)) / e
+        if sp.family == "exp_decay":
+            return sp.amplitude * (-np.expm1(-sp.lam * t)) / sp.lam
+        if log_lane(sp) is not None:
+            return sp.amplitude * _log_lane_chain(t, sp.log_depth)
+        if isinstance(t, float):
+            return self._numeric_scalar(t)
+        return self._numeric_cumulative(t)
 
     def _tabulated_cumulative(self, arr):
         sp = self.spec

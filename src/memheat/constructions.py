@@ -115,8 +115,10 @@ def solve_auxiliary_linear(flux, length: float, n_nodes: int, t_max: float,
 
     ok = out.status == "GlobalToHorizon"
     if ok and t_settle > t_max:
+        # the last state of a run that reached its horizon has a finite
+        # sup, so its field has no negative entry
         state = State(float(out.snapshots[-1][0]),
-                      out.snapshots[-1][1].copy(), 0.0, 0.0)
+                      out.snapshots[-1][1].copy(), 0.0, 0.0, nonneg=True)
         rs = sup_run[-1]
         dt = dt_max
         try:
@@ -474,14 +476,10 @@ def _refine_axis(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def verify_supersolution(spec: SupersolutionSpec, scenario: Scenario,
-                         T: float, nt: Optional[int] = None) -> ResidualReport:
-    """Discrete residuals of the three barrier inequalities on [0, T].
-
-    PASS means every residual min clears -tol_res, where tol_res couples the
-    base 1e-6 to measured grid sensitivity: one midpoint refinement of the
-    evaluation grid bounds the discretization error Richardson-style.
-    """
+def _check_mins(spec: SupersolutionSpec, scenario: Scenario, T: float,
+                nt: Optional[int]) -> tuple:
+    """(residual minima and their locations, refined residual minima) on the
+    check grid of [0, T] and on its midpoint refinement."""
     if nt is None and spec.aux is not None:
         times = spec.aux.times[spec.aux.times <= T * (1 + 1e-12)]
         if len(times) < 5:
@@ -489,10 +487,51 @@ def verify_supersolution(spec: SupersolutionSpec, scenario: Scenario,
     else:
         times = np.linspace(0.0, T, nt if nt is not None else 2001)
     x = scenario.grid()
+    # a stencil that overflows shows as a non-finite minimum
+    with np.errstate(over="ignore", invalid="ignore"):
+        coarse = _residual_mins(spec, scenario, times, x)
+        fine, _ = _residual_mins(spec, scenario,
+                                 _refine_axis(times), _refine_axis(x))
+    return coarse, fine
 
-    mins, worst = _residual_mins(spec, scenario, times, x)
-    mins_fine, _ = _residual_mins(spec, scenario,
-                                  _refine_axis(times), _refine_axis(x))
+
+def _checkable(mins: tuple, mins_fine: tuple) -> bool:
+    return all(math.isfinite(m) for m in mins + mins_fine)
+
+
+def _checkable_horizon(spec: SupersolutionSpec, scenario: Scenario, T: float,
+                       nt: Optional[int]) -> float:
+    """The largest horizon below T, to six significant digits, on which every
+    residual minimum is finite (bisection); 0.0 when there is none."""
+    lo, hi = 0.0, T
+    while True:
+        mid = float(f"{0.5 * (lo + hi):.6g}")
+        if mid <= lo or mid >= hi:
+            return lo
+        (mins, _), mins_fine = _check_mins(spec, scenario, mid, nt)
+        if _checkable(mins, mins_fine):
+            lo = mid
+        else:
+            hi = mid
+
+
+def verify_supersolution(spec: SupersolutionSpec, scenario: Scenario,
+                         T: float, nt: Optional[int] = None) -> ResidualReport:
+    """Discrete residuals of the three barrier inequalities on [0, T].
+
+    PASS means every residual min clears -tol_res, where tol_res couples the
+    base 1e-6 to measured grid sensitivity: one midpoint refinement of the
+    evaluation grid bounds the discretization error Richardson-style.  A
+    barrier whose stencils pass the float range on [0, T], so that some
+    minimum is not finite, cannot be checked there: NotApplicableError names
+    the largest horizon on which it can.
+    """
+    (mins, worst), mins_fine = _check_mins(spec, scenario, T, nt)
+    if not _checkable(mins, mins_fine):
+        raise NotApplicableError(
+            f"the residuals of the {spec.kind} barrier pass the float range "
+            f"on [0, {T:.6g}]; {_checkable_horizon(spec, scenario, T, nt):.6g} "
+            f"is the largest horizon on which they can be checked")
     drift = max(abs(a - b) for a, b in zip(mins, mins_fine))
     tol_res = 1e-6 + 2.0 * drift
     passed = all(m >= -tol_res for m in mins)

@@ -256,6 +256,9 @@ class State:
     M_right: float
     steps: int = 0
     sup: Optional[float] = None     # max of u; computed when not given
+    # no entry of u is negative (a NaN is not); never computed, only set by
+    # the steps and by callers that start from validated or stepped fields
+    nonneg: bool = False
 
     def __post_init__(self):
         if self.sup is None:
@@ -338,9 +341,13 @@ def _solve_diffusion(rhs: np.ndarray, dt: float, h: float) -> np.ndarray:
 def _reaction(u: np.ndarray, c_dt, p: float) -> np.ndarray:
     # u + c_dt u^p for a field, or for block rows that share p with c_dt a
     # column: a scalar exponent keeps np.power's sqrt and square fast paths,
-    # so each block row equals the field's result bit for bit
-    r = np.power(u, p)
-    r *= c_dt
+    # so each block row equals the field's result bit for bit; p = 1 skips
+    # the power, as pow(x, 1) = x for every x, inf and NaN included
+    if p == 1.0:
+        r = u * c_dt
+    else:
+        r = np.power(u, p)
+        r *= c_dt
     r += u
     return r
 
@@ -361,6 +368,7 @@ def step_values(state: State, scenario: Scenario, rule=None) -> tuple:
     return (eval_coeff(scenario.c, t),) + rule.flux(t, state.M_left, state.M_right)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def step(state: State, scenario: Scenario, dt: float, rule=None,
          values=None) -> State:
     """One IMEX step: explicit reaction and boundary flux, implicit diffusion,
@@ -372,13 +380,19 @@ def step(state: State, scenario: Scenario, dt: float, rule=None,
     c_t, g_left, g_right, w0 = values or step_values(state, scenario, rule)
     u = state.u
     t = state.t
-    with np.errstate(over="ignore", invalid="ignore"):
-        rhs = _reaction(u, dt * c_t, scenario.p) if c_t != 0.0 else u.copy()
-        # a non-finite rhs always solves to a non-finite field, so the
-        # finiteness of rhs needs testing only when the min or max of the
-        # solve is not finite
-        u_new = _flux_solve(rhs, dt, scenario.h, g_left, g_right)
-    m = float(u_new.min())
+    rhs = _reaction(u, dt * c_t, scenario.p) if c_t != 0.0 else u.copy()
+    # a non-finite rhs always solves to a non-finite field, so the
+    # finiteness of rhs needs testing only when the min or max of the
+    # solve is not finite
+    u_new = _flux_solve(rhs, dt, scenario.h, g_left, g_right)
+    # with c(t) >= 0 and both slopes >= 0, a field with no negative entry
+    # gives a rhs with none; the factor of I - dt D has a positive diagonal
+    # and a negative superdiagonal, so both substitutions add only
+    # nonnegative terms and the new field has none either: its min is not
+    # needed, and a NaN in the rhs still shows in the max
+    nonneg = (state.nonneg and c_t >= 0.0 and g_left >= 0.0
+              and g_right >= 0.0)
+    m = 0.0 if nonneg else float(u_new.min())
     sup = float(u_new.max())
     if (math.isfinite(m) and math.isfinite(sup)) or np.isfinite(rhs).all():
         if m < 0.0:
@@ -387,17 +401,20 @@ def step(state: State, scenario: Scenario, dt: float, rule=None,
                     f"negative undershoot {m:.3e} at t={t:.6g} (dt too large)")
             np.clip(u_new, 0.0, None, out=u_new)
             sup = float(u_new.max())
+        # no entry is negative now, unless a NaN hid one from the min
+        nonneg = not math.isnan(m)
     else:
         # reaction or flux overflowed: blow-up trigger, not an error
         u_new = np.where(np.isfinite(rhs), rhs, np.inf)
         sup = math.inf
-    return _stepped(state, dt, u_new, sup, rule, w0, scenario.q)
+    return _stepped(state, dt, u_new, sup, rule, w0, scenario.q, nonneg)
 
 
 def _stepped(state: State, dt: float, u_new: np.ndarray, sup: float, rule,
-             w0: float, q: float) -> State:
+             w0: float, q: float, nonneg: bool) -> State:
     """The state after a step of dt to u_new, with the trapezoid update of
-    the memory accumulators (weight w0 at state.t)."""
+    the memory accumulators (weight w0 at state.t); nonneg tells whether
+    u_new is known to have no negative entry."""
     w1 = rule.acc_weight(state.t + dt)
     u = state.u
     M_left = state.M_left + 0.5 * dt * (_acc_term(w0, float(u[0]), q)
@@ -405,7 +422,7 @@ def _stepped(state: State, dt: float, u_new: np.ndarray, sup: float, rule,
     M_right = state.M_right + 0.5 * dt * (_acc_term(w0, float(u[-1]), q)
                                           + _acc_term(w1, float(u_new[-1]), q))
     return State(state.t + dt, u_new, float(M_left), float(M_right),
-                 state.steps + 1, sup)
+                 state.steps + 1, sup, nonneg)
 
 
 def _acc_term(w: float, ub: float, q: float) -> float:
@@ -523,7 +540,8 @@ class _Run:
     def __init__(self, scenario: Scenario, u0: np.ndarray):
         self.scenario = scenario
         self.rule = scenario.boundary_rule()
-        self.state = state = State(0.0, u0, 0.0, 0.0)
+        # u0 comes from a validated InitialSpec: finite and >= 0
+        self.state = state = State(0.0, u0, 0.0, 0.0, nonneg=True)
         self.h = scenario.h
         self.dense_from = 0.01 * scenario.controls.blowup_threshold
         self.rows = [(0.0, state.sup, state.mass(self.h), 0.0, 0.0, 0.0)]
@@ -644,6 +662,8 @@ def run_group(scenarios) -> list:
                 rhs[rows] = _reaction(U[rows], c_dt[rows, None], p)
             U_new = _flux_solve(rhs.T, dt, h, np.array(g_left),
                                 np.array(g_right)).T
+        # the block keeps its min: checking member by member the premise
+        # under which step skips it costs as much as the min of the block
         lows = U_new.min(axis=1).tolist()
         sups = U_new.max(axis=1).tolist()
 
@@ -651,7 +671,7 @@ def run_group(scenarios) -> list:
         for row, (_, r, values, _) in enumerate(members):
             if lows[row] >= 0.0 and sups[row] < math.inf:
                 r.add(_stepped(r.state, dt, U_new[row], sups[row], r.rule,
-                               values[3], r.scenario.q), dt, landed)
+                               values[3], r.scenario.q, True), dt, landed)
                 block.append(r)
                 kept.append(row)
             else:
@@ -731,8 +751,8 @@ def verify_comparison(scenario_low: Scenario,
 
     threshold = a.controls.blowup_threshold
     rule_b = b.boundary_rule()
-    st_low = State(0.0, u0_low, 0.0, 0.0)
-    st_high = State(0.0, u0_high, 0.0, 0.0)
+    st_low = State(0.0, u0_low, 0.0, 0.0, nonneg=True)
+    st_high = State(0.0, u0_high, 0.0, 0.0, nonneg=True)
     max_viol = 0.0
     note = None
     try:

@@ -243,6 +243,29 @@ def test_verify_barrier_past_float_range_exits_2_naming_the_horizon(
     assert f"after t = {t_cap};" in err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_verify_barrier_whose_stencils_overflow_exits_2_naming_the_horizon(
+        tmp_path, capsys):
+    # the barrier values stay finite up to 59.7399, but its Laplacian, dU/dt
+    # and boundary slope overflow before that: no residual can be checked
+    doc = base_doc(exponents={"p": 0.5, "q": 0.5},
+                   k={"family": "constant", "amplitude": 1.0},
+                   solver={"t_max": 59.7})
+    assert main(["verify", "--config", write_cfg(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    head, _, tail = captured.err.partition("; ")
+    assert head == ("CONFIG ERROR: the residuals of the Th00 barrier pass "
+                    "the float range on [0, 59.7]")
+    horizon = tail.split()[0]
+    assert tail == f"{horizon} is the largest horizon on which they can be checked\n"
+    # the named horizon checks, and passes
+    doc["solver"]["t_max"] = float(horizon)
+    assert main(["verify", "--config", write_cfg(tmp_path, doc)]) == 0
+    out = capsys.readouterr().out
+    assert "nan" not in out and "VERDICT: PASS (Th00 barrier)" in out
+
+
 def test_verify_transform_equivalence(tmp_path, capsys):
     doc = base_doc(exponents={"p": 1.0, "q": 2.0},
                    c={"family": "power", "amplitude": 1.0, "gamma": 2.0},
@@ -399,6 +422,18 @@ def test_dispatch_rejects_unknown_command(tmp_path):
         dispatch("explode", cfg)
     with pytest.raises(ConfigurationError):
         dispatch("run", cfg, refine=-1)
+
+
+def test_snapshot_files_match_the_column_writer(tmp_path):
+    scn = parse_config(json.dumps(base_doc(domain={"nodes": 5}))).scenario
+    u = np.array([math.inf, -0.0, 5e-324, 1.0 / 3.0, 1.7976931348623157e308])
+    outcome = run(scn)
+    outcome.snapshots = [(0.0, u), (1.0, u[::-1].copy()), (2.0, np.zeros(5))]
+    cli._write_run_artifacts(outcome, scn, tmp_path / "run")
+    for i, (_, col) in enumerate(outcome.snapshots):
+        _write_csv(tmp_path / "want.csv", "x,u", (scn.grid(), col))
+        assert ((tmp_path / "run" / f"snap_{i:06d}.csv").read_bytes()
+                == (tmp_path / "want.csv").read_bytes())
 
 
 def test_csv_writer_matches_per_value_formatting(tmp_path):

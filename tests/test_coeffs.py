@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import integrate, special
 
 from memheat.coeffs import (
@@ -430,6 +431,20 @@ def test_cumulative_closed_forms_match_mpmath(spec, log10_t):
     C = CumulativeIntegral(spec)
     assert C(t) == pytest.approx(want, rel=1e-13, abs=0.0)
     assert C(np.array([t]))[0] == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_closed_form_lanes,
+                 st.builds(CoefficientSpec.power, _amplitudes, _exponents)),
+       arrays(np.float64, st.integers(2, 64),
+              elements=st.one_of(st.floats(0.0, 1e6), st.floats(0.0, 1e-6))))
+def test_cumulative_scalar_path_matches_array_path_bitwise(spec, ts):
+    # a float skips the arrays but applies the same ufuncs
+    C = CumulativeIntegral(spec)
+    scalars = [C(t) for t in ts.tolist()]
+    assert all(type(v) is float for v in scalars)
+    assert np.array(scalars).tobytes() == C(ts).tobytes()
+    assert [C(np.float64(t)) for t in ts] == scalars
 
 
 def test_tail_value():

@@ -29,7 +29,9 @@ from memheat.pde_core import (
     State,
     Trace,
     WeightedMemoryRule,
+    _acc_term,
     _banded_factor,
+    _flux_solve,
     _ladder,
     _solve_diffusion,
     advance,
@@ -186,6 +188,112 @@ def test_slight_negative_result_is_clipped_to_zero():
     new = step(fresh_state(scn), scn, dt, rule=rule)
     assert new.u.min() == 0.0 and new.u[0] == 0.0 and new.u[-1] == 0.0
     assert new.sup == float(new.u.max()) > 0.9
+
+
+def _reference_step(state, scenario, dt, rule=None, values=None):
+    """step as it was before it skipped the min of a field that cannot go
+    negative, dropped the p = 1 power and took its errstate as a decorator:
+    the oracle of the lean kernel."""
+    if dt <= 0.0 or not math.isfinite(dt):
+        raise ConfigurationError("dt must be positive and finite")
+    rule = rule if rule is not None else scenario.boundary_rule()
+    c_t, g_left, g_right, w0 = values or step_values(state, scenario, rule)
+    u = state.u
+    t = state.t
+    with np.errstate(over="ignore", invalid="ignore"):
+        if c_t != 0.0:
+            rhs = np.power(u, scenario.p)
+            rhs *= dt * c_t
+            rhs += u
+        else:
+            rhs = u.copy()
+        u_new = _flux_solve(rhs, dt, scenario.h, g_left, g_right)
+    m = float(u_new.min())
+    sup = float(u_new.max())
+    if (math.isfinite(m) and math.isfinite(sup)) or np.isfinite(rhs).all():
+        if m < 0.0:
+            if m < -1e-10 * max(sup, 1e-300):
+                raise SolverFault(
+                    f"negative undershoot {m:.3e} at t={t:.6g} (dt too large)")
+            np.clip(u_new, 0.0, None, out=u_new)
+            sup = float(u_new.max())
+    else:
+        u_new = np.where(np.isfinite(rhs), rhs, np.inf)
+        sup = math.inf
+    w1 = rule.acc_weight(t + dt)
+    q = scenario.q
+    M_left = state.M_left + 0.5 * dt * (_acc_term(w0, float(u[0]), q)
+                                        + _acc_term(w1, float(u_new[0]), q))
+    M_right = state.M_right + 0.5 * dt * (_acc_term(w0, float(u[-1]), q)
+                                          + _acc_term(w1, float(u_new[-1]), q))
+    return State(t + dt, u_new, float(M_left), float(M_right),
+                 state.steps + 1, sup)
+
+
+def _outcome(kernel, state, scn, dt, rule, values):
+    """A step's state as bytes, or its exception as (type, message).  An
+    overflowing outflow step can keep a negative end value, whose power in
+    _acc_term is complex: both kernels raise the same TypeError there."""
+    try:
+        new = kernel(state, scn, dt, rule, values)
+    except (SolverFault, ConfigurationError, TypeError) as exc:
+        return type(exc), str(exc)
+    return (np.array([new.t, new.M_left, new.M_right, new.sup]).tobytes(),
+            new.steps, new.u.tobytes())
+
+
+def _step_rule(kind, k, q, g):
+    if kind == "memory":
+        return MemoryRule(k)
+    if kind == "weighted":
+        return WeightedMemoryRule(k, CumulativeIntegral(CoefficientSpec.power(1.0, 2.0)), q)
+    return PrescribedFluxRule(lambda t: g)
+
+
+@settings(max_examples=400, deadline=None)
+@given(n=st.integers(3, 41), p=st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]),
+       q=st.sampled_from([0.5, 1.0, 2.0]),
+       c=st.sampled_from([0.0, 0.5, 3.0]), k=st.sampled_from([0.0, 1.0, 40.0]),
+       kind=st.sampled_from(["memory", "weighted", "outflow"]),
+       g=st.floats(-1e3, 1e3), scale=st.sampled_from([1.0, 1e100, 1e200, 1e300]),
+       hand_built=st.booleans(), level=st.integers(0, 30),
+       t=st.floats(0.0, 10.0), M=st.floats(0.0, 1e3), shared=st.booleans(),
+       data=st.data())
+def test_lean_step_equals_reference_step_bitwise(n, p, q, c, k, kind, g, scale,
+                                                 hand_built, level, t, M,
+                                                 shared, data):
+    # hand-built states may hold negative or infinite entries and take the
+    # full min; states a step made are nonnegative and may skip it
+    scn = scenario(p=p, q=q, c=CoefficientSpec.constant(c), n_nodes=n)
+    rule = _step_rule(kind, CoefficientSpec.constant(k), q, g)
+    low = -1.0 if hand_built else 0.0
+    u = scale * data.draw(arrays(np.float64, n, elements=st.floats(low, 10.0)))
+    if hand_built and data.draw(st.booleans()):
+        u[data.draw(st.integers(0, n - 1))] = math.inf
+    state = State(t, u, M, 0.5 * M, steps=3, nonneg=not hand_built)
+    dt = 2e-3 * 2.0 ** -level
+    values = step_values(state, scn, rule) if shared else None
+    want = _outcome(_reference_step, state, scn, dt, rule, values)
+    assert _outcome(step, state, scn, dt, rule, values) == want
+    if isinstance(want[0], type):
+        return
+    # from a step's own result, which carries the flag the step set
+    new = step(state, scn, dt, rule, values)
+    assert not (new.nonneg and (new.u < 0).any())
+    assert (_outcome(step, new, scn, dt, rule, None)
+            == _outcome(_reference_step, new, scn, dt, rule, None))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(3, 401), m=st.integers(0, 4), level=st.integers(0, 60),
+       data=st.data())
+def test_solve_of_a_nonnegative_rhs_is_nonnegative(n, m, level, data):
+    # the premise of skipping the min: positive pivots and a negative
+    # superdiagonal only add nonnegative terms, overflow included
+    rhs = data.draw(arrays(np.float64, (n, m) if m else n,
+                           elements=st.floats(0.0, 1.7e308)))
+    v = _solve_diffusion(rhs, 2e-3 * 2.0 ** -level, 1.0 / (n - 1))
+    assert v.min() >= 0.0
 
 
 @pytest.mark.parametrize("make", [
