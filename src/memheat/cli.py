@@ -373,10 +373,8 @@ def _cmd_oracle(config: RunConfig, refine: int) -> int:
     scn = config.scenario
     if not isinstance(scn.u0.value, (int, float)):
         raise ConfigurationError("oracle mode needs a scalar initial.value")
-    f = 2 ** refine
     ctr = replace(DEFAULT_ODE_CONTROLS,
-                  rtol=DEFAULT_ODE_CONTROLS.rtol / f,
-                  theta=DEFAULT_ODE_CONTROLS.theta / f)
+                  rtol=DEFAULT_ODE_CONTROLS.rtol / 2 ** refine)
     prob = OdeProblem(a=0.0, y_a=float(scn.u0.value), yp_a=0.0, q=scn.q,
                       b=scn.k)
     outcome = integrate_ode(prob, r_max=scn.controls.t_max, controls=ctr)
@@ -437,7 +435,8 @@ def main(argv=None) -> int:
                         help="path to a JSON scenario document")
     parser.add_argument("--out", help="output directory (overrides output.dir)")
     parser.add_argument("--refine", type=int, default=0, metavar="K",
-                        help="double N and halve theta K times")
+                        help="double N and halve theta K times; for "
+                             "oracle, halve rtol K times")
     parser.add_argument("--transform", action="store_true",
                         help="verify: check the two-route equivalence instead "
                              "of a barrier")

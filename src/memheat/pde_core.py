@@ -426,15 +426,16 @@ def _stepped(state: State, dt: float, u_new: np.ndarray, sup: float, rule,
 
 
 def _acc_term(w: float, ub: float, q: float) -> float:
-    # a vanished boundary value contributes nothing even if the weight overflowed
-    if ub == 0.0:
+    # a vanished boundary value contributes nothing even if the weight
+    # overflowed; a zero weight (prescribed flux) contributes nothing even if
+    # an outflow step left a negative end value, whose ub ** q may be complex
+    if ub <= 0.0 or w == 0.0:
         return 0.0
     try:
         return w * ub ** q
     except OverflowError:
-        # the power passed the float range; a zero weight (prescribed flux)
-        # still contributes nothing
-        return math.inf if w != 0.0 else 0.0
+        # the power passed the float range
+        return math.inf
 
 
 def choose_dt(state: State, scenario: Scenario, rule=None,

@@ -5,6 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from scipy.integrate import solve_ivp
+
+from memheat import ode_oracle
 from memheat.coeffs import ZERO, CoefficientSpec
 from memheat.errors import ConfigurationError, NotApplicableError
 from memheat.ode_oracle import (
@@ -47,8 +50,6 @@ def test_problem_validation():
         integrate_ode(OdeProblem(0.0, 1.0, 0.0, 2.0, b), r_max=0.0)
     with pytest.raises(ConfigurationError):
         OdeControls(rtol=0.0)
-    with pytest.raises(ConfigurationError):
-        OdeControls(theta=-1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -79,6 +80,39 @@ def test_closed_form_blowup_radius():
     assert out.refinement_stability <= 1e-6
 
 
+def test_closed_form_crossing_radius_to_1e8():
+    out = integrate_ode(closed_form_problem(), r_max=10.0)
+    r_cross = SQRT6 * (1.0 - 1e-5)
+    assert abs(out.R_star - r_cross) / r_cross <= 1e-8
+
+
+@pytest.mark.parametrize("prob", [
+    closed_form_problem(),
+    OdeProblem(a=0.0, y_a=1.0, yp_a=1.0, q=2.0,
+               b=CoefficientSpec.power(0.01, 4.0)),
+], ids=["blowup", "global"])
+def test_one_solve_per_tolerance_pass(prob, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return solve_ivp(*args, **kwargs)
+    monkeypatch.setattr(ode_oracle, "solve_ivp", counted)
+    integrate_ode(prob, r_max=100.0)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("q, b, r_max, want", [
+    (2.0, CoefficientSpec.constant(1.0), 20.0, 2.9744529233453743),
+    (3.0, CoefficientSpec.power_log(1.0, 2.0, log_depth=1, log_power=0.0),
+     50.0, 18.815959079373236),
+], ids=["q2_const", "q3_powerlog"])
+def test_benchmark_oracle_radii(q, b, r_max, want):
+    # the oracle configs of the analyze workload: y(0) = 1, y'(0) = 0
+    out = integrate_ode(OdeProblem(0.0, 1.0, 0.0, q, b), r_max=r_max)
+    assert abs(out.R_star - want) / want <= 1e-7
+
+
 def test_closed_form_trajectory_accuracy():
     out = integrate_ode(closed_form_problem(), r_max=10.0)
     mask = out.y_path <= 1e6
@@ -92,7 +126,7 @@ def test_closed_form_trajectory_accuracy():
 
 def test_steps_shrink_near_blowup():
     out = integrate_ode(closed_form_problem(), r_max=10.0)
-    # rate cap theta / sqrt(b y^{q-1}) is ~1e-6 once y nears the threshold
+    # error control alone shrinks the steps to ~5e-6 as y nears the threshold
     assert float(np.max(np.diff(out.r_path)[-5:])) <= 1e-5
 
 
