@@ -18,7 +18,7 @@ from .constructions import (AuxiliarySolution, DominationReport,
                             build_th00_supersolution, build_th2_supersolution,
                             build_th4_supersolution, check_domination,
                             small_data_threshold, solve_auxiliary_linear,
-                            verify_supersolution, z_ode_residual, z_profile)
+                            verify_supersolution, z_profile)
 from .criteria import (FAILS, HOLDS, REGIME_BLOWUP_ALL, REGIME_BOUNDED_SMALL,
                        REGIME_GLOBAL_ALL, REGIME_GLOBAL_SMALL,
                        REGIME_INDETERMINATE, UNDECIDED, ConditionReport,
@@ -52,7 +52,7 @@ __all__ = [
     "SupersolutionSpec", "build_th00_supersolution", "build_th2_supersolution",
     "build_th4_supersolution", "check_domination",
     "small_data_threshold", "solve_auxiliary_linear", "verify_supersolution",
-    "z_ode_residual", "z_profile",
+    "z_profile",
     "FAILS", "HOLDS", "REGIME_BLOWUP_ALL", "REGIME_BOUNDED_SMALL",
     "REGIME_GLOBAL_ALL", "REGIME_GLOBAL_SMALL", "REGIME_INDETERMINATE",
     "UNDECIDED", "ConditionReport", "RegimeVerdict", "classify_regime",

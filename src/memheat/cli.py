@@ -27,7 +27,8 @@ from .constructions import (
     verify_supersolution,
 )
 from .criteria import classify_regime
-from .errors import ConfigurationError, DomainError, NotApplicableError
+from .errors import (ConfigurationError, DomainError, NotApplicableError,
+                     SolverFault)
 from .ode_oracle import (
     DEFAULT_ODE_CONTROLS,
     OdeProblem,
@@ -374,7 +375,8 @@ def _cmd_oracle(config: RunConfig, refine: int) -> int:
     if not isinstance(scn.u0.value, (int, float)):
         raise ConfigurationError("oracle mode needs a scalar initial.value")
     ctr = replace(DEFAULT_ODE_CONTROLS,
-                  rtol=DEFAULT_ODE_CONTROLS.rtol / 2 ** refine)
+                  rtol=DEFAULT_ODE_CONTROLS.rtol / 2 ** refine,
+                  blowup_threshold=scn.controls.blowup_threshold)
     prob = OdeProblem(a=0.0, y_a=float(scn.u0.value), yp_a=0.0, q=scn.q,
                       b=scn.k)
     outcome = integrate_ode(prob, r_max=scn.controls.t_max, controls=ctr)
@@ -454,6 +456,9 @@ def main(argv=None) -> int:
     except (ConfigurationError, DomainError, NotApplicableError) as exc:
         print(f"CONFIG ERROR: {exc}", file=sys.stderr)
         return 2
+    except SolverFault as exc:
+        print(f"SOLVER FAULT: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -7,12 +7,14 @@ convergence questions are answered in closed form whenever possible and by
 a guarded numerical protocol otherwise.  Every judgement on behaviour as
 t -> inf that the classifier and the oracle make lives here: improper
 integrals against a power weight, boundedness of a growth form, and the
-sampled monotonicity and sup-stabilization checks.
+sampled monotonicity and sup-stabilization checks.  Cumulative integrals
+C(t) = int_0^t c, their tails and the weights ln int_0^t e^{mC} are closed
+forms where the family allows and otherwise use one Gauss-Legendre rule on
+dyadic panels.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 import numbers
 from dataclasses import dataclass
@@ -340,6 +342,32 @@ def spec_from_json(doc: dict, where: str = "coefficient") -> CoefficientSpec:
 # ---------------------------------------------------------------------------
 # cumulative integrals
 
+_PANEL_NODES = 20  # Gauss-Legendre nodes per panel of C(t) and log_int_exp
+
+
+@lru_cache(maxsize=16)
+def _gauss_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Gauss-Legendre rule on [0, 1] as (nodes, weights).
+
+    Built on first use (never at import) and shared read-only by callers.
+    """
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    u, w = 0.5 * (x + 1.0), 0.5 * w
+    u.flags.writeable = w.flags.writeable = False
+    return u, w
+
+
+def _panel_sums(f: Callable, a, b):
+    """int_a^b f by the panel rule, elementwise over arrays a <= b; f maps
+    an array of times to values."""
+    u, w = _gauss_rule(_PANEL_NODES)
+    width = b - a
+    # far out s^gamma overflows to inf, where the coefficient is 0
+    with np.errstate(over="ignore"):
+        vals = f(a[..., None] + width[..., None] * u)
+    return width * np.sum(vals * w, axis=-1)
+
+
 def log_lane(spec: CoefficientSpec) -> Optional[tuple[float, int]]:
     """(A, j) when spec = A/((T_j+t) l_j(T_j+t)) with j >= 1, else None.
 
@@ -368,14 +396,15 @@ class CumulativeIntegral:
 
     C(t) works on the canonical form of the spec, so aliases share a path:
     closed form for constant, power, exp_decay and the log lane of power_log
-    (`log_lane`), exact piecewise for tabulated, and adaptive quadrature on a
-    growing knot cache for the rest of power_log.
+    (`log_lane`), exact piecewise for tabulated, and for the rest of
+    power_log a table of Gauss-Legendre panel sums on the dyadic panels
+    [0, 1], [1, 2], [2, 4], ... plus one partial panel (`_panel_sums`).
+    The same rule gives `log_int_exp` off its closed forms; `tail` is the
+    total integral less C(t).
     """
 
     def __init__(self, spec: CoefficientSpec):
         self.spec = spec.canonical
-        self._knots_t = [0.0]
-        self._knots_c = [0.0]
 
     def __call__(self, t):
         if isinstance(t, (int, float)):
@@ -407,9 +436,10 @@ class CumulativeIntegral:
             return sp.amplitude * (-np.expm1(-sp.lam * t)) / sp.lam
         if log_lane(sp) is not None:
             return sp.amplitude * _log_lane_chain(t, sp.log_depth)
-        if isinstance(t, float):
-            return self._numeric_scalar(t)
-        return self._numeric_cumulative(t)
+        edges, cum = self._panel_table
+        t = np.asarray(t)
+        j = np.searchsorted(edges, t, side="right") - 1
+        return cum[j] + _panel_sums(self.spec, edges[j], t)
 
     def _tabulated_cumulative(self, arr):
         sp = self.spec
@@ -420,74 +450,79 @@ class CumulativeIntegral:
         j = np.searchsorted(ts, arr, side="right") - 1
         return cum[j] + 0.5 * (vs[j] + eval_coeff(sp, arr)) * (arr - ts[j])
 
-    def _numeric_cumulative(self, arr):
-        flat = np.atleast_1d(arr)
-        out = np.empty_like(flat)
-        for i, t in enumerate(flat):
-            out[i] = self._numeric_scalar(float(t))
-        return out.reshape(np.shape(arr))
+    @cached_property
+    def _panel_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """(edges, C at the edges) for the panels [0, 1], [1, 2], [2, 4], ...
+        up to 2^1023, the largest power of two in a float; built on first use."""
+        edges = np.concatenate([[0.0], np.ldexp(1.0, np.arange(1024))])
+        sums = _panel_sums(self.spec, edges[:-1], edges[1:])
+        return edges, np.concatenate([[0.0], np.cumsum(sums)])
 
-    def _numeric_scalar(self, t: float) -> float:
-        # extend the knot cache monotonically; integrand is smooth and decreasing
-        kt, kc = self._knots_t, self._knots_c
-        if t <= kt[-1]:
-            j = bisect.bisect_right(kt, t) - 1
-            if kt[j] == t:
-                return kc[j]
-            val, _ = integrate.quad(lambda x: eval_coeff(self.spec, x), kt[j], t,
-                                    epsabs=1e-12, epsrel=1e-10, limit=200)
-            return kc[j] + val
-        while kt[-1] < t:
-            nxt = min(t, max(kt[-1] * 2.0, kt[-1] + 1.0))
-            val, _ = integrate.quad(lambda x: eval_coeff(self.spec, x), kt[-1], nxt,
-                                    epsabs=1e-12, epsrel=1e-10, limit=200)
-            kt.append(nxt)
-            kc.append(kc[-1] + val)
-        return kc[-1]
+    @cached_property
+    def _total(self) -> IntegralVerdict:
+        """The verdict on int_0^inf f, taken on first use."""
+        return integrate_improper(self.spec)
 
-    def tail(self, t: float) -> float:
-        """int_t^inf f.  Raises NotApplicableError when divergent."""
-        verdict = integrate_improper(self.spec, weight=0.0, t_lower=t)
-        if verdict.status != CONVERGES:
+    def tail(self, t):
+        """int_t^inf f = int_0^inf f - C(t), for a float or an array t >= 0.
+        Raises NotApplicableError when divergent."""
+        total = self._total
+        if not total.converges:
             raise NotApplicableError(
-                f"tail integral from {t} does not converge ({verdict.status})")
-        return verdict.value
+                f"tail integral does not converge ({total.status})")
+        return total.value - self(t)
 
-    def log_int_exp(self, t: float, mult: float) -> float:
-        """ln of int_0^t exp(mult * C(tau)) dtau, evaluated without overflow."""
-        if t < 0:
+    def log_int_exp(self, t, mult: float):
+        """ln of int_0^t exp(mult * C(tau)) dtau, evaluated without overflow.
+
+        t may be an array on the closed forms: c = 0 or mult A = 0 in
+        floats, constant c and harmonic c = A/(1+t).
+        """
+        arr = np.asarray(t, dtype=float)
+        if np.any(arr < 0):
             raise DomainError("log_int_exp defined for t >= 0")
+        sp = self.spec
+        with np.errstate(divide="ignore"):
+            if sp.is_zero or mult * sp.amplitude == 0.0:
+                out = np.log(arr)
+            elif sp.family == "constant":
+                # int_0^t e^{r tau} = e^{rt} (1 - e^{-rt})/r, r = mult A
+                r = mult * sp.amplitude
+                out = r * arr + np.log(-np.expm1(-r * arr)) - math.log(r)
+            elif sp.family == "power" and abs(sp.gamma - 1.0) <= _EXP_TOL:
+                # int_0^t (1+tau)^e = e^x (1 - e^{-x})/(e+1), e = mult A and
+                # x = (e+1) ln(1+t)
+                e1 = mult * sp.amplitude + 1.0
+                x = e1 * np.log1p(arr)
+                out = x + np.log(-np.expm1(-x)) - math.log(e1)
+            else:
+                return self._log_int_exp_panels(float(t), mult)
+        return float(out) if arr.ndim == 0 else out
+
+    def _log_int_exp_panels(self, t: float, mult: float) -> float:
+        """log_int_exp by the panel rule.
+
+        The integrand exp(mult (C(tau) - C(t))) <= 1 varies on the scale
+        1/(mult sup f), so panels of about that width sit at tau = 0 and
+        tau = t and double toward t/2; a tabulated f adds its nodes as edges.
+        """
         if t == 0.0:
             return -math.inf
-        sp = self.spec
-        if mult == 0.0 or sp.is_zero:
-            return math.log(t)
-        if sp.family == "constant":
-            r = mult * sp.amplitude
-            # int_0^t e^{r tau} = (e^{rt} - 1)/r
-            return r * t + math.log1p(-math.exp(-r * t)) - math.log(r)
-        if sp.family == "power" and abs(sp.gamma - 1.0) <= _EXP_TOL:
-            e = mult * sp.amplitude
-            # int_0^t (1+tau)^e = ((1+t)^{e+1} - 1)/(e+1)
-            return ((e + 1.0) * math.log1p(t)
-                    + math.log1p(-(1.0 + t) ** (-(e + 1.0)))
-                    - math.log(e + 1.0))
+        rate = mult * coefficient_sup(self.spec, t)
+        h = 2.0 ** -math.ceil(math.log2(max(rate, 1.0)))
+        half = 0.5 * t
+        d = np.ldexp(h, np.arange(math.frexp(half / h)[1]))
+        d = d[d < half]
+        edges = np.concatenate([[0.0], d, [half], t - d[::-1], [t]])
+        if self.spec.family == "tabulated":
+            edges = np.union1d(edges, [row[0] for row in self.spec.table
+                                       if 0.0 < row[0] < t])
         ct = self(t)
 
         def g(tau):
-            return math.exp(min(mult * (self(tau) - ct), 0.0))
-
-        # integrand peaks at tau = t with width ~ 1/(mult * f(t)); hint quad
-        rate = mult * max(eval_coeff(sp, t), 1e-300)
-        width = 1.0 / rate
-        hints = {max(0.0, t - k * width) for k in (1.0, 3.0, 10.0, 30.0)}
-        if sp.family == "tabulated":
-            hints.update(row[0] for row in sp.table)
-        pts = sorted(p for p in hints if 0.0 < p < t)
-        val, _ = integrate.quad(g, 0.0, t, points=pts or None,
-                                epsabs=1e-14, epsrel=1e-10, limit=200)
-        val = max(val, 1e-300)
-        return mult * ct + math.log(val)
+            return np.exp(np.minimum(mult * (self(tau) - ct), 0.0))
+        val = float(np.sum(_panel_sums(g, edges[:-1], edges[1:])))
+        return mult * ct + math.log(max(val, 1e-300))
 
 
 # ---------------------------------------------------------------------------
@@ -766,19 +801,11 @@ def numeric_improper(f: Callable, t_lower: float = 0.0,
 # ---------------------------------------------------------------------------
 # square-root-window supremum
 
-@lru_cache(maxsize=16)
 def _window_rule(t0: float, nodes: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """Gauss-Legendre rule on s in [0, sqrt(t0)]: (s^2, weights, scale).
-
-    Built on first use (never at import) and shared read-only by callers.
-    """
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    half = 0.5 * math.sqrt(t0)
-    s = half * (x + 1.0)
-    s2 = s * s
-    s2.flags.writeable = False
-    w.flags.writeable = False
-    return s2, w, 2.0 * half
+    """Gauss-Legendre rule on s in [0, sqrt(t0)]: (s^2, weights, scale)."""
+    u, w = _gauss_rule(nodes)
+    s2 = (math.sqrt(t0) * u) ** 2
+    return s2, w, 2.0 * math.sqrt(t0)
 
 
 def sqrt_window_integral(flux: Callable, t: float, t0: float, nodes: int = 48) -> float:

@@ -196,39 +196,20 @@ def build_th00_supersolution(scenario: Scenario, T: float) -> SupersolutionSpec:
                              evaluate)
 
 
-def z_profile(p: float, alpha: float, Y: float, c: CoefficientSpec,
-              t: float) -> float:
+def z_profile(p: float, alpha: float, Y: float, c, t):
     """Reaction absorber z(t) = (1 + (p-1)(alpha Y)^{p-1} int_t^inf c)^{-1/(p-1)}.
 
     Solves z' = (alpha Y)^{p-1} c(t) z^p with z(inf) = 1; requires a
-    convergent reaction tail.
+    convergent reaction tail.  c is a CoefficientSpec or a CumulativeIntegral
+    (reused across calls); t is a float or an array of times.
     """
     if p <= 1.0:
         raise ConfigurationError("the absorber profile needs p > 1")
     if alpha <= 0 or Y < 1.0:
         raise ConfigurationError("need alpha > 0 and Y >= 1")
-    tail = CumulativeIntegral(c).tail(t)
-    base = 1.0 + (p - 1.0) * (alpha * Y) ** (p - 1.0) * tail
+    cum = c if isinstance(c, CumulativeIntegral) else CumulativeIntegral(c)
+    base = 1.0 + (p - 1.0) * (alpha * Y) ** (p - 1.0) * cum.tail(t)
     return base ** (-1.0 / (p - 1.0))
-
-
-def z_ode_residual(p: float, alpha: float, Y: float, c: CoefficientSpec,
-                   ts: np.ndarray) -> float:
-    """Max |z' - (alpha Y)^{p-1} c z^p| with z' by 5-point finite difference.
-
-    Evaluated on the interior of the stencil (two nodes trimmed at each end).
-    """
-    ts = np.asarray(ts, dtype=float)
-    if len(ts) < 5:
-        raise ConfigurationError("residual stencil needs >= 5 nodes")
-    dt = ts[1] - ts[0]
-    if not np.allclose(np.diff(ts), dt):
-        raise ConfigurationError("residual stencil needs a uniform grid")
-    z = np.array([z_profile(p, alpha, Y, c, t) for t in ts])
-    dz = (z[:-4] - 8 * z[1:-3] + 8 * z[3:-1] - z[4:]) / (12 * dt)
-    mid = slice(2, -2)
-    rhs = (alpha * Y) ** (p - 1.0) * eval_coeff(c, ts[mid]) * z[mid] ** p
-    return float(np.max(np.abs(dz - rhs)))
 
 
 def build_th2_supersolution(scenario: Scenario, t_max: float,
@@ -259,16 +240,16 @@ def build_th2_supersolution(scenario: Scenario, t_max: float,
     Y = aux.bound
     alpha_max = Y ** (-q / (q - 1.0))
     alpha = alpha_max if alpha is None else min(alpha, alpha_max)
-    c = scenario.c
+    cum = CumulativeIntegral(scenario.c)
     grid = aux.grid
 
     def evaluate(x: np.ndarray, t: float) -> np.ndarray:
-        z = z_profile(p, alpha, Y, c, t)
+        z = z_profile(p, alpha, Y, cum, t)
         y = np.interp(np.asarray(x), grid, aux.at(t))
         return alpha * z * y
 
     params = {"alpha": alpha, "Y": Y,
-              "z0": z_profile(p, alpha, Y, c, 0.0)}
+              "z0": z_profile(p, alpha, Y, cum, 0.0)}
     return SupersolutionSpec("Th2", params, evaluate, aux=aux)
 
 
@@ -402,6 +383,8 @@ def _time_derivative(W: np.ndarray, lo: int, s: int, e: int,
     return out
 
 
+# a stencil that overflows shows as a non-finite minimum
+@np.errstate(over="ignore", invalid="ignore")
 def _residual_mins(spec: SupersolutionSpec, scenario: Scenario,
                    times: np.ndarray, x: np.ndarray):
     """(interior, boundary, initial) residual minima and their locations.
@@ -436,8 +419,7 @@ def _residual_mins(spec: SupersolutionSpec, scenario: Scenario,
         if s == 0:
             row0 = U[0].copy()
 
-        with np.errstate(over="ignore"):
-            react = cvals[s:e, None] * U[:, 1:-1] ** scenario.p
+        react = cvals[s:e, None] * U[:, 1:-1] ** scenario.p
         lap = (U[:, :-2] - 2.0 * U[:, 1:-1] + U[:, 2:]) / (h * h)
         r_int = _time_derivative(W[:, 1:-1], lo, s, e, stencil) - lap - react
         k = int(np.argmin(r_int))
@@ -448,9 +430,8 @@ def _residual_mins(spec: SupersolutionSpec, scenario: Scenario,
 
     slope_nu_l = (3.0 * left[:, 0] - 4.0 * left[:, 1] + left[:, 2]) / (2.0 * h)
     slope_nu_r = (3.0 * right[:, 2] - 4.0 * right[:, 1] + right[:, 0]) / (2.0 * h)
-    with np.errstate(over="ignore"):
-        mem_l = cumulative_trapezoid(left[:, 0] ** scenario.q, times, initial=0.0)
-        mem_r = cumulative_trapezoid(right[:, 2] ** scenario.q, times, initial=0.0)
+    mem_l = cumulative_trapezoid(left[:, 0] ** scenario.q, times, initial=0.0)
+    mem_r = cumulative_trapezoid(right[:, 2] ** scenario.q, times, initial=0.0)
     r_bnd = np.stack([slope_nu_l - kvals * mem_l, slope_nu_r - kvals * mem_r])
 
     u0_on_x = np.interp(x, scenario.grid(), scenario.initial_field())
@@ -487,11 +468,8 @@ def _check_mins(spec: SupersolutionSpec, scenario: Scenario, T: float,
     else:
         times = np.linspace(0.0, T, nt if nt is not None else 2001)
     x = scenario.grid()
-    # a stencil that overflows shows as a non-finite minimum
-    with np.errstate(over="ignore", invalid="ignore"):
-        coarse = _residual_mins(spec, scenario, times, x)
-        fine, _ = _residual_mins(spec, scenario,
-                                 _refine_axis(times), _refine_axis(x))
+    coarse = _residual_mins(spec, scenario, times, x)
+    fine, _ = _residual_mins(spec, scenario, _refine_axis(times), _refine_axis(x))
     return coarse, fine
 
 

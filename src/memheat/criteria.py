@@ -296,38 +296,26 @@ def weighted_memory_conditions(q: float, c: CoefficientSpec,
 def effective_flux(c: CoefficientSpec, k: CoefficientSpec, q: float) -> Callable:
     """Vectorized kappa(t) = k(t) e^{-C(t)} int_0^t e^{q C(tau)} dtau.
 
-    Exactly t k(t) when c = 0 or k = 0, closed forms for constant and
-    harmonic reaction lanes; otherwise a dense grid accumulation in log space
-    up to t = 2e4 (twice the last probe of `memory_window_check`) with linear
+    Exactly t k(t) when c = 0 or k = 0; k e^{log_int_exp - C} on the
+    closed-form lanes of `CumulativeIntegral.log_int_exp` (constant and
+    harmonic c); otherwise a dense grid accumulation in log space up to
+    t = 2e4 (twice the last probe of `memory_window_check`) with linear
     interpolation.
     """
     if c.is_zero or k.is_zero:
         return lambda ts: np.asarray(ts, dtype=float) * eval_coeff(k, ts)
-    cc = c.canonical
-    if cc.family == "constant":
-        A = cc.amplitude
-
-        def kappa_const(ts):
+    cum = CumulativeIntegral(c)
+    cc = cum.spec
+    if cc.family == "constant" or (cc.family == "power"
+                                   and abs(cc.gamma - 1.0) <= _TOL):
+        def kappa_lane(ts):
             ts = np.asarray(ts, dtype=float)
             with np.errstate(over="ignore", invalid="ignore"):
-                out = (eval_coeff(k, ts)
-                       * (np.exp((q - 1.0) * A * ts) - np.exp(-A * ts)) / (q * A))
+                out = eval_coeff(k, ts) * np.exp(cum.log_int_exp(ts, q) - cum(ts))
             # 0 * inf only arises when k vanishes there, so kappa is 0
             return np.nan_to_num(out, nan=0.0, posinf=np.inf)
-        return kappa_const
-    if cc.family == "power" and abs(cc.gamma - 1.0) <= _TOL:
-        beta = cc.amplitude
-        e = q * beta
+        return kappa_lane
 
-        def kappa_harm(ts):
-            ts = np.asarray(ts, dtype=float)
-            with np.errstate(over="ignore", invalid="ignore"):
-                out = (eval_coeff(k, ts) * (1.0 + ts) ** (-beta)
-                       * ((1.0 + ts) ** (e + 1.0) - 1.0) / (e + 1.0))
-            return np.nan_to_num(out, nan=0.0, posinf=np.inf)
-        return kappa_harm
-
-    cum = CumulativeIntegral(c)
     grid = np.concatenate([np.linspace(0.0, 10.0, 2001),
                            np.geomspace(10.0, 2e4, 4000)[1:]])
     Cg = np.asarray(cum(grid))

@@ -399,6 +399,34 @@ def test_oracle_global_is_evidence_only(tmp_path, capsys):
     assert "VERDICT: criterion does not apply" in out
 
 
+def test_oracle_solver_fault_is_an_aborted_run(tmp_path, capsys):
+    # q = 5 from y(0) = 1: the step size collapses below the float spacing
+    # of r before y reaches the threshold
+    doc = base_doc(exponents={"p": 1.0, "q": 5.0},
+                   k={"family": "constant", "amplitude": 1.0},
+                   solver={"t_max": 10.0})
+    cfg = write_cfg(tmp_path, doc)
+    assert main(["oracle", "--config", cfg]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("SOLVER FAULT: integration failed at r = ")
+
+
+def _oracle_r_star(tmp_path, capsys, threshold):
+    doc = base_doc(k={"family": "constant", "amplitude": 1.0},
+                   solver={"t_max": 10.0, "blowup_threshold": threshold})
+    assert main(["oracle", "--config", write_cfg(tmp_path, doc)]) == 0
+    out = capsys.readouterr().out
+    return float(out.split("OUTCOME: R_star ")[1].split()[0])
+
+
+def test_oracle_uses_the_blowup_threshold(tmp_path, capsys):
+    low = _oracle_r_star(tmp_path, capsys, 1e5)
+    default = _oracle_r_star(tmp_path, capsys, 1e10)
+    assert low < default
+    assert default == _oracle_r_star(tmp_path, capsys, 1e10)
+
+
 def test_oracle_needs_scalar_initial(tmp_path, capsys):
     vals = [1.0] * 51
     doc = base_doc(initial={"family": "tabulated", "value": vals},

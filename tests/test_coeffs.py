@@ -2,6 +2,7 @@
 
 import json
 import math
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import integrate, special
 
+from memheat import coeffs
 from memheat.coeffs import (
     CONVERGES,
     DIVERGES,
@@ -37,7 +39,7 @@ from memheat.coeffs import (
     tail_verdict,
 )
 from memheat.criteria import effective_flux
-from memheat.errors import ConfigurationError, DomainError
+from memheat.errors import ConfigurationError, DomainError, NotApplicableError
 
 E = math.e
 
@@ -317,8 +319,10 @@ def test_cumulative_log_lane_closed_form_matches_quad(amp, depth, log10_t):
     assert log_lane(spec) == (amp, depth)
     C = CumulativeIntegral(spec)
     t = 10.0 ** log10_t
-    assert C(t) == pytest.approx(_quad_cumulative(spec, t), rel=1e-10)
-    assert C._knots_t == [0.0]  # closed form: the quadrature knot cache is unused
+    # a closed form evaluates c nowhere, so it builds no panel table
+    with mock.patch.object(coeffs, "eval_coeff", side_effect=AssertionError):
+        got = C(t)
+    assert got == pytest.approx(_quad_cumulative(spec, t), rel=1e-10)
 
 
 def test_log_lane_needs_unit_gamma_no_log_power_and_depth():
@@ -330,13 +334,54 @@ def test_log_lane_needs_unit_gamma_no_log_power_and_depth():
 
 
 def test_cumulative_numeric_revisits_match_quad():
-    # off the log lane, C(t) comes from the knot cache plus one quad piece
+    # off the log lane, C(t) is a panel table plus one partial panel; the
+    # order of the calls does not matter, and a revisit gives the same bits
     spec = CoefficientSpec.power_log(1.0, 2.0, 1, log_power=1.0)
     C = CumulativeIntegral(spec)
     forward = [0.5, 3.0, 40.0, 2000.0, 1e5]
-    for t in forward + [1e5, 7.0, 0.25, 3.0, 1500.0, 40.0]:
-        assert C(t) == pytest.approx(_quad_cumulative(spec, t), rel=1e-10)
-    assert C._knots_t == sorted(C._knots_t)
+    first = {t: C(t) for t in forward}
+    for t in [1e5, 7.0, 0.25, 3.0, 1500.0, 40.0]:
+        assert C(t) == pytest.approx(_quad_cumulative(spec, t), rel=1e-12)
+        assert t not in first or C(t) == first[t]
+    assert CumulativeIntegral(spec)(7.0) == C(7.0)
+
+
+def _mp_power_log(spec):
+    """A power_log coefficient as an mpmath function of an mpf t."""
+    a, gamma = mpmath.mpf(spec.amplitude), mpmath.mpf(spec.gamma)
+    tower = mpmath.mpf(1)
+    for _ in range(spec.log_depth):
+        tower = mpmath.exp(tower)
+
+    def f(t):
+        s = v = tower + t
+        prod = 1
+        for _ in range(spec.log_depth):
+            v = mpmath.log(v)
+            prod *= v
+        return a / (s ** gamma * prod * v ** mpmath.mpf(spec.log_power))
+    return f
+
+
+_off_lane = st.builds(CoefficientSpec.power_log, st.floats(0.1, 10.0),
+                      st.floats(0.0, 3.0), st.integers(1, 3),
+                      st.floats(0.0, 3.0)).filter(lambda s: log_lane(s) is None)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_off_lane, st.floats(-6.0, 9.0))
+@example(CoefficientSpec.power_log(1.0, 2.0, 1, log_power=1.0), 9.0)
+@example(CoefficientSpec.power_log(10.0, 0.5, 1), -6.0)
+def test_cumulative_off_lane_matches_mpmath(spec, log10_t):
+    # reference: mpmath.quad at 30 digits over the dyadic panels up to t
+    t = 10.0 ** log10_t
+    with mpmath.workdps(30):
+        edges = ([0] + [mpmath.mpf(2) ** e for e in range(31) if 2.0 ** e < t]
+                 + [mpmath.mpf(t)])
+        want = float(mpmath.quad(_mp_power_log(spec), edges))
+    C = CumulativeIntegral(spec)
+    assert C(t) == pytest.approx(want, rel=1e-13, abs=0.0)
+    assert C(np.array([t]))[0] == C(t)
 
 
 def _power_aliases(a, gamma):
@@ -435,7 +480,8 @@ def test_cumulative_closed_forms_match_mpmath(spec, log10_t):
 
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(_closed_form_lanes,
-                 st.builds(CoefficientSpec.power, _amplitudes, _exponents)),
+                 st.builds(CoefficientSpec.power, _amplitudes, _exponents),
+                 _off_lane),
        arrays(np.float64, st.integers(2, 64),
               elements=st.one_of(st.floats(0.0, 1e6), st.floats(0.0, 1e-6))))
 def test_cumulative_scalar_path_matches_array_path_bitwise(spec, ts):
@@ -447,10 +493,28 @@ def test_cumulative_scalar_path_matches_array_path_bitwise(spec, ts):
     assert [C(np.float64(t)) for t in ts] == scalars
 
 
-def test_tail_value():
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(st.floats(0.0, 1e8), st.floats(0.0, 1e-6)),
+       arrays(np.float64, st.integers(1, 20), elements=st.floats(0.0, 1e8)))
+@example(1.0, np.array([0.0]))
+def test_tail_value(t, ts):
     C = CumulativeIntegral(CoefficientSpec.power(1.0, 2.0))
     # int_t^inf (1+s)^-2 ds = 1/(1+t)
-    assert C.tail(1.0) == pytest.approx(0.5, rel=1e-6)
+    assert C.tail(t) == pytest.approx(1.0 / (1.0 + t), rel=0.0, abs=1e-12)
+    np.testing.assert_allclose(C.tail(ts), 1.0 / (1.0 + ts), rtol=0.0, atol=1e-12)
+
+
+def test_tail_takes_one_verdict_and_raises_when_divergent():
+    C = CumulativeIntegral(CoefficientSpec.exp_decay(2.0, 0.5))
+    with mock.patch.object(coeffs, "integrate_improper",
+                           wraps=integrate_improper) as verdicts:
+        tails = [C.tail(t) for t in (0.0, 1.0, 10.0)]
+    assert verdicts.call_count == 1
+    np.testing.assert_allclose(tails, 4.0 * np.exp(-0.5 * np.array([0.0, 1.0, 10.0])),
+                               rtol=0.0, atol=1e-13)
+    for spec in (CoefficientSpec.power(1.0, 1.0), CoefficientSpec.constant(1.0)):
+        with pytest.raises(NotApplicableError):
+            CumulativeIntegral(spec).tail(3.0)
 
 
 def test_log_int_exp_constant():
@@ -476,6 +540,94 @@ def test_log_int_exp_generic_matches_quad():
     C = CumulativeIntegral(spec)
     direct, _ = integrate.quad(lambda s: math.exp(3.0 * C(s)), 0.0, 5.0)
     assert C.log_int_exp(5.0, 3.0) == pytest.approx(math.log(direct), rel=1e-8)
+
+
+def _mp_cumulative(spec):
+    """C(t) in closed form as an mpmath function, for the specs of
+    _panel_lanes."""
+    a = mpmath.mpf(spec.amplitude)
+    if spec.family == "power":
+        e = 1 - mpmath.mpf(spec.gamma)
+        return lambda t: a * ((1 + t) ** e - 1) / e
+    if spec.family == "exp_decay":
+        lam = mpmath.mpf(spec.lam)
+        return lambda t: a * -mpmath.expm1(-lam * t) / lam
+    if spec.family == "power_log":
+        # gamma = 1: c = a/((T_j+t) l_j ln_j^{1+b}) = d/dt a (1 - ln_j^-b)/b
+        b, tower = mpmath.mpf(spec.log_power), mpmath.mpf(1)
+        for _ in range(spec.log_depth):
+            tower = mpmath.exp(tower)
+
+        def log_cumulative(t):
+            v = tower + t
+            for _ in range(spec.log_depth):
+                v = mpmath.log(v)
+            return a * (1 - v ** -b) / b
+        return log_cumulative
+    nodes = [(mpmath.mpf(x), mpmath.mpf(y)) for x, y in spec.table]
+
+    def table_cumulative(t):
+        # trapezoids are exact on the linear pieces; c is constant outside
+        (t0, v0), acc = nodes[0], min(t, nodes[0][0]) * nodes[0][1]
+        for t1, v1 in nodes[1:] + [(mpmath.inf, nodes[-1][1])]:
+            if t <= t0:
+                break
+            b = min(t, t1)
+            vb = v0 + (v1 - v0) * (b - t0) / (t1 - t0) if t1 < mpmath.inf else v0
+            acc += (v0 + vb) / 2 * (b - t0)
+            t0, v0 = t1, v1
+        return a * acc
+    return table_cumulative
+
+
+_panel_lanes = st.one_of(
+    st.builds(CoefficientSpec.power, st.floats(0.1, 10.0),
+              st.sampled_from([0.0, 0.5, 2.0, 3.7])),
+    st.builds(CoefficientSpec.exp_decay, st.floats(0.1, 10.0), st.floats(1e-3, 10.0)),
+    st.builds(CoefficientSpec.power_log, st.floats(0.1, 10.0), st.just(1.0),
+              st.integers(1, 3), st.floats(0.25, 3.0)),
+    st.builds(CoefficientSpec.tabulated,
+              st.lists(st.floats(0.0, 50.0), min_size=1, max_size=6, unique=True)
+              .flatmap(lambda ts: st.tuples(*[st.tuples(st.just(t), st.floats(0.0, 5.0))
+                                              for t in sorted(ts)]))),
+).filter(lambda s: s.canonical.family != "constant" and not s.is_zero)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_panel_lanes, st.floats(-3.0, 5.0), st.floats(0.5, 10.0))
+@example(CoefficientSpec.exp_decay(10.0, 1e-3), 3.0, 10.0)
+@example(CoefficientSpec.tabulated([[0.0, 1.0], [2.0, 5.0], [3.0, 0.1], [10.0, 2.0]]),
+         1.5, 3.0)
+def test_log_int_exp_panels_match_mpmath(spec, log10_t, mult):
+    # reference: mpmath.quad at 30 digits, split at the table nodes and on
+    # both ends at the integrand's scale 1/(mult sup c); 1e-12 absolute on
+    # the log is 1e-12 relative on the integral
+    t = 10.0 ** log10_t
+    scale = 1.0 / max(mult * coefficient_sup(spec, t), 1.0)
+    splits = {t * f for f in (0.25, 0.5, 0.75)} | {t - scale * 2.0 ** e for e in range(12)}
+    if spec.family == "tabulated":
+        splits |= {row[0] for row in spec.table}
+    with mpmath.workdps(30):
+        C = _mp_cumulative(spec)
+        ct = C(mpmath.mpf(t))
+        edges = [0] + [mpmath.mpf(x) for x in sorted(splits) if 0.0 < x < t] + [mpmath.mpf(t)]
+        inner = mpmath.quad(lambda s: mpmath.exp(mult * (C(s) - ct)), edges)
+        want = float(mult * ct + mpmath.log(inner))
+    got = CumulativeIntegral(spec).log_int_exp(t, mult)
+    assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.1, 10.0), st.booleans(), st.floats(0.0, 10.0),
+       arrays(np.float64, st.integers(1, 20),
+              elements=st.one_of(st.floats(0.0, 1e4), st.floats(0.0, 1e-6))))
+def test_log_int_exp_closed_forms_take_arrays(A, harmonic, mult, ts):
+    C = CumulativeIntegral(CoefficientSpec.power(A, 1.0) if harmonic
+                           else CoefficientSpec.constant(A))
+    got = C.log_int_exp(ts, mult)
+    assert got.shape == ts.shape
+    assert got.tolist() == [C.log_int_exp(t, mult) for t in ts.tolist()]
+    assert np.all(got[ts == 0.0] == -math.inf)
 
 
 def test_log_int_exp_zero_cases():

@@ -11,7 +11,7 @@ import pytest
 from scipy.integrate import cumulative_trapezoid
 
 from memheat import constructions
-from memheat.coeffs import ZERO, CoefficientSpec, eval_coeff
+from memheat.coeffs import ZERO, CoefficientSpec, CumulativeIntegral, eval_coeff
 from memheat.constructions import (
     SupersolutionSpec,
     build_th00_supersolution,
@@ -21,7 +21,6 @@ from memheat.constructions import (
     small_data_threshold,
     solve_auxiliary_linear,
     verify_supersolution,
-    z_ode_residual,
     z_profile,
 )
 from memheat.errors import ConfigurationError, NotApplicableError
@@ -158,11 +157,35 @@ def test_z_profile_requires_convergent_tail():
         z_profile(2.0, 1.0, 0.5, ZERO, 0.0)
 
 
+def _z_ode_residual(p, alpha, Y, c, ts):
+    """Max |z' - (alpha Y)^{p-1} c z^p| with z' by 5-point finite difference
+    on a uniform grid, on the interior of the stencil (two nodes trimmed at
+    each end)."""
+    dt = ts[1] - ts[0]
+    assert len(ts) >= 5 and np.allclose(np.diff(ts), dt)
+    z = z_profile(p, alpha, Y, c, ts)
+    dz = (z[:-4] - 8 * z[1:-3] + 8 * z[3:-1] - z[4:]) / (12 * dt)
+    mid = slice(2, -2)
+    rhs = (alpha * Y) ** (p - 1.0) * eval_coeff(c, ts[mid]) * z[mid] ** p
+    return float(np.max(np.abs(dz - rhs)))
+
+
 def test_z_ode_residual_small_on_closed_form_tail():
     c2 = CoefficientSpec.power(1.0, 2.0)
     ts = np.arange(0.0, 100.0, 0.01)
-    assert z_ode_residual(2.0, 1.0, 1.0, c2, ts) <= 1e-8
-    assert z_ode_residual(3.0, 0.5, 2.0, c2, ts) <= 1e-8
+    assert _z_ode_residual(2.0, 1.0, 1.0, c2, ts) <= 1e-8
+    assert _z_ode_residual(3.0, 0.5, 2.0, c2, ts) <= 1e-8
+
+
+def test_z_profile_takes_arrays_and_a_cumulative_integral():
+    c = CoefficientSpec.exp_decay(2.0, 0.5)
+    ts = np.array([0.0, 0.3, 4.0, 50.0])
+    zs = z_profile(3.0, 0.5, 2.0, c, ts)
+    assert zs.tolist() == [z_profile(3.0, 0.5, 2.0, c, t) for t in ts.tolist()]
+    cum = CumulativeIntegral(c)
+    assert z_profile(3.0, 0.5, 2.0, cum, ts).tolist() == zs.tolist()
+    # tail = 4 e^{-t/2}: z = (1 + 2 * 4 e^{-t/2})^{-1/2}
+    np.testing.assert_allclose(zs, (1.0 + 8.0 * np.exp(-0.5 * ts)) ** -0.5, rtol=1e-13)
 
 
 def test_small_data_threshold_values():
@@ -287,6 +310,7 @@ def test_factor_barrier_residuals_pass():
 # ---------------------------------------------------------------------------
 # streamed residual check
 
+@np.errstate(over="ignore", invalid="ignore")
 def _whole_array_residual_mins(spec, scenario, times, x):
     """The residual check on whole (n_t, n_x) arrays: the reference that the
     time-blocked constructions._residual_mins must match bit for bit."""
@@ -295,17 +319,15 @@ def _whole_array_residual_mins(spec, scenario, times, x):
     cvals = eval_coeff(scenario.c, times)
     kvals = eval_coeff(scenario.k, times)
 
-    with np.errstate(over="ignore"):
-        react = cvals[:, None] * U ** scenario.p
+    react = cvals[:, None] * U ** scenario.p
     dUdt = np.gradient(U, times, axis=0, edge_order=2)
     lap = (U[:, :-2] - 2.0 * U[:, 1:-1] + U[:, 2:]) / (h * h)
     r_int = dUdt[:, 1:-1] - lap - react[:, 1:-1]
 
     slope_nu_l = (3.0 * U[:, 0] - 4.0 * U[:, 1] + U[:, 2]) / (2.0 * h)
     slope_nu_r = (3.0 * U[:, -1] - 4.0 * U[:, -2] + U[:, -3]) / (2.0 * h)
-    with np.errstate(over="ignore"):
-        mem_l = cumulative_trapezoid(U[:, 0] ** scenario.q, times, initial=0.0)
-        mem_r = cumulative_trapezoid(U[:, -1] ** scenario.q, times, initial=0.0)
+    mem_l = cumulative_trapezoid(U[:, 0] ** scenario.q, times, initial=0.0)
+    mem_r = cumulative_trapezoid(U[:, -1] ** scenario.q, times, initial=0.0)
     r_bnd = np.stack([slope_nu_l - kvals * mem_l, slope_nu_r - kvals * mem_r])
 
     u0_on_x = np.interp(x, scenario.grid(), scenario.initial_field())

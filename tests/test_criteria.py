@@ -207,14 +207,18 @@ def test_effective_flux_window_overflow_is_not_stabilized():
 
 
 def test_effective_flux_grid_lane_overflow_is_not_stabilized():
-    # the window of effective_flux_conditions(10, c, k), without its slow flux
-    # integral; off-lane c: kappa comes from the log-space grid and passes
-    # e^705 near t = 240, where it must read inf, not a constant plateau
+    # off-lane c: kappa comes from the log-space grid and passes e^705 near
+    # t = 240, where it must read inf, not a constant plateau; the flux
+    # integral diverges in log-space numerics on C(t) and log_int_exp panels
     k = CoefficientSpec.exp_decay(1.0, 1e-3)
 
     def window(amplitude):
         c = CoefficientSpec.power_log(amplitude, 0.5, 1)
-        return memory_window_check(k, flux=effective_flux(c, k, 10.0))
+        res = effective_flux_conditions(10.0, c, k)
+        assert res.flux_integral.status == DIVERGES
+        assert res.flux_integral.evidence == ("log-space numerics: numeric: "
+                                              "decade increments growing")
+        return res.window
 
     big = window(10.0)
     assert not big.holds
@@ -319,6 +323,45 @@ def test_effective_flux_closed_forms_match_quadrature():
             inner, _ = integrate.quad(lambda s: math.exp(q * C(s)), 0.0, t)
             want = eval_coeff(k, t) * math.exp(-C(t)) * inner
             assert float(kappa(t)) == pytest.approx(want, rel=1e-9)
+
+
+def _deleted_lane_kappa(c, k, q, ts):
+    """The closed forms that effective_flux had for its two lanes, and the
+    rounding of their subtraction, 2^-52 times the sum of the magnitudes."""
+    A = c.amplitude
+    with np.errstate(over="ignore", invalid="ignore"):
+        if c.family == "constant":
+            a, b = np.exp((q - 1.0) * A * ts), np.exp(-A * ts)
+            kv = eval_coeff(k, ts) / (q * A)
+        else:
+            e = q * A
+            a, b = (1.0 + ts) ** (e + 1.0), 1.0
+            kv = eval_coeff(k, ts) * (1.0 + ts) ** (-A) / (e + 1.0)
+        out, mag = kv * (a - b), kv * (a + b)
+    return (np.nan_to_num(out, nan=0.0, posinf=np.inf),
+            np.nan_to_num(mag, nan=0.0, posinf=np.inf))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.01, 10.0), st.booleans(), st.floats(1.5, 10.0),
+       st.sampled_from([CONST1, CoefficientSpec.exp_decay(2.0, 0.01),
+                        CoefficientSpec.power(1.0, 3.0),
+                        CoefficientSpec.tabulated([[0.0, 0.0], [1.0, 2.0], [3.0, 0.0]])]),
+       st.lists(st.one_of(st.floats(0.0, 2e4), st.floats(0.0, 1e-6)),
+                min_size=1, max_size=30))
+def test_effective_flux_lanes_match_the_deleted_closed_forms(A, harmonic, q, k, ts):
+    # kappa = k e^{log_int_exp - C} on the constant and harmonic lanes.  The
+    # times keep 1 + t exact and k is 0 or above 1e-87, so the reference's own
+    # rounding is that of its subtraction; q >= 1.5 keeps the log-space
+    # cancellation of q A t against A t within 1e-12 where kappa is finite
+    c = CoefficientSpec.power(A, 1.0) if harmonic else CoefficientSpec.constant(A)
+    ts = (1.0 + np.array(ts)) - 1.0
+    want, mag = _deleted_lane_kappa(c, k, q, ts)
+    got = effective_flux(c, k, q)(ts)
+    both = np.isfinite(want) & np.isfinite(got)
+    assert np.all(np.isfinite(got) | ~np.isfinite(want))
+    got, want, mag = got[both], want[both], mag[both]
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want) + 2.0 ** -52 * mag)
 
 
 def test_effective_flux_grid_lane_matches_quadrature():

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -732,10 +732,12 @@ def test_run_group_rejects_cells_that_differ_beyond_coefficients():
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(5, 41), q=_EXPONENT, k=_K,
        family=st.sampled_from(["constant", "cos_bump"]),
-       value=st.floats(0.0, 2.0))
+       value=st.floats(0.0, 2.0, allow_subnormal=False))
+@example(n=41, q=0.5, k=ZERO, family="cos_bump", value=sys.float_info.min)
 def test_mass_never_decreases_without_reaction(n, q, k, family, value):
     # diffusion keeps the trapezoid mass and an inward flux k M >= 0 adds
-    # to it, so every step may lose only rounding
+    # to it, so every step may lose only rounding; rounding is absolute on
+    # subnormal floats, where no relative bound holds, so the data are normal
     scn = scenario(p=2.0, q=q, c=ZERO, k=k, u0=(family, value), n_nodes=n,
                    t_max=0.3, max_steps=2000)
     state = fresh_state(scn)
