@@ -12,7 +12,7 @@ from .coeffs import (CONVERGES, DIVERGES, INDETERMINATE, FAMILIES, ZERO,
                      IntegralVerdict, WindowBound, coefficient_sup,
                      eval_coeff, growth_form, integrate_improper,
                      memory_window_check, numeric_improper, spec_from_json,
-                     spec_to_json, sqrt_window_integral, tail_verdict)
+                     spec_to_json, tail_verdict)
 from .constructions import (AuxiliarySolution, DominationReport,
                             ResidualReport, SupersolutionSpec,
                             build_th00_supersolution, build_th2_supersolution,
@@ -47,7 +47,7 @@ __all__ = [
     "CoefficientSpec", "CumulativeIntegral", "GrowthForm", "IntegralVerdict",
     "WindowBound", "coefficient_sup", "eval_coeff", "growth_form",
     "integrate_improper", "memory_window_check", "numeric_improper",
-    "spec_from_json", "spec_to_json", "sqrt_window_integral", "tail_verdict",
+    "spec_from_json", "spec_to_json", "tail_verdict",
     "AuxiliarySolution", "DominationReport", "ResidualReport",
     "SupersolutionSpec", "build_th00_supersolution", "build_th2_supersolution",
     "build_th4_supersolution", "check_domination",

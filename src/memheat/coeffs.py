@@ -808,18 +808,6 @@ def _window_rule(t0: float, nodes: int) -> tuple[np.ndarray, np.ndarray, float]:
     return s2, w, 2.0 * math.sqrt(t0)
 
 
-def sqrt_window_integral(flux: Callable, t: float, t0: float, nodes: int = 48) -> float:
-    """int_{t-t0}^{t} flux(tau)/sqrt(t-tau) dtau via the substitution tau = t - s^2.
-
-    The substitution removes the endpoint singularity exactly:
-    the integral equals 2 * int_0^{sqrt(t0)} flux(t - s^2) ds.
-    """
-    if t < t0:
-        raise DomainError("window integral needs t >= t0")
-    s2, w, scale = _window_rule(float(t0), nodes)
-    return float(scale * np.sum(w * flux(t - s2)))
-
-
 @dataclass(frozen=True)
 class WindowBound:
     k_sup: float

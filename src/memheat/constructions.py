@@ -164,6 +164,19 @@ class SupersolutionSpec:
     params: dict
     evaluate: Callable[[np.ndarray, float], np.ndarray]
     aux: Optional[AuxiliarySolution] = None
+    # block_rows(x) gives a function of a time array that returns the
+    # barrier's rows on x at those times, bit for bit those of evaluate
+    block_rows: Optional[Callable[[np.ndarray],
+                                  Callable[[np.ndarray], np.ndarray]]] = None
+
+    def rows_on(self, x: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        """The barrier's rows on x as a function of a time array: from
+        block_rows when the spec has it, else evaluate stacked time by time."""
+        if self.block_rows is not None:
+            return self.block_rows(x)
+        empty = np.empty((0, len(x)))
+        return lambda ts: np.vstack([empty] + [self.evaluate(x, t)
+                                               for t in ts.tolist()])
 
 
 def build_th00_supersolution(scenario: Scenario, T: float) -> SupersolutionSpec:
@@ -189,11 +202,21 @@ def build_th00_supersolution(scenario: Scenario, T: float) -> SupersolutionSpec:
     if T > t_cap:
         raise _horizon_error("exponential", t_cap)
 
+    def profile(x: np.ndarray) -> np.ndarray:
+        return 2.0 - np.sin(math.pi * np.asarray(x) / L)
+
     def evaluate(x: np.ndarray, t: float) -> np.ndarray:
-        return d * math.exp(b * t) * (2.0 - np.sin(math.pi * np.asarray(x) / L))
+        return d * math.exp(b * t) * profile(x)
+
+    def block_rows(x: np.ndarray):
+        # one outer product per block: the time factors by math.exp, as
+        # evaluate takes them, times the profile made once per grid
+        prof = profile(x)
+        return lambda ts: np.multiply.outer(
+            np.array([d * math.exp(b * t) for t in ts.tolist()]), prof)
 
     return SupersolutionSpec("Th00", {"d": d, "b": b, "M": M, "lambda1": lam},
-                             evaluate)
+                             evaluate, block_rows=block_rows)
 
 
 def z_profile(p: float, alpha: float, Y: float, c, t):
@@ -402,6 +425,7 @@ def _residual_mins(spec: SupersolutionSpec, scenario: Scenario,
     cvals = eval_coeff(scenario.c, times)
     kvals = eval_coeff(scenario.k, times)
     rows = max(1, _BLOCK_BYTES // (8 * m))
+    rows_at = spec.rows_on(x)
 
     left, right = np.empty((n, 3)), np.empty((n, 3))
     W, lo = np.empty((0, m)), 0         # rows lo, lo+1, ... of U
@@ -410,9 +434,7 @@ def _residual_mins(spec: SupersolutionSpec, scenario: Scenario,
         e = min(s + rows, n)
         # dU/dt needs one row on either side, three rows at the two ends
         new_lo, hi = max(0, min(s - 1, n - 3)), min(n, max(e + 1, 3))
-        W = np.vstack([W[new_lo - lo:]]
-                      + [spec.evaluate(x, float(t))
-                         for t in times[lo + len(W):hi]])
+        W = np.vstack([W[new_lo - lo:], rows_at(times[lo + len(W):hi])])
         lo = new_lo
         U = W[s - lo:e - lo]
         left[s:e], right[s:e] = U[:, :3], U[:, -3:]

@@ -368,7 +368,6 @@ def step_values(state: State, scenario: Scenario, rule=None) -> tuple:
     return (eval_coeff(scenario.c, t),) + rule.flux(t, state.M_left, state.M_right)
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def step(state: State, scenario: Scenario, dt: float, rule=None,
          values=None) -> State:
     """One IMEX step: explicit reaction and boundary flux, implicit diffusion,
@@ -378,13 +377,17 @@ def step(state: State, scenario: Scenario, dt: float, rule=None,
         raise ConfigurationError("dt must be positive and finite")
     rule = rule if rule is not None else scenario.boundary_rule()
     c_t, g_left, g_right, w0 = values or step_values(state, scenario, rule)
-    u = state.u
-    t = state.t
-    rhs = _reaction(u, dt * c_t, scenario.p) if c_t != 0.0 else u.copy()
-    # a non-finite rhs always solves to a non-finite field, so the
-    # finiteness of rhs needs testing only when the min or max of the
-    # solve is not finite
-    u_new = _flux_solve(rhs, dt, scenario.h, g_left, g_right)
+    h = scenario.h
+    # the end rows take the explicit flux and the symmetrizing 1/sqrt(2) as
+    # floats, and the solve overwrites this step's own rhs
+    f_left = dt * (2.0 / h) * g_left
+    f_right = dt * (2.0 / h) * g_right
+    rhs = _explicit(state, c_t, dt, scenario.p)
+    rhs[0] = (rhs.item(0) + f_left) / _SQRT2
+    rhs[-1] = (rhs.item(-1) + f_right) / _SQRT2
+    u_new = cho_solve_banded(_banded_factor(rhs.shape[0], h, dt), rhs)
+    u_new[0] = u_new.item(0) * _SQRT2
+    u_new[-1] = u_new.item(-1) * _SQRT2
     # with c(t) >= 0 and both slopes >= 0, a field with no negative entry
     # gives a rhs with none; the factor of I - dt D has a positive diagonal
     # and a negative superdiagonal, so both substitutions add only
@@ -392,15 +395,23 @@ def step(state: State, scenario: Scenario, dt: float, rule=None,
     # needed, and a NaN in the rhs still shows in the max
     nonneg = (state.nonneg and c_t >= 0.0 and g_left >= 0.0
               and g_right >= 0.0)
-    m = 0.0 if nonneg else float(u_new.min())
-    sup = float(u_new.max())
-    if (math.isfinite(m) and math.isfinite(sup)) or np.isfinite(rhs).all():
+    m = 0.0 if nonneg else u_new.min().item()
+    sup = u_new.max().item()
+    finite = math.isfinite(m) and math.isfinite(sup)
+    if not finite:
+        # a non-finite rhs always solves to a non-finite field, so only now
+        # is the rhs the solve overwrote rebuilt and tested
+        rhs = _explicit(state, c_t, dt, scenario.p)
+        rhs[0] = rhs.item(0) + f_left
+        rhs[-1] = rhs.item(-1) + f_right
+        finite = np.isfinite(rhs).all()
+    if finite:
         if m < 0.0:
             if m < -1e-10 * max(sup, 1e-300):
-                raise SolverFault(
-                    f"negative undershoot {m:.3e} at t={t:.6g} (dt too large)")
+                raise SolverFault(f"negative undershoot {m:.3e} at "
+                                  f"t={state.t:.6g} (dt too large)")
             np.clip(u_new, 0.0, None, out=u_new)
-            sup = float(u_new.max())
+            sup = u_new.max().item()
         # no entry is negative now, unless a NaN hid one from the min
         nonneg = not math.isnan(m)
     else:
@@ -410,19 +421,48 @@ def step(state: State, scenario: Scenario, dt: float, rule=None,
     return _stepped(state, dt, u_new, sup, rule, w0, scenario.q, nonneg)
 
 
+# u + c_dt u^p stays below this for entries in [0, sup] when the float bound
+# |c_dt| sup^p + sup does; the margin covers the rounding of np.power
+_REACTION_CAP = 1e300
+
+
+def _explicit(state: State, c_t: float, dt: float, p: float) -> np.ndarray:
+    """A fresh u + dt c(t) u^p of the state's field.  Only a reaction that
+    can overflow, or that meets a negative or non-finite entry, runs under
+    np.errstate: the bound is taken from state.sup."""
+    u = state.u
+    if c_t == 0.0:
+        return u.copy()
+    c_dt = dt * c_t
+    if state.nonneg:
+        try:
+            in_range = abs(c_dt) * state.sup ** p + state.sup < _REACTION_CAP
+        except OverflowError:
+            in_range = False
+        if in_range:
+            return _reaction(u, c_dt, p)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _reaction(u, c_dt, p)
+
+
 def _stepped(state: State, dt: float, u_new: np.ndarray, sup: float, rule,
              w0: float, q: float, nonneg: bool) -> State:
     """The state after a step of dt to u_new, with the trapezoid update of
     the memory accumulators (weight w0 at state.t); nonneg tells whether
     u_new is known to have no negative entry."""
-    w1 = rule.acc_weight(state.t + dt)
-    u = state.u
-    M_left = state.M_left + 0.5 * dt * (_acc_term(w0, float(u[0]), q)
-                                        + _acc_term(w1, float(u_new[0]), q))
-    M_right = state.M_right + 0.5 * dt * (_acc_term(w0, float(u[-1]), q)
-                                          + _acc_term(w1, float(u_new[-1]), q))
-    return State(state.t + dt, u_new, float(M_left), float(M_right),
-                 state.steps + 1, sup, nonneg)
+    t = state.t + dt
+    w1 = rule.acc_weight(t)
+    if w0 == 0.0 and w1 == 0.0:
+        # no memory accumulates (prescribed flux); + 0.0 as the update would
+        M_left, M_right = state.M_left + 0.0, state.M_right + 0.0
+    else:
+        u = state.u
+        M_left = state.M_left + 0.5 * dt * (_acc_term(w0, u.item(0), q)
+                                            + _acc_term(w1, u_new.item(0), q))
+        M_right = state.M_right + 0.5 * dt * (_acc_term(w0, u.item(-1), q)
+                                              + _acc_term(w1, u_new.item(-1), q))
+    return State(t, u_new, float(M_left), float(M_right), state.steps + 1,
+                 sup, nonneg)
 
 
 def _acc_term(w: float, ub: float, q: float) -> float:
@@ -523,12 +563,17 @@ def advance(scenario: Scenario, state: State):
     landed) after each step: values are the step_values it used, landed is
     true on a snapshot time or the horizon.  A SolverFault propagates."""
     ctr = scenario.controls
+    dt_max = ctr.dt_max
+    c = scenario.c
     rule = scenario.boundary_rule()
-    clock = _Clock(ctr)
+    flux = rule.flux
+    cut = _Clock(ctr).cut
     while _stop(state, ctr) is None:
-        values = step_values(state, scenario, rule)
-        dt, landed = clock.cut(state.t, _ladder(
-            choose_dt(state, scenario, rule, values), ctr.dt_max))
+        t = state.t
+        # the step_values of state
+        values = (eval_coeff(c, t),) + flux(t, state.M_left, state.M_right)
+        dt, landed = cut(t, _ladder(choose_dt(state, scenario, rule, values),
+                                    dt_max))
         state = step(state, scenario, dt, rule, values)
         yield state, dt, values, landed
 

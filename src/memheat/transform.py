@@ -44,12 +44,6 @@ class TransformedScenario:
     scenario: Scenario
     cumulative: CumulativeIntegral
 
-    def rho(self, t: float, tau: float) -> float:
-        if tau > t:
-            raise ConfigurationError("memory weight needs tau <= t")
-        return math.exp(self.scenario.q * self.cumulative(tau)
-                        - self.cumulative(t))
-
 
 def to_transformed(scenario: Scenario) -> TransformedScenario:
     """Strip the reaction of a p = 1 scenario into the memory weight."""

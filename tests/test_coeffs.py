@@ -34,7 +34,6 @@ from memheat.coeffs import (
     sampled_nonincreasing,
     spec_from_json,
     spec_to_json,
-    sqrt_window_integral,
     sup_stabilized,
     tail_verdict,
 )
@@ -831,6 +830,17 @@ def test_numeric_divergent_borderline_detected():
 
 # ---------------------------------------------------------------------------
 # square-root-window integrals
+
+def sqrt_window_integral(flux, t, t0, nodes=48):
+    """int_{t-t0}^{t} flux(tau)/sqrt(t-tau) dtau via the substitution
+    tau = t - s^2, which removes the endpoint singularity exactly: the
+    integral equals 2 int_0^{sqrt(t0)} flux(t - s^2) ds.  The reference for
+    memory_window_check, one probe time at a time, on its window rule."""
+    if t < t0:
+        raise DomainError("window integral needs t >= t0")
+    s2, w, scale = coeffs._window_rule(float(t0), nodes)
+    return float(scale * np.sum(w * flux(t - s2)))
+
 
 def test_sqrt_window_linear_flux_frozen():
     # flux(tau) = tau, window width 1:

@@ -438,6 +438,20 @@ def test_streamed_residuals_match_whole_array_bit_for_bit(monkeypatch, kind,
     assert worst == ref_worst
 
 
+@pytest.mark.parametrize("grid", [0, 1], ids=["coarse", "refined"])
+def test_th00_block_rows_equal_evaluate_bit_for_bit(grid):
+    # the residual check takes Th00's rows as outer products; a spec built
+    # from evaluate alone stacks it time by time
+    _, spec, grids = _residual_case("th00")
+    times, x, _ = grids[grid]
+    want = np.stack([spec.evaluate(x, float(t)) for t in times])
+    for th00 in (spec, SupersolutionSpec("Th00", {}, spec.evaluate)):
+        rows = th00.rows_on(x)
+        assert rows(times).tobytes() == want.tobytes()
+        assert rows(times[5:12]).tobytes() == want[5:12].tobytes()
+        assert rows(times[:0]).shape == (0, len(x))
+
+
 def test_streamed_residuals_keep_the_first_nan():
     _, _, grids = _residual_case("nonfinite")
     for times, x, (mins, worst) in grids:

@@ -1,6 +1,7 @@
 """Solver tests against closed-form and hand-computed oracles."""
 
 import itertools
+import json
 import math
 import os
 import subprocess
@@ -15,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from memheat import pde_core
 from memheat.coeffs import ZERO, CoefficientSpec, CumulativeIntegral
 from memheat.criteria import REGIME_GLOBAL_ALL, classify_regime
 from memheat.errors import ConfigurationError, NotApplicableError, SolverFault
@@ -202,8 +204,9 @@ def test_overflowing_outflow_step_keeps_finite_accumulators():
 
 def _reference_step(state, scenario, dt, rule=None, values=None):
     """step as it was before it skipped the min of a field that cannot go
-    negative, dropped the p = 1 power and took its errstate as a decorator:
-    the oracle of the lean kernel."""
+    negative, dropped the p = 1 power, took its end rows as floats, solved in
+    place and entered np.errstate only for a reaction that can overflow: the
+    oracle of the lean kernel."""
     if dt <= 0.0 or not math.isfinite(dt):
         raise ConfigurationError("dt must be positive and finite")
     rule = rule if rule is not None else scenario.boundary_rule()
@@ -258,29 +261,7 @@ def _step_rule(kind, k, q, g):
     return PrescribedFluxRule(lambda t: g)
 
 
-@settings(max_examples=400, deadline=None)
-@given(n=st.integers(3, 41), p=st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]),
-       q=st.sampled_from([0.5, 1.0, 2.0]),
-       c=st.sampled_from([0.0, 0.5, 3.0]), k=st.sampled_from([0.0, 1.0, 40.0]),
-       kind=st.sampled_from(["memory", "weighted", "outflow"]),
-       g=st.floats(-1e3, 1e3), scale=st.sampled_from([1.0, 1e100, 1e200, 1e300]),
-       hand_built=st.booleans(), level=st.integers(0, 30),
-       t=st.floats(0.0, 10.0), M=st.floats(0.0, 1e3), shared=st.booleans(),
-       data=st.data())
-def test_lean_step_equals_reference_step_bitwise(n, p, q, c, k, kind, g, scale,
-                                                 hand_built, level, t, M,
-                                                 shared, data):
-    # hand-built states may hold negative or infinite entries and take the
-    # full min; states a step made are nonnegative and may skip it
-    scn = scenario(p=p, q=q, c=CoefficientSpec.constant(c), n_nodes=n)
-    rule = _step_rule(kind, CoefficientSpec.constant(k), q, g)
-    low = -1.0 if hand_built else 0.0
-    u = scale * data.draw(arrays(np.float64, n, elements=st.floats(low, 10.0)))
-    if hand_built and data.draw(st.booleans()):
-        u[data.draw(st.integers(0, n - 1))] = math.inf
-    state = State(t, u, M, 0.5 * M, steps=3, nonneg=not hand_built)
-    dt = 2e-3 * 2.0 ** -level
-    values = step_values(state, scn, rule) if shared else None
+def _assert_lean_step_is_reference(state, scn, dt, rule, values):
     want = _outcome(_reference_step, state, scn, dt, rule, values)
     assert _outcome(step, state, scn, dt, rule, values) == want
     if isinstance(want[0], type):
@@ -290,6 +271,88 @@ def test_lean_step_equals_reference_step_bitwise(n, p, q, c, k, kind, g, scale,
     assert not (new.nonneg and (new.u < 0).any())
     assert (_outcome(step, new, scn, dt, rule, None)
             == _outcome(_reference_step, new, scn, dt, rule, None))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=400, deadline=None)
+@given(n=st.integers(3, 41), p=st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]),
+       q=st.sampled_from([0.5, 1.0, 2.0]),
+       c=st.sampled_from([0.0, 0.5, 3.0, 1e10, -3.0, -1e10]),
+       k=st.sampled_from([0.0, 1.0, 40.0]),
+       kind=st.sampled_from(["memory", "weighted", "outflow"]),
+       g=st.floats(-1e3, 1e3),
+       scale=st.sampled_from([1.0, 1e100, 1e200, 1e300, 1e307]),
+       hand_built=st.booleans(),
+       spike=st.sampled_from([None, math.inf, -math.inf, math.nan]),
+       level=st.integers(0, 30),
+       t=st.floats(0.0, 10.0), M=st.floats(0.0, 1e3), shared=st.booleans(),
+       data=st.data())
+def test_lean_step_equals_reference_step_bitwise(n, p, q, c, k, kind, g, scale,
+                                                 hand_built, spike, level, t,
+                                                 M, shared, data):
+    # hand-built states may hold negative entries and take the full min;
+    # states a step made are nonnegative and may skip it.  Either may hold
+    # an inf or a NaN (not negative), a hand-built one also a -inf; the
+    # prescribed "outflow" rule draws slopes of both signs and no memory; a
+    # negative c(t) reaches the step only through its values
+    scn = scenario(p=p, q=q, c=CoefficientSpec.constant(abs(c)), n_nodes=n)
+    rule = _step_rule(kind, CoefficientSpec.constant(k), q, g)
+    low = -1.0 if hand_built else 0.0
+    u = scale * data.draw(arrays(np.float64, n, elements=st.floats(low, 10.0)))
+    if spike is not None and (hand_built or spike != -math.inf):
+        u[data.draw(st.integers(0, n - 1))] = spike
+    state = State(t, u, M, 0.5 * M, steps=3, nonneg=not hand_built)
+    dt = 2e-3 * 2.0 ** -level
+    values = step_values(state, scn, rule) if shared or c < 0.0 else None
+    if c < 0.0:
+        values = (c,) + values[1:]
+    _assert_lean_step_is_reference(state, scn, dt, rule, values)
+
+
+def _bound(c_dt, sup, p):
+    # the float bound the step takes its reaction's errstate by
+    try:
+        return abs(c_dt) * sup ** p + sup
+    except OverflowError:
+        return math.inf
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(3, 41), p=st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]),
+       q=st.sampled_from([0.5, 2.0]), c=st.sampled_from([-3.0, 0.5, 3.0, 1e10]),
+       kind=st.sampled_from(["memory", "weighted", "outflow"]),
+       g=st.floats(-1e3, 1e3), level=st.integers(0, 30),
+       above=st.booleans(), ulps=st.integers(0, 3), data=st.data())
+def test_lean_step_equals_reference_step_at_the_overflow_bound(
+        n, p, q, c, kind, g, level, above, ulps, data):
+    # a nonnegative field whose max sits just below or just above the sup at
+    # which |dt c| sup^p + sup reaches _REACTION_CAP: the step's reaction
+    # runs outside np.errstate below it and inside above it
+    dt = 2e-3 * 2.0 ** -level
+    c_dt = dt * c
+    lo, hi = 0.0, sys.float_info.max       # bound(lo) < cap <= bound(hi)
+    while math.nextafter(lo, math.inf) < hi:
+        mid = math.sqrt(lo) * math.sqrt(hi) if lo > 0.0 else hi / 2.0 ** 60
+        mid = min(max(mid, math.nextafter(lo, math.inf)),
+                  math.nextafter(hi, 0.0))
+        if _bound(c_dt, mid, p) < pde_core._REACTION_CAP:
+            lo = mid
+        else:
+            hi = mid
+    sup = hi if above else lo
+    for _ in range(ulps):
+        sup = math.nextafter(sup, math.inf if above else 0.0)
+    assert (_bound(c_dt, sup, p) < pde_core._REACTION_CAP) is not above
+    frac = data.draw(arrays(np.float64, n, elements=st.floats(0.0, 1.0)))
+    u = sup * frac
+    u[data.draw(st.integers(0, n - 1))] = sup
+    # a negative c(t) reaches the step only through its values
+    scn = scenario(p=p, q=q, c=CoefficientSpec.constant(abs(c)), n_nodes=n)
+    rule = _step_rule(kind, CoefficientSpec.constant(1.0), q, g)
+    state = State(0.5, u, 1.0, 2.0, steps=3, nonneg=True)
+    values = (c,) + rule.flux(state.t, state.M_left, state.M_right)
+    _assert_lean_step_is_reference(state, scn, dt, rule, values)
 
 
 @settings(max_examples=200, deadline=None)
@@ -320,6 +383,7 @@ def test_advance_state_sup_is_the_field_max(make):
 
 
 _TRACED_PASS = """
+import json
 from dataclasses import replace
 import tracer
 from memheat import pde_core
@@ -329,32 +393,46 @@ tracer.install(t)
 scn = pde_core.Scenario(1.0, 2.0, 2.0, CoefficientSpec.constant(1.0), ZERO,
                         pde_core.InitialSpec("constant", 1.0),
                         pde_core.SolverControls(n_nodes=51, t_max=2.0))
-names = ("pde_core.step", "pde_core.solve", "pde_core.factor")
+
+def calls():
+    return {name: row["calls"] for name, row in t.summary().items()}
+
 steps = pde_core.run(scn).steps
-single = [t.summary()[name]["calls"] for name in names]
+single = calls()
 # with k = 0 the cells differ only in q, so they share every dt
 group = [o.steps for o in pde_core.run_group([scn, replace(scn, q=3.0)])]
-spans = t.summary()
-print(steps, *single, *group,
-      *(spans[name]["calls"] - calls for name, calls in zip(names, single)))
+both = calls()
+print(json.dumps({"steps": steps, "single": single, "group_steps": group,
+                  "group": {name: n - single.get(name, 0)
+                            for name, n in both.items()}}))
 """
 
 
 def test_traced_benchmark_wraps_the_kernel_names():
-    # perfbench/tracer.py patches pde_core.cho_solve_banded and
-    # pde_core.cholesky_banded by name; a missing name fails its install.
-    # A lockstep block makes one traced solve per block step.
+    # perfbench/tracer.py patches pde_core.step, choose_dt, cho_solve_banded
+    # and cholesky_banded, and coeffs.eval_coeff, by name; a missing name
+    # fails its install.  The counts pin one choose_dt and one scalar c(t)
+    # and k(t) per step, so a kernel that bypasses a name shows here.  A
+    # lockstep block makes one traced solve per block step.
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src"), str(ROOT / "perfbench")]))
     proc = subprocess.run([sys.executable, "-c", _TRACED_PASS], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    (run_steps, steps, solves, factors, group_a, group_b, group_steps,
-     group_solves, group_factors) = map(int, proc.stdout.split())
-    assert run_steps == steps == solves == 779
-    assert factors >= 1
-    assert group_a == group_b == group_solves == 779
-    assert group_steps == 0 and group_factors == 0
+    out = json.loads(proc.stdout)
+    steps, single, group = out["steps"], out["single"], out["group"]
+    assert steps == 779
+    assert single["pde_core.factor"] >= 1
+    del single["pde_core.factor"]
+    assert single == {"pde_core.run": 1, "pde_core.step": steps,
+                      "pde_core.choose_dt": steps, "pde_core.solve": steps,
+                      "coeffs.eval_coeff.constant.scalar": 2 * steps}
+    # each cell takes its own choose_dt and c(t), k(t) per block step
+    assert out["group_steps"] == [steps, steps]
+    assert group == {"pde_core.run": 0, "pde_core.step": 0,
+                     "pde_core.factor": 0, "pde_core.choose_dt": 2 * steps,
+                     "pde_core.solve": steps,
+                     "coeffs.eval_coeff.constant.scalar": 4 * steps}
 
 
 # ---------------------------------------------------------------------------
