@@ -46,8 +46,9 @@ class OdeControls:
     def __post_init__(self):
         if not (0 < self.rtol < 1 and 0 < self.atol < 1):
             raise ConfigurationError("tolerances must lie in (0, 1)")
-        if self.blowup_threshold <= 0:
-            raise ConfigurationError("blow-up threshold must be > 0")
+        # the solve ends only at the threshold or at r_max
+        if not 0.0 < self.blowup_threshold < math.inf:
+            raise ConfigurationError("blowup_threshold must be finite and > 0")
 
 
 DEFAULT_ODE_CONTROLS = OdeControls()
@@ -95,43 +96,77 @@ class OdeOutcome:
 
 
 def _integrate_once(prob: OdeProblem, r_max: float, ctr: OdeControls):
-    """-> (R_star or None, r, y, y') with the accepted-step path."""
-    q = prob.q
+    """-> (R_star or None, r, y, y') with the accepted-step path.
+
+    One DOP853 solve of s = (r, y, y') in a rescaled time tau:
+    ds/dtau = phi (1, y', b(r) y^q) with phi = (1 + y)/(1 + y + y').  While
+    y grows at most linearly phi stays near 1, so global runs keep their
+    steps; near blow-up phi is about y/y' and y grows like e^{c tau}, so
+    the crossing of the threshold is a regular point that the step-size
+    controller approaches without overshooting.  The solve ends at the
+    first of two events: y reaches the threshold (R_star is r there) or r
+    reaches r_max (the path then ends at r_max exactly).  A state that
+    leaves the float range is a SolverFault, never a warning.
+    """
+    b, hq = prob.b, 0.5 * prob.q
     thresh = ctr.blowup_threshold
+    last_r = [prob.a]     # where the latest evaluation sat, for a fault
 
-    def rhs(r, s):
-        return (s[1], float(eval_coeff(prob.b, r)) * s[0] ** q)
+    def rhs(tau, s):
+        r, y, v = s.tolist()
+        last_r[0] = r
+        phi = (1.0 + y) / (1.0 + y + v)
+        # phi b y^q as (y^{q/2} phi) b y^{q/2}, finite wherever the product
+        # is; a stage value of y below 0 would make the float power complex
+        h = y ** hq if y > 0.0 else 0.0
+        return (phi, phi * v, h * phi * float(eval_coeff(b, r)) * h)
 
-    def blow(r, s):
-        return s[0] - thresh
+    def blow(tau, s):
+        return s[1] - thresh
     blow.terminal = True
     blow.direction = 1
+
+    def horizon(tau, s):
+        return s[0] - r_max
+    horizon.terminal = True
+    horizon.direction = 1
 
     r, y, yp = prob.a, prob.y_a, prob.yp_a
     if y >= thresh:
         return r, [r], [y], [yp]
 
-    sol = solve_ivp(rhs, (r, r_max), (y, yp), method="DOP853",
-                    rtol=ctr.rtol, atol=ctr.atol, events=blow)
+    try:
+        with np.errstate(all="raise", under="ignore"):
+            sol = solve_ivp(rhs, (0.0, math.inf), (r, y, yp), method="DOP853",
+                            rtol=ctr.rtol, atol=ctr.atol,
+                            events=(blow, horizon))
+    except (FloatingPointError, OverflowError):
+        raise SolverFault(f"integration failed at r = {last_r[0]:.6g}: "
+                          f"the state leaves the float range") from None
+    rs, ys, vs = sol.y
     if sol.status == -1:
-        raise SolverFault(f"integration failed at r = {float(sol.t[-1]):.6g}: "
+        raise SolverFault(f"integration failed at r = {float(rs[-1]):.6g}: "
                           f"{sol.message}")
-    if sol.y[0].min() < 0:
+    if ys.min() < 0:
         raise SolverFault("state turned negative")   # cannot occur
-    R = float(sol.t[-1]) if sol.status == 1 else None
-    return R, sol.t.tolist(), sol.y[0].tolist(), sol.y[1].tolist()
+    if sol.t_events[0].size:
+        return float(rs[-1]), rs.tolist(), ys.tolist(), vs.tolist()
+    rs[-1] = r_max
+    return None, rs.tolist(), ys.tolist(), vs.tolist()
 
 
 def integrate_ode(prob: OdeProblem, r_max: float,
                   controls: Optional[OdeControls] = None) -> OdeOutcome:
     """Adaptive DOP853 integration with blow-up detection at 10^10.
 
-    Each tolerance pass is one solve_ivp call, which ends at the first
-    radius where y crosses the blow-up threshold.  R_star is that crossing
-    radius, located on DOP853's dense output; it lies short of the true
-    blow-up radius by the tail past the threshold.  A second pass runs at
-    halved tolerances; refinement_stability is the relative shift of the
-    crossing radius between the two passes (None when no blow-up occurs).
+    Each tolerance pass is one solve_ivp call in the rescaled time of
+    _integrate_once, which ends where y crosses the blow-up threshold or
+    where r reaches r_max.  R_star is that crossing radius, located on
+    DOP853's dense output; it lies short of the true blow-up radius by the
+    tail past the threshold.  A second pass runs at halved tolerances;
+    refinement_stability is the relative shift of the crossing radius
+    between the two passes (None when no blow-up occurs).  A SolverFault
+    names the radius where the solve failed.
     """
     ctr = controls or DEFAULT_ODE_CONTROLS
     if not (math.isfinite(r_max) and r_max > prob.a):

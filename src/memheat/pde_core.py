@@ -196,9 +196,13 @@ class SolverControls:
             raise ConfigurationError("node count must be an integer >= 3")
         if not (0.0 < self.theta <= 1.0):
             raise ConfigurationError("safety factor theta must lie in (0, 1]")
-        if self.dt_max <= 0 or self.t_max <= 0 or self.blowup_threshold <= 0:
-            raise ConfigurationError("dt_max, t_max, blowup_threshold must be > 0")
-        if self.snapshot_every is not None and self.snapshot_every <= 0:
+        for name in ("dt_max", "t_max"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ConfigurationError(f"{name} must be finite and > 0")
+        # an infinite threshold or snapshot interval means never; NaN is no value
+        if not self.blowup_threshold > 0:
+            raise ConfigurationError("blowup_threshold must be > 0")
+        if self.snapshot_every is not None and not self.snapshot_every > 0:
             raise ConfigurationError("snapshot_every must be > 0")
         if self.max_steps < 1:
             raise ConfigurationError("max_steps must be >= 1")

@@ -400,9 +400,9 @@ def test_oracle_global_is_evidence_only(tmp_path, capsys):
 
 
 def test_oracle_solver_fault_is_an_aborted_run(tmp_path, capsys):
-    # q = 5 from y(0) = 1: the step size collapses below the float spacing
-    # of r before y reaches the threshold
-    doc = base_doc(exponents={"p": 1.0, "q": 5.0},
+    # q = 200 from y(0) = 1: y' leaves the float range near y = 1e3, before
+    # y reaches the threshold
+    doc = base_doc(exponents={"p": 1.0, "q": 200.0},
                    k={"family": "constant", "amplitude": 1.0},
                    solver={"t_max": 10.0})
     cfg = write_cfg(tmp_path, doc)
@@ -410,6 +410,21 @@ def test_oracle_solver_fault_is_an_aborted_run(tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith("SOLVER FAULT: integration failed at r = ")
+
+
+@pytest.mark.parametrize("q", [60.0, 200.0])
+def test_oracle_overflow_is_no_crash(tmp_path, capsys, q):
+    # at q = 60, y' is about 1e305 when y reaches the threshold
+    doc = base_doc(exponents={"p": 1.0, "q": q},
+                   k={"family": "constant", "amplitude": 1.0},
+                   solver={"t_max": 10.0})
+    cfg = write_cfg(tmp_path, doc)
+    code = main(["oracle", "--config", cfg])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code in (0, 3)
+    assert len(err) <= 1
+    if code == 3:
+        assert err[0].startswith("SOLVER FAULT: integration failed at r = ")
 
 
 def _oracle_r_star(tmp_path, capsys, threshold):

@@ -1,7 +1,9 @@
 """ODE oracle tests against closed-form solutions and analytic verdicts."""
 
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from scipy.integrate import solve_ivp
 
 from memheat import ode_oracle
 from memheat.coeffs import ZERO, CoefficientSpec
-from memheat.errors import ConfigurationError, NotApplicableError
+from memheat.errors import ConfigurationError, NotApplicableError, SolverFault
 from memheat.ode_oracle import (
     OdeControls,
     OdeProblem,
@@ -52,6 +54,12 @@ def test_problem_validation():
         OdeControls(rtol=0.0)
 
 
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, 0.0])
+def test_controls_need_a_finite_threshold(threshold):
+    with pytest.raises(ConfigurationError, match="blowup_threshold"):
+        OdeControls(blowup_threshold=threshold)
+
+
 # ---------------------------------------------------------------------------
 # integration against closed forms
 
@@ -61,7 +69,8 @@ def test_zero_b_is_linear():
     assert out.status == "GlobalUpTo"
     assert out.R_star is None
     assert out.refinement_stability is None
-    assert out.r_end == pytest.approx(100.0)
+    assert out.r_end == 100.0 == out.r_path[-1]
+    assert np.all(np.diff(out.r_path) > 0)
     assert out.y_end == pytest.approx(2.0 + 3.0 * 99.0, rel=1e-10)
     exact = 2.0 + 3.0 * (out.r_path - 1.0)
     assert np.max(np.abs(out.y_path - exact) / exact) <= 1e-10
@@ -102,13 +111,19 @@ def test_one_solve_per_tolerance_pass(prob, monkeypatch):
     assert len(calls) == 2
 
 
+# the oracle configs (q, b, r_max) of the analyze workload, from y(0) = 1,
+# y'(0) = 0
+BENCHMARK_ORACLES = [
+    (2.0, CoefficientSpec.constant(1.0), 20.0),
+    (3.0, CoefficientSpec.power_log(1.0, 2.0, log_depth=1, log_power=0.0), 50.0),
+]
+
+
 @pytest.mark.parametrize("q, b, r_max, want", [
-    (2.0, CoefficientSpec.constant(1.0), 20.0, 2.9744529233453743),
-    (3.0, CoefficientSpec.power_log(1.0, 2.0, log_depth=1, log_power=0.0),
-     50.0, 18.815959079373236),
+    (*BENCHMARK_ORACLES[0], 2.9744529233453743),
+    (*BENCHMARK_ORACLES[1], 18.815959079373236),
 ], ids=["q2_const", "q3_powerlog"])
 def test_benchmark_oracle_radii(q, b, r_max, want):
-    # the oracle configs of the analyze workload: y(0) = 1, y'(0) = 0
     out = integrate_ode(OdeProblem(0.0, 1.0, 0.0, q, b), r_max=r_max)
     assert abs(out.R_star - want) / want <= 1e-7
 
@@ -126,8 +141,61 @@ def test_closed_form_trajectory_accuracy():
 
 def test_steps_shrink_near_blowup():
     out = integrate_ode(closed_form_problem(), r_max=10.0)
-    # error control alone shrinks the steps to ~5e-6 as y nears the threshold
-    assert float(np.max(np.diff(out.r_path)[-5:])) <= 1e-5
+    # the last five r-steps shrink with the gap to R* = sqrt(6); the last
+    # one is cut short by the threshold crossing
+    steps = np.diff(out.r_path)[-5:]
+    assert np.all(steps <= 0.25 * (SQRT6 - out.r_path[-6:-1]))
+    assert np.all(np.diff(steps) < 0)
+    assert steps[-2] <= 1e-5
+
+
+def _energy_crossing_radius(q):
+    # y'' = y^q, y(0) = 1, y'(0) = 0 conserves (y')^2/2 - y^{q+1}/(q+1), so
+    # the threshold 1e10 is crossed at int_1^1e10 dy / y'(y)
+    with mpmath.workdps(30):
+        q = mpmath.mpf(q)
+        f = lambda y: 1 / mpmath.sqrt(2 * (y ** (q + 1) - 1) / (q + 1))
+        pts = [1, 1.5, 2, 4] + [mpmath.mpf(10) ** k for k in range(1, 11)]
+        return float(mpmath.quad(f, pts))
+
+
+@pytest.mark.parametrize("q", [5.0, 10.0, 40.0])
+def test_steep_blowup_reaches_the_threshold(q):
+    # stepping in r, the step size collapsed below the float spacing of r
+    # before y reached 1e10 for all three
+    out = integrate_ode(OdeProblem(0.0, 1.0, 0.0, q, CoefficientSpec.constant(1.0)),
+                        r_max=10.0)
+    assert out.status == "BlowUp"
+    want = _energy_crossing_radius(q)
+    assert abs(out.R_star - want) / want <= 1e-8
+    assert out.y_end == pytest.approx(1e10, rel=1e-9)
+
+
+def test_float_overflow_is_a_solver_fault():
+    # y' ~ y^{(q+1)/2} leaves the float range near y = 1e3 at q = 200,
+    # long before the threshold
+    prob = OdeProblem(0.0, 1.0, 0.0, 200.0, CoefficientSpec.constant(1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverFault, match="^integration failed at r = .*"
+                                              "leaves the float range"):
+            integrate_ode(prob, r_max=10.0)
+
+
+def test_analyze_oracle_problems_need_few_rhs_evaluations(monkeypatch):
+    # rescaled time keeps DOP853 from rejecting a step after each accepted
+    # one near blow-up: 11,612 evaluations when stepping in r
+    nfev = []
+
+    def counted(*args, **kwargs):
+        sol = solve_ivp(*args, **kwargs)
+        nfev.append(sol.nfev)
+        return sol
+    monkeypatch.setattr(ode_oracle, "solve_ivp", counted)
+    for q, b, r_max in BENCHMARK_ORACLES:
+        integrate_ode(OdeProblem(0.0, 1.0, 0.0, q, b), r_max=r_max)
+    assert len(nfev) == 4
+    assert sum(nfev) <= 6000
 
 
 def test_data_already_over_threshold():

@@ -995,3 +995,19 @@ def test_scenario_validation():
         SolverControls(n_nodes=2)
     with pytest.raises(ConfigurationError):
         SolverControls(theta=1.5)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("t_max", math.nan), ("t_max", math.inf),
+    ("dt_max", math.nan), ("dt_max", math.inf),
+    ("blowup_threshold", math.nan), ("snapshot_every", math.nan),
+])
+def test_controls_reject_non_finite_values(name, value):
+    # a NaN t_max never ends a run; only the step budget would
+    with pytest.raises(ConfigurationError, match=name):
+        SolverControls(**{name: value})
+
+
+def test_controls_allow_an_infinite_threshold_and_snapshot_interval():
+    ctr = SolverControls(blowup_threshold=math.inf, snapshot_every=math.inf)
+    assert ctr.blowup_threshold == ctr.snapshot_every == math.inf
