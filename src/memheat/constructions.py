@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -39,7 +39,6 @@ from .pde_core import (
     PrescribedFluxRule,
     Scenario,
     SimulationOutcome,
-    SolverControls,
     State,
     run,
     step,
@@ -48,6 +47,15 @@ from .pde_core import (
 
 # ---------------------------------------------------------------------------
 # auxiliary linear runs
+
+def _lerp_weights(nodes: np.ndarray, at):
+    """(i, w) with at = (1 - w) nodes[i-1] + w nodes[i], at clamped to the
+    ends of nodes; a node itself gets w = 1 (w = 0 at nodes[0]), so its
+    value comes back exactly."""
+    at = np.clip(at, nodes[0], nodes[-1])
+    i = np.clip(np.searchsorted(nodes, at), 1, len(nodes) - 1)
+    return i, (at - nodes[i - 1]) / (nodes[i] - nodes[i - 1])
+
 
 @dataclass
 class AuxiliarySolution:
@@ -58,54 +66,41 @@ class AuxiliarySolution:
     grid: np.ndarray
     bound: float                # stabilized running sup (Y or H)
     stabilized: bool
-    outcome: Optional[SimulationOutcome]
 
-    def at(self, t: float) -> np.ndarray:
-        """Field at time t, linear in t between snapshots, clamped at ends."""
-        ts = self.times
-        if t <= ts[0]:
-            return self.fields[0]
-        if t >= ts[-1]:
-            return self.fields[-1]
-        i = int(np.searchsorted(ts, t))
-        w = (t - ts[i - 1]) / (ts[i] - ts[i - 1])
-        return (1.0 - w) * self.fields[i - 1] + w * self.fields[i]
+    def at(self, x: np.ndarray, t) -> np.ndarray:
+        """The field on x at t, a float or a time column of shape (m, 1):
+        linear between snapshots and between grid nodes, clamped at the
+        ends.  Shape (len(x),) for a float t, (m, len(x)) for a column."""
+        i, w = _lerp_weights(self.times, np.atleast_1d(t)[..., 0])
+        w = w[..., None]
+        rows = (1.0 - w) * self.fields[i - 1] + w * self.fields[i]
+        j, v = _lerp_weights(self.grid, np.asarray(x))
+        return (1.0 - v) * rows[..., j - 1] + v * rows[..., j]
 
 
-def solve_auxiliary_linear(flux, length: float, n_nodes: int, t_max: float,
-                           dt_max: float = 2e-3,
-                           snapshot_every: Optional[float] = None,
-                           t_settle: Optional[float] = None,
+def solve_auxiliary_linear(flux: Optional[Callable[[float], float]],
+                           scenario: Scenario, t_max: float,
                            ) -> AuxiliarySolution:
-    """Integrate v_t = v_xx, v(x,0) = 1, outward slope flux(t) at both ends.
+    """Integrate v_t = v_xx, v(x,0) = 1, outward slope flux(t) at both ends,
+    on the scenario's domain with its controls up to t_max.
 
-    Snapshots cover [0, t_max] at fine steps.  The integration then continues
-    with geometrically growing steps out to t_settle (default the larger of
-    4e4 and 2 t_max): power-law flux tails keep feeding the sup long past any
-    snapshot horizon, and the bound is only trusted once the running sup
-    grows by less than 1e-4 relative over the final half of [0, t_settle].
+    flux maps a float t to a float; None means no influx, which keeps the
+    constant initial state exactly.  Snapshots cover [0, t_max] at the
+    controls' cadence.  The integration then continues with geometrically
+    growing steps out to t_settle = max(4e4, 2 t_max): power-law flux tails
+    keep feeding the sup long past any snapshot horizon, and the bound is
+    only trusted once the running sup grows by less than 1e-4 relative over
+    the final half of [0, t_settle].
     """
-    if isinstance(flux, CoefficientSpec):
-        if flux.is_zero:
-            # zero influx keeps the constant initial state exactly
-            x = np.linspace(0.0, length, n_nodes)
-            times = np.array([0.0, t_max])
-            return AuxiliarySolution(times=times,
-                                     fields=np.ones((2, n_nodes)), grid=x,
-                                     bound=1.0, stabilized=True, outcome=None)
-        spec = flux
-        g = lambda t: float(eval_coeff(spec, t))
-    elif callable(flux):
-        g = lambda t: float(flux(t))
-    else:
-        raise ConfigurationError("flux must be a CoefficientSpec or callable")
-    if t_settle is None:
-        t_settle = max(4e4, 2.0 * t_max)
-    t_settle = max(t_settle, t_max)
-    controls = SolverControls(n_nodes=n_nodes, t_max=t_max, dt_max=dt_max,
-                              snapshot_every=snapshot_every)
-    rule = PrescribedFluxRule(g)
-    scn = Scenario(length=length, p=2.0, q=2.0, c=ZERO, k=ZERO,
+    controls = replace(scenario.controls, t_max=t_max)
+    if flux is None:
+        return AuxiliarySolution(times=np.array([0.0, t_max]),
+                                 fields=np.ones((2, controls.n_nodes)),
+                                 grid=scenario.grid(), bound=1.0,
+                                 stabilized=True)
+    t_settle = max(4e4, 2.0 * t_max)
+    rule = PrescribedFluxRule(flux)
+    scn = Scenario(length=scenario.length, p=2.0, q=2.0, c=ZERO, k=ZERO,
                    u0=InitialSpec("constant", 1.0), controls=controls,
                    boundary=rule)
     out = run(scn)
@@ -114,13 +109,13 @@ def solve_auxiliary_linear(flux, length: float, n_nodes: int, t_max: float,
     sup_run = list(np.maximum.accumulate(tr.sup_norm))
 
     ok = out.status == "GlobalToHorizon"
-    if ok and t_settle > t_max:
+    if ok:
         # the last state of a run that reached its horizon has a finite
         # sup, so its field has no negative entry
         state = State(float(out.snapshots[-1][0]),
                       out.snapshots[-1][1].copy(), 0.0, 0.0, nonneg=True)
         rs = sup_run[-1]
-        dt = dt_max
+        dt = controls.dt_max
         try:
             while state.t < t_settle and math.isfinite(rs):
                 dt = min(dt * 1.05, 100.0, t_settle - state.t)
@@ -142,7 +137,7 @@ def solve_auxiliary_linear(flux, length: float, n_nodes: int, t_max: float,
     fields = np.stack([u for _, u in out.snapshots])
     return AuxiliarySolution(times=times, fields=fields,
                              grid=scn.grid(), bound=max(rs_end, 1.0),
-                             stabilized=stabilized, outcome=out)
+                             stabilized=stabilized)
 
 
 # ---------------------------------------------------------------------------
@@ -160,23 +155,19 @@ def _horizon_error(kind: str, t_cap: float) -> NotApplicableError:
 
 @dataclass
 class SupersolutionSpec:
-    kind: str                   # Th00 | Th2 | Th4
+    """A barrier: its kind (Th00 | Th2 | Th4), its parameters, its values and
+    the auxiliary run it is built on (Th2 and Th4).
+
+    evaluate(x, t) takes t as a float, giving the row on x, or as a time
+    column of shape (m, 1), giving the (m, len(x)) rows at those times; a
+    column's rows are bit for bit the rows of its times one at a time, so
+    the builders evaluate with numpy ufuncs only.
+    """
+
+    kind: str
     params: dict
     evaluate: Callable[[np.ndarray, float], np.ndarray]
     aux: Optional[AuxiliarySolution] = None
-    # block_rows(x) gives a function of a time array that returns the
-    # barrier's rows on x at those times, bit for bit those of evaluate
-    block_rows: Optional[Callable[[np.ndarray],
-                                  Callable[[np.ndarray], np.ndarray]]] = None
-
-    def rows_on(self, x: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        """The barrier's rows on x as a function of a time array: from
-        block_rows when the spec has it, else evaluate stacked time by time."""
-        if self.block_rows is not None:
-            return self.block_rows(x)
-        empty = np.empty((0, len(x)))
-        return lambda ts: np.vstack([empty] + [self.evaluate(x, t)
-                                               for t in ts.tolist()])
 
 
 def build_th00_supersolution(scenario: Scenario, T: float) -> SupersolutionSpec:
@@ -202,21 +193,11 @@ def build_th00_supersolution(scenario: Scenario, T: float) -> SupersolutionSpec:
     if T > t_cap:
         raise _horizon_error("exponential", t_cap)
 
-    def profile(x: np.ndarray) -> np.ndarray:
-        return 2.0 - np.sin(math.pi * np.asarray(x) / L)
-
-    def evaluate(x: np.ndarray, t: float) -> np.ndarray:
-        return d * math.exp(b * t) * profile(x)
-
-    def block_rows(x: np.ndarray):
-        # one outer product per block: the time factors by math.exp, as
-        # evaluate takes them, times the profile made once per grid
-        prof = profile(x)
-        return lambda ts: np.multiply.outer(
-            np.array([d * math.exp(b * t) for t in ts.tolist()]), prof)
+    def evaluate(x: np.ndarray, t) -> np.ndarray:
+        return d * np.exp(b * t) * (2.0 - np.sin(math.pi * np.asarray(x) / L))
 
     return SupersolutionSpec("Th00", {"d": d, "b": b, "M": M, "lambda1": lam},
-                             evaluate, block_rows=block_rows)
+                             evaluate)
 
 
 def z_profile(p: float, alpha: float, Y: float, c, t):
@@ -232,7 +213,7 @@ def z_profile(p: float, alpha: float, Y: float, c, t):
         raise ConfigurationError("need alpha > 0 and Y >= 1")
     cum = c if isinstance(c, CumulativeIntegral) else CumulativeIntegral(c)
     base = 1.0 + (p - 1.0) * (alpha * Y) ** (p - 1.0) * cum.tail(t)
-    return base ** (-1.0 / (p - 1.0))
+    return np.power(base, -1.0 / (p - 1.0))
 
 
 def build_th2_supersolution(scenario: Scenario, t_max: float,
@@ -254,22 +235,17 @@ def build_th2_supersolution(scenario: Scenario, t_max: float,
     if not window.holds:
         raise NotApplicableError("memory window bound fails for k")
     k = scenario.k
-    flux = ZERO if k.is_zero else (lambda t: t * float(eval_coeff(k, t)))
-    aux = solve_auxiliary_linear(flux, scenario.length,
-                                 scenario.controls.n_nodes, t_max,
-                                 snapshot_every=scenario.controls.snapshot_every)
+    flux = None if k.is_zero else (lambda t: t * eval_coeff(k, t))
+    aux = solve_auxiliary_linear(flux, scenario, t_max)
     if not aux.stabilized:
         raise NotApplicableError("auxiliary bound Y did not stabilize")
     Y = aux.bound
     alpha_max = Y ** (-q / (q - 1.0))
     alpha = alpha_max if alpha is None else min(alpha, alpha_max)
     cum = CumulativeIntegral(scenario.c)
-    grid = aux.grid
 
-    def evaluate(x: np.ndarray, t: float) -> np.ndarray:
-        z = z_profile(p, alpha, Y, cum, t)
-        y = np.interp(np.asarray(x), grid, aux.at(t))
-        return alpha * z * y
+    def evaluate(x: np.ndarray, t) -> np.ndarray:
+        return alpha * z_profile(p, alpha, Y, cum, t) * aux.at(x, t)
 
     params = {"alpha": alpha, "Y": Y,
               "z0": z_profile(p, alpha, Y, cum, 0.0)}
@@ -301,20 +277,16 @@ def build_th4_supersolution(scenario: Scenario, t_max: float,
         raise _horizon_error("exponential-factor",
                              brentq(lambda t: cum(t) - _LOG_MAX, 0.0, t_max))
     kappa = effective_flux(c, k, q)
-    flux = ZERO if k.is_zero else (lambda t: float(kappa(t)))
-    aux = solve_auxiliary_linear(flux, scenario.length,
-                                 scenario.controls.n_nodes, t_max,
-                                 snapshot_every=scenario.controls.snapshot_every)
+    flux = None if k.is_zero else kappa
+    aux = solve_auxiliary_linear(flux, scenario, t_max)
     if not aux.stabilized:
         raise NotApplicableError("auxiliary bound H did not stabilize")
     H = aux.bound
     alpha_max = H ** (-q / (q - 1.0))
     alpha = alpha_max if alpha is None else min(alpha, alpha_max)
-    grid = aux.grid
 
-    def evaluate(x: np.ndarray, t: float) -> np.ndarray:
-        h_field = np.interp(np.asarray(x), grid, aux.at(t))
-        return alpha * math.exp(cum(t)) * h_field
+    def evaluate(x: np.ndarray, t) -> np.ndarray:
+        return alpha * np.exp(cum(t)) * aux.at(x, t)
 
     params = {"alpha": alpha, "H": H,
               "bounded": conds.reaction_tail.converges}
@@ -412,12 +384,13 @@ def _residual_mins(spec: SupersolutionSpec, scenario: Scenario,
                    times: np.ndarray, x: np.ndarray):
     """(interior, boundary, initial) residual minima and their locations.
 
-    The barrier's rows go through in blocks of about _BLOCK_BYTES, each with
-    one row of halo on either side, so the memory does not grow with
-    len(times) * len(x).  The interior minimum and its location are those of
-    np.argmin over the whole row-major residual array: the first occurrence
-    wins, and so does a NaN.  Only the three edge columns at each end and
-    row 0 are kept whole, for the boundary and initial residuals.
+    The barrier's rows go through in blocks of about _BLOCK_BYTES, each
+    evaluated in one call with one row of halo on either side, so the
+    memory does not grow with len(times) * len(x).  The interior minimum
+    and its location are those of np.argmin over the whole row-major
+    residual array: the first occurrence wins, and so does a NaN.  Only the
+    three edge columns at each end and row 0 are kept whole, for the
+    boundary and initial residuals.
     """
     n, m = len(times), len(x)
     h = x[1] - x[0]
@@ -425,17 +398,14 @@ def _residual_mins(spec: SupersolutionSpec, scenario: Scenario,
     cvals = eval_coeff(scenario.c, times)
     kvals = eval_coeff(scenario.k, times)
     rows = max(1, _BLOCK_BYTES // (8 * m))
-    rows_at = spec.rows_on(x)
 
     left, right = np.empty((n, 3)), np.empty((n, 3))
-    W, lo = np.empty((0, m)), 0         # rows lo, lo+1, ... of U
     r_min, i_min = math.inf, None
     for s in range(0, n, rows):
         e = min(s + rows, n)
         # dU/dt needs one row on either side, three rows at the two ends
-        new_lo, hi = max(0, min(s - 1, n - 3)), min(n, max(e + 1, 3))
-        W = np.vstack([W[new_lo - lo:], rows_at(times[lo + len(W):hi])])
-        lo = new_lo
+        lo, hi = max(0, min(s - 1, n - 3)), min(n, max(e + 1, 3))
+        W = spec.evaluate(x, times[lo:hi, None])    # rows lo..hi-1 of U
         U = W[s - lo:e - lo]
         left[s:e], right[s:e] = U[:, :3], U[:, -3:]
         if s == 0:
@@ -479,16 +449,18 @@ def _refine_axis(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_mins(spec: SupersolutionSpec, scenario: Scenario, T: float,
-                nt: Optional[int]) -> tuple:
+def _check_mins(spec: SupersolutionSpec, scenario: Scenario,
+                T: float) -> tuple:
     """(residual minima and their locations, refined residual minima) on the
-    check grid of [0, T] and on its midpoint refinement."""
-    if nt is None and spec.aux is not None:
+    check grid of [0, T] and on its midpoint refinement: the auxiliary run's
+    snapshot times when there are at least 5, else 201 uniform times, and
+    2001 uniform times for a barrier without an auxiliary run."""
+    if spec.aux is not None:
         times = spec.aux.times[spec.aux.times <= T * (1 + 1e-12)]
         if len(times) < 5:
             times = np.linspace(0.0, T, 201)
     else:
-        times = np.linspace(0.0, T, nt if nt is not None else 2001)
+        times = np.linspace(0.0, T, 2001)
     x = scenario.grid()
     coarse = _residual_mins(spec, scenario, times, x)
     fine, _ = _residual_mins(spec, scenario, _refine_axis(times), _refine_axis(x))
@@ -499,8 +471,8 @@ def _checkable(mins: tuple, mins_fine: tuple) -> bool:
     return all(math.isfinite(m) for m in mins + mins_fine)
 
 
-def _checkable_horizon(spec: SupersolutionSpec, scenario: Scenario, T: float,
-                       nt: Optional[int]) -> float:
+def _checkable_horizon(spec: SupersolutionSpec, scenario: Scenario,
+                       T: float) -> float:
     """The largest horizon below T, to six significant digits, on which every
     residual minimum is finite (bisection); 0.0 when there is none."""
     lo, hi = 0.0, T
@@ -508,29 +480,42 @@ def _checkable_horizon(spec: SupersolutionSpec, scenario: Scenario, T: float,
         mid = float(f"{0.5 * (lo + hi):.6g}")
         if mid <= lo or mid >= hi:
             return lo
-        (mins, _), mins_fine = _check_mins(spec, scenario, mid, nt)
+        (mins, _), mins_fine = _check_mins(spec, scenario, mid)
         if _checkable(mins, mins_fine):
             lo = mid
         else:
             hi = mid
 
 
+def _within_aux_horizon(spec: SupersolutionSpec, T: float) -> None:
+    """Raise NotApplicableError when T is past the end of the barrier's
+    auxiliary run, beyond which its field is only the last snapshot."""
+    if spec.aux is not None and T > spec.aux.times[-1] * (1 + 1e-12):
+        raise NotApplicableError(
+            f"the {spec.kind} barrier's auxiliary run ends at "
+            f"t = {spec.aux.times[-1]:.6g}; it cannot be checked up to "
+            f"t = {T:.6g}")
+
+
 def verify_supersolution(spec: SupersolutionSpec, scenario: Scenario,
-                         T: float, nt: Optional[int] = None) -> ResidualReport:
+                         T: float) -> ResidualReport:
     """Discrete residuals of the three barrier inequalities on [0, T].
 
-    PASS means every residual min clears -tol_res, where tol_res couples the
-    base 1e-6 to measured grid sensitivity: one midpoint refinement of the
-    evaluation grid bounds the discretization error Richardson-style.  A
+    The check grid is that of `_check_mins`.  PASS means every residual min
+    clears -tol_res, where tol_res couples the base 1e-6 to measured grid
+    sensitivity: one midpoint refinement of the evaluation grid bounds the
+    discretization error Richardson-style.  NotApplicableError is raised
+    when T is past the horizon of the barrier's auxiliary run, and for a
     barrier whose stencils pass the float range on [0, T], so that some
-    minimum is not finite, cannot be checked there: NotApplicableError names
-    the largest horizon on which it can.
+    minimum is not finite; it then names the largest horizon on which the
+    barrier can be checked.
     """
-    (mins, worst), mins_fine = _check_mins(spec, scenario, T, nt)
+    _within_aux_horizon(spec, T)
+    (mins, worst), mins_fine = _check_mins(spec, scenario, T)
     if not _checkable(mins, mins_fine):
         raise NotApplicableError(
             f"the residuals of the {spec.kind} barrier pass the float range "
-            f"on [0, {T:.6g}]; {_checkable_horizon(spec, scenario, T, nt):.6g} "
+            f"on [0, {T:.6g}]; {_checkable_horizon(spec, scenario, T):.6g} "
             f"is the largest horizon on which they can be checked")
     drift = max(abs(a - b) for a, b in zip(mins, mins_fine))
     tol_res = 1e-6 + 2.0 * drift
@@ -552,13 +537,16 @@ class DominationReport:
 
 def check_domination(spec: SupersolutionSpec, outcome: SimulationOutcome,
                      scenario: Scenario, tol: float = 1e-8) -> DominationReport:
-    """Check u <= barrier at every recorded snapshot (relative tolerance)."""
+    """Check u <= barrier at every recorded snapshot (relative tolerance).
+    NotApplicableError when a snapshot is past the horizon of the barrier's
+    auxiliary run."""
     x = scenario.grid()
     worst = 0.0
     worst_t = 0.0
     for t, u in outcome.snapshots:
         if not np.all(np.isfinite(u)):
             break
+        _within_aux_horizon(spec, t)
         ub = spec.evaluate(x, float(t))
         viol = float(np.max(u - ub)) / (1.0 + float(np.max(ub)))
         if viol > worst:

@@ -2,6 +2,8 @@
 
 import json
 import math
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -264,6 +266,36 @@ def test_verify_barrier_whose_stencils_overflow_exits_2_naming_the_horizon(
     assert main(["verify", "--config", write_cfg(tmp_path, doc)]) == 0
     out = capsys.readouterr().out
     assert "nan" not in out and "VERDICT: PASS (Th00 barrier)" in out
+
+
+# the certify benchmark's verify commands and its stored answers to them
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.mark.parametrize("name", ["verify_th2", "verify_th4", "verify_th00"])
+def test_benchmark_verify_answers(tmp_path, capsys, name):
+    # the residual minima and the verdict within the benchmark's tolerances,
+    # 1e-5 relative plus 1e-12 absolute, so a moved answer fails here first
+    workloads = runpy.run_path(str(PERFBENCH / "workloads.py"))["WORKLOADS"]
+    [op] = [o for o in workloads["certify"] if o["name"] == name]
+    reference = json.loads((PERFBENCH / "reference.json").read_text())
+    want = reference["workloads"]["certify"]["answers"][name]
+    got = {"exit": main([op["command"], "--config",
+                         write_cfg(tmp_path, op["config"]), *op["args"]])}
+    for line in capsys.readouterr().out.splitlines():
+        tag, _, body = line.partition(": ")
+        words = body.split()
+        if tag == "VERDICT":
+            got["verdict"] = words[0]
+        elif tag == "RESIDUAL" and words[1:2] == ["min"]:
+            got[f"residual.{words[0]}"] = float(words[2])
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        if isinstance(value, float):
+            tol = 1e-5 * max(abs(got[key]), abs(value)) + 1e-12
+            assert abs(got[key] - value) <= tol, (key, got[key], value)
+        else:
+            assert got[key] == value, key
 
 
 def test_verify_transform_equivalence(tmp_path, capsys):

@@ -4,6 +4,7 @@ import functools
 import math
 import struct
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -33,6 +34,12 @@ def scenario(p, q, c, k, u0_value=1.0, length=1.0, **ctrl):
     return Scenario(length=length, p=p, q=q, c=c, k=k,
                     u0=InitialSpec("constant", u0_value),
                     controls=SolverControls(**ctrl))
+
+
+def rows_shape(x, t):
+    """The shape of a barrier's rows: (len(x),) at a float t, (m, len(x))
+    at a time column of shape (m, 1)."""
+    return np.broadcast_shapes(np.shape(t), np.shape(x))
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +91,7 @@ def test_exponential_barrier_underpowered_rate_fails_boundary():
     d = spec.params["d"]
     bad = SupersolutionSpec(
         "Th00", {**spec.params, "b": b_bad},
-        lambda x, t: d * math.exp(b_bad * t)
+        lambda x, t: d * np.exp(b_bad * t)
         * (2.0 - np.sin(math.pi * np.asarray(x) / 10.0)))
     rep = verify_supersolution(bad, scn, T=3.0)
     assert not rep.passed
@@ -95,7 +102,7 @@ def test_exponential_barrier_underpowered_rate_fails_boundary():
 def test_zero_barrier_fails_initial_inequality():
     scn = scenario(1.0, 1.0, ZERO, ZERO, u0_value=1.0)
     zero_spec = SupersolutionSpec(
-        "Th00", {}, lambda x, t: np.zeros_like(np.asarray(x, dtype=float)))
+        "Th00", {}, lambda x, t: np.zeros(rows_shape(x, t)))
     rep = verify_supersolution(zero_spec, scn, T=1.0)
     assert not rep.passed
     assert rep.r_init_min == pytest.approx(-1.0, rel=1e-12)
@@ -105,14 +112,16 @@ def test_zero_barrier_fails_initial_inequality():
 # auxiliary linear runs
 
 def test_auxiliary_zero_flux_is_constant():
-    aux = solve_auxiliary_linear(ZERO, 1.0, 51, t_max=1.0, t_settle=100.0)
+    aux = solve_auxiliary_linear(None, scenario(2.0, 2.0, ZERO, ZERO,
+                                                n_nodes=51), t_max=1.0)
     assert aux.stabilized
     assert aux.bound == 1.0
     assert np.max(np.abs(aux.fields - 1.0)) == 0.0
 
 
 def test_auxiliary_integrable_flux_stabilizes():
-    aux = solve_auxiliary_linear(lambda t: t / (1.0 + t) ** 3, 1.0, 51,
+    aux = solve_auxiliary_linear(lambda t: t / (1.0 + t) ** 3,
+                                 scenario(2.0, 2.0, ZERO, ZERO, n_nodes=51),
                                  t_max=20.0)
     assert aux.stabilized
     # total influx 2*int t(1+t)^-3 = 1 over |domain| = 1, starting from 1
@@ -120,17 +129,72 @@ def test_auxiliary_integrable_flux_stabilizes():
 
 
 def test_auxiliary_linear_flux_never_settles():
-    aux = solve_auxiliary_linear(lambda t: t, 1.0, 51, t_max=20.0,
-                                 t_settle=2000.0)
+    aux = solve_auxiliary_linear(lambda t: t,
+                                 scenario(2.0, 2.0, ZERO, ZERO, n_nodes=51),
+                                 t_max=20.0)
     assert not aux.stabilized
     assert aux.bound > 10.0
 
 
 def test_auxiliary_interpolation_clamps():
-    aux = solve_auxiliary_linear(ZERO, 1.0, 21, t_max=1.0, t_settle=1.0)
-    assert np.allclose(aux.at(-1.0), aux.fields[0])
-    assert np.allclose(aux.at(99.0), aux.fields[-1])
-    assert np.allclose(aux.at(0.123), 1.0)
+    k3 = CoefficientSpec.power(1.0, 3.0)
+    aux = build_th2_supersolution(
+        scenario(2.0, 2.0, ZERO, k3, n_nodes=21, t_max=1.0), t_max=1.0).aux
+    grid = aux.grid
+    assert aux.at(grid, -1.0).tolist() == aux.fields[0].tolist()
+    assert aux.at(grid, 99.0).tolist() == aux.fields[-1].tolist()
+    assert aux.at(grid, aux.times[7]).tolist() == aux.fields[7].tolist()
+    t = 0.5 * (aux.times[7] + aux.times[8])
+    row = aux.at(grid, t)
+    np.testing.assert_allclose(row, 0.5 * (aux.fields[7] + aux.fields[8]),
+                               rtol=1e-14)
+    # on x: the nodes exactly, linear between them
+    on_x = aux.at(np.array([0.0, 0.025, 0.05, 1.0]), t)
+    assert on_x[[0, 2, 3]].tolist() == row[[0, 1, 20]].tolist()
+    assert on_x[1] == pytest.approx(0.5 * (row[0] + row[1]), rel=1e-14)
+
+
+def _aux_runs(monkeypatch, scn, t_max):
+    """The controls and step count of each auxiliary run that building the
+    Th2 barrier of scn makes."""
+    runs = []
+
+    def recorded(aux_scn):
+        out = run(aux_scn)
+        runs.append((aux_scn.controls, out.steps))
+        return out
+    monkeypatch.setattr(constructions, "run", recorded)
+    build_th2_supersolution(scn, t_max)
+    return runs
+
+
+def test_auxiliary_run_follows_the_scenario_controls(monkeypatch):
+    c2, k3 = CoefficientSpec.power(1.0, 2.0), CoefficientSpec.power(1.0, 3.0)
+    base = scenario(2.0, 2.0, c2, k3, n_nodes=51, t_max=2.0)
+    finer_dt = scenario(2.0, 2.0, c2, k3, n_nodes=51, t_max=2.0, dt_max=1e-3)
+    refined = replace(base, controls=base.controls.refined(1))
+    runs = {}
+    for name, scn in (("base", base), ("dt_max", finer_dt),
+                      ("refined", refined)):
+        [runs[name]] = _aux_runs(monkeypatch, scn, 1.5)
+        assert runs[name][0] == replace(scn.controls, t_max=1.5)
+    # the run is held to dt_max, so a smaller one takes more steps; the
+    # refinement keeps dt_max and halves theta
+    assert runs["dt_max"][1] > runs["base"][1]
+    assert runs["refined"][0].theta == 0.05
+
+
+def test_verify_past_the_auxiliary_horizon_is_not_applicable():
+    c2, k3 = CoefficientSpec.power(1.0, 2.0), CoefficientSpec.power(1.0, 3.0)
+    scn = scenario(2.0, 2.0, c2, k3, u0_value=0.05, t_max=2.0)
+    spec = build_th2_supersolution(scn, t_max=2.0)
+    with pytest.raises(NotApplicableError, match=r"t = 2\b.*t = 20\b"):
+        verify_supersolution(spec, scn, T=20.0)
+    assert verify_supersolution(spec, scn, T=2.0).passed
+    longer = scenario(2.0, 2.0, c2, k3, u0_value=0.05, t_max=3.0,
+                      snapshot_every=1.0)
+    with pytest.raises(NotApplicableError, match=r"t = 2\b.*t = 3\b"):
+        check_domination(spec, run(longer), longer)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +279,7 @@ def test_product_barrier_reductions():
     k3 = CoefficientSpec.power(1.0, 3.0)
     scn0 = scenario(2.0, 2.0, ZERO, k3, u0_value=0.1, t_max=5.0)
     spec0 = build_th2_supersolution(scn0, t_max=5.0)
-    y_end = spec0.aux.at(5.0)
+    y_end = spec0.aux.at(scn0.grid(), 5.0)
     assert np.allclose(spec0.evaluate(scn0.grid(), 5.0),
                        spec0.params["alpha"] * y_end, rtol=1e-12)
 
@@ -286,7 +350,7 @@ def test_factor_barrier_zero_reaction_matches_product_aux():
     scn = scenario(1.0, 2.0, ZERO, k3, t_max=5.0)
     spec = build_th4_supersolution(scn, t_max=5.0)
     x = scn.grid()
-    h_mid = spec.aux.at(2.5)
+    h_mid = spec.aux.at(x, 2.5)
     assert np.allclose(spec.evaluate(x, 2.5), spec.params["alpha"] * h_mid,
                        rtol=1e-12)
 
@@ -351,13 +415,11 @@ def _nonfinite_barrier(x, t):
     # a column of inf gives -inf beside a NaN in the same row; from t = 0.7 a
     # NaN column gives more NaNs: the first NaN must win
     u = (1.0 + t) * (2.0 - np.sin(math.pi * np.asarray(x)))
-    m = len(u)
-    if t >= 0.1:
-        u[3 * m // 4] = 1e300
-    if t >= 0.3:
-        u[m // 4] = math.inf
-    if t >= 0.7:
-        u[m // 2] = math.nan
+    m = len(x)
+    col = np.arange(m)
+    for j, t_from, value in ((3 * m // 4, 0.1, 1e300), (m // 4, 0.3, math.inf),
+                             (m // 2, 0.7, math.nan)):
+        u = np.where((col == j) & (t >= t_from), value, u)
     return u
 
 
@@ -367,12 +429,18 @@ def _bad_rate_barrier():
     spec = build_th00_supersolution(scn, T=3.0)
     b_bad, d = spec.params["b"] / 2.0, spec.params["d"]
     return scn, SupersolutionSpec(
-        "Th00", {}, lambda x, t: d * math.exp(b_bad * t)
+        "Th00", {}, lambda x, t: d * np.exp(b_bad * t)
         * (2.0 - np.sin(math.pi * np.asarray(x) / 10.0))), 3.0
+
+
+# off the closed forms of C(t): an off-lane power_log and a tabulated c
+POWER_LOG_C = CoefficientSpec.power_log(1.0, 2.0, 1, 1.0)
+TABLE_C = CoefficientSpec.tabulated([(0.0, 1.0), (1.0, 0.0)])
 
 
 def _barrier_case(kind):
     c2, k3 = CoefficientSpec.power(1.0, 2.0), CoefficientSpec.power(1.0, 3.0)
+    k4 = CoefficientSpec.power(1.0, 4.0)
     if kind == "th00":      # the certify benchmark's verify_th00
         scn = scenario(0.5, 0.5, ONE, ONE, t_max=5.0)
         return scn, build_th00_supersolution(scn, T=5.0), 5.0
@@ -380,8 +448,15 @@ def _barrier_case(kind):
         scn = scenario(2.0, 2.0, c2, k3, u0_value=0.05, t_max=5.0)
         return scn, build_th2_supersolution(scn, t_max=5.0), 5.0
     if kind == "th4":       # the certify benchmark's verify_th4
-        scn = scenario(1.0, 2.0, c2, CoefficientSpec.power(1.0, 4.0),
-                       u0_value=0.05, t_max=2.0)
+        scn = scenario(1.0, 2.0, c2, k4, u0_value=0.05, t_max=2.0)
+        return scn, build_th4_supersolution(scn, t_max=2.0), 2.0
+    if kind in ("th2_power_log", "th2_table", "th4_power_log", "th4_table"):
+        c = POWER_LOG_C if kind.endswith("power_log") else TABLE_C
+        if kind.startswith("th2"):
+            scn = scenario(2.0, 2.0, c, k3, u0_value=0.05, n_nodes=51,
+                           t_max=2.0)
+            return scn, build_th2_supersolution(scn, t_max=2.0), 2.0
+        scn = scenario(1.0, 2.0, c, k4, u0_value=0.05, n_nodes=51, t_max=2.0)
         return scn, build_th4_supersolution(scn, t_max=2.0), 2.0
     if kind == "b_bad":
         return _bad_rate_barrier()
@@ -389,12 +464,24 @@ def _barrier_case(kind):
         # flat in x with c = 0, so the residual is dU/dt itself, most
         # negative mid-horizon: its rows there take the interior stencil
         return scenario(1.0, 1.0, ZERO, ZERO), SupersolutionSpec(
-            "Th00", {}, lambda x, t: np.full(len(x), 3.0 + math.cos(t))), 5.0
+            "Th00", {},
+            lambda x, t: np.full(rows_shape(x, t), 3.0 + np.cos(t))), 5.0
     scn = scenario(1.0, 1.0, ONE, ONE, u0_value=1.0)
     if kind == "zero":
         return scn, SupersolutionSpec(
-            "Th00", {}, lambda x, t: np.zeros_like(np.asarray(x, dtype=float))), 1.0
+            "Th00", {}, lambda x, t: np.zeros(rows_shape(x, t))), 1.0
     return scn, SupersolutionSpec("Th00", {}, _nonfinite_barrier), 1.0
+
+
+def _check_grids(spec, scn, T):
+    """The (times, x) of the coarse and the refined grid that
+    verify_supersolution checks spec on."""
+    grids = []
+    with mock.patch.object(constructions, "_residual_mins",
+                           lambda sp, sc, times, x: grids.append((times, x))
+                           or ((0.0, 0.0, 0.0), {})):
+        verify_supersolution(spec, scn, T)
+    return grids
 
 
 @functools.lru_cache(maxsize=None)
@@ -402,11 +489,7 @@ def _residual_case(kind):
     """The scenario, the barrier, and for the coarse and the refined grid of
     verify_supersolution: (times, x, whole-array reference)."""
     scn, spec, T = _barrier_case(kind)
-    grids = []
-    with mock.patch.object(constructions, "_residual_mins",
-                           lambda sp, sc, times, x: grids.append((times, x))
-                           or ((0.0, 0.0, 0.0), {})):
-        verify_supersolution(spec, scn, T)
+    grids = _check_grids(spec, scn, T)
     if kind == "uniform":
         # dyadic steps are exact, so np.gradient takes its uniform branch
         times = np.arange(257) * (T / 256)
@@ -439,17 +522,17 @@ def test_streamed_residuals_match_whole_array_bit_for_bit(monkeypatch, kind,
 
 
 @pytest.mark.parametrize("grid", [0, 1], ids=["coarse", "refined"])
-def test_th00_block_rows_equal_evaluate_bit_for_bit(grid):
-    # the residual check takes Th00's rows as outer products; a spec built
-    # from evaluate alone stacks it time by time
-    _, spec, grids = _residual_case("th00")
-    times, x, _ = grids[grid]
+@pytest.mark.parametrize("kind", ["th00", "th2", "th4", "th2_power_log",
+                                  "th2_table", "th4_power_log", "th4_table"])
+def test_evaluate_on_a_time_column_equals_time_by_time_bit_for_bit(kind, grid):
+    # the residual check asks each block of rows in one call
+    scn, spec, T = _barrier_case(kind)
+    times, x = _check_grids(spec, scn, T)[grid]
     want = np.stack([spec.evaluate(x, float(t)) for t in times])
-    for th00 in (spec, SupersolutionSpec("Th00", {}, spec.evaluate)):
-        rows = th00.rows_on(x)
-        assert rows(times).tobytes() == want.tobytes()
-        assert rows(times[5:12]).tobytes() == want[5:12].tobytes()
-        assert rows(times[:0]).shape == (0, len(x))
+    for lo, hi in ((0, len(times)), (5, 12), (3, 4), (0, 0)):
+        rows = spec.evaluate(x, times[lo:hi, None])
+        assert rows.shape == (hi - lo, len(x))
+        assert rows.tobytes() == want[lo:hi].tobytes()
 
 
 def test_streamed_residuals_keep_the_first_nan():
@@ -480,9 +563,9 @@ def test_domination_flags_violations():
     scn = scenario(1.0, 1.0, ZERO, ZERO, u0_value=1.0, t_max=0.5)
     out = run(scn)
     above = SupersolutionSpec(
-        "Th00", {}, lambda x, t: np.full(np.asarray(x).shape, 2.0))
+        "Th00", {}, lambda x, t: np.full(rows_shape(x, t), 2.0))
     below = SupersolutionSpec(
-        "Th00", {}, lambda x, t: np.full(np.asarray(x).shape, 0.5))
+        "Th00", {}, lambda x, t: np.full(rows_shape(x, t), 0.5))
     assert check_domination(above, out, scn).holds
     rep = check_domination(below, out, scn)
     assert not rep.holds
