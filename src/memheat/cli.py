@@ -15,11 +15,11 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, replace
 from pathlib import Path
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
-from .coeffs import spec_from_json, spec_to_json
+from .coeffs import CoefficientSpec, as_real, spec_from_json, spec_to_json
 from .constructions import (
     build_th00_supersolution,
     build_th2_supersolution,
@@ -47,15 +47,9 @@ from .transform import equivalence_check
 
 COMMANDS = ("run", "classify", "verify", "sweep", "oracle")
 
-_TOP_KEYS = ("domain", "exponents", "c", "k", "initial", "solver", "output")
-_REQUIRED = ("exponents", "c", "k", "initial")
-_BLOCK_KEYS = {
-    "domain": ("length", "nodes"),
-    "exponents": ("p", "q"),
-    "initial": ("family", "value"),
-    "solver": ("t_max", "blowup_threshold", "theta", "dt_max", "max_steps"),
-    "output": ("dir", "snapshot_every"),
-}
+# each level doubles the nodes and halves theta, so it takes about four
+# times the work of the level before: eight levels are 65,536 times a run
+MAX_REFINE = 8
 
 
 @dataclass
@@ -67,7 +61,7 @@ class RunConfig:
     """
 
     scenario: Scenario
-    out_dir: str
+    out_dir: str = "out"
     grid: dict = field(default_factory=dict)
 
     @property
@@ -76,160 +70,155 @@ class RunConfig:
 
     def cells(self):
         """Scenarios of the Cartesian product, k varying fastest."""
-        scn = self.scenario
-        ps = self.grid.get("p", (scn.p,))
-        qs = self.grid.get("q", (scn.q,))
-        cs = self.grid.get("c", (scn.c,))
-        ks = self.grid.get("k", (scn.k,))
-        for p, q, c, k in itertools.product(ps, qs, cs, ks):
-            yield replace(scn, p=p, q=q, c=c, k=k)
+        axes = [key.attr for key in _SCHEMA if key.axis]
+        values = [self.grid.get(a, (getattr(self.scenario, a),)) for a in axes]
+        for combo in itertools.product(*values):
+            yield replace(self.scenario, **dict(zip(axes, combo)))
 
 
-def _reject_unknown(block: dict, name: str):
-    for key in block:
-        if key not in _BLOCK_KEYS[name]:
-            raise ConfigurationError(f"unknown key '{name}.{key}'")
+def _real(value, key: str) -> float:
+    # Python's json module also reads NaN and Infinity, which JSON has not
+    x = as_real(value, key)
+    if not math.isfinite(x):
+        raise ConfigurationError(f"must be a finite number, not {value!r}", key)
+    return x
 
 
-def _number(block: dict, name: str, key: str, default, positive=True):
-    if key not in block:
-        return default
-    v = block[key]
-    if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
-        raise ConfigurationError(f"{name}.{key} must be a finite number")
-    if positive and v <= 0:
-        raise ConfigurationError(f"{name}.{key} must be > 0")
-    return float(v)
+def _integer(value, key: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigurationError(f"must be an integer, not {value!r}", key)
+    return value
 
 
-def _exponent_axis(block: dict, key: str) -> tuple:
-    if key not in block:
-        raise ConfigurationError(f"exponents is missing required key {key!r}")
-    raw = block[key]
-    values = raw if isinstance(raw, list) else [raw]
-    if not values:
-        raise ConfigurationError(f"exponents.{key} must not be an empty list")
-    out = []
-    for v in values:
-        if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v) or v <= 0:
-            raise ConfigurationError(f"exponents.{key} must be > 0")
-        out.append(float(v))
-    return tuple(out)
+def _string(value, key: str) -> str:
+    if not isinstance(value, str) or not value:
+        raise ConfigurationError(f"must be a nonempty string, not {value!r}", key)
+    return value
 
 
-def _coeff_axis(doc: dict, key: str) -> tuple:
-    raw = doc[key]
-    entries = raw if isinstance(raw, list) else [raw]
-    if not entries:
-        raise ConfigurationError(f"{key} must not be an empty list")
-    return tuple(spec_from_json(entry, where=key) for entry in entries)
+class _Key(NamedTuple):
+    """The JSON key block.name (name alone at the top level) sets `attr` of
+    `owner` to read(value, path), which checks the JSON type.  The owner
+    holds the default, unless `default` stands in, and the range check.  A
+    sweep runs through the JSON list an axis may hold."""
+
+    block: Optional[str]
+    name: str
+    owner: type
+    attr: str
+    read: Callable
+    axis: bool = False
+    default: object = MISSING
+
+    @property
+    def path(self) -> str:
+        return f"{self.block}.{self.name}" if self.block else self.name
+
+
+_SCHEMA = (
+    _Key("domain", "length", Scenario, "length", _real, default=1.0),
+    _Key("domain", "nodes", SolverControls, "n_nodes", _integer),
+    _Key("exponents", "p", Scenario, "p", _real, axis=True),
+    _Key("exponents", "q", Scenario, "q", _real, axis=True),
+    _Key(None, "c", Scenario, "c", spec_from_json, axis=True),
+    _Key(None, "k", Scenario, "k", spec_from_json, axis=True),
+    _Key("initial", "family", InitialSpec, "family", _string),
+    # InitialSpec checks the number or the list entries
+    _Key("initial", "value", InitialSpec, "value",
+         lambda v, key: tuple(v) if isinstance(v, list) else v),
+    _Key("solver", "t_max", SolverControls, "t_max", _real),
+    _Key("solver", "blowup_threshold", SolverControls, "blowup_threshold", _real),
+    _Key("solver", "theta", SolverControls, "theta", _real),
+    _Key("solver", "dt_max", SolverControls, "dt_max", _real),
+    _Key("solver", "max_steps", SolverControls, "max_steps", _integer),
+    _Key("output", "dir", RunConfig, "out_dir", _string),
+    _Key("output", "snapshot_every", SolverControls, "snapshot_every",
+         lambda v, key: None if v is None else _real(v, key)),
+)
+
+
+def _check_keys(doc: dict):
+    paths = {key.path for key in _SCHEMA}
+    blocks = {key.block for key in _SCHEMA} - {None}
+    for name in doc:
+        if name not in paths and name not in blocks:
+            raise ConfigurationError(f"unknown key {name!r}")
+    for block in blocks:
+        value = doc.get(block, {})
+        if not isinstance(value, dict):
+            raise ConfigurationError("must be an object", block)
+        for name in value:
+            if f"{block}.{name}" not in paths:
+                raise ConfigurationError(f"unknown key '{block}.{name}'")
 
 
 def parse_config(text: str) -> RunConfig:
-    """Validate a JSON config document into a RunConfig."""
+    """Validate a JSON config document into a RunConfig.  An error names
+    the JSON key at fault."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigurationError("config must be a JSON object")
-    for key in doc:
-        if key not in _TOP_KEYS:
-            raise ConfigurationError(f"unknown key {key!r}")
-    for key in _REQUIRED:
-        if key not in doc:
-            raise ConfigurationError(f"config is missing required key {key!r}")
-    for name in ("domain", "exponents", "initial", "solver", "output"):
-        block = doc.get(name, {})
-        if not isinstance(block, dict):
-            raise ConfigurationError(f"{name} must be an object")
-        _reject_unknown(block, name)
+    _check_keys(doc)
 
-    domain = doc.get("domain", {})
-    length = _number(domain, "domain", "length", 1.0)
-    nodes = domain.get("nodes", 201)
-    if not isinstance(nodes, int) or isinstance(nodes, bool) or nodes < 3:
-        raise ConfigurationError("domain.nodes must be an integer >= 3")
-
-    exponents = doc["exponents"]
-    ps = _exponent_axis(exponents, "p")
-    qs = _exponent_axis(exponents, "q")
-    cs = _coeff_axis(doc, "c")
-    ks = _coeff_axis(doc, "k")
-
-    initial = doc["initial"]
-    family = initial.get("family")
-    if not isinstance(family, str):
-        raise ConfigurationError("initial.family must be a string")
-    if "value" not in initial:
-        raise ConfigurationError("initial is missing required key 'value'")
-    value = initial["value"]
-    if isinstance(value, list):
-        value = tuple(value)
-    u0 = InitialSpec(family, value)
-
-    solver = doc.get("solver", {})
-    max_steps = solver.get("max_steps", 5_000_000)
-    if not isinstance(max_steps, int) or isinstance(max_steps, bool) or max_steps < 1:
-        raise ConfigurationError("solver.max_steps must be an integer >= 1")
-    output = doc.get("output", {})
-    out_dir = output.get("dir", "out")
-    if not isinstance(out_dir, str) or not out_dir:
-        raise ConfigurationError("output.dir must be a nonempty string")
-    snap = output.get("snapshot_every", None)
-    if snap is not None:
-        snap = _number(output, "output", "snapshot_every", None)
-
-    controls = SolverControls(
-        n_nodes=nodes,
-        theta=_number(solver, "solver", "theta", 0.1),
-        dt_max=_number(solver, "solver", "dt_max", 2e-3),
-        blowup_threshold=_number(solver, "solver", "blowup_threshold", 1e10),
-        t_max=_number(solver, "solver", "t_max", 10.0),
-        snapshot_every=snap,
-        max_steps=max_steps,
-    )
-    scenario = Scenario(length=length, p=ps[0], q=qs[0], c=cs[0], k=ks[0],
-                        u0=u0, controls=controls)
-    scenario.initial_field()    # surfaces tabulated endpoint-slope violations
-
+    kwargs = {Scenario: {}, SolverControls: {}, InitialSpec: {}, RunConfig: {}}
     grid = {}
-    if isinstance(exponents.get("p"), list):
-        grid["p"] = ps
-    if isinstance(exponents.get("q"), list):
-        grid["q"] = qs
-    if isinstance(doc["c"], list):
-        grid["c"] = cs
-    if isinstance(doc["k"], list):
-        grid["k"] = ks
-    return RunConfig(scenario=scenario, out_dir=out_dir, grid=grid)
+    for key in _SCHEMA:
+        holder = doc.get(key.block, {}) if key.block else doc
+        if key.name in holder:
+            raw = holder[key.name]
+            if key.axis and isinstance(raw, list):
+                if not raw:
+                    raise ConfigurationError("must not be an empty list", key.path)
+                grid[key.attr] = tuple(key.read(v, key.path) for v in raw)
+                value = grid[key.attr][0]
+            else:
+                value = key.read(raw, key.path)
+        elif key.default is not MISSING:
+            value = key.default
+        elif key.owner.__dataclass_fields__[key.attr].default is not MISSING:
+            continue    # the dataclass default
+        else:
+            absent = key.block if key.block not in doc else key.path
+            raise ConfigurationError(f"config is missing required key {absent!r}")
+        kwargs[key.owner][key.attr] = value
+
+    # the dataclasses name the field at fault; name its JSON key instead
+    path_of = {key.attr: key.path for key in _SCHEMA}
+    try:
+        scenario = Scenario(u0=InitialSpec(**kwargs[InitialSpec]),
+                            controls=SolverControls(**kwargs[SolverControls]),
+                            **kwargs[Scenario])
+        scenario.initial_field()    # surfaces tabulated endpoint-slope violations
+        for attr, values in grid.items():
+            for value in values[1:]:
+                replace(scenario, **{attr: value})
+    except ConfigurationError as exc:
+        raise ConfigurationError(exc.detail, path_of[exc.key]) from None
+    return RunConfig(scenario=scenario, grid=grid, **kwargs[RunConfig])
+
+
+def _to_json(value):
+    if isinstance(value, CoefficientSpec):
+        return spec_to_json(value)
+    return list(value) if isinstance(value, tuple) else value
 
 
 def config_to_json(config: RunConfig) -> dict:
-    """Inverse of parse_config, up to filled defaults."""
+    """Inverse of parse_config, with every default written out."""
     scn = config.scenario
-    ctr = scn.controls
-
-    def axis(name, single, encode):
-        if name in config.grid:
-            return [encode(v) for v in config.grid[name]]
-        return encode(single)
-
-    value = scn.u0.value
-    if isinstance(value, tuple):
-        value = list(value)
-    return {
-        "domain": {"length": scn.length, "nodes": ctr.n_nodes},
-        "exponents": {"p": axis("p", scn.p, float),
-                      "q": axis("q", scn.q, float)},
-        "c": axis("c", scn.c, spec_to_json),
-        "k": axis("k", scn.k, spec_to_json),
-        "initial": {"family": scn.u0.family, "value": value},
-        "solver": {"t_max": ctr.t_max, "blowup_threshold": ctr.blowup_threshold,
-                   "theta": ctr.theta, "dt_max": ctr.dt_max,
-                   "max_steps": ctr.max_steps},
-        "output": {"dir": config.out_dir, "snapshot_every": ctr.snapshot_every},
-    }
+    owners = {Scenario: scn, SolverControls: scn.controls, InitialSpec: scn.u0,
+              RunConfig: config}
+    doc = {}
+    for key in _SCHEMA:
+        if key.attr in config.grid:
+            value = [_to_json(v) for v in config.grid[key.attr]]
+        else:
+            value = _to_json(getattr(owners[key.owner], key.attr))
+        (doc.setdefault(key.block, {}) if key.block else doc)[key.name] = value
+    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -404,8 +393,9 @@ def dispatch(command: str, config: RunConfig, out_dir: Optional[str] = None,
     """Execute one subcommand against a parsed config; returns the exit code."""
     if command not in COMMANDS:
         raise ConfigurationError(f"unknown command {command!r}")
-    if refine < 0:
-        raise ConfigurationError("refine level must be >= 0")
+    if not 0 <= refine <= MAX_REFINE:
+        raise ConfigurationError(
+            f"must be an integer in [0, {MAX_REFINE}], not {refine}", "--refine")
     if config.is_sweep and command != "sweep":
         raise ConfigurationError(
             "config contains sweep lists; only the sweep command accepts them")

@@ -37,18 +37,13 @@ _MAX_LOG_DEPTH = 3  # T_4 = e^(T_3) = e^(3.8e6) overflows a float
 T_LARGE = 1e3  # where sampling "for large t" starts
 
 
-def as_real(value, key: str) -> float:
-    """value as a float; bool and non-real values raise a ConfigurationError naming key."""
+def as_real(value, key: str, entry: bool = False) -> float:
+    """value as a float; bool and non-real values raise a ConfigurationError
+    about key, or about an entry of key's value."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigurationError(f"{key} must be a real number, not {value!r}")
-    return float(value)
-
-
-def _check_log_depth(value, key: str) -> None:
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool) \
-            or not 0 <= value <= _MAX_LOG_DEPTH:
         raise ConfigurationError(
-            f"{key} must be an integer in [0, {_MAX_LOG_DEPTH}], not {value!r}")
+            f"{'entry ' if entry else ''}must be a real number, not {value!r}", key)
+    return float(value)
 
 
 # ---------------------------------------------------------------------------
@@ -115,33 +110,45 @@ class CoefficientSpec:
 
     def __post_init__(self):
         if self.family not in FAMILIES:
-            raise ConfigurationError(f"unknown coefficient family {self.family!r}")
+            raise ConfigurationError(f"must be one of {FAMILIES}, not {self.family!r}",
+                                     "family")
         for key in ("amplitude", "gamma", "lam", "log_power"):
             as_real(getattr(self, key), key)
         if not math.isfinite(self.amplitude) or self.amplitude < 0:
-            raise ConfigurationError("amplitude must be finite and >= 0")
+            raise ConfigurationError("must be finite and >= 0", "amplitude")
         if not math.isfinite(self.gamma):
-            raise ConfigurationError("gamma must be finite")
+            raise ConfigurationError("must be finite", "gamma")
         if self.family in ("power", "power_log") and self.gamma < 0:
-            raise ConfigurationError("gamma must be >= 0")
+            raise ConfigurationError("must be >= 0", "gamma")
         if not math.isfinite(self.lam) or self.lam < 0:
-            raise ConfigurationError("lambda must be finite and >= 0")
-        _check_log_depth(self.log_depth, "log_depth")
+            raise ConfigurationError("must be finite and >= 0", "lam")
+        depth = self.log_depth
+        if not isinstance(depth, numbers.Integral) or isinstance(depth, bool) \
+                or not 0 <= depth <= _MAX_LOG_DEPTH:
+            raise ConfigurationError(
+                f"must be an integer in [0, {_MAX_LOG_DEPTH}], not {depth!r}", "log_depth")
         if self.log_power < 0:
-            raise ConfigurationError("log_power must be >= 0")
+            raise ConfigurationError("must be >= 0", "log_power")
         if self.family == "tabulated":
-            if not self.table:
-                raise ConfigurationError("tabulated family needs a nonempty table")
-            ts = [as_real(row[0], "table entry") for row in self.table]
-            vs = [as_real(row[1], "table entry") for row in self.table]
+            try:
+                pairs = [(t, v) for t, v in self.table]
+            except (TypeError, ValueError):
+                pairs = []
+            if not pairs:
+                raise ConfigurationError("must be a list of one or more [t, value] pairs",
+                                         "table")
+            ts = [as_real(t, "table", entry=True) for t, _ in pairs]
+            vs = [as_real(v, "table", entry=True) for _, v in pairs]
+            # a JSON table arrives as lists, perhaps of integers
+            object.__setattr__(self, "table", tuple(zip(ts, vs)))
             if any(b <= a for a, b in zip(ts, ts[1:])):
-                raise ConfigurationError("table times must be strictly increasing")
+                raise ConfigurationError("times must be strictly increasing", "table")
             if ts[0] < 0:
-                raise ConfigurationError("table times must be >= 0")
+                raise ConfigurationError("times must be >= 0", "table")
             if any(v < 0 or not math.isfinite(v) for v in vs):
-                raise ConfigurationError("table values must be finite and >= 0")
+                raise ConfigurationError("values must be finite and >= 0", "table")
         elif self.table is not None:
-            raise ConfigurationError("only the tabulated family carries a table")
+            raise ConfigurationError("belongs to the tabulated family only", "table")
 
     # -- constructors ------------------------------------------------------
     @classmethod
@@ -165,9 +172,7 @@ class CoefficientSpec:
     @classmethod
     def tabulated(cls, table: Sequence[Sequence[float]],
                   amplitude: float = 1.0) -> "CoefficientSpec":
-        rows = tuple((as_real(a, "table entry"), as_real(b, "table entry"))
-                     for a, b in table)
-        return cls("tabulated", amplitude=amplitude, table=rows)
+        return cls("tabulated", amplitude=amplitude, table=table)
 
     def __call__(self, t):
         return eval_coeff(self, t)
@@ -236,7 +241,9 @@ def _table_formula(table, amp: float) -> Callable:
     Each segment is weighted as (1 - w) * v0 + w * v1 with w clamped to
     [0, 1], not by a slope as np.interp does: a slope (v1 - v0) / (t1 - t0)
     overflows to inf when two nodes sit closer than the value step over
-    DBL_MAX.  The ends return the first and last value exactly."""
+    DBL_MAX.  The offset t - t0 is clamped to the segment before it is
+    divided by the width, which may be subnormal.  The ends return the first
+    and last value exactly."""
     ts, vs = (np.array(col) for col in zip(*table))
     if ts.size == 1:
         return lambda t: amp * vs[0] + 0.0 * t
@@ -245,7 +252,7 @@ def _table_formula(table, amp: float) -> Callable:
 
     def table_at(t):
         j = np.searchsorted(inner, t, side="right")
-        w = np.minimum(np.maximum((t - t0[j]) / width[j], 0.0), 1.0)
+        w = np.minimum(np.maximum(t - t0[j], 0.0), width[j]) / width[j]
         return amp * ((1.0 - w) * v0[j] + w * v1[j])
     return table_at
 
@@ -281,62 +288,45 @@ def coefficient_sup(spec: CoefficientSpec, t_max: float) -> float:
 # ---------------------------------------------------------------------------
 # JSON mapping
 
-def spec_to_json(spec: CoefficientSpec) -> dict:
-    d = {"family": spec.family, "amplitude": spec.amplitude}
-    if spec.family == "power":
-        d["gamma"] = spec.gamma
-    elif spec.family == "exp_decay":
-        d["lambda"] = spec.lam
-    elif spec.family == "power_log":
-        d["gamma"] = spec.gamma
-        d["log_depth"] = spec.log_depth
-        d["log_power"] = spec.log_power
-    elif spec.family == "tabulated":
-        d["table"] = [[a, b] for a, b in spec.table]
-    return d
-
-
-_JSON_KEYS = {
-    "constant": {"family", "amplitude"},
-    "power": {"family", "amplitude", "gamma"},
-    "exp_decay": {"family", "amplitude", "lambda"},
-    "power_log": {"family", "amplitude", "gamma", "log_depth", "log_power"},
-    "tabulated": {"family", "amplitude", "table"},
+# each family's JSON keys after "family", in the order spec_to_json writes
+# them; a key sets the field of its name, but for "lambda", which sets `lam`
+_FAMILY_KEYS = {
+    "constant": ("amplitude",),
+    "power": ("amplitude", "gamma"),
+    "exp_decay": ("amplitude", "lambda"),
+    "power_log": ("amplitude", "gamma", "log_depth", "log_power"),
+    "tabulated": ("amplitude", "table"),
 }
+_FIELD_OF_KEY = {"lambda": "lam"}
+_KEY_OF_FIELD = {f: k for k, f in _FIELD_OF_KEY.items()}
+
+
+def spec_to_json(spec: CoefficientSpec) -> dict:
+    doc = {"family": spec.family}
+    for key in _FAMILY_KEYS[spec.family]:
+        value = getattr(spec, _FIELD_OF_KEY.get(key, key))
+        doc[key] = [list(row) for row in value] if key == "table" else value
+    return doc
 
 
 def spec_from_json(doc: dict, where: str = "coefficient") -> CoefficientSpec:
+    """The spec a JSON object describes; an error names its key as where.key."""
     if not isinstance(doc, dict):
-        raise ConfigurationError(f"{where} must be an object")
+        raise ConfigurationError("must be an object", where)
     family = doc.get("family")
     if family not in FAMILIES:
-        raise ConfigurationError(f"{where}.family must be one of {FAMILIES}")
-    allowed = _JSON_KEYS[family]
-    for key in doc:
-        if key not in allowed:
+        raise ConfigurationError(f"must be one of {FAMILIES}", f"{where}.family")
+    keys = _FAMILY_KEYS[family]
+    kwargs = {}
+    for key, value in doc.items():
+        if key != "family" and key not in keys:
             raise ConfigurationError(f"unknown key {key!r} in {where}")
-        if key in ("amplitude", "gamma", "lambda", "log_power"):
-            as_real(doc[key], f"{where}.{key}")
-        elif key == "log_depth":
-            _check_log_depth(doc[key], f"{where}.log_depth")
+        kwargs[_FIELD_OF_KEY.get(key, key)] = value
     try:
-        if family == "tabulated":
-            return CoefficientSpec.tabulated(doc["table"],
-                                             amplitude=doc.get("amplitude", 1.0))
-        return CoefficientSpec(
-            family,
-            amplitude=doc.get("amplitude", 1.0),
-            gamma=doc.get("gamma", 0.0),
-            lam=doc.get("lambda", 0.0),
-            log_depth=doc.get("log_depth", 0),
-            log_power=doc.get("log_power", 0.0),
-        )
-    except KeyError as exc:
-        raise ConfigurationError(f"{where} is missing required key {exc}") from exc
+        return CoefficientSpec(**kwargs)
     except ConfigurationError as exc:
-        raise ConfigurationError(f"{where}: {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"{where}.table must be a list of [t, value] pairs") from exc
+        key = _KEY_OF_FIELD.get(exc.key, exc.key)
+        raise ConfigurationError(exc.detail, f"{where}.{key}") from None
 
 
 # ---------------------------------------------------------------------------

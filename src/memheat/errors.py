@@ -2,7 +2,16 @@
 
 
 class ConfigurationError(ValueError):
-    """A scenario, coefficient, or config document violates a stated invariant."""
+    """A scenario, coefficient, or config document violates a stated invariant.
+
+    With a `key`, the error is about that field or config key and reads
+    "<key> <detail>", so a caller can say the detail of another name, such as
+    the JSON key path that set the field.
+    """
+
+    def __init__(self, detail: str, key: str | None = None):
+        super().__init__(detail if key is None else f"{key} {detail}")
+        self.detail, self.key = detail, key
 
 
 class DomainError(ValueError):

@@ -138,22 +138,23 @@ class InitialSpec:
     """
 
     family: str
-    value: object = 0.0
+    value: object
 
     def __post_init__(self):
         if self.family not in INITIAL_FAMILIES:
-            raise ConfigurationError(f"unknown initial family {self.family!r}")
+            raise ConfigurationError(
+                f"must be one of {INITIAL_FAMILIES}, not {self.family!r}", "family")
         if self.family == "tabulated":
             vals = self.value
             if not isinstance(vals, (list, tuple, np.ndarray)) or len(vals) < 3:
-                raise ConfigurationError("tabulated initial data needs >= 3 node values")
-            vals = [as_real(v, "initial.value entry") for v in vals]
+                raise ConfigurationError("must list >= 3 node values", "value")
+            vals = [as_real(v, "value", entry=True) for v in vals]
             if any(not math.isfinite(v) or v < 0 for v in vals):
-                raise ConfigurationError("initial data must be finite and >= 0")
+                raise ConfigurationError("entries must be finite and >= 0", "value")
         else:
-            v = as_real(self.value, "initial.value")
+            v = as_real(self.value, "value")
             if not math.isfinite(v) or v < 0:
-                raise ConfigurationError("initial amplitude must be finite and >= 0")
+                raise ConfigurationError("must be finite and >= 0", "value")
 
     def evaluate(self, length: float, n_nodes: int) -> np.ndarray:
         x = np.linspace(0.0, length, n_nodes)
@@ -164,15 +165,15 @@ class InitialSpec:
         vals = np.asarray(self.value, dtype=float)
         if vals.size != n_nodes:
             raise ConfigurationError(
-                f"tabulated initial data has {vals.size} values; grid has {n_nodes}")
+                f"has {vals.size} entries; the grid has {n_nodes} nodes", "value")
         h = length / (n_nodes - 1)
         amp = max(float(vals.max()), 1e-30)
         slope0 = abs(-3.0 * vals[0] + 4.0 * vals[1] - vals[2]) / (2.0 * h)
         slope1 = abs(3.0 * vals[-1] - 4.0 * vals[-2] + vals[-3]) / (2.0 * h)
         if max(slope0, slope1) > 1e-8 * amp:
             raise ConfigurationError(
-                "tabulated initial data must have vanishing endpoint slope "
-                f"(measured {max(slope0, slope1):.3e} vs {1e-8 * amp:.3e} allowed)")
+                "must have vanishing endpoint slope (measured "
+                f"{max(slope0, slope1):.3e} vs {1e-8 * amp:.3e} allowed)", "value")
         return vals.copy()
 
     def scaled(self, factor: float) -> "InitialSpec":
@@ -193,19 +194,22 @@ class SolverControls:
 
     def __post_init__(self):
         if int(self.n_nodes) != self.n_nodes or self.n_nodes < 3:
-            raise ConfigurationError("node count must be an integer >= 3")
+            raise ConfigurationError("must be an integer >= 3", "n_nodes")
         if not (0.0 < self.theta <= 1.0):
-            raise ConfigurationError("safety factor theta must lie in (0, 1]")
+            raise ConfigurationError("must lie in (0, 1]", "theta")
         for name in ("dt_max", "t_max"):
             if not 0.0 < getattr(self, name) < math.inf:
-                raise ConfigurationError(f"{name} must be finite and > 0")
+                raise ConfigurationError("must be finite and > 0", name)
+        if self.max_steps < 1:
+            raise ConfigurationError("must be >= 1", "max_steps")
         # an infinite threshold or snapshot interval means never; NaN is no value
         if not self.blowup_threshold > 0:
-            raise ConfigurationError("blowup_threshold must be > 0")
-        if self.snapshot_every is not None and not self.snapshot_every > 0:
-            raise ConfigurationError("snapshot_every must be > 0")
-        if self.max_steps < 1:
-            raise ConfigurationError("max_steps must be >= 1")
+            raise ConfigurationError("must be > 0", "blowup_threshold")
+        # every snapshot time up to t_max takes a step of its own to land on
+        least, snap = self.t_max / self.max_steps, self.snapshot_every
+        if snap is not None and not snap >= least:
+            raise ConfigurationError(
+                f"must be >= t_max / max_steps = {least:.6g}, not {snap!r}", "snapshot_every")
 
     def refined(self, levels: int) -> "SolverControls":
         """Halve the grid spacing and the safety factor `levels` times."""
@@ -229,14 +233,20 @@ class Scenario:
 
     def __post_init__(self):
         if not (isinstance(self.length, (int, float)) and self.length > 0):
-            raise ConfigurationError("domain length must be > 0")
-        if self.p <= 0 or self.q <= 0:
-            raise ConfigurationError("exponents p and q must be positive")
-        for spec, name in ((self.c, "c"), (self.k, "k")):
-            if not isinstance(spec, CoefficientSpec):
-                raise ConfigurationError(f"{name} must be a CoefficientSpec")
+            raise ConfigurationError("must be > 0", "length")
+        # the first step is capped at theta h^2; the dt ladder divides dt_max by it
+        cap = self.controls.theta * self.h * self.h
+        if not (cap > 0.0 and self.controls.dt_max / cap < math.inf):
+            raise ConfigurationError(f"{self.length!r} is too short: dt_max / (theta h^2) "
+                                     f"passes the float range at theta h^2 = {cap!r}", "length")
+        for name in ("p", "q"):
+            if not getattr(self, name) > 0:
+                raise ConfigurationError("must be > 0", name)
+        for name in ("c", "k"):
+            if not isinstance(getattr(self, name), CoefficientSpec):
+                raise ConfigurationError("must be a CoefficientSpec", name)
         if not isinstance(self.u0, InitialSpec):
-            raise ConfigurationError("u0 must be an InitialSpec")
+            raise ConfigurationError("must be an InitialSpec", "u0")
 
     @property
     def h(self) -> float:

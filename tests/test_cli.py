@@ -3,15 +3,20 @@
 import json
 import math
 import runpy
+from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memheat import cli
 from memheat.cli import _write_csv, config_to_json, dispatch, main, parse_config
+from memheat.coeffs import CoefficientSpec, spec_to_json
 from memheat.errors import ConfigurationError
-from memheat.pde_core import run
+from memheat.pde_core import SolverControls, run
 
 
 def base_doc(**over):
@@ -100,6 +105,42 @@ def test_bool_and_non_real_numbers_exit_2_naming_the_key(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("block, bad, message", [
+    ("solver", {"theta": 2}, "solver.theta must lie in (0, 1]"),
+    ("initial", {"family": "gauss"}, "initial.family must be one of"),
+    ("c", {"family": "exp_decay", "lambda": -1.0}, "c.lambda must be finite"),
+    # h^2 underflows to 0, and 1e-155 leaves dt_max / (theta h^2) no float
+    ("domain", {"length": 1e-300}, "domain.length 1e-300 is too short"),
+    ("domain", {"length": 1e-155}, "domain.length 1e-155 is too short"),
+    # more snapshot times than the step budget can land on
+    ("output", {"snapshot_every": 1e-300}, "output.snapshot_every must be >="),
+    ("output", {"snapshot_every": 0.1},
+     "output.snapshot_every must be >= t_max / max_steps = 0.2, not 0.1"),
+])
+def test_out_of_range_values_exit_2_naming_the_key(tmp_path, capsys,
+                                                    block, bad, message):
+    doc = base_doc(**{block: bad})
+    doc["solver"]["max_steps"] = 10
+    cfg = write_cfg(tmp_path, doc)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"CONFIG ERROR: {message}")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, level", [("oracle", 1100), ("run", 40),
+                                            ("run", cli.MAX_REFINE + 1)])
+def test_refine_beyond_its_bound_exits_2_naming_the_flag(tmp_path, capsys,
+                                                         command, level):
+    cfg = write_cfg(tmp_path, base_doc(k={"family": "constant", "amplitude": 1.0}))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out"),
+                 "--refine", str(level)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"CONFIG ERROR: --refine must be an integer in "
+                   f"[0, {cli.MAX_REFINE}], not {level}"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_log_depth_beyond_tower_range_exits_2_naming_the_key(tmp_path, capsys):
     bad = {"family": "power_log", "gamma": 2.0, "log_depth": 4}
     cfg = write_cfg(tmp_path, base_doc(k=bad))
@@ -137,6 +178,65 @@ def test_config_round_trip():
     doc2 = config_to_json(cfg)
     cfg2 = parse_config(json.dumps(doc2))
     assert config_to_json(cfg2) == doc2
+
+
+_reals = st.floats(0.5, 4.0)
+_coefficients = st.one_of(
+    st.builds(CoefficientSpec.constant, _reals),
+    st.builds(CoefficientSpec.power, _reals, _reals),
+    st.builds(CoefficientSpec.exp_decay, _reals, _reals),
+    st.builds(CoefficientSpec.power_log, _reals, _reals, st.integers(0, 3), _reals),
+    st.builds(CoefficientSpec.tabulated, st.just([[0.0, 1.0], [2.0, 0.5]]), _reals),
+).map(spec_to_json)
+
+
+def _optional_keys(**strategies):
+    """A block holding each key or not."""
+    return st.fixed_dictionaries({}, optional=strategies)
+
+
+def _axis(values):
+    return values | st.lists(values, min_size=1, max_size=3)
+
+
+@st.composite
+def _documents(draw):
+    doc = {
+        "exponents": {"p": draw(_axis(_reals)), "q": draw(_axis(_reals))},
+        "c": draw(_axis(_coefficients)),
+        "k": draw(_axis(_coefficients)),
+    }
+    domain = draw(st.none() | _optional_keys(length=_reals, nodes=st.integers(3, 40)))
+    if domain is not None:
+        doc["domain"] = domain
+    nodes = (domain or {}).get("nodes", 201)
+    doc["initial"] = draw(st.one_of(
+        st.builds(lambda f, v: {"family": f, "value": v},
+                  st.sampled_from(["constant", "cos_bump"]), _reals),
+        st.builds(lambda v: {"family": "tabulated", "value": [v] * nodes}, _reals)))
+    blocks = {
+        "solver": _optional_keys(
+            t_max=st.floats(0.1, 100.0), blowup_threshold=st.floats(1e3, 1e12),
+            theta=st.floats(0.01, 1.0), dt_max=st.floats(1e-4, 0.1),
+            max_steps=st.integers(10_000, 10_000_000)),
+        # a snapshot interval of at least 0.01 fits any t_max and max_steps drawn
+        "output": _optional_keys(dir=st.text("abc/", min_size=1, max_size=5),
+                                 snapshot_every=st.none() | st.floats(0.01, 10.0)),
+    }
+    doc.update(draw(st.fixed_dictionaries({}, optional=blocks)))
+    return doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(_documents())
+def test_written_config_parses_to_the_same_config(doc):
+    cfg = parse_config(json.dumps(doc))
+    assert parse_config(json.dumps(config_to_json(cfg))) == cfg
+    axes = {**doc["exponents"], "c": doc["c"], "k": doc["k"]}
+    assert set(cfg.grid) == {a for a, v in axes.items() if isinstance(v, list)}
+    # exactly one JSON key reaches each solver control
+    reached = Counter(key.attr for key in cli._SCHEMA if key.owner is SolverControls)
+    assert reached == Counter(f.name for f in fields(SolverControls))
 
 
 # ---------------------------------------------------------------------------
