@@ -152,6 +152,12 @@ def _check_keys(doc: dict):
                 raise ConfigurationError(f"unknown key '{block}.{name}'")
 
 
+def _json_keyed(exc: ConfigurationError) -> ConfigurationError:
+    """The dataclasses name the field at fault; name its JSON key instead."""
+    path_of = {key.attr: key.path for key in _SCHEMA}
+    return ConfigurationError(exc.detail, path_of.get(exc.key, exc.key))
+
+
 def parse_config(text: str) -> RunConfig:
     """Validate a JSON config document into a RunConfig.  An error names
     the JSON key at fault."""
@@ -185,8 +191,6 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigurationError(f"config is missing required key {absent!r}")
         kwargs[key.owner][key.attr] = value
 
-    # the dataclasses name the field at fault; name its JSON key instead
-    path_of = {key.attr: key.path for key in _SCHEMA}
     try:
         scenario = Scenario(u0=InitialSpec(**kwargs[InitialSpec]),
                             controls=SolverControls(**kwargs[SolverControls]),
@@ -196,7 +200,7 @@ def parse_config(text: str) -> RunConfig:
             for value in values[1:]:
                 replace(scenario, **{attr: value})
     except ConfigurationError as exc:
-        raise ConfigurationError(exc.detail, path_of[exc.key]) from None
+        raise _json_keyed(exc) from None
     return RunConfig(scenario=scenario, grid=grid, **kwargs[RunConfig])
 
 
@@ -400,10 +404,12 @@ def dispatch(command: str, config: RunConfig, out_dir: Optional[str] = None,
         raise ConfigurationError(
             "config contains sweep lists; only the sweep command accepts them")
     if refine:
-        config = replace(
-            config,
-            scenario=replace(config.scenario,
-                             controls=config.scenario.controls.refined(refine)))
+        try:
+            scenario = replace(config.scenario,
+                               controls=config.scenario.controls.refined(refine))
+        except ConfigurationError as exc:
+            raise _json_keyed(exc) from None
+        config = replace(config, scenario=scenario)
     outdir = Path(out_dir) if out_dir else Path(config.out_dir)
 
     if command == "run":

@@ -161,7 +161,8 @@ class SupersolutionSpec:
     evaluate(x, t) takes t as a float, giving the row on x, or as a time
     column of shape (m, 1), giving the (m, len(x)) rows at those times; a
     column's rows are bit for bit the rows of its times one at a time, so
-    the builders evaluate with numpy ufuncs only.
+    the builders evaluate with numpy ufuncs only.  It is elementwise in x:
+    evaluate(x[J], t) is bit for bit evaluate(x, t)[..., J].
     """
 
     kind: str
@@ -316,66 +317,8 @@ class ResidualReport:
         return (self.r_int_min, self.r_bnd_min, self.r_init_min)
 
 
-# the residual check holds about this many bytes of barrier rows at a time
+# the residual check holds about this many bytes of barrier columns at a time
 _BLOCK_BYTES = 1 << 20
-
-
-def _time_stencil(times: np.ndarray):
-    """Row stencils of np.gradient(U, times, axis=0, edge_order=2).
-
-    Row i of dU/dt is a[i] U[j] + b[i] U[j+1] + c[i] U[j+2] with j = i-1
-    clipped to [0, n-3], except that on uniform times the interior rows are
-    (U[i+1] - U[i-1]) / (2 dt).  Uniform spacing is decided on all of times,
-    as np.gradient does, and the weights are its expressions, so the rows
-    come out bit for bit.  The edges are second order: the one-sided
-    first-order stencil underestimates d/dt of fast exponentials by more
-    than the barrier margin.  Returns (dt or None, a, b, c).
-    """
-    n = len(times)
-    if n < 3:
-        raise ConfigurationError("the residual check needs at least 3 times")
-    dx = np.diff(times)
-    a, b, c = np.empty(n), np.empty(n), np.empty(n)
-    if (dx == dx[0]).all():
-        dt = dx[0]
-        a[0], b[0], c[0] = -1.5 / dt, 2. / dt, -0.5 / dt
-        a[-1], b[-1], c[-1] = 0.5 / dt, -2. / dt, 1.5 / dt
-        return dt, a, b, c
-    dx1, dx2 = dx[:-1], dx[1:]
-    a[1:-1] = -(dx2) / (dx1 * (dx1 + dx2))
-    b[1:-1] = (dx2 - dx1) / (dx1 * dx2)
-    c[1:-1] = dx1 / (dx2 * (dx1 + dx2))
-    dx1, dx2 = dx[0], dx[1]
-    a[0] = -(2. * dx1 + dx2) / (dx1 * (dx1 + dx2))
-    b[0] = (dx1 + dx2) / (dx1 * dx2)
-    c[0] = - dx1 / (dx2 * (dx1 + dx2))
-    dx1, dx2 = dx[-2], dx[-1]
-    a[-1] = (dx2) / (dx1 * (dx1 + dx2))
-    b[-1] = - (dx2 + dx1) / (dx1 * dx2)
-    c[-1] = (2. * dx2 + dx1) / (dx2 * (dx1 + dx2))
-    return None, a, b, c
-
-
-def _time_derivative(W: np.ndarray, lo: int, s: int, e: int,
-                     stencil) -> np.ndarray:
-    """Rows s..e-1 of dU/dt from the rows lo.. of U held in W."""
-    dt, a, b, c = stencil
-    n = len(a)
-    out = np.empty((e - s, W.shape[1]))
-    i0, i1 = max(s, 1), min(e, n - 1)
-    f0 = W[i0 - 1 - lo:i1 - 1 - lo]
-    f1 = W[i0 - lo:i1 - lo]
-    f2 = W[i0 + 1 - lo:i1 + 1 - lo]
-    if dt is not None:
-        out[i0 - s:i1 - s] = (f2 - f0) / (2. * dt)
-    else:
-        out[i0 - s:i1 - s] = (a[i0:i1, None] * f0 + b[i0:i1, None] * f1
-                              + c[i0:i1, None] * f2)
-    for i, j in ((0, 0), (n - 1, n - 3)):
-        if s <= i < e:
-            out[i - s] = (a[i] * W[j - lo] + b[i] * W[j + 1 - lo]
-                          + c[i] * W[j + 2 - lo])
-    return out
 
 
 # a stencil that overflows shows as a non-finite minimum
@@ -384,42 +327,39 @@ def _residual_mins(spec: SupersolutionSpec, scenario: Scenario,
                    times: np.ndarray, x: np.ndarray):
     """(interior, boundary, initial) residual minima and their locations.
 
-    The barrier's rows go through in blocks of about _BLOCK_BYTES, each
-    evaluated in one call with one row of halo on either side, so the
-    memory does not grow with len(times) * len(x).  The interior minimum
-    and its location are those of np.argmin over the whole row-major
-    residual array: the first occurrence wins, and so does a NaN.  Only the
-    three edge columns at each end and row 0 are kept whole, for the
-    boundary and initial residuals.
+    The interior residual goes through in blocks of about _BLOCK_BYTES:
+    columns over every time, evaluated in one call with one halo column on
+    either side.  So the memory does not grow with len(times) * len(x), and
+    dU/dt is np.gradient over whole columns, as on the whole array.  The
+    interior minimum and its location are those of np.argmin over the whole
+    row-major residual array: the first NaN, else the first least value.
+    The boundary and initial residuals read the six edge columns and row 0.
     """
     n, m = len(times), len(x)
     h = x[1] - x[0]
-    stencil = _time_stencil(times)
-    cvals = eval_coeff(scenario.c, times)
+    cvals = eval_coeff(scenario.c, times)[:, None]
     kvals = eval_coeff(scenario.k, times)
-    rows = max(1, _BLOCK_BYTES // (8 * m))
+    cols = max(1, _BLOCK_BYTES // (8 * n))
 
-    left, right = np.empty((n, 3)), np.empty((n, 3))
-    r_min, i_min = math.inf, None
-    for s in range(0, n, rows):
-        e = min(s + rows, n)
-        # dU/dt needs one row on either side, three rows at the two ends
-        lo, hi = max(0, min(s - 1, n - 3)), min(n, max(e + 1, 3))
-        W = spec.evaluate(x, times[lo:hi, None])    # rows lo..hi-1 of U
-        U = W[s - lo:e - lo]
-        left[s:e], right[s:e] = U[:, :3], U[:, -3:]
-        if s == 0:
-            row0 = U[0].copy()
+    best = (True, math.inf, n, m)     # (not NaN, value, row, column)
+    for a in range(1, m - 1, cols):
+        b = min(a + cols, m - 1)
+        # columns a-1..b, laid out down the times for numpy's inner loops
+        W = np.asfortranarray(spec.evaluate(x[a - 1:b + 1], times[:, None]))
+        U = W[:, 1:-1]
+        # second order at the ends: the one-sided first-order stencil
+        # underestimates d/dt of fast exponentials by more than the margin
+        dUdt = np.gradient(U, times, axis=0, edge_order=2)
+        lap = (W[:, :-2] - 2.0 * U + W[:, 2:]) / (h * h)
+        r_int = dUdt - lap - cvals * U ** scenario.p
+        i, j = np.unravel_index(np.argmin(r_int), r_int.shape)
+        r = float(r_int[i, j])
+        nan = math.isnan(r)
+        # np.argmin's order over the whole array: a NaN, the least, row-major
+        best = min(best, (not nan, 0.0 if nan else r, int(i), a + int(j)))
 
-        react = cvals[s:e, None] * U[:, 1:-1] ** scenario.p
-        lap = (U[:, :-2] - 2.0 * U[:, 1:-1] + U[:, 2:]) / (h * h)
-        r_int = _time_derivative(W[:, 1:-1], lo, s, e, stencil) - lap - react
-        k = int(np.argmin(r_int))
-        r = r_int.flat[k]
-        if i_min is None or (not math.isnan(r_min)
-                             and (math.isnan(r) or r < r_min)):
-            r_min, i_min = r, (s + k // (m - 2), k % (m - 2))
-
+    edges = spec.evaluate(x[[0, 1, 2, -3, -2, -1]], times[:, None])
+    left, right = edges[:, :3], edges[:, 3:]
     slope_nu_l = (3.0 * left[:, 0] - 4.0 * left[:, 1] + left[:, 2]) / (2.0 * h)
     slope_nu_r = (3.0 * right[:, 2] - 4.0 * right[:, 1] + right[:, 0]) / (2.0 * h)
     mem_l = cumulative_trapezoid(left[:, 0] ** scenario.q, times, initial=0.0)
@@ -427,17 +367,19 @@ def _residual_mins(spec: SupersolutionSpec, scenario: Scenario,
     r_bnd = np.stack([slope_nu_l - kvals * mem_l, slope_nu_r - kvals * mem_r])
 
     u0_on_x = np.interp(x, scenario.grid(), scenario.initial_field())
-    r_init = row0 - u0_on_x
+    r_init = spec.evaluate(x, float(times[0])) - u0_on_x
 
+    not_nan, r_min, i, j = best
     i_bnd = np.unravel_index(np.argmin(r_bnd), r_bnd.shape)
     i_init = int(np.argmin(r_init))
     worst = {
-        "interior": (float(x[i_min[1] + 1]), float(times[i_min[0]])),
+        "interior": (float(x[j]), float(times[i])),
         "boundary": (float(x[0] if i_bnd[0] == 0 else x[-1]),
                      float(times[i_bnd[1]])),
         "initial": (float(x[i_init]), 0.0),
     }
-    mins = (float(r_min), float(r_bnd.min()), float(r_init.min()))
+    mins = (r_min if not_nan else math.nan, float(r_bnd.min()),
+            float(r_init.min()))
     return mins, worst
 
 

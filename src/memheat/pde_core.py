@@ -193,8 +193,9 @@ class SolverControls:
     max_steps: int = 5_000_000
 
     def __post_init__(self):
-        if int(self.n_nodes) != self.n_nodes or self.n_nodes < 3:
-            raise ConfigurationError("must be an integer >= 3", "n_nodes")
+        n = self.n_nodes
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 3:
+            raise ConfigurationError(f"must be an integer >= 3, not {n!r}", "n_nodes")
         if not (0.0 < self.theta <= 1.0):
             raise ConfigurationError("must lie in (0, 1]", "theta")
         for name in ("dt_max", "t_max"):
@@ -234,11 +235,15 @@ class Scenario:
     def __post_init__(self):
         if not (isinstance(self.length, (int, float)) and self.length > 0):
             raise ConfigurationError("must be > 0", "length")
-        # the first step is capped at theta h^2; the dt ladder divides dt_max by it
-        cap = self.controls.theta * self.h * self.h
-        if not (cap > 0.0 and self.controls.dt_max / cap < math.inf):
-            raise ConfigurationError(f"{self.length!r} is too short: dt_max / (theta h^2) "
-                                     f"passes the float range at theta h^2 = {cap!r}", "length")
+        # the first step is capped at theta h^2 and the dt ladder divides dt_max
+        # by it; past dt / h^2 = 2^50 rounding leaves I - dt D no positive
+        # definite factor
+        h2, dt_max = self.h * self.h, self.controls.dt_max
+        cap = self.controls.theta * h2
+        if not (cap > 0.0 and dt_max / cap < math.inf and dt_max <= 2.0 ** 50 * h2):
+            raise ConfigurationError(
+                f"{self.length!r} is too short: dt_max / h^2 must be <= 2^50 and "
+                f"dt_max / (theta h^2) finite, at h = {self.h!r}", "length")
         for name in ("p", "q"):
             if not getattr(self, name) > 0:
                 raise ConfigurationError("must be > 0", name)

@@ -116,6 +116,9 @@ def test_bool_and_non_real_numbers_exit_2_naming_the_key(tmp_path, capsys,
     ("output", {"snapshot_every": 1e-300}, "output.snapshot_every must be >="),
     ("output", {"snapshot_every": 0.1},
      "output.snapshot_every must be >= t_max / max_steps = 0.2, not 0.1"),
+    # dt_max / h^2 passes 2^50, where I - dt D has no Cholesky factor
+    ("domain", {"length": 1e-7, "nodes": 201}, "domain.length 1e-07 is too short"),
+    ("domain", {"length": 1e-8, "nodes": 201}, "domain.length 1e-08 is too short"),
 ])
 def test_out_of_range_values_exit_2_naming_the_key(tmp_path, capsys,
                                                     block, bad, message):
@@ -126,6 +129,23 @@ def test_out_of_range_values_exit_2_naming_the_key(tmp_path, capsys,
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"CONFIG ERROR: {message}")
     assert not (tmp_path / "out").exists()
+
+
+def test_refinement_past_the_length_bound_names_domain_length(tmp_path, capsys):
+    # at length 1e-6 and 201 nodes dt_max / h^2 is 8e13, 3.2e14 after one
+    # refinement and 1.28e15 > 2^50 after two
+    cfg = write_cfg(tmp_path, base_doc(domain={"length": 1e-6, "nodes": 201},
+                                       solver={"t_max": 0.01}))
+    for level in (0, 1):
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / f"out{level}"),
+                     "--refine", str(level)]) == 0
+    capsys.readouterr()
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out2"),
+                 "--refine", "2"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("CONFIG ERROR: domain.length 1e-06 is too short")
+    assert not (tmp_path / "out2").exists()
 
 
 @pytest.mark.parametrize("command, level", [("oracle", 1100), ("run", 40),

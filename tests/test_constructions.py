@@ -413,13 +413,13 @@ def _whole_array_residual_mins(spec, scenario, times, x):
 def _nonfinite_barrier(x, t):
     # from t = 0.1 a spike of 1e300 gives residuals near -1e304; from t = 0.3
     # a column of inf gives -inf beside a NaN in the same row; from t = 0.7 a
-    # NaN column gives more NaNs: the first NaN must win
-    u = (1.0 + t) * (2.0 - np.sin(math.pi * np.asarray(x)))
-    m = len(x)
-    col = np.arange(m)
-    for j, t_from, value in ((3 * m // 4, 0.1, 1e300), (m // 4, 0.3, math.inf),
-                             (m // 2, 0.7, math.nan)):
-        u = np.where((col == j) & (t >= t_from), value, u)
+    # NaN column gives more NaNs: the first NaN must win.  The columns are
+    # picked by x, so the barrier is elementwise in x like every other.
+    x = np.asarray(x)
+    u = (1.0 + t) * (2.0 - np.sin(math.pi * x))
+    for at, t_from, value in ((0.75, 0.1, 1e300), (0.25, 0.3, math.inf),
+                              (0.5, 0.7, math.nan)):
+        u = np.where((x == at) & (t >= t_from), value, u)
     return u
 
 
@@ -504,18 +504,20 @@ def _bits(v):
     return "nan" if math.isnan(v) else struct.pack("<d", v)
 
 
-@pytest.mark.parametrize("rows", [None, 1, 2, 7])
+@pytest.mark.parametrize("width", [None, 1, 2, 5, 7])
 @pytest.mark.parametrize("grid", [0, 1], ids=["coarse", "refined"])
 @pytest.mark.parametrize("kind", ["th00", "th2", "th4", "b_bad", "zero",
                                   "nonfinite", "wave", "uniform"])
 def test_streamed_residuals_match_whole_array_bit_for_bit(monkeypatch, kind,
-                                                          grid, rows):
+                                                          grid, width):
     scn, spec, grids = _residual_case(kind)
     times, x, (ref_mins, ref_worst) = grids[grid]
-    if rows is not None:
-        # 7 rows divide none of the grids' time counts
-        assert len(times) % 7 != 0
-        monkeypatch.setattr(constructions, "_BLOCK_BYTES", rows * 8 * len(x))
+    if width is not None:
+        # blocks of `width` interior columns; 5 divides neither grid's
+        # interior column count, so the last block is a short one
+        assert (len(x) - 2) % 5 != 0
+        monkeypatch.setattr(constructions, "_BLOCK_BYTES",
+                            width * 8 * len(times))
     mins, worst = constructions._residual_mins(spec, scn, times, x)
     assert [_bits(v) for v in mins] == [_bits(v) for v in ref_mins]
     assert worst == ref_worst
@@ -525,7 +527,8 @@ def test_streamed_residuals_match_whole_array_bit_for_bit(monkeypatch, kind,
 @pytest.mark.parametrize("kind", ["th00", "th2", "th4", "th2_power_log",
                                   "th2_table", "th4_power_log", "th4_table"])
 def test_evaluate_on_a_time_column_equals_time_by_time_bit_for_bit(kind, grid):
-    # the residual check asks each block of rows in one call
+    # the residual check asks each block of columns over every time in one
+    # call, and the six edge columns in another
     scn, spec, T = _barrier_case(kind)
     times, x = _check_grids(spec, scn, T)[grid]
     want = np.stack([spec.evaluate(x, float(t)) for t in times])
@@ -533,6 +536,13 @@ def test_evaluate_on_a_time_column_equals_time_by_time_bit_for_bit(kind, grid):
         rows = spec.evaluate(x, times[lo:hi, None])
         assert rows.shape == (hi - lo, len(x))
         assert rows.tobytes() == want[lo:hi].tobytes()
+    m = len(x)
+    for cols in (np.arange(4, 12), [0, 1, 2, m - 3, m - 2, m - 1], [m // 2]):
+        block = spec.evaluate(x[cols], times[:, None])
+        assert block.shape == (len(times), len(cols))
+        assert block.tobytes() == want[:, cols].tobytes()
+        row = spec.evaluate(x[cols], float(times[-1]))
+        assert row.tobytes() == want[-1, cols].tobytes()
 
 
 def test_streamed_residuals_keep_the_first_nan():

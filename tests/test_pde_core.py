@@ -993,6 +993,11 @@ def test_scenario_validation():
                  u0=InitialSpec("constant", 1.0))
     with pytest.raises(ConfigurationError):
         SolverControls(n_nodes=2)
+    # np.linspace takes no float count, and a bool is no node count
+    for n in (51.0, True, "51", math.nan):
+        with pytest.raises(ConfigurationError, match="n_nodes"):
+            SolverControls(n_nodes=n)
+    assert SolverControls(n_nodes=np.int64(51)).n_nodes == 51
     with pytest.raises(ConfigurationError):
         SolverControls(theta=1.5)
 
