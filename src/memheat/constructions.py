@@ -116,9 +116,12 @@ def solve_auxiliary_linear(flux: Optional[Callable[[float], float]],
                       out.snapshots[-1][1].copy(), 0.0, 0.0, nonneg=True)
         rs = sup_run[-1]
         dt = controls.dt_max
+        # past dt / h^2 = 2^50, I - dt D has no Cholesky factor; `Scenario`
+        # bounds dt_max by the same cap
+        dt_cap = 2.0 ** 50 * scn.h * scn.h
         try:
             while state.t < t_settle and math.isfinite(rs):
-                dt = min(dt * 1.05, 100.0, t_settle - state.t)
+                dt = min(dt * 1.05, 100.0, dt_cap, t_settle - state.t)
                 state = step(state, scn, dt, rule)
                 rs = max(rs, state.sup)
                 sup_t.append(state.t)

@@ -17,16 +17,17 @@ dt and c(t).
 
 `run_group` returns `[run(s) for s in scenarios]` bit for bit for scenarios
 that share length, controls and initial data, such as the cells of a sweep.
-Each cell still evaluates its own step_values and laddered dt, but the cells
-on a common dt advance as one lockstep block of fields: one reaction per
-distinct p, one multi-column solve and one min and max per row.  A cell
-whose dt differs, or whose row leaves the nonnegative finite branch, leaves
-the block and finishes through `advance` from its last state.
+Its memory-rule cells on a common dt advance as one lockstep block: one
+reaction per distinct p, one multi-column solve and one max per row, with
+t shared and each cell's sup, accumulators and step values in arrays.  A
+cell whose dt differs, or whose row turns non-finite, leaves the block and
+finishes through `advance` from its last state.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -344,13 +345,11 @@ def cho_solve_banded(cb: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _solve_diffusion(rhs: np.ndarray, dt: float, h: float) -> np.ndarray:
     """Implicit diffusion solve of a field (n,), or of every column of a
     block (n, m), on the cached factor."""
-    cb = _banded_factor(rhs.shape[0], h, dt)
+    n = rhs.shape[0]
     b = rhs.copy(order="F")
-    b[0] /= _SQRT2
-    b[-1] /= _SQRT2
-    v = cho_solve_banded(cb, b)
-    v[0] *= _SQRT2
-    v[-1] *= _SQRT2
+    b[::n - 1] /= _SQRT2
+    v = cho_solve_banded(_banded_factor(n, h, dt), b)
+    v[::n - 1] *= _SQRT2
     return v
 
 
@@ -369,15 +368,6 @@ def _reaction(u: np.ndarray, c_dt, p: float) -> np.ndarray:
         r *= c_dt
     r += u
     return r
-
-
-def _flux_solve(rhs: np.ndarray, dt: float, h: float, g_left, g_right) -> np.ndarray:
-    """Add the explicit boundary flux to rhs in place, then solve the
-    implicit diffusion.  rhs is a field (n,) or a block (n, m) with one field
-    per column and the slopes as per-column arrays."""
-    rhs[0] += dt * (2.0 / h) * g_left
-    rhs[-1] += dt * (2.0 / h) * g_right
-    return _solve_diffusion(rhs, dt, h)
 
 
 def step_values(state: State, scenario: Scenario, rule=None) -> tuple:
@@ -660,23 +650,125 @@ def run(scenario: Scenario) -> SimulationOutcome:
     return _Run(scenario, scenario.initial_field()).follow()
 
 
+class _Block:
+    """The memory-rule runs of `run_group`, sorted by p, at a shared t and
+    step count.  Their fields are the rows of U; every other array has one
+    entry, or a left and a right one, per run.  A memory rule's flux is
+    (s M_left, s M_right, w), or (0, 0, w) where s = 0, so (s, s, w) is its
+    flux at unit accumulators: each distinct c, and each memory rule on a
+    distinct k, is evaluated once per t."""
+
+    def __init__(self, runs: list, u0: np.ndarray):
+        self.runs = sorted(runs, key=lambda r: r.scenario.p)
+        c_index, rule_index = {}, {}
+        self.c_of = np.array([c_index.setdefault(r.scenario.c, len(c_index))
+                              for r in self.runs], dtype=int)
+        self.rule_of = np.array([rule_index.setdefault(
+            r.rule.k if type(r.rule) is MemoryRule else r.rule, len(rule_index))
+            for r in self.runs], dtype=int)
+        self.c_specs = list(c_index)
+        self.rules = [MemoryRule(k) if isinstance(k, CoefficientSpec) else k
+                      for k in rule_index]
+        self.p, self.q = (np.array([getattr(r.scenario, x) for r in self.runs],
+                                   dtype=float) for x in "pq")
+        m, self.steps = len(self.runs), 0
+        self.U, self.sup = np.tile(u0, (m, 1)), np.full(m, u0.max())
+        self.M = np.zeros((m, 2))
+        self.at(0.0, 0.0)
+
+    def at(self, t: float, dt: float):
+        """Move to t, reached by a step of dt: evaluate c, the slopes and the
+        accumulator terms w u_b^q at t, and add the step's trapezoid to M."""
+        c = [eval_coeff(spec, t) for spec in self.c_specs]
+        fluxes = [rule.flux(t, 1.0, 1.0) for rule in self.rules]
+        self.t, self.c_t, self.c_nonzero = t, np.array(c).take(self.c_of), all(c)
+        s, _, w = np.array(fluxes).reshape(-1, 3).take(self.rule_of, axis=0).T
+        ends = self.U[:, ::self.U.shape[1] - 1].tolist()
+        acc = np.array([_acc_term(wi, ub, q) for wi, pair, q in zip(
+            w.tolist(), ends, self.q.tolist()) for ub in pair]).reshape(-1, 2)
+        if dt:
+            self.M = self.M + 0.5 * dt * (self.acc + acc)
+        self.acc, s = acc, s[:, None]
+        nonzero = all(f[0] for f in fluxes)
+        self.g = s * (self.M if nonzero else np.where(s == 0.0, 0.0, self.M))
+
+    def state(self, row: int) -> State:
+        return State(self.t, self.U[row], *self.M[row].tolist(), self.steps,
+                     self.sup[row].item(), nonneg=True)
+
+    def part(self, keep: np.ndarray) -> list:
+        """Keep the runs where keep holds; return the others at their State."""
+        if np.count_nonzero(keep) == keep.size:
+            return []
+        for row in np.flatnonzero(~keep):
+            self.runs[row].state = self.state(row)
+        gone = [r for r, kept in zip(self.runs, keep) if not kept]
+        self.runs = [r for r, kept in zip(self.runs, keep) if kept]
+        for name in ("c_of", "rule_of", "p", "q", "U", "M", "sup", "c_t", "acc", "g"):
+            setattr(self, name, getattr(self, name)[keep])
+        return gone
+
+    def laddered_dt(self, ctr: SolverControls, cap: float) -> np.ndarray:
+        """`_ladder(choose_dt(...))` of every run, with cap as the first-step
+        cap.  The float arithmetic is choose_dt's on arrays; each power and
+        log2 stays a Python float, which numpy may round otherwise."""
+        sup = self.sup
+        rate_react = [0.0 if s <= 0.0 else
+                      c * (s if p >= 1.0 else max(s, 1e-6)) ** (p - 1.0)
+                      for s, c, p in zip(sup.tolist(), self.c_t.tolist(),
+                                         self.p.tolist())]
+        # no row and no sup in the block is NaN, but a slope may be
+        ends = self.U[:, ::self.U.shape[1] - 1]
+        scale = np.maximum(np.maximum(ends, 1e-6 * sup[:, None]), 1e-300)
+        nu_left, nu_right = (np.abs(self.g) / scale).T
+        # Python's max keeps nu_left where nu_right is NaN
+        nu = np.where(nu_right > nu_left, nu_right, nu_left)
+        denom = rate_react + nu + nu * nu + 1e-30
+        dt = np.minimum(np.minimum(ctr.dt_max, ctr.theta / denom), cap)
+        if not dt.min() >= ctr.dt_max:
+            # a dt to ladder, or a runaway denominator and its token step
+            token = ctr.dt_max * 2.0 ** -60
+            dt = np.array([_ladder(d if f < math.inf else token, ctr.dt_max)
+                           for d, f in zip(dt.tolist(), denom.tolist())])
+        return dt
+
+    def step(self, dt: float, h: float) -> list:
+        """Step every run by dt: one reaction per distinct p, one solve and
+        one max per row.  Returns the runs whose new row is not finite."""
+        rhs, p_of = self.U.copy(), self.p.tolist()
+        for p in dict.fromkeys(p_of):
+            rows = slice(bisect_left(p_of, p), bisect_right(p_of, p))
+            if not self.c_nonzero:
+                rows = rows.start + np.flatnonzero(self.c_t[rows])
+            rhs[rows] = _reaction(self.U[rows], dt * self.c_t[rows, None], p)
+        # the explicit boundary flux, on the end columns of the rows
+        rhs[:, ::rhs.shape[1] - 1] += dt * (2.0 / h) * self.g
+        U_new = _solve_diffusion(rhs.T, dt, h).T
+        sup = U_new.max(axis=1)
+        finite = sup < math.inf
+        gone = self.part(finite)
+        self.U, self.sup = (U_new[finite], sup[finite]) if gone else (U_new, sup)
+        self.steps += 1
+        self.at(self.t + dt, dt)
+        return gone
+
+
 def run_group(scenarios) -> list:
     """[run(s) for s in scenarios], bit for bit, for scenarios that agree in
     length, controls and initial field.
 
-    The cells step in lockstep: each evaluates its own step_values and
-    laddered dt, and the cells on the most common dt (the larger on a tie)
-    take the step as one block, with one multi-column diffusion solve.  A
-    cell with another dt, or whose new row is negative somewhere or not
-    finite, leaves the block and finishes through `advance` from its last
-    state, which redoes that step as `run` takes it.
+    The cells with a memory rule step as a `_Block`, and those on the most
+    common laddered dt (the larger on a tie) take each step together, with
+    one multi-column diffusion solve.  A cell that halts, has another dt or
+    whose new row is not finite leaves the block and finishes through
+    `advance` from its last state, which redoes that step as `run` takes
+    it.  Other cells run alone.
     """
     scenarios = list(scenarios)
     if not scenarios:
         return []
     head = scenarios[0]
     ctr = head.controls
-    h = head.h
     u0 = head.initial_field()
     for scn in scenarios[1:]:
         if ((scn.length, scn.controls) != (head.length, ctr)
@@ -684,64 +776,35 @@ def run_group(scenarios) -> list:
             raise ConfigurationError(
                 "group scenarios must agree in length, controls and initial data")
     runs = [_Run(scn, u0) for scn in scenarios]
+    for r in runs:
+        if type(r.rule) not in (MemoryRule, WeightedMemoryRule):
+            r.follow()
+    # c(t) >= 0 and a memory rule's slopes are >= 0: as in `step`, the
+    # block's rows keep no negative entry, so it takes no min
+    block = _Block([r for r in runs if r.outcome is None], u0)
     clock = _Clock(ctr)
-    # the run of each row of U; sorted by p, the rows of one p are adjacent
-    block = sorted(runs, key=lambda r: r.scenario.p)
-    U = np.tile(u0, (len(block), 1))
-    while block:
-        plans = []
-        for row, r in enumerate(block):
-            stop = _stop(r.state, ctr)
-            if stop is not None:
-                r.finish(*stop)
-                continue
-            values = step_values(r.state, r.scenario, r.rule)
-            dt = _ladder(choose_dt(r.state, r.scenario, r.rule, values),
-                         ctr.dt_max)
-            plans.append((row, r, values, dt))
-        votes = Counter(plan[3] for plan in plans)
-        dt_block = max(votes, key=lambda d: (votes[d], d), default=None)
-        members = [plan for plan in plans if plan[3] == dt_block]
-        if len(members) < 2:
-            members = []
-        for _, r, _, dt_r in plans:
-            if dt_r != dt_block or not members:
-                r.follow()
-        if not members:
+    while True:
+        going = block.t < ctr.t_max - 1e-12 and block.steps < ctr.max_steps
+        gone = block.part((block.sup < ctr.blowup_threshold) & going)
+        if block.runs:
+            with np.errstate(over="ignore", invalid="ignore"):
+                dts = block.laddered_dt(ctr, ctr.theta * head.h * head.h
+                                        if block.steps == 0 else math.inf)
+            votes = Counter(dts.tolist())
+            dt = max(votes, key=lambda d: (votes[d], d))
+            gone += block.part((dts == dt) & (votes[dt] > 1))
+        for r in gone:
+            r.follow()
+        if not block.runs:
             break
-
-        if len(members) < len(block):
-            U = U[[plan[0] for plan in members]]
-        dt, landed = clock.cut(members[0][1].state.t, dt_block)
-        c_t, g_left, g_right, _ = zip(*(plan[2] for plan in members))
-        c_dt = dt * np.array(c_t)
-        by_p = {}
-        for row, (_, r, _, _) in enumerate(members):
-            if c_t[row] != 0.0:
-                by_p.setdefault(r.scenario.p, []).append(row)
+        dt, landed = clock.cut(block.t, dt)
         with np.errstate(over="ignore", invalid="ignore"):
-            rhs = U.copy()
-            for p, rows in by_p.items():
-                if rows[-1] - rows[0] == len(rows) - 1:
-                    rows = slice(rows[0], rows[-1] + 1)     # a view, no copy
-                rhs[rows] = _reaction(U[rows], c_dt[rows, None], p)
-            U_new = _flux_solve(rhs.T, dt, h, np.array(g_left),
-                                np.array(g_right)).T
-        # the block keeps its min: checking member by member the premise
-        # under which step skips it costs as much as the min of the block
-        lows = U_new.min(axis=1).tolist()
-        sups = U_new.max(axis=1).tolist()
-
-        block, kept = [], []
-        for row, (_, r, values, _) in enumerate(members):
-            if lows[row] >= 0.0 and sups[row] < math.inf:
-                r.add(_stepped(r.state, dt, U_new[row], sups[row], r.rule,
-                               values[3], r.scenario.q, True), dt, landed)
-                block.append(r)
-                kept.append(row)
-            else:
-                r.follow()
-        U = U_new if len(kept) == len(members) else U_new[kept]
+            gone = block.step(dt, head.h)
+        for r in gone:
+            r.follow()
+        dense = (block.sup >= 0.01 * ctr.blowup_threshold).nonzero()[0]
+        for row in range(len(block.runs)) if landed else dense:
+            block.runs[row].add(block.state(row), dt, landed)
     return [r.outcome for r in runs]
 
 

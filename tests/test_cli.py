@@ -388,6 +388,22 @@ def test_verify_barrier_whose_stencils_overflow_exits_2_naming_the_horizon(
     assert "nan" not in out and "VERDICT: PASS (Th00 barrier)" in out
 
 
+@pytest.mark.parametrize("length", [3e-6, 1e-5])
+def test_verify_at_a_short_length_settles_within_the_factor_bound(
+        tmp_path, capsys, length):
+    # at length 3e-6 the settle loop's dt of up to 100 passed dt / h^2 = 2^50,
+    # where I - dt D has no Cholesky factor, and verify exited 1 with a
+    # LinAlgError; capped there, it ends as length 1e-5 does
+    doc = base_doc(domain={"length": length, "nodes": 51},
+                   c={"family": "power", "amplitude": 1.0, "gamma": 2.0},
+                   k={"family": "power", "amplitude": 1.0, "gamma": 3.0},
+                   initial={"family": "constant", "value": 0.05},
+                   solver={"t_max": 1.0})
+    assert main(["verify", "--config", write_cfg(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == (
+        "CONFIG ERROR: auxiliary bound Y did not stabilize\n")
+
+
 # the certify benchmark's verify commands and its stored answers to them
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -500,7 +516,8 @@ def test_sweep_cell_config_reruns_the_cell_byte_for_byte(tmp_path, capsys):
 
 def test_sweep_in_small_groups_writes_what_one_group_writes(tmp_path, capsys,
                                                             monkeypatch):
-    # groups of 2 split the 5 cells 2 + 2 + 1; the last runs alone
+    # groups of 2 split the 5 cells 2 + 2 + 1; the last runs alone.  Groups
+    # of 1 never take a block step, so every cell is a plain run
     doc = base_doc(
         exponents={"p": [1.0, 2.0, 3.0, 1.5, 0.5], "q": 2.0},
         solver={"t_max": 0.5},
@@ -508,7 +525,7 @@ def test_sweep_in_small_groups_writes_what_one_group_writes(tmp_path, capsys,
     )
     cfg = write_cfg(tmp_path, doc)
     outs = {}
-    for group_cells in (cli.SWEEP_GROUP_CELLS, 2):
+    for group_cells in (cli.SWEEP_GROUP_CELLS, 2, 1):
         monkeypatch.setattr(cli, "SWEEP_GROUP_CELLS", group_cells)
         assert main(["sweep", "--config", cfg,
                      "--out", str(tmp_path / str(group_cells))]) == 0
@@ -517,6 +534,7 @@ def test_sweep_in_small_groups_writes_what_one_group_writes(tmp_path, capsys,
             (p.relative_to(tmp_path / str(group_cells)), p.read_bytes())
             for p in files])
     assert outs[2] == outs[cli.SWEEP_GROUP_CELLS]
+    assert outs[1] == outs[cli.SWEEP_GROUP_CELLS]
     assert len(outs[2][1]) > 5 * 3
 
 

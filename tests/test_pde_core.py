@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -33,7 +34,6 @@ from memheat.pde_core import (
     WeightedMemoryRule,
     _acc_term,
     _banded_factor,
-    _flux_solve,
     _ladder,
     _solve_diffusion,
     advance,
@@ -220,7 +220,9 @@ def _reference_step(state, scenario, dt, rule=None, values=None):
             rhs += u
         else:
             rhs = u.copy()
-        u_new = _flux_solve(rhs, dt, scenario.h, g_left, g_right)
+        rhs[0] += dt * (2.0 / scenario.h) * g_left
+        rhs[-1] += dt * (2.0 / scenario.h) * g_right
+        u_new = _solve_diffusion(rhs, dt, scenario.h)
     m = float(u_new.min())
     sup = float(u_new.max())
     if (math.isfinite(m) and math.isfinite(sup)) or np.isfinite(rhs).all():
@@ -427,12 +429,14 @@ def test_traced_benchmark_wraps_the_kernel_names():
     assert single == {"pde_core.run": 1, "pde_core.step": steps,
                       "pde_core.choose_dt": steps, "pde_core.solve": steps,
                       "coeffs.eval_coeff.constant.scalar": 2 * steps}
-    # each cell takes its own choose_dt and c(t), k(t) per block step
+    # the block takes its dts on arrays, without choose_dt, and evaluates
+    # the c and the k the two cells share once per time it reaches, the
+    # start included
     assert out["group_steps"] == [steps, steps]
     assert group == {"pde_core.run": 0, "pde_core.step": 0,
-                     "pde_core.factor": 0, "pde_core.choose_dt": 2 * steps,
+                     "pde_core.factor": 0, "pde_core.choose_dt": 0,
                      "pde_core.solve": steps,
-                     "coeffs.eval_coeff.constant.scalar": 4 * steps}
+                     "coeffs.eval_coeff.constant.scalar": 2 * (steps + 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -739,9 +743,92 @@ def test_run_group_equals_run_bitwise(n, t_max, family, value, cells):
         _assert_same_outcome(got, run(scn))
 
 
+def _record_block_steps(monkeypatch) -> list:
+    """(runs, all M finite, all slopes finite, runs that left) of every
+    lockstep step that run_group takes from here on."""
+    steps = []
+    take = pde_core._Block.step
+
+    def recorded(block, dt, h):
+        runs = list(block.runs)
+        finite = bool(np.isfinite(block.M).all()), bool(np.isfinite(block.g).all())
+        gone = take(block, dt, h)
+        steps.append((runs, *finite, gone))
+        return gone
+    monkeypatch.setattr(pde_core._Block, "step", recorded)
+    return steps
+
+
+def test_run_group_weighted_members_equal_run_bitwise(monkeypatch):
+    # the reaction-stripped twin of a p = 1 cell has a WeightedMemoryRule,
+    # whose accumulator weight e^{q C(t)} passes 1 once C(t) > 0
+    ctrl = dict(n_nodes=51, t_max=1.0)
+    bases = [scenario(1.0, q, c, k, ("cos_bump", 0.5), **ctrl) for q, c, k in [
+        (2.0, ONE, CoefficientSpec.power(2.0, 1.0)),
+        (1.0, CoefficientSpec.power_log(1.0, 1.0, 1), ONE),
+        (3.0, CoefficientSpec.power(2.0, 1.0), ONE)]]
+    twins = [to_transformed(base).scenario for base in bases]
+    assert all(twin.boundary.acc_weight(0.5) > 1.0 for twin in twins)
+    blocks = _record_block_steps(monkeypatch)
+    group = bases + twins
+    for got, scn in zip(run_group(group), group):
+        _assert_same_outcome(got, run(scn))
+    weighted = [sum(type(r.rule) is WeightedMemoryRule for r in runs)
+                for runs, *_ in blocks]
+    assert len(weighted) > 400 and min(weighted) == 3
+
+
+def test_run_group_evaluates_each_distinct_spec_once_per_time(monkeypatch):
+    def specs():
+        return CoefficientSpec.power(1.0, 2.0), CoefficientSpec.power_log(1.0, 2.0, 1)
+    (c, k), (c_copy, k_copy) = specs(), specs()
+    assert (c_copy, k_copy) == (c, k) and c_copy is not c and k_copy is not k
+    ctrl = dict(n_nodes=41, t_max=0.5)
+    group = [scenario(2.0, 2.0, c, k, ("constant", 0.1), **ctrl),
+             scenario(2.0, 3.0, c, k, ("constant", 0.1), **ctrl),
+             scenario(1.0, 2.0, c_copy, k_copy, ("constant", 0.1), **ctrl),
+             # a memory rule on another k than the scenario's k, which the
+             # cell never evaluates
+             replace(scenario(1.5, 2.0, c, k, ("constant", 0.1), **ctrl),
+                     boundary=MemoryRule(ONE))]
+    asked = Counter()
+    evaluate = pde_core.eval_coeff
+    monkeypatch.setattr(pde_core, "eval_coeff",
+                        lambda spec, t: asked.update([spec]) or evaluate(spec, t))
+    outs = run_group(group)
+    monkeypatch.undo()
+    for got, scn in zip(outs, group):
+        _assert_same_outcome(got, run(scn))
+    # every cell stays in the block to the horizon, which halts it unstepped
+    assert {out.steps for out in outs} == {outs[0].steps}
+    assert asked == {c: outs[0].steps + 1, k: outs[0].steps + 1,
+                     ONE: outs[0].steps + 1}
+
+
+def test_run_group_member_whose_flux_overflows_leaves_as_under_run(monkeypatch):
+    # u = e^t passes 1.8e308 ** (1 / 400) near t = 1.77, where the memory
+    # accumulator overflows; the tiny k keeps the flux small until then.  The
+    # first two cells share every dt, so the block holds the two of them when
+    # their accumulators and slopes turn inf, and takes the token step with
+    # them; the third leaves earlier, when the flux first shortens their dt
+    cell = scenario(p=1.0, q=400.0, c=ONE, k=CoefficientSpec.constant(1e-300),
+                    n_nodes=21, t_max=3.0)
+    group = [cell, replace(cell, c=CoefficientSpec.constant(1.0)),
+             replace(cell, q=2.0, k=ZERO)]
+    blocks = _record_block_steps(monkeypatch)
+    outs = run_group(group)
+    for got, scn in zip(outs, group):
+        _assert_same_outcome(got, run(scn))
+    assert [out.status for out in outs] == ["BlowUp", "BlowUp", "GlobalToHorizon"]
+    assert outs[0].trace.M_left[-1] == math.inf
+    left = [(len(runs), finite_M, finite_g, len(gone))
+            for runs, finite_M, finite_g, gone in blocks if gone]
+    assert left == [(2, False, False, 2)]
+
+
 def test_run_group_member_fault_ends_aborted_as_under_run():
     # an outflow at the vanishing ends of a bump undershoots on the first
-    # step; the two outflow cells share that step's dt, so the block takes it
+    # step; prescribed-flux cells run alone, beside the block
     outflow = PrescribedFluxRule(lambda t: -0.1)
     base = scenario(p=2.0, q=2.0, u0=("cos_bump", 1.0), n_nodes=201, t_max=0.1)
     group = [replace(base, boundary=outflow), replace(base, p=3.0, boundary=outflow),
