@@ -365,8 +365,11 @@ def _cmd_sweep(config: RunConfig, outdir: Path) -> int:
 
 def _cmd_oracle(config: RunConfig, refine: int) -> int:
     scn = config.scenario
-    if not isinstance(scn.u0.value, (int, float)):
-        raise ConfigurationError("oracle mode needs a scalar initial.value")
+    # y(0) is u0 itself only for constant initial data
+    if scn.u0.family != "constant":
+        raise ConfigurationError(
+            f"must be 'constant' in oracle mode, which takes a scalar y(0), "
+            f"not {scn.u0.family!r}", "initial.family")
     ctr = replace(DEFAULT_ODE_CONTROLS,
                   rtol=DEFAULT_ODE_CONTROLS.rtol / 2 ** refine,
                   blowup_threshold=scn.controls.blowup_threshold)

@@ -2,21 +2,22 @@
 
 The solver and the regime classifier consume nonnegative continuous
 coefficients of time.  Five parametric families cover the regimes the
-classifier distinguishes; each family knows its own tail behavior, so
-convergence questions are answered in closed form whenever possible and by
-a guarded numerical protocol otherwise.  Every judgement on behaviour as
-t -> inf that the classifier and the oracle make lives here: improper
-integrals against a power weight, boundedness of a growth form, and the
-sampled monotonicity and sup-stabilization checks.  Cumulative integrals
-C(t) = int_0^t c, their tails and the weights ln int_0^t e^{mC} are closed
-forms where the family allows and otherwise use one Gauss-Legendre rule on
-dyadic panels.
+classifier distinguishes; each names the analytic family it equals for
+large t (`CoefficientSpec.eventual`, a table's last value held constant).
+Every judgement on behaviour as t -> inf that the classifier and the
+oracle make lives here: improper integrals against a power weight,
+boundedness of a growth form, eventual monotonicity, the sup-stabilization
+check and a decade protocol for integrands with no growth form.  Cumulative
+integrals C(t) = int_0^t c, their tails and the weights ln int_0^t e^{mC}
+are closed forms where the family allows and otherwise use one
+Gauss-Legendre rule on dyadic panels.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Optional, Sequence
@@ -34,7 +35,6 @@ INDETERMINATE = "Indeterminate"
 
 _EXP_TOL = 1e-12  # tolerance when comparing exponents for borderline cases
 _MAX_LOG_DEPTH = 3  # T_4 = e^(T_3) = e^(3.8e6) overflows a float
-T_LARGE = 1e3  # where sampling "for large t" starts
 
 
 def as_real(value, key: str, entry: bool = False) -> float:
@@ -147,6 +147,8 @@ class CoefficientSpec:
                 raise ConfigurationError("times must be >= 0", "table")
             if any(v < 0 or not math.isfinite(v) for v in vs):
                 raise ConfigurationError("values must be finite and >= 0", "table")
+            if not math.isfinite(self.amplitude * max(vs)):
+                raise ConfigurationError("values times amplitude must be finite", "table")
         elif self.table is not None:
             raise ConfigurationError("belongs to the tabulated family only", "table")
 
@@ -199,6 +201,14 @@ class CoefficientSpec:
                 or self.family == "exp_decay" and self.lam == 0.0):
             return CoefficientSpec.constant(self.amplitude)
         return self
+
+    @cached_property
+    def eventual(self) -> "CoefficientSpec":
+        """The canonical spec this one equals for all large t: a table is
+        its last value, times the amplitude, held constant."""
+        if self.family == "tabulated":
+            return CoefficientSpec.constant(self.amplitude * self.table[-1][1])
+        return self.canonical
 
     @property
     def is_zero(self) -> bool:
@@ -272,12 +282,18 @@ def eval_coeff(spec: CoefficientSpec, t):
     return _formula(spec, np.exp, np.log)(arr)
 
 
+# Every coefficient is nonincreasing for large t: an analytic family decays
+# or stays flat on all of t >= 0 (amplitude, gamma and lambda are >= 0), and
+# a table is constant past its last node.
+EVENTUALLY_NONINCREASING = True
+
+
 def coefficient_sup(spec: CoefficientSpec, t_max: float) -> float:
     """sup of the coefficient on [0, t_max].
 
-    The four analytic families are nonincreasing, so the sup sits at t = 0;
-    a tabulated spec is piecewise linear, so its sup sits at 0, at t_max or
-    at a node in between.
+    The four analytic families are nonincreasing (EVENTUALLY_NONINCREASING),
+    so the sup sits at t = 0; a tabulated spec is piecewise linear, so its
+    sup sits at 0, at t_max or at a node in between.
     """
     if spec.family != "tabulated":
         return eval_coeff(spec, 0.0)
@@ -551,11 +567,11 @@ class GrowthForm:
         )
 
 
-def growth_form(spec: CoefficientSpec) -> Optional[GrowthForm]:
-    """Tail growth form of a family, or None when unknown (tabulated)."""
+def growth_form(spec: CoefficientSpec) -> GrowthForm:
+    """Tail growth form of spec, read off `spec.eventual`."""
+    spec = spec.eventual
     if spec.is_zero:
         return GrowthForm(zero=True)
-    spec = spec.canonical
     fam = spec.family
     if fam == "constant":
         return GrowthForm()
@@ -563,16 +579,14 @@ def growth_form(spec: CoefficientSpec) -> Optional[GrowthForm]:
         return GrowthForm(power=-spec.gamma)
     if fam == "exp_decay":
         return GrowthForm(exp_rate=-spec.lam)
-    if fam == "power_log":
-        logs = (-1.0,) * (spec.log_depth - 1) + (-(1.0 + spec.log_power),)
-        return GrowthForm(power=-spec.gamma, logs=logs)
-    return None
+    logs = (-1.0,) * (spec.log_depth - 1) + (-(1.0 + spec.log_power),)
+    return GrowthForm(power=-spec.gamma, logs=logs)
 
 
 def tail_verdict(form: GrowthForm) -> tuple[str, str]:
     """(status, reason) for int^inf of a function with the given growth form."""
     if form.zero:
-        return CONVERGES, "integrand vanishes identically"
+        return CONVERGES, "integrand vanishes for large t"
     if form.exp_rate > _EXP_TOL:
         return DIVERGES, f"exponential growth rate {form.exp_rate:.6g}"
     if form.exp_rate < -_EXP_TOL:
@@ -610,15 +624,7 @@ def form_bounded(form: GrowthForm) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# sampled checks for eventual behaviour
-
-def sampled_nonincreasing(values) -> bool:
-    """Whether samples taken in time order never rise by more than 1e-9
-    relative; a non-finite sample fails."""
-    v = np.asarray(values, dtype=float)
-    return bool(np.isfinite(v).all()
-                and np.all(np.diff(v) <= 1e-9 * np.maximum(v[:-1], 1e-300)))
-
+# sampled sup of a probed function
 
 def sup_stabilized(times, values) -> tuple[float, float, bool]:
     """(sup, early sup, holds) of samples on a geometric grid of times.
@@ -667,8 +673,9 @@ def integrate_improper(spec: CoefficientSpec, weight: float = 0.0,
                        t_lower: float = 0.0) -> IntegralVerdict:
     """Verdict on int_{t_lower}^inf t^weight * spec(t) dt.
 
-    Families with a growth form get an analytic verdict; tabulated specs go
-    through the numerical protocol.
+    The verdict is the tail verdict of the growth form.  A convergent
+    integral of a table is the panel rule over its nodes from t_lower plus
+    the integral of its eventual constant; of an analytic family, quad.
     """
     if t_lower < 0:
         raise DomainError("t_lower must be >= 0")
@@ -677,15 +684,17 @@ def integrate_improper(spec: CoefficientSpec, weight: float = 0.0,
     def integrand(t):
         return np.asarray(t, dtype=float) ** a * eval_coeff(spec, t)
 
-    form = growth_form(spec)
-    if form is None:
-        return numeric_improper(integrand, t_lower, [row[0] for row in spec.table])
-    total = form.times(GrowthForm(power=a))
+    total = growth_form(spec).times(GrowthForm(power=a))
     status, reason = tail_verdict(total)
     if status == DIVERGES:
         return IntegralVerdict(DIVERGES, None, f"closed form: {reason}")
-    if total.zero:
+    if spec.is_zero:
         return IntegralVerdict(CONVERGES, 0.0, "closed form: integrand identically zero")
+    if spec.family == "tabulated":
+        edges = np.array([t_lower] + [t for t, _ in spec.table if t > t_lower])
+        body = float(np.sum(_panel_sums(integrand, edges[:-1], edges[1:])))
+        tail = integrate_improper(spec.eventual, a, edges[-1]).value
+        return IntegralVerdict(CONVERGES, body + tail, f"closed form: {reason}")
     value, note = _convergent_value(integrand, t_lower, spec, total)
     return IntegralVerdict(CONVERGES, value, f"closed form: {reason}{note}")
 
@@ -702,7 +711,7 @@ def _convergent_value(integrand, t_lower, spec, form: GrowthForm):
         a = t_lower
         while a < t_cut:
             b = min(max(a * 10.0, 1.0), t_cut)
-            body += _panel(integrand, a, b, None)
+            body += _quad(integrand, a, b)[0]
             a = b
         delta = -(form.logs[-1] + 1.0)  # ln_j exponent is -(1+delta)
         j = spec.log_depth
@@ -710,9 +719,7 @@ def _convergent_value(integrand, t_lower, spec, form: GrowthForm):
         tail = spec.amplitude * iterated_log(j, s) ** (-delta) / delta
         return body + tail, f"; slow-log tail beyond {t_cut:.3g} added in closed form"
     try:
-        with np.errstate(all="ignore"):
-            val, err = integrate.quad(lambda t: float(integrand(t)),
-                                      t_lower, np.inf, limit=400)
+        val, err = _quad(integrand, t_lower, np.inf, limit=400)
         if math.isfinite(val) and err <= 1e-6 * max(1.0, abs(val)):
             return val, ""
     except Exception:
@@ -724,26 +731,24 @@ def _convergent_value(integrand, t_lower, spec, form: GrowthForm):
     return math.nan, "; value unresolved numerically"
 
 
-def _panel(f, a, b, points):
-    pts = None
-    if points:
-        pts = [p for p in points if a < p < b][:50] or None
-    with np.errstate(all="ignore"):
-        val, _ = integrate.quad(lambda t: float(f(t)), a, b, points=pts, limit=200)
-    return val
+def _quad(f, a, b, limit: int = 200) -> tuple[float, float]:
+    """(value, error estimate) of quad on the scalar integrand f over [a, b].
+    Its warnings are silenced: each caller judges the result itself."""
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        return integrate.quad(lambda t: float(f(t)), a, b, limit=limit)
 
 
-def numeric_improper(f: Callable, t_lower: float = 0.0,
-                     points: Optional[Sequence[float]] = None) -> IntegralVerdict:
+def numeric_improper(f: Callable, t_lower: float = 0.0) -> IntegralVerdict:
     """Decade protocol on an arbitrary scalar integrand callable."""
     tiny = 1e-300
     start = max(t_lower, 1.0)
-    total = _panel(f, t_lower, start, points) if start > t_lower else 0.0
+    total = _quad(f, t_lower, start)[0] if start > t_lower else 0.0
     incs: list[float] = []
     a = start
     while a < _NUMERIC_T_MAX:
         b = min(a * 10.0, _NUMERIC_T_MAX)
-        inc = _panel(f, a, b, points)
+        inc = _quad(f, a, b)[0]
         if not math.isfinite(inc):
             return IntegralVerdict(DIVERGES, None,
                                    "numeric: integrand overflows on a finite panel")

@@ -44,6 +44,8 @@ from .pde_core import (
     step,
 )
 
+_DOMINATION_TOL = 1e-8  # check_domination's bound on (u - barrier)/(1 + sup)
+
 
 # ---------------------------------------------------------------------------
 # auxiliary linear runs
@@ -481,7 +483,7 @@ class DominationReport:
 
 
 def check_domination(spec: SupersolutionSpec, outcome: SimulationOutcome,
-                     scenario: Scenario, tol: float = 1e-8) -> DominationReport:
+                     scenario: Scenario) -> DominationReport:
     """Check u <= barrier at every recorded snapshot (relative tolerance).
     NotApplicableError when a snapshot is past the horizon of the barrier's
     auxiliary run."""
@@ -496,5 +498,5 @@ def check_domination(spec: SupersolutionSpec, outcome: SimulationOutcome,
         viol = float(np.max(u - ub)) / (1.0 + float(np.max(ub)))
         if viol > worst:
             worst, worst_t = viol, float(t)
-    return DominationReport(holds=worst <= tol, max_violation=worst,
-                            worst_t=worst_t)
+    return DominationReport(holds=worst <= _DOMINATION_TOL,
+                            max_violation=worst, worst_t=worst_t)

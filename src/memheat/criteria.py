@@ -7,7 +7,10 @@ conditions use exponential weights t^a e^{-mC} (int_0^t e^{rC})^n built from
 C(t) = int_0^t c, each described once by its exponents (`_Weight`).  One
 cascade (`_weighted_integral`) decides every weighted integral: k = 0, c = 0,
 a convergent reaction integral, a growth form per coefficient lane, and
-guarded numerics in log space for everything else.
+guarded numerics in log space for everything else.  Every other "for large
+t" condition is settled in closed form on the growth form of
+`CoefficientSpec.eventual`; only the weighted envelope off every lane and
+the window sups are sampled.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ import numpy as np
 from .coeffs import (
     CONVERGES,
     DIVERGES,
+    EVENTUALLY_NONINCREASING,
     INDETERMINATE,
-    T_LARGE,
     CoefficientSpec,
     CumulativeIntegral,
     GrowthForm,
@@ -35,7 +38,6 @@ from .coeffs import (
     log_lane,
     memory_window_check,
     numeric_improper,
-    sampled_nonincreasing,
     sup_stabilized,
     tail_verdict,
 )
@@ -52,6 +54,7 @@ FAILS = "fails"
 UNDECIDED = "undecided"
 
 _TOL = 1e-12
+_T_LARGE = 1e3  # where sampling "for large t" starts
 
 
 @dataclass(frozen=True)
@@ -138,13 +141,14 @@ class _Weight:
 
 
 def _weight_growth(c: CoefficientSpec, w: _Weight) -> Optional[GrowthForm]:
-    """Tail growth form of the weight w, per lane of c.
+    """Tail growth form of the weight w, per lane of c.eventual.
 
     On each lane int_0^t e^{rC} ~ e^{rC} t^s up to a constant, with s = 0
     for constant c, 1 for harmonic c, gamma for subharmonic c and 1 on the
-    log lane; so w ~ t^{a + n s} e^{x C} with x = n r - m.
+    log lane; so w ~ t^{a + n s} e^{x C} with x = n r - m.  A table with a
+    positive last value is on the constant lane.
     """
-    c = c.canonical
+    c = c.eventual
     x = w.n * w.r - w.m
     if c.family == "constant" and c.amplitude > 0.0:
         return GrowthForm(exp_rate=x * c.amplitude, power=w.a)
@@ -173,23 +177,17 @@ def _log_weighted(cum: CumulativeIntegral, w: _Weight, k: CoefficientSpec,
 
 
 # ---------------------------------------------------------------------------
-# sampled checks for "for large values of t" conditions
+# "for large values of t" conditions
 
-def _samples(values: Callable, n: int):
-    ts = np.geomspace(T_LARGE, 1e7, n)
+def _samples(values: Callable):
+    """80 geometric times on [_T_LARGE, 1e7] and values(times) there."""
+    ts = np.geomspace(_T_LARGE, 1e7, 80)
     with np.errstate(all="ignore"):
         return ts, np.asarray(values(ts), dtype=float)
 
 
-def _sampled_nonincreasing(values: Callable, n: int = 400) -> FlagReport:
-    ts, v = _samples(values, n)
-    ok = sampled_nonincreasing(v)
-    return FlagReport(ok, f"sampled on t in [{ts[0]:.3g}, {ts[-1]:.3g}] "
-                          f"({n} points): {'nonincreasing' if ok else 'increase detected'}")
-
-
-def _sampled_bounded(values: Callable, n: int = 400) -> FlagReport:
-    ts, v = _samples(values, n)
+def _sampled_bounded(values: Callable) -> FlagReport:
+    ts, v = _samples(values)
     late, early, ok = sup_stabilized(ts, v)
     return FlagReport(ok, f"sampled sup {late:.6g} vs early sup {early:.6g} "
                           f"on t in [{ts[0]:.3g}, {ts[-1]:.3g}]")
@@ -197,13 +195,16 @@ def _sampled_bounded(values: Callable, n: int = 400) -> FlagReport:
 
 def _envelope_bounded(kl: CoefficientSpec) -> FlagReport:
     """Whether t^2 * kl(t) is bounded for large t (i.e. kl <= const/t^2)."""
-    form = growth_form(kl)
-    if form is not None:
-        total = form.times(GrowthForm(power=2.0))
-        ok = form_bounded(total)
-        return FlagReport(ok, f"growth form of t^2*k: "
-                              f"{'bounded' if ok else 'unbounded'} tail")
-    return _sampled_bounded(lambda ts: ts ** 2 * eval_coeff(kl, ts))
+    ok = form_bounded(growth_form(kl).times(GrowthForm(power=2.0)))
+    return FlagReport(ok, f"growth form of t^2*k: "
+                          f"{'bounded' if ok else 'unbounded'} tail")
+
+
+def _monotone(weight: str) -> FlagReport:
+    """weight * k is nonincreasing for large t when weight is."""
+    return FlagReport(EVENTUALLY_NONINCREASING,
+                      f"closed form: {weight} falls for q > 1 and k is "
+                      "nonincreasing for large t")
 
 
 # ---------------------------------------------------------------------------
@@ -215,9 +216,7 @@ def memory_moment_conditions(q: float, k_lower: CoefficientSpec) -> MemoryMoment
         raise ConfigurationError("memory blow-up conditions require q > 1")
     moment = integrate_improper(k_lower, weight=1.0)
     envelope = _envelope_bounded(k_lower)
-    monotone = _sampled_nonincreasing(
-        lambda ts: ts ** (1.0 - q) * eval_coeff(k_lower, ts))
-    return MemoryMomentConditions(moment, envelope, monotone)
+    return MemoryMomentConditions(moment, envelope, _monotone("t^(1-q)"))
 
 
 def _weighted_integral(c: CoefficientSpec, c_tail: Optional[IntegralVerdict],
@@ -241,9 +240,9 @@ def _weighted_integral(c: CoefficientSpec, c_tail: Optional[IntegralVerdict],
         return IntegralVerdict(base.status, None,
                                "bounded exponential weights (convergent reaction "
                                f"integral); equivalent to the t-moment: {base.evidence}")
-    kform, wform = growth_form(k), _weight_growth(c, w)
-    if kform is not None and wform is not None:
-        status, reason = tail_verdict(wform.times(kform))
+    wform = _weight_growth(c, w)
+    if wform is not None:
+        status, reason = tail_verdict(wform.times(growth_form(k)))
         return IntegralVerdict(status, None, f"weighted growth-form reduction: {reason}")
 
     def integrand(t):
@@ -265,29 +264,25 @@ def weighted_memory_conditions(q: float, c: CoefficientSpec,
     if q <= 1.0:
         raise ConfigurationError("weighted memory conditions require q > 1")
     cum = CumulativeIntegral(c)
-
-    # (2.4)-style monotonicity: always decided by log-space sampling
-    monotone = _sampled_nonincreasing(lambda ts: np.exp(
-        (1.0 - q) * np.log(ts) - 2.0 * cum(ts) + np.log(eval_coeff(k_lower, ts))))
     c_tail = None if k_lower.is_zero or c.is_zero else integrate_improper(c)
     blow = _weighted_integral(c, c_tail, k_lower, _Weight.blowup(q), cum)
 
     bound = _Weight.bound(q)
-    kform, wform = growth_form(k_lower), _weight_growth(c, bound)
+    wform = _weight_growth(c, bound)
     if k_lower.is_zero:
         env = FlagReport(True, "weight times zero")
     elif c.is_zero or c_tail.converges:
         envelope = _envelope_bounded(k_lower)
         env = FlagReport(envelope.holds,
                          f"bounded exponential weights; reduces to t^2*k: {envelope.evidence}")
-    elif kform is not None and wform is not None:
-        ok = form_bounded(wform.times(kform))
+    elif wform is not None:
+        ok = form_bounded(wform.times(growth_form(k_lower)))
         env = FlagReport(ok, "weighted growth-form reduction: companion weight "
                              f"{'bounded' if ok else 'unbounded'}")
     else:
         env = _sampled_bounded(lambda ts: np.exp(
-            [_log_weighted(cum, bound, k_lower, float(t)) for t in ts]), n=80)
-    return WeightedMemoryConditions(blow, env, monotone)
+            [_log_weighted(cum, bound, k_lower, float(t)) for t in ts]))
+    return WeightedMemoryConditions(blow, env, _monotone("t^(1-q) e^(-2C)"))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .coeffs import (
-    T_LARGE,
+    EVENTUALLY_NONINCREASING,
     CoefficientSpec,
     GrowthForm,
     IntegralVerdict,
@@ -27,12 +27,12 @@ from .coeffs import (
     form_bounded,
     growth_form,
     integrate_improper,
-    sampled_nonincreasing,
 )
 from .errors import ConfigurationError, NotApplicableError, SolverFault
 
 STATUS_ODE_BLOWUP = "BlowUp"
 STATUS_ODE_GLOBAL = "GlobalUpTo"
+_ENERGY_Y_CAP = 1e6  # energy_drift reads the path while y stays at or below
 
 
 @dataclass(frozen=True)
@@ -186,9 +186,8 @@ def integrate_ode(prob: OdeProblem, r_max: float,
                       yp_path=np.asarray(vs))
 
 
-def energy_drift(prob: OdeProblem, outcome: OdeOutcome,
-                 y_cap: float = 1e6) -> float:
-    """Max relative drift of (y')^2/2 - b y^{q+1}/(q+1) while y <= y_cap.
+def energy_drift(prob: OdeProblem, outcome: OdeOutcome) -> float:
+    """Max relative drift of (y')^2/2 - b y^{q+1}/(q+1) while y <= _ENERGY_Y_CAP.
 
     The drift at each sample is scaled by the magnitude of the two energy
     terms there, so cancellation between large terms is measured honestly.
@@ -199,7 +198,7 @@ def energy_drift(prob: OdeProblem, outcome: OdeOutcome,
     b0 = float(prob.b.amplitude)
     w = prob.q + 1.0
     y, v = outcome.y_path, outcome.yp_path
-    mask = y <= y_cap
+    mask = y <= _ENERGY_Y_CAP
     if not np.any(mask):
         return 0.0
     kin = 0.5 * v[mask] ** 2
@@ -227,28 +226,17 @@ def check_th0_criterion(b: CoefficientSpec, q: float, a: float = 0.0) -> Th0Repo
 
     applies = (int_a^inf r^q b(r) dr diverges) and at least one regularity
     alternative holds (eventual domination by B r^{-(q+1)}, or eventual
-    monotone decay).  Closed-form families are judged analytically;
-    tabulated ones by sampling beyond `coeffs.T_LARGE`.
+    monotone decay).  Both are read off the growth form of `b.eventual`, so
+    a table is judged by its last value.
     """
     if q <= 1:
         raise ConfigurationError("exponent q must be > 1")
     if a < 0:
         raise ConfigurationError("start point a must be >= 0")
     divergence = integrate_improper(b, weight=q, t_lower=a)
-
-    if b.family == "tabulated":
-        lo = max(T_LARGE, a, 1.0)
-        rs = np.geomspace(lo, 100.0 * lo, 241)
-        vals = eval_coeff(b, rs)
-        alt_monotone = sampled_nonincreasing(vals)
-        alt_bounded = sampled_nonincreasing(rs ** (q + 1.0) * vals)
-    else:
-        # every closed-form family here is eventually nonincreasing:
-        # amplitudes are >= 0 and all time factors decay or stay flat
-        alt_monotone = True
-        # b <= B r^{-(q+1)} eventually iff r^{q+1} b stays bounded
-        alt_bounded = form_bounded(growth_form(b).times(GrowthForm(power=q + 1.0)))
-
+    alt_monotone = EVENTUALLY_NONINCREASING
+    # b <= B r^{-(q+1)} eventually iff r^{q+1} b stays bounded
+    alt_bounded = form_bounded(growth_form(b).times(GrowthForm(power=q + 1.0)))
     applies = divergence.diverges and (alt_bounded or alt_monotone)
     return Th0Report(divergence=divergence, alt_bounded=alt_bounded,
                      alt_monotone=alt_monotone, applies=applies)

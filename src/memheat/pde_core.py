@@ -45,6 +45,7 @@ STATUS_GLOBAL = "GlobalToHorizon"
 STATUS_ABORTED = "Aborted"
 
 TRACE_HEADER = "t,sup_norm,mass_w,M_left,M_right,dt"
+_MASS_SUP_CAP = 1e6  # mass_inequality_check skips rows with a larger sup
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -910,18 +911,17 @@ def verify_comparison(scenario_low: Scenario,
                             t_end=st_low.t, truncated=bool(note), note=note)
 
 
-def mass_inequality_check(trace, scenario: Scenario,
-                          sup_cap: float = 1e6) -> float:
+def mass_inequality_check(trace, scenario: Scenario) -> float:
     """Max deficit of w' >= |Omega|^{1-p} c(t) w^p over the recorded trace.
 
-    Accepts a Trace or a SimulationOutcome.  Rows with sup norm above sup_cap
-    are excluded: finite differencing of w across near-blow-up rows measures
-    only the recording cadence.
+    Accepts a Trace or a SimulationOutcome.  Rows with sup norm above
+    _MASS_SUP_CAP are excluded: finite differencing of w across near-blow-up
+    rows measures only the recording cadence.
     """
     if scenario.p < 1.0:
         raise NotApplicableError("the mass inequality needs p >= 1 (convexity)")
     tr = trace.trace if isinstance(trace, SimulationOutcome) else trace
-    keep = tr.sup_norm <= sup_cap
+    keep = tr.sup_norm <= _MASS_SUP_CAP
     t = tr.t[keep]
     w = tr.mass_w[keep]
     t, idx = np.unique(t, return_index=True)

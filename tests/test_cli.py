@@ -621,6 +621,23 @@ def test_oracle_needs_scalar_initial(tmp_path, capsys):
     assert "scalar" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("initial", [
+    {"family": "cos_bump", "value": 0.5},
+    {"family": "tabulated", "value": [1.0] * 51},
+], ids=lambda d: d["family"])
+def test_oracle_refuses_non_constant_initial_by_its_key(tmp_path, capsys, initial):
+    # y(0) is a scalar; a bump's peak or a node list is not u0 itself
+    doc = base_doc(initial=initial, k={"family": "constant", "amplitude": 1.0},
+                   output={"dir": str(tmp_path / "out")})
+    cfg = write_cfg(tmp_path, doc)
+    assert main(["oracle", "--config", cfg]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("CONFIG ERROR: initial.family must be 'constant'")
+    assert len(err.splitlines()) == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 # ---------------------------------------------------------------------------
 # plumbing
 

@@ -31,7 +31,6 @@ from memheat.coeffs import (
     log_tower,
     memory_window_check,
     numeric_improper,
-    sampled_nonincreasing,
     spec_from_json,
     spec_to_json,
     sup_stabilized,
@@ -180,6 +179,11 @@ def test_spec_json_names_the_bad_key():
         spec_from_json({"family": "exp_decay", "lambda": "0.5"}, where="k")
     with pytest.raises(ConfigurationError, match="k.table must be a list"):
         spec_from_json({"family": "tabulated", "table": 5}, where="k")
+    # a table value times the amplitude that overflows is refused up front
+    with pytest.raises(ConfigurationError,
+                       match="c.table values times amplitude must be finite"):
+        spec_from_json({"family": "tabulated", "amplitude": 1e200,
+                        "table": [[0.0, 1e200], [1.0, 0.0]]}, where="c")
     with pytest.raises(ConfigurationError, match="log_depth"):
         spec_from_json({"family": "power_log", "log_depth": True}, where="k")
     with pytest.raises(ConfigurationError, match=r"c.log_depth must be an integer in \[0, 3\]"):
@@ -647,7 +651,9 @@ def test_growth_form_families():
     f = growth_form(CoefficientSpec.power_log(1.0, 1.0, 2, log_power=0.5))
     assert f.power == -1.0
     assert f.logs == (-1.0, -1.5)
-    assert growth_form(CoefficientSpec.tabulated([[0.0, 1.0]])) is None
+    # a table is judged by its last value, held constant
+    assert growth_form(CoefficientSpec.tabulated([[0.0, 1.0]])) == GrowthForm()
+    assert growth_form(CoefficientSpec.tabulated([[0.0, 1.0], [5.0, 0.0]])).zero
     assert growth_form(CoefficientSpec.constant(0.0)).zero
 
 
@@ -686,13 +692,6 @@ def test_form_bounded_ladder():
     assert not form_bounded(GrowthForm(logs=(1.0, -1.0)))
     assert form_bounded(GrowthForm(logs=(0.0, -1.0)))
     assert not form_bounded(GrowthForm(logs=(0.0, 1e-3)))
-
-
-def test_sampled_nonincreasing_tolerance_and_overflow():
-    assert sampled_nonincreasing([3.0, 2.0, 2.0 * (1.0 + 5e-10), 0.0, 0.0])
-    assert not sampled_nonincreasing([3.0, 2.0, 2.0 * (1.0 + 2e-9)])
-    assert not sampled_nonincreasing([3.0, np.inf, 1.0])
-    assert not sampled_nonincreasing([np.inf, np.inf])
 
 
 def test_sup_stabilized_last_decade():

@@ -8,14 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from memheat import coeffs, criteria
 from memheat.coeffs import (
     CONVERGES,
     DIVERGES,
+    INDETERMINATE,
     CoefficientSpec,
     CumulativeIntegral,
     eval_coeff,
     integrate_improper,
     memory_window_check,
+    numeric_improper,
+    sup_stabilized,
 )
 from memheat.criteria import (
     REGIME_BLOWUP_ALL,
@@ -32,6 +36,7 @@ from memheat.criteria import (
 )
 from memheat.criteria import _log_weight, _Weight, _weight_growth
 from memheat.errors import ConfigurationError
+from memheat.ode_oracle import check_th0_criterion
 
 CONST1 = CoefficientSpec.constant(1.0)
 ZERO = CoefficientSpec.constant(0.0)
@@ -409,6 +414,116 @@ def test_memory_moment_conditions_guard():
         weighted_memory_conditions(0.5, CONST1, CONST1)
     with pytest.raises(ConfigurationError):
         effective_flux_conditions(1.0, CONST1, CONST1)
+
+
+# ---------------------------------------------------------------------------
+# tables judged by their tail
+
+def test_table_reaction_with_finite_mass_is_not_mass_blowup():
+    # int c = 2e9 + 0.5e9 is finite; decade numerics up to 1e9 saw only
+    # growing increments and certified reaction-mass blow-up
+    c = CoefficientSpec.tabulated([[0.0, 1.0], [2e9, 1.0], [3e9, 0.0]])
+    v = classify_regime(2.0, 2.0, c, CoefficientSpec.power(1.0, 3.0))
+    assert (v.regime, v.rule) == (REGIME_BOUNDED_SMALL, "small-data-barrier")
+    tf = total_forcing_condition(c, CoefficientSpec.power(1.0, 3.0))
+    assert tf.value == pytest.approx(2.5e9 + 0.5, rel=1e-12)
+
+
+def test_table_memory_that_rises_past_the_data_blows_up():
+    # k = 1 for t >= 1e5; decade numerics saw k = 0 on [1, 1e4] and read a
+    # vanishing tail, and sampling saw the rise and failed both alternatives
+    k = CoefficientSpec.tabulated([[0.0, 0.0], [1e4, 0.0], [1e5, 1.0]])
+    v = classify_regime(2.0, 2.0, CoefficientSpec.power(1.0, 2.0), k)
+    assert (v.regime, v.rule) == (REGIME_BLOWUP_ALL, "memory-moment-blowup")
+    outcomes = {r.id: r.outcome for r in v.conditions}
+    assert outcomes["memory-moment"] == "holds"
+    assert outcomes["memory-envelope"] == "fails"
+    assert outcomes["memory-moment-monotone"] == "holds"
+
+
+# The reference below is the sampling and decade numerics that judged
+# tables, and the two monotone alternatives of every family, before each
+# tail was read off `CoefficientSpec.eventual`.  Table values before the
+# last are at least 1e-2: a zero stretch inside the data reads as a
+# vanishing tail to the decade protocol (the test above), and a tail under
+# 1e-12 reads as bounded to `sup_stabilized`'s absolute tolerance.
+_OLD_TS = np.geomspace(1e3, 1e7, 400)
+
+
+def _old_nonincreasing(values):
+    v = np.asarray(values, dtype=float)
+    return bool(np.isfinite(v).all()
+                and np.all(np.diff(v) <= 1e-9 * np.maximum(v[:-1], 1e-300)))
+
+
+def _old_th0_alternatives(b, q):
+    """(alt_bounded, alt_monotone) as sampled for a table at a = 0."""
+    rs = np.geomspace(1e3, 1e5, 241)
+    vals = eval_coeff(b, rs)
+    return _old_nonincreasing(rs ** (q + 1.0) * vals), _old_nonincreasing(vals)
+
+
+@st.composite
+def _tables(draw):
+    times = draw(st.lists(st.floats(0.0, 999.0), min_size=1, max_size=6,
+                          unique=True))
+    values = draw(st.lists(st.floats(1e-2, 10.0), min_size=len(times),
+                           max_size=len(times)))
+    values[-1] = draw(st.one_of(st.just(0.0), st.floats(1e-2, 10.0)))
+    return CoefficientSpec.tabulated(list(zip(sorted(times), values)),
+                                     amplitude=draw(st.floats(0.1, 10.0)))
+
+
+_AMPS = st.floats(0.0, 10.0)
+_SPECS = st.one_of(
+    st.builds(CoefficientSpec.constant, _AMPS),
+    st.builds(CoefficientSpec.power, _AMPS, st.floats(0.0, 6.0)),
+    st.builds(CoefficientSpec.exp_decay, _AMPS, st.floats(0.0, 2.0)),
+    st.builds(CoefficientSpec.power_log, _AMPS, st.floats(0.0, 4.0),
+              st.integers(0, 3), st.floats(0.0, 3.0)),
+    _tables())
+
+
+@settings(max_examples=150, deadline=None)
+@given(_SPECS, _SPECS, st.floats(1.0, 20.0, exclude_min=True))
+def test_closed_form_tail_judgements_match_the_old_sampled_ones(k, c, q):
+    with np.errstate(all="ignore"):
+        mm_old = _old_nonincreasing(_OLD_TS ** (1.0 - q) * eval_coeff(k, _OLD_TS))
+        wm_old = _old_nonincreasing(np.exp(
+            (1.0 - q) * np.log(_OLD_TS) - 2.0 * CumulativeIntegral(c)(_OLD_TS)
+            + np.log(eval_coeff(k, _OLD_TS))))
+    assert memory_moment_conditions(q, k).monotone.holds is mm_old
+    assert weighted_memory_conditions(q, c, k).monotone.holds is wm_old
+    rep = check_th0_criterion(k, q)
+    if k.family != "tabulated":
+        return
+    assert (rep.alt_bounded, rep.alt_monotone) == _old_th0_alternatives(k, q)
+    envelope = sup_stabilized(_OLD_TS, _OLD_TS ** 2 * eval_coeff(k, _OLD_TS))[2]
+    assert memory_moment_conditions(q, k).envelope.holds is envelope
+    for weight in (0.0, 1.0, q):
+        old = numeric_improper(
+            lambda t: np.asarray(t, dtype=float) ** weight * eval_coeff(k, t))
+        if old.status != INDETERMINATE:
+            assert integrate_improper(k, weight=weight).status == old.status
+
+
+def test_tables_are_judged_without_sampling_or_decade_numerics(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampled or decade numerics on a table")
+
+    monkeypatch.setattr(coeffs, "numeric_improper", refuse)
+    monkeypatch.setattr(criteria, "numeric_improper", refuse)
+    monkeypatch.setattr(criteria, "_samples", refuse)
+    tables = [CoefficientSpec.tabulated([[0.0, 1.0], [5.0, 0.0]]),
+              CoefficientSpec.tabulated([[0.0, 0.0], [1e4, 0.0], [1e5, 1.0]]),
+              CoefficientSpec.tabulated([[0.0, 1.0], [2e9, 1.0], [3e9, 0.0]])]
+    for c in tables:
+        for k in tables:
+            for p in (1.0, 2.0):
+                for q in (2.0, 3.0):
+                    classify_regime(p, q, c, k)
+    for b in tables:
+        check_th0_criterion(b, 2.0)
 
 
 # ---------------------------------------------------------------------------

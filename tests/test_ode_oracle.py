@@ -301,6 +301,16 @@ def test_criterion_tabulated_sampling():
     assert not rep0.applies         # integral is finite
 
 
+def test_criterion_table_constant_past_its_last_node_applies():
+    # b = 2 for r >= 2e4; sampling on [1e3, 1e5] saw the rise before the
+    # last node and denied the monotone alternative
+    b = CoefficientSpec.tabulated([[0.0, 0.0], [5000.0, 1.0], [20000.0, 2.0]])
+    rep = check_th0_criterion(b, q=2.0)
+    assert rep.divergence.diverges
+    assert rep.alt_monotone and not rep.alt_bounded
+    assert rep.applies
+
+
 def test_criterion_validation():
     with pytest.raises(ConfigurationError):
         check_th0_criterion(ZERO, q=1.0)
