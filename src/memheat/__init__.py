@@ -8,7 +8,7 @@ a radial comparison ODE.
 """
 
 from .coeffs import (CONVERGES, DIVERGES, INDETERMINATE, FAMILIES, ZERO,
-                     CoefficientSpec, CumulativeIntegral, GrowthForm,
+                     CoefficientSpec, CumulativeIntegral, Flux, GrowthForm,
                      IntegralVerdict, WindowBound, coefficient_sup,
                      eval_coeff, growth_form, integrate_improper,
                      memory_window_check, numeric_improper, spec_from_json,
@@ -44,7 +44,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CONVERGES", "DIVERGES", "INDETERMINATE", "FAMILIES", "ZERO",
-    "CoefficientSpec", "CumulativeIntegral", "GrowthForm", "IntegralVerdict",
+    "CoefficientSpec", "CumulativeIntegral", "Flux", "GrowthForm", "IntegralVerdict",
     "WindowBound", "coefficient_sup", "eval_coeff", "growth_form",
     "integrate_improper", "memory_window_check", "numeric_improper",
     "spec_from_json", "spec_to_json", "tail_verdict",

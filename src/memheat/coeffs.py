@@ -5,9 +5,10 @@ coefficients of time.  Five parametric families cover the regimes the
 classifier distinguishes; each names the analytic family it equals for
 large t (`CoefficientSpec.eventual`, a table's last value held constant).
 Every judgement on behaviour as t -> inf that the classifier and the
-oracle make lives here: improper integrals against a power weight,
-boundedness of a growth form, eventual monotonicity, the sup-stabilization
-check and a decade protocol for integrands with no growth form.  Cumulative
+oracle make lives here, and each is read off a growth form: improper
+integrals against a power weight, boundedness and eventual monotonicity.
+Samples only report the sup of a windowed flux, and a decade protocol only
+backs up quad for the value of a convergent integral.  Cumulative
 integrals C(t) = int_0^t c, their tails and the weights ln int_0^t e^{mC}
 are closed forms where the family allows and otherwise use one
 Gauss-Legendre rule on dyadic panels.
@@ -624,26 +625,6 @@ def form_bounded(form: GrowthForm) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# sampled sup of a probed function
-
-def sup_stabilized(times, values) -> tuple[float, float, bool]:
-    """(sup, early sup, holds) of samples on a geometric grid of times.
-
-    The early sup is taken over the times up to a tenth of the last one
-    (at least the first quarter of the grid); `holds` when every sample is
-    finite and the last decade adds at most 0.1% to the early sup.
-    """
-    times, values = np.asarray(times), np.asarray(values, dtype=float)
-    early_mask = times <= times[-1] / 10.0
-    if not early_mask.any():
-        early_mask = times <= times[max(1, len(times) // 4)]
-    late, early = float(values.max()), float(values[early_mask].max())
-    holds = (bool(np.isfinite(values).all())
-             and late <= early * (1.0 + 1e-3) + 1e-12 * (1.0 + abs(early)))
-    return late, early, holds
-
-
-# ---------------------------------------------------------------------------
 # improper integrals
 
 # thresholds of the numerical decade protocol
@@ -673,13 +654,18 @@ def integrate_improper(spec: CoefficientSpec, weight: float = 0.0,
                        t_lower: float = 0.0) -> IntegralVerdict:
     """Verdict on int_{t_lower}^inf t^weight * spec(t) dt.
 
-    The verdict is the tail verdict of the growth form.  A convergent
-    integral of a table is the panel rule over its nodes from t_lower plus
-    the integral of its eventual constant; of an analytic family, quad.
+    The verdict is the tail verdict of the growth form; a weight <= -1
+    from t_lower = 0 is a DomainError, since t^weight is not integrable at
+    0.  A convergent integral of a table is the panel rule over its nodes
+    from t_lower plus the integral of its eventual constant; of exp_decay
+    from 0, A Gamma(a+1) / lam^(a+1); of any other analytic family, quad.
     """
     if t_lower < 0:
         raise DomainError("t_lower must be >= 0")
     a = float(weight)
+    if a <= -1.0 and t_lower == 0.0:
+        raise DomainError(f"weight must be > -1 from t_lower = 0, not {a!r}: "
+                          "t^weight is not integrable at 0")
 
     def integrand(t):
         return np.asarray(t, dtype=float) ** a * eval_coeff(spec, t)
@@ -695,6 +681,15 @@ def integrate_improper(spec: CoefficientSpec, weight: float = 0.0,
         body = float(np.sum(_panel_sums(integrand, edges[:-1], edges[1:])))
         tail = integrate_improper(spec.eventual, a, edges[-1]).value
         return IntegralVerdict(CONVERGES, body + tail, f"closed form: {reason}")
+    if spec.family == "exp_decay" and t_lower == 0.0:
+        # int_0^inf t^a A e^{-lam t} dt = A Gamma(a+1) / lam^(a+1)
+        ln_value = (math.log(spec.amplitude) + math.lgamma(a + 1.0)
+                    - (a + 1.0) * math.log(spec.lam))
+        try:
+            value = math.exp(ln_value)
+        except OverflowError:
+            value = math.inf
+        return IntegralVerdict(CONVERGES, value, f"closed form: {reason}")
     value, note = _convergent_value(integrand, t_lower, spec, total)
     return IntegralVerdict(CONVERGES, value, f"closed form: {reason}{note}")
 
@@ -804,6 +799,18 @@ def _window_rule(t0: float, nodes: int) -> tuple[np.ndarray, np.ndarray, float]:
 
 
 @dataclass(frozen=True)
+class Flux:
+    """A flux for the window check: its values at a 1-D array of times, and
+    the growth form of the function it equals for large t."""
+
+    at: Callable
+    form: GrowthForm
+
+    def __call__(self, ts):
+        return self.at(ts)
+
+
+@dataclass(frozen=True)
 class WindowBound:
     k_sup: float
     holds: bool
@@ -813,22 +820,24 @@ class WindowBound:
 
 def memory_window_check(k: CoefficientSpec, t0: float = 1.0, alpha: float = 2.0,
                         t_probe: float = 1e4, n_probes: int = 120,
-                        nodes: int = 48, flux: Optional[Callable] = None) -> WindowBound:
+                        nodes: int = 48, flux: Optional[Flux] = None) -> WindowBound:
     """Supremum over t in [alpha, t_probe] of the sqrt-window integral of tau*k(tau).
 
-    `flux` (default tau*k(tau)) maps a 1-D array of times to a 1-D array of
-    values; it is called once, on every window node of every probe time.
-    `holds` reports whether the sup has stabilized (`sup_stabilized`): it is
-    finite and the last probed decade adds at most 0.1% to the earlier sup.
+    `flux` (default tau*k(tau)) is called once, on every window node of
+    every probe time.  A window of fixed width over a continuous flux is
+    bounded for all t exactly when the flux is bounded for large t, so
+    `holds` is `form_bounded` of the flux's growth form; the probed sup
+    only reports the size, and an overflow of it still fails.
     """
     if alpha < t0:
         raise DomainError("probe start must be >= the window width t0")
     if flux is None:
-        def flux(ts):
-            return np.asarray(ts, dtype=float) * eval_coeff(k, ts)
+        flux = Flux(lambda ts: np.asarray(ts, dtype=float) * eval_coeff(k, ts),
+                    growth_form(k).times(GrowthForm(power=1.0)))
     times = np.geomspace(alpha, t_probe, n_probes)
     s2, w, scale = _window_rule(float(t0), nodes)
     fvals = np.asarray(flux((times[:, None] - s2).ravel()), dtype=float)
     vals = scale * np.sum(w * fvals.reshape(n_probes, nodes), axis=1)
-    k_sup, _, holds = sup_stabilized(times, vals)
+    k_sup = float(vals.max())
+    holds = form_bounded(flux.form) and math.isfinite(k_sup)
     return WindowBound(k_sup=k_sup, holds=holds, probe_times=times, values=vals)

@@ -4,20 +4,19 @@ Given the exponent pair (p, q) and the coefficient specs c, k, the classifier
 walks a fixed rule ladder and reports the first certified regime together with
 every condition it actually evaluated.  For linear reaction (p = 1) the
 conditions use exponential weights t^a e^{-mC} (int_0^t e^{rC})^n built from
-C(t) = int_0^t c, each described once by its exponents (`_Weight`).  One
-cascade (`_weighted_integral`) decides every weighted integral: k = 0, c = 0,
-a convergent reaction integral, a growth form per coefficient lane, and
-guarded numerics in log space for everything else.  Every other "for large
-t" condition is settled in closed form on the growth form of
-`CoefficientSpec.eventual`; only the weighted envelope off every lane and
-the window sups are sampled.
+C(t) = int_0^t c, each described once by its exponents (`_Weight`), whose
+growth form `_weight_growth` reads off `CoefficientSpec.eventual` for every
+c.  One cascade (`_weighted_integral`) decides every weighted integral:
+k = 0, c = 0, a convergent reaction integral, and otherwise the growth form
+of the weight times k.  Every "for large t" condition is settled in closed
+form on growth forms, the two window bounds included; samples only report
+the size of a window's sup.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -28,6 +27,7 @@ from .coeffs import (
     INDETERMINATE,
     CoefficientSpec,
     CumulativeIntegral,
+    Flux,
     GrowthForm,
     IntegralVerdict,
     WindowBound,
@@ -37,8 +37,6 @@ from .coeffs import (
     integrate_improper,
     log_lane,
     memory_window_check,
-    numeric_improper,
-    sup_stabilized,
     tail_verdict,
 )
 from .errors import ConfigurationError
@@ -54,7 +52,6 @@ FAILS = "fails"
 UNDECIDED = "undecided"
 
 _TOL = 1e-12
-_T_LARGE = 1e3  # where sampling "for large t" starts
 
 
 @dataclass(frozen=True)
@@ -140,13 +137,17 @@ class _Weight:
         return cls(0.0, 1.0, q, 1.0)
 
 
-def _weight_growth(c: CoefficientSpec, w: _Weight) -> Optional[GrowthForm]:
+def _weight_growth(c: CoefficientSpec, w: _Weight) -> GrowthForm:
     """Tail growth form of the weight w, per lane of c.eventual.
 
     On each lane int_0^t e^{rC} ~ e^{rC} t^s up to a constant, with s = 0
     for constant c, 1 for harmonic c, gamma for subharmonic c and 1 on the
     log lane; so w ~ t^{a + n s} e^{x C} with x = n r - m.  A table with a
-    positive last value is on the constant lane.
+    positive last value is on the constant lane.  A subharmonic power_log c
+    has C ~ A t^{1-gamma}/(1-gamma) up to its log factors, which slow the
+    stretch but change neither its sign nor its rank among the factors.  On
+    no lane, int c converges: C is bounded and w lies between constant
+    multiples of t^{a+n}.
     """
     c = c.eventual
     x = w.n * w.r - w.m
@@ -154,7 +155,8 @@ def _weight_growth(c: CoefficientSpec, w: _Weight) -> Optional[GrowthForm]:
         return GrowthForm(exp_rate=x * c.amplitude, power=w.a)
     if c.family == "power" and abs(c.gamma - 1.0) <= _TOL:
         return GrowthForm(power=w.a + w.n + x * c.amplitude)
-    if c.family == "power" and 0.0 < c.gamma < 1.0:
+    if (c.family in ("power", "power_log") and c.gamma < 1.0 - _TOL
+            and c.amplitude > 0.0):
         g = c.gamma
         return GrowthForm(stretch_rate=x * c.amplitude / (1.0 - g),
                           stretch_pow=1.0 - g, power=w.a + w.n * g)
@@ -162,36 +164,11 @@ def _weight_growth(c: CoefficientSpec, w: _Weight) -> Optional[GrowthForm]:
     if lane is not None:
         A, j = lane
         return GrowthForm(power=w.a + w.n, logs=(0.0,) * (j - 1) + (x * A,))
-    return None
-
-
-def _log_weight(cum: CumulativeIntegral, w: _Weight, t: float) -> float:
-    """ln w(t), evaluated without overflow."""
-    return w.a * math.log(t) - w.m * cum(t) + w.n * cum.log_int_exp(t, w.r)
-
-
-def _log_weighted(cum: CumulativeIntegral, w: _Weight, k: CoefficientSpec,
-                  t: float) -> float:
-    """ln of w(t) k(t), with k floored at 1e-300."""
-    return _log_weight(cum, w, t) + math.log(max(eval_coeff(k, t), 1e-300))
+    return GrowthForm(power=w.a + w.n)
 
 
 # ---------------------------------------------------------------------------
 # "for large values of t" conditions
-
-def _samples(values: Callable):
-    """80 geometric times on [_T_LARGE, 1e7] and values(times) there."""
-    ts = np.geomspace(_T_LARGE, 1e7, 80)
-    with np.errstate(all="ignore"):
-        return ts, np.asarray(values(ts), dtype=float)
-
-
-def _sampled_bounded(values: Callable) -> FlagReport:
-    ts, v = _samples(values)
-    late, early, ok = sup_stabilized(ts, v)
-    return FlagReport(ok, f"sampled sup {late:.6g} vs early sup {early:.6g} "
-                          f"on t in [{ts[0]:.3g}, {ts[-1]:.3g}]")
-
 
 def _envelope_bounded(kl: CoefficientSpec) -> FlagReport:
     """Whether t^2 * kl(t) is bounded for large t (i.e. kl <= const/t^2)."""
@@ -220,14 +197,13 @@ def memory_moment_conditions(q: float, k_lower: CoefficientSpec) -> MemoryMoment
 
 
 def _weighted_integral(c: CoefficientSpec, c_tail: Optional[IntegralVerdict],
-                       k: CoefficientSpec, w: _Weight,
-                       cum: CumulativeIntegral) -> IntegralVerdict:
+                       k: CoefficientSpec, w: _Weight) -> IntegralVerdict:
     """Verdict on int_0^inf w k for the blow-up or the flux weight.
 
     The first rule that applies decides: k = 0; c = 0, where the weight is
     exactly t; a convergent reaction integral (c_tail), where the weight lies
-    between constant multiples of t; the growth-form reduction; log-space
-    numerics.  c_tail is read only when k and c are both nonzero.
+    between constant multiples of t; the growth-form reduction.  c_tail is
+    read only when k and c are both nonzero.
     """
     if k.is_zero:
         return IntegralVerdict(CONVERGES, 0.0, "memory coefficient vanishes")
@@ -240,16 +216,8 @@ def _weighted_integral(c: CoefficientSpec, c_tail: Optional[IntegralVerdict],
         return IntegralVerdict(base.status, None,
                                "bounded exponential weights (convergent reaction "
                                f"integral); equivalent to the t-moment: {base.evidence}")
-    wform = _weight_growth(c, w)
-    if wform is not None:
-        status, reason = tail_verdict(wform.times(growth_form(k)))
-        return IntegralVerdict(status, None, f"weighted growth-form reduction: {reason}")
-
-    def integrand(t):
-        return math.exp(min(_log_weighted(cum, w, k, t), 700.0)) if t > 0.0 else 0.0
-
-    raw = numeric_improper(integrand, t_lower=0.0)
-    return IntegralVerdict(raw.status, None, f"log-space numerics: {raw.evidence}")
+    status, reason = tail_verdict(_weight_growth(c, w).times(growth_form(k)))
+    return IntegralVerdict(status, None, f"weighted growth-form reduction: {reason}")
 
 
 def weighted_memory_conditions(q: float, c: CoefficientSpec,
@@ -263,33 +231,28 @@ def weighted_memory_conditions(q: float, c: CoefficientSpec,
     """
     if q <= 1.0:
         raise ConfigurationError("weighted memory conditions require q > 1")
-    cum = CumulativeIntegral(c)
     c_tail = None if k_lower.is_zero or c.is_zero else integrate_improper(c)
-    blow = _weighted_integral(c, c_tail, k_lower, _Weight.blowup(q), cum)
+    blow = _weighted_integral(c, c_tail, k_lower, _Weight.blowup(q))
 
-    bound = _Weight.bound(q)
-    wform = _weight_growth(c, bound)
     if k_lower.is_zero:
         env = FlagReport(True, "weight times zero")
     elif c.is_zero or c_tail.converges:
         envelope = _envelope_bounded(k_lower)
         env = FlagReport(envelope.holds,
                          f"bounded exponential weights; reduces to t^2*k: {envelope.evidence}")
-    elif wform is not None:
-        ok = form_bounded(wform.times(growth_form(k_lower)))
+    else:
+        ok = form_bounded(_weight_growth(c, _Weight.bound(q)).times(growth_form(k_lower)))
         env = FlagReport(ok, "weighted growth-form reduction: companion weight "
                              f"{'bounded' if ok else 'unbounded'}")
-    else:
-        env = _sampled_bounded(lambda ts: np.exp(
-            [_log_weighted(cum, bound, k_lower, float(t)) for t in ts]))
     return WeightedMemoryConditions(blow, env, _monotone("t^(1-q) e^(-2C)"))
 
 
 # ---------------------------------------------------------------------------
 # effective flux for the small-data side of linear reaction
 
-def effective_flux(c: CoefficientSpec, k: CoefficientSpec, q: float) -> Callable:
-    """Vectorized kappa(t) = k(t) e^{-C(t)} int_0^t e^{q C(tau)} dtau.
+def effective_flux(c: CoefficientSpec, k: CoefficientSpec, q: float) -> Flux:
+    """Vectorized kappa(t) = k(t) e^{-C(t)} int_0^t e^{q C(tau)} dtau, with
+    its growth form: the flux weight's times k's.
 
     Exactly t k(t) when c = 0 or k = 0; k e^{log_int_exp - C} on the
     closed-form lanes of `CumulativeIntegral.log_int_exp` (constant and
@@ -297,8 +260,9 @@ def effective_flux(c: CoefficientSpec, k: CoefficientSpec, q: float) -> Callable
     t = 2e4 (twice the last probe of `memory_window_check`) with linear
     interpolation.
     """
+    form = _weight_growth(c, _Weight.flux(q)).times(growth_form(k))
     if c.is_zero or k.is_zero:
-        return lambda ts: np.asarray(ts, dtype=float) * eval_coeff(k, ts)
+        return Flux(lambda ts: np.asarray(ts, dtype=float) * eval_coeff(k, ts), form)
     cum = CumulativeIntegral(c)
     cc = cum.spec
     if cc.family == "constant" or (cc.family == "power"
@@ -309,7 +273,7 @@ def effective_flux(c: CoefficientSpec, k: CoefficientSpec, q: float) -> Callable
                 out = eval_coeff(k, ts) * np.exp(cum.log_int_exp(ts, q) - cum(ts))
             # 0 * inf only arises when k vanishes there, so kappa is 0
             return np.nan_to_num(out, nan=0.0, posinf=np.inf)
-        return kappa_lane
+        return Flux(kappa_lane, form)
 
     grid = np.concatenate([np.linspace(0.0, 10.0, 2001),
                            np.geomspace(10.0, 2e4, 4000)[1:]])
@@ -319,13 +283,13 @@ def effective_flux(c: CoefficientSpec, k: CoefficientSpec, q: float) -> Callable
     ln_int = np.concatenate([[-np.inf], np.logaddexp.accumulate(panel)])
     with np.errstate(divide="ignore", over="ignore"):
         ln_kappa = np.log(np.maximum(eval_coeff(k, grid), 1e-300)) - Cg + ln_int
-        # an overflowing kappa is inf, not a plateau that reads as stabilized;
-        # np.interp is inf, not nan, beside an inf node
+        # an overflowing kappa is inf, not a plateau, so the window sup shows
+        # the overflow; np.interp is inf, not nan, beside an inf node
         vals = np.exp(np.maximum(ln_kappa, -745.0))
 
     def kappa_grid(ts):
         return np.interp(np.asarray(ts, dtype=float), grid, vals)
-    return kappa_grid
+    return Flux(kappa_grid, form)
 
 
 def effective_flux_conditions(q: float, c: CoefficientSpec,
@@ -336,7 +300,7 @@ def effective_flux_conditions(q: float, c: CoefficientSpec,
     if q <= 1.0:
         raise ConfigurationError("effective flux conditions require q > 1")
     reaction_tail = integrate_improper(c)
-    flux = _weighted_integral(c, reaction_tail, k, _Weight.flux(q), CumulativeIntegral(c))
+    flux = _weighted_integral(c, reaction_tail, k, _Weight.flux(q))
     window = memory_window_check(k, flux=effective_flux(c, k, q))
     return EffectiveFluxConditions(flux, window, reaction_tail)
 
@@ -368,6 +332,12 @@ def _verdict_report(cid: str, v: IntegralVerdict, want: str) -> ConditionReport:
 
 def _flag_report(cid: str, f: FlagReport) -> ConditionReport:
     return ConditionReport(cid, f.outcome, f.evidence)
+
+
+def _window_report(cid: str, flux: str, win: WindowBound) -> ConditionReport:
+    return ConditionReport(cid, HOLDS if win.holds else FAILS,
+                           f"windowed {flux} sup {win.k_sup:.6g} on the probes; "
+                           f"{'bounded' if win.holds else 'not bounded'}")
 
 
 def classify_regime(p: float, q: float, c: CoefficientSpec, k: CoefficientSpec,
@@ -433,10 +403,7 @@ def classify_regime(p: float, q: float, c: CoefficientSpec, k: CoefficientSpec,
         tf = total_forcing_condition(c, k)
         conds.append(_verdict_report("total-forcing", tf, want=CONVERGES))
         win = memory_window_check(k)
-        conds.append(ConditionReport(
-            "memory-window", HOLDS if win.holds else FAILS,
-            f"windowed flux sup {win.k_sup:.6g} "
-            f"({'stabilized' if win.holds else 'still growing'})"))
+        conds.append(_window_report("memory-window", "flux", win))
         if tf.converges and win.holds:
             return RegimeVerdict(
                 REGIME_BOUNDED_SMALL, "small-data-barrier", tuple(conds),
@@ -446,10 +413,8 @@ def classify_regime(p: float, q: float, c: CoefficientSpec, k: CoefficientSpec,
         ef = effective_flux_conditions(q, c, k)
         conds.append(_verdict_report("effective-flux", ef.flux_integral,
                                      want=CONVERGES))
-        conds.append(ConditionReport(
-            "effective-flux-window", HOLDS if ef.window.holds else FAILS,
-            f"windowed effective flux sup {ef.window.k_sup:.6g} "
-            f"({'stabilized' if ef.window.holds else 'still growing'})"))
+        conds.append(_window_report("effective-flux-window", "effective flux",
+                                    ef.window))
         conds.append(_verdict_report("reaction-integral", ef.reaction_tail,
                                      want=CONVERGES))
         if ef.flux_integral.converges and ef.window.holds:

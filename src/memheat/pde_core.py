@@ -343,29 +343,19 @@ def cho_solve_banded(cb: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _solve_diffusion(rhs: np.ndarray, dt: float, h: float) -> np.ndarray:
-    """Implicit diffusion solve of a field (n,), or of every column of a
-    block (n, m), on the cached factor."""
-    n = rhs.shape[0]
-    b = rhs.copy(order="F")
-    b[::n - 1] /= _SQRT2
-    v = cho_solve_banded(_banded_factor(n, h, dt), b)
-    v[::n - 1] *= _SQRT2
-    return v
-
-
 # ---------------------------------------------------------------------------
 # stepping
 
-def _reaction(u: np.ndarray, c_dt, p: float) -> np.ndarray:
+def _reaction(u: np.ndarray, c_dt, p: float, out=None) -> np.ndarray:
     # u + c_dt u^p for a field, or for block rows that share p with c_dt a
-    # column: a scalar exponent keeps np.power's sqrt and square fast paths,
-    # so each block row equals the field's result bit for bit; p = 1 skips
-    # the power, as pow(x, 1) = x for every x, inf and NaN included
+    # column, into out when given: a scalar exponent keeps np.power's sqrt
+    # and square fast paths, so each block row equals the field's result bit
+    # for bit; p = 1 skips the power, as pow(x, 1) = x for every x, inf and
+    # NaN included
     if p == 1.0:
-        r = u * c_dt
+        r = np.multiply(u, c_dt, out=out)
     else:
-        r = np.power(u, p)
+        r = np.power(u, p, out=out)
         r *= c_dt
     r += u
     return r
@@ -736,15 +726,22 @@ class _Block:
     def step(self, dt: float, h: float) -> list:
         """Step every run by dt: one reaction per distinct p, one solve and
         one max per row.  Returns the runs whose new row is not finite."""
-        rhs, p_of = self.U.copy(), self.p.tolist()
+        U, p_of = self.U, self.p.tolist()
+        n = U.shape[1]
+        rhs = np.empty_like(U)
         for p in dict.fromkeys(p_of):
             rows = slice(bisect_left(p_of, p), bisect_right(p_of, p))
+            c_dt = dt * self.c_t[rows, None]
+            _reaction(U[rows], c_dt, p, out=rhs[rows])
             if not self.c_nonzero:
-                rows = rows.start + np.flatnonzero(self.c_t[rows])
-            rhs[rows] = _reaction(self.U[rows], dt * self.c_t[rows, None], p)
-        # the explicit boundary flux, on the end columns of the rows
-        rhs[:, ::rhs.shape[1] - 1] += dt * (2.0 / h) * self.g
-        U_new = _solve_diffusion(rhs.T, dt, h).T
+                # a row with c(t) = 0 is its field, also where u^p overflows
+                np.copyto(rhs[rows], U[rows], where=c_dt == 0.0)
+        # the end columns take the explicit flux and the symmetrizing
+        # 1/sqrt(2); the solve overwrites rhs, whose transpose is in
+        # Fortran order, one field per column
+        rhs[:, ::n - 1] = (rhs[:, ::n - 1] + dt * (2.0 / h) * self.g) / _SQRT2
+        U_new = cho_solve_banded(_banded_factor(n, h, dt), rhs.T).T
+        U_new[:, ::n - 1] *= _SQRT2
         sup = U_new.max(axis=1)
         finite = sup < math.inf
         gone = self.part(finite)

@@ -434,6 +434,26 @@ def test_benchmark_verify_answers(tmp_path, capsys, name):
             assert got[key] == value, key
 
 
+@pytest.mark.parametrize("name", [
+    "classify_log_lane", "classify_powerlog_k", "classify_total_forcing",
+    "classify_tabulated_c", "classify_closed_form", "oracle_q2_const",
+    "oracle_q3_powerlog"])
+def test_benchmark_analyze_answers(tmp_path, capsys, monkeypatch, name):
+    # every condition outcome, verdict and R_star of the analyze workload,
+    # fingerprinted and compared as the benchmark does, so a moved condition
+    # fails here first
+    workloads = runpy.run_path(str(PERFBENCH / "workloads.py"))["WORKLOADS"]
+    [op] = [o for o in workloads["analyze"] if o["name"] == name]
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    answers = runpy.run_path(str(PERFBENCH / "answers.py"))
+    reference = json.loads((PERFBENCH / "reference.json").read_text())
+    want = reference["workloads"]["analyze"]["answers"][name]
+    code = main([op["command"], "--config", write_cfg(tmp_path, op["config"]),
+                 *op["args"]])
+    got = dict(answers["parse_report"](capsys.readouterr().out), exit=code)
+    assert answers["mismatches"](got, want) == []
+
+
 def test_verify_transform_equivalence(tmp_path, capsys):
     doc = base_doc(exponents={"p": 1.0, "q": 2.0},
                    c={"family": "power", "amplitude": 1.0, "gamma": 2.0},
@@ -556,6 +576,18 @@ def test_oracle_blowup_and_criterion(tmp_path, capsys):
     assert "OUTCOME: status BlowUp" in out
     assert "OUTCOME: R_star" in out
     assert "VERDICT: criterion applies" in out
+
+
+def test_oracle_values_an_exponential_decay_in_closed_form(tmp_path, capsys):
+    # int r^20 e^{-r/1000} dr = 20! 1000^21, about 2.4e81, which quad could
+    # not resolve
+    doc = base_doc(exponents={"p": 2.0, "q": 20.0},
+                   k={"family": "exp_decay", "amplitude": 1.0, "lambda": 1e-3})
+    assert main(["oracle", "--config", write_cfg(tmp_path, doc)]) == 0
+    out = capsys.readouterr().out
+    assert ("OUTCOME: divergence Converges (closed form: exponential decay "
+            "rate -0.001)\n") in out
+    assert "unresolved" not in out
 
 
 def test_oracle_global_is_evidence_only(tmp_path, capsys):

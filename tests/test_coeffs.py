@@ -20,6 +20,7 @@ from memheat.coeffs import (
     ZERO,
     CoefficientSpec,
     CumulativeIntegral,
+    Flux,
     GrowthForm,
     coefficient_sup,
     eval_coeff,
@@ -33,7 +34,6 @@ from memheat.coeffs import (
     numeric_improper,
     spec_from_json,
     spec_to_json,
-    sup_stabilized,
     tail_verdict,
 )
 from memheat.criteria import effective_flux
@@ -694,17 +694,6 @@ def test_form_bounded_ladder():
     assert not form_bounded(GrowthForm(logs=(0.0, 1e-3)))
 
 
-def test_sup_stabilized_last_decade():
-    ts = np.geomspace(1.0, 1000.0, 31)
-    late = ts > 100.0
-    sup, early, holds = sup_stabilized(ts, np.where(late, 1.0 + 5e-4, 1.0))
-    assert holds and sup == 1.0 + 5e-4 and early == 1.0
-    assert not sup_stabilized(ts, np.where(late, 1.0 + 2e-3, 1.0))[2]
-    # an overflow is not a stabilized sup, even when it overflows early
-    assert not sup_stabilized(ts, np.full_like(ts, np.inf))[2]
-    assert not sup_stabilized(ts, np.where(late, np.nan, 1.0))[2]
-
-
 # ---------------------------------------------------------------------------
 # improper integrals: analytic lane
 
@@ -757,6 +746,30 @@ def test_improper_weight_t_power_log():
     assert v.value == pytest.approx(math.e * special.exp1(1.0), rel=1e-6)
     assert integrate_improper(
         CoefficientSpec.power_log(1.0, 2.0, 1), weight=1.0).status == DIVERGES
+
+
+def test_improper_weight_not_integrable_at_zero_is_a_domain_error():
+    # t^-2 is not integrable at 0, whatever the tail does
+    for weight in (-2.0, -1.0):
+        for spec in (CoefficientSpec.constant(1.0),
+                     CoefficientSpec.tabulated([[0.0, 1.0], [5.0, 0.0]])):
+            with pytest.raises(DomainError, match="weight"):
+                integrate_improper(spec, weight=weight)
+    # away from 0 the same weight is a tail question
+    v = integrate_improper(CoefficientSpec.constant(1.0), weight=-2.0, t_lower=1.0)
+    assert v.status == CONVERGES and v.value == pytest.approx(1.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("amp,lam,weight", [
+    (1.0, 1e-3, 20.0), (2.0, 0.5, 1.0), (3.0, 7.0, 0.0), (1.0, 1.0, -0.5)])
+def test_improper_exp_decay_from_zero_is_closed_form(amp, lam, weight):
+    # A Gamma(a+1) / lam^(a+1), without quad
+    want = amp * math.gamma(weight + 1.0) / lam ** (weight + 1.0)
+    with mock.patch.object(coeffs, "_quad", side_effect=AssertionError("quad")):
+        v = integrate_improper(CoefficientSpec.exp_decay(amp, lam), weight=weight)
+    assert v.status == CONVERGES
+    assert v.value == pytest.approx(want, rel=1e-12)
+    assert v.evidence == f"closed form: exponential decay rate {-lam:.6g}"
 
 
 def test_improper_zero_and_lower_limit():
@@ -911,10 +924,22 @@ def test_memory_window_check_calls_flux_on_one_flat_array():
         shapes.append(ts.shape)
         return np.ones_like(ts)
 
-    res = memory_window_check(ZERO, t_probe=100.0, n_probes=30, nodes=12, flux=flux)
+    res = memory_window_check(ZERO, t_probe=100.0, n_probes=30, nodes=12,
+                              flux=Flux(flux, GrowthForm()))
     assert shapes == [(30 * 12,)]
     # flux 1 over a width-1 window: int_0^1 s^-1/2 ds = 2
     np.testing.assert_allclose(res.values, 2.0, rtol=1e-14)
+
+
+def test_memory_window_check_decides_by_the_growth_form():
+    # t e^{-t/1000} peaks at t = 1000, inside the last probed decade, and
+    # is bounded
+    res = memory_window_check(CoefficientSpec.exp_decay(1.0, 1e-3))
+    assert res.holds
+    assert res.k_sup == pytest.approx(2.0 * 1e3 / math.e, rel=1e-3)
+    # a flux with a bounded form still fails when its probed sup overflows
+    inf = Flux(lambda ts: np.full_like(ts, np.inf), GrowthForm())
+    assert not memory_window_check(ZERO, flux=inf).holds
 
 
 def test_memory_window_check_guard():

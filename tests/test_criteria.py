@@ -19,7 +19,6 @@ from memheat.coeffs import (
     integrate_improper,
     memory_window_check,
     numeric_improper,
-    sup_stabilized,
 )
 from memheat.criteria import (
     REGIME_BLOWUP_ALL,
@@ -34,9 +33,11 @@ from memheat.criteria import (
     total_forcing_condition,
     weighted_memory_conditions,
 )
-from memheat.criteria import _log_weight, _Weight, _weight_growth
-from memheat.errors import ConfigurationError
+from memheat.constructions import build_th2_supersolution
+from memheat.criteria import _Weight, _weight_growth
+from memheat.errors import ConfigurationError, NotApplicableError
 from memheat.ode_oracle import check_th0_criterion
+from memheat.pde_core import InitialSpec, Scenario
 
 CONST1 = CoefficientSpec.constant(1.0)
 ZERO = CoefficientSpec.constant(0.0)
@@ -213,25 +214,26 @@ def test_effective_flux_window_overflow_is_not_stabilized():
 
 def test_effective_flux_grid_lane_overflow_is_not_stabilized():
     # off-lane c: kappa comes from the log-space grid and passes e^705 near
-    # t = 240, where it must read inf, not a constant plateau; the flux
-    # integral diverges in log-space numerics on C(t) and log_int_exp panels
+    # t = 240, where it must read inf, not a constant plateau; kappa's growth
+    # form is bounded, as e^{-t/1000} beats the stretch e^{9 C}, and the flux
+    # integral converges for the same reason
     k = CoefficientSpec.exp_decay(1.0, 1e-3)
 
     def window(amplitude):
         c = CoefficientSpec.power_log(amplitude, 0.5, 1)
         res = effective_flux_conditions(10.0, c, k)
-        assert res.flux_integral.status == DIVERGES
-        assert res.flux_integral.evidence == ("log-space numerics: numeric: "
-                                              "decade increments growing")
+        assert res.flux_integral.status == CONVERGES
+        assert res.flux_integral.evidence == ("weighted growth-form reduction: "
+                                              "exponential decay rate -0.001")
         return res.window
 
     big = window(10.0)
     assert not big.holds
     assert math.isinf(big.k_sup)
     assert not np.isnan(big.values).any()
-    # amplitude 1 stays below the overflow: finite values, still not stabilized
+    # amplitude 1 stays below the overflow: finite values, a bounded window
     small = window(1.0)
-    assert not small.holds
+    assert small.holds
     assert np.isfinite(small.values).all()
     assert small.k_sup == pytest.approx(8.132901094461697e+113, rel=1e-9)
 
@@ -252,6 +254,12 @@ def _ln_leading_term(form, t):
         v = math.log(v)
         ln += e * math.log(v)
     return ln
+
+
+def _log_weight(cum, w, t):
+    """ln w(t) as the log-space numerics evaluated it, before every weight
+    was judged by its growth form."""
+    return w.a * math.log(t) - w.m * cum(t) + w.n * cum.log_int_exp(t, w.r)
 
 
 @pytest.mark.parametrize("c", [
@@ -295,22 +303,61 @@ def test_weighted_bounded_reaction_delegates():
 
 
 def test_weighted_numeric_fallback_stretched_growth():
-    # c = (1+t)^-0.5 with an extra log factor sits outside every closed-form
-    # lane; the log-space numerics must still detect the stretched divergence
+    # c = (1+t)^-0.5 with an extra log factor: C(t) ~ 2 t^0.5 / ln t, a
+    # stretch that its log factor slows but does not stop, so the blow-up
+    # weight e^{(q-1) C} beats every power of t
     c = CoefficientSpec.power_log(1.0, 0.5, 1)
     res = weighted_memory_conditions(2.0, c, CoefficientSpec.power(1.0, 5.0))
     assert res.blowup_integral.status == DIVERGES
-    assert "numeric" in res.blowup_integral.evidence
+    assert res.blowup_integral.evidence == (
+        "weighted growth-form reduction: stretched-exponential growth ~ exp(2 t^0.5)")
 
 
 def test_weighted_envelope_overflow_is_not_bounded():
-    # off every lane with tabulated k, the companion weight is sampled; at
-    # q = 10 it passes e^709 before t = 1e3, and an overflow is not a bound
+    # off every lane with tabulated k, the companion weight grows like
+    # e^{9 C} (it passes e^709 before t = 1e3): not a bound
     c = CoefficientSpec.power_log(1.0, 0.5, 1)
     k = CoefficientSpec.tabulated([[0.0, 1.0], [1.0, 1.0]])
     res = weighted_memory_conditions(10.0, c, k)
     assert res.envelope.holds is False
-    assert "inf" in res.envelope.evidence
+    assert res.envelope.evidence == ("weighted growth-form reduction: "
+                                     "companion weight unbounded")
+
+
+# ---------------------------------------------------------------------------
+# off-lane c: stretches the decade numerics and the samplers misread
+
+def test_slow_stretch_weighted_integral_diverges():
+    # C(t) ~ 10 t^0.1 / ln t grows without bound, so the blow-up weight,
+    # which grows like e^{C/2}, beats k = (1+t)^-5; decade numerics up to
+    # t = 1e9 saw flat increments
+    res = weighted_memory_conditions(1.5, CoefficientSpec.power_log(1.0, 0.9, 1),
+                                     CoefficientSpec.power(1.0, 5.0))
+    assert res.blowup_integral.status == DIVERGES
+    assert res.blowup_integral.evidence == (
+        "weighted growth-form reduction: stretched-exponential growth ~ exp(5 t^0.1)")
+
+
+def test_exponential_decay_beats_a_stretched_weight():
+    # e^{-t/1000} beats e^{2 C} with C ~ 2 t^0.5 / (ln t ln_2^2 t); decade
+    # numerics to 1e9 saw the weight's growth before the decay took over
+    res = weighted_memory_conditions(3.0, CoefficientSpec.power_log(1.0, 0.5, 2, 1.0),
+                                     CoefficientSpec.exp_decay(1.0, 1e-3))
+    assert res.blowup_integral.status == CONVERGES
+    assert res.blowup_integral.evidence == ("weighted growth-form reduction: "
+                                            "exponential decay rate -0.001")
+
+
+def test_memory_window_of_a_late_rise_fails():
+    # k is 0 on every probe time and 1 past t = 1e5: t k is unbounded, and
+    # the product barrier that the window gates is refused
+    k = CoefficientSpec.tabulated([[0.0, 0.0], [1e4, 0.0], [1e5, 1.0]])
+    win = memory_window_check(k)
+    assert not win.holds and win.k_sup == 0.0
+    scn = Scenario(length=1.0, p=2.0, q=2.0, c=CoefficientSpec.power(1.0, 2.0),
+                   k=k, u0=InitialSpec("constant", 0.05))
+    with pytest.raises(NotApplicableError):
+        build_th2_supersolution(scn, 1.0)
 
 
 def test_effective_flux_closed_forms_match_quadrature():
@@ -446,8 +493,17 @@ def test_table_memory_that_rises_past_the_data_blows_up():
 # tail was read off `CoefficientSpec.eventual`.  Table values before the
 # last are at least 1e-2: a zero stretch inside the data reads as a
 # vanishing tail to the decade protocol (the test above), and a tail under
-# 1e-12 reads as bounded to `sup_stabilized`'s absolute tolerance.
+# 1e-12 reads as bounded to `_old_sup_stabilized`'s absolute tolerance.
 _OLD_TS = np.geomspace(1e3, 1e7, 400)
+
+
+def _old_sup_stabilized(times, values):
+    """Whether sampled values are finite and their last decade adds at most
+    0.1% to the sup of the earlier ones: how windows and envelopes were
+    judged before each was read off a growth form."""
+    early = values[times <= times[-1] / 10.0].max()
+    return bool(np.isfinite(values).all()
+                and values.max() <= early * (1.0 + 1e-3) + 1e-12 * (1.0 + abs(early)))
 
 
 def _old_nonincreasing(values):
@@ -498,7 +554,7 @@ def test_closed_form_tail_judgements_match_the_old_sampled_ones(k, c, q):
     if k.family != "tabulated":
         return
     assert (rep.alt_bounded, rep.alt_monotone) == _old_th0_alternatives(k, q)
-    envelope = sup_stabilized(_OLD_TS, _OLD_TS ** 2 * eval_coeff(k, _OLD_TS))[2]
+    envelope = _old_sup_stabilized(_OLD_TS, _OLD_TS ** 2 * eval_coeff(k, _OLD_TS))
     assert memory_moment_conditions(q, k).envelope.holds is envelope
     for weight in (0.0, 1.0, q):
         old = numeric_improper(
@@ -507,13 +563,20 @@ def test_closed_form_tail_judgements_match_the_old_sampled_ones(k, c, q):
             assert integrate_improper(k, weight=weight).status == old.status
 
 
-def test_tables_are_judged_without_sampling_or_decade_numerics(monkeypatch):
+def _refuse_decade_numerics(monkeypatch):
+    """Make every module binding of numeric_improper raise."""
     def refuse(*args, **kwargs):
-        raise AssertionError("sampled or decade numerics on a table")
+        raise AssertionError("decade numerics")
 
-    monkeypatch.setattr(coeffs, "numeric_improper", refuse)
-    monkeypatch.setattr(criteria, "numeric_improper", refuse)
-    monkeypatch.setattr(criteria, "_samples", refuse)
+    bound = [mod for mod in (coeffs, criteria)
+             if getattr(mod, "numeric_improper", None) is numeric_improper]
+    assert coeffs in bound
+    for mod in bound:
+        monkeypatch.setattr(mod, "numeric_improper", refuse)
+
+
+def test_tables_are_judged_without_sampling_or_decade_numerics(monkeypatch):
+    _refuse_decade_numerics(monkeypatch)
     tables = [CoefficientSpec.tabulated([[0.0, 1.0], [5.0, 0.0]]),
               CoefficientSpec.tabulated([[0.0, 0.0], [1e4, 0.0], [1e5, 1.0]]),
               CoefficientSpec.tabulated([[0.0, 1.0], [2e9, 1.0], [3e9, 0.0]])]
@@ -524,6 +587,23 @@ def test_tables_are_judged_without_sampling_or_decade_numerics(monkeypatch):
                     classify_regime(p, q, c, k)
     for b in tables:
         check_th0_criterion(b, 2.0)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 0.9])
+@pytest.mark.parametrize("depth", [1, 2])
+def test_off_lane_reaction_is_judged_without_decade_numerics(monkeypatch, gamma, depth):
+    # every condition on an off-lane c is read off growth forms: the
+    # weighted integrals, the envelope and both windows
+    _refuse_decade_numerics(monkeypatch)
+    ks = [CONST1, CoefficientSpec.power(1.0, 3.0), CoefficientSpec.exp_decay(1.0, 0.5),
+          CoefficientSpec.power_log(1.0, 3.0, 1, log_power=1.0),
+          CoefficientSpec.tabulated([[0.0, 1.0], [5.0, 0.0]])]
+    for c in (CoefficientSpec.power_log(1.0, gamma, depth),
+              CoefficientSpec.power_log(0.2, gamma, depth, log_power=1.0)):
+        for k in ks:
+            for p in (1.0, 2.0):
+                v = classify_regime(p, 2.0, c, k)
+                assert all(r.outcome != "undecided" for r in v.conditions), (c, k, p)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,6 @@ from memheat.pde_core import (
     _acc_term,
     _banded_factor,
     _ladder,
-    _solve_diffusion,
     advance,
     choose_dt,
     estimate_blowup_time,
@@ -55,6 +54,18 @@ ONE = CoefficientSpec.constant(1.0)
 def scenario(p=2.0, q=2.0, c=ZERO, k=ZERO, u0=("constant", 1.0), **ctrl):
     return Scenario(length=1.0, p=p, q=q, c=c, k=k,
                     u0=InitialSpec(*u0), controls=SolverControls(**ctrl))
+
+
+def _solve_diffusion(rhs, dt, h):
+    """Implicit diffusion solve of a field (n,), or of every column of a
+    block (n, m), on the cached factor, as `step` and the lockstep block
+    take it, leaving rhs as it was."""
+    n = rhs.shape[0]
+    b = rhs.copy(order="F")
+    b[::n - 1] /= math.sqrt(2.0)
+    v = pde_core.cho_solve_banded(_banded_factor(n, h, dt), b)
+    v[::n - 1] *= math.sqrt(2.0)
+    return v
 
 
 def fresh_state(scn):
@@ -824,6 +835,30 @@ def test_run_group_member_whose_flux_overflows_leaves_as_under_run(monkeypatch):
     left = [(len(runs), finite_M, finite_g, len(gone))
             for runs, finite_M, finite_g, gone in blocks if gone]
     assert left == [(2, False, False, 2)]
+
+
+def test_run_group_row_without_reaction_keeps_its_field_past_the_power_range(
+        monkeypatch):
+    # with c = 0 a row's rhs is its field, also once u^40 passes the float
+    # range (u above 5.1e7), where u + 0 u^40 would be NaN; the two cells
+    # share every dt, so the block holds both up to the threshold, which
+    # stays below 8e7, where choose_dt's sup^39 overflows
+    cell = scenario(p=40.0, q=2.0, c=ZERO, k=CoefficientSpec.constant(5.0),
+                    n_nodes=21, t_max=3.0, blowup_threshold=7e7)
+    blocks = _record_block_steps(monkeypatch)
+    sups = []
+    take = pde_core._Block.step
+
+    def recorded(block, dt, h):
+        sups.append(block.sup.max())
+        return take(block, dt, h)
+    monkeypatch.setattr(pde_core._Block, "step", recorded)
+    outs = run_group([cell, cell])
+    for got in outs:
+        _assert_same_outcome(got, run(cell))
+    assert [out.status for out in outs] == ["BlowUp", "BlowUp"]
+    assert max(sups) > np.finfo(float).max ** (1.0 / 40.0)
+    assert not any(gone for *_, gone in blocks)
 
 
 def test_run_group_member_fault_ends_aborted_as_under_run():
