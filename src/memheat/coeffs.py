@@ -650,21 +650,18 @@ class IntegralVerdict:
         return self.status == DIVERGES
 
 
-def integrate_improper(spec: CoefficientSpec, weight: float = 0.0,
-                       t_lower: float = 0.0) -> IntegralVerdict:
-    """Verdict on int_{t_lower}^inf t^weight * spec(t) dt.
+def integrate_improper(spec: CoefficientSpec, weight: float = 0.0) -> IntegralVerdict:
+    """Verdict on int_0^inf t^weight * spec(t) dt.
 
-    The verdict is the tail verdict of the growth form; a weight <= -1
-    from t_lower = 0 is a DomainError, since t^weight is not integrable at
-    0.  A convergent integral of a table is the panel rule over its nodes
-    from t_lower plus the integral of its eventual constant; of exp_decay
-    from 0, A Gamma(a+1) / lam^(a+1); of any other analytic family, quad.
+    The verdict is the tail verdict of the growth form; a weight <= -1 is a
+    DomainError, since t^weight is not integrable at 0.  A convergent
+    integral of a table is the panel rule over its nodes, since its eventual
+    constant is then 0; of exp_decay, A Gamma(a+1) / lam^(a+1); of any other
+    analytic family, quad.
     """
-    if t_lower < 0:
-        raise DomainError("t_lower must be >= 0")
     a = float(weight)
-    if a <= -1.0 and t_lower == 0.0:
-        raise DomainError(f"weight must be > -1 from t_lower = 0, not {a!r}: "
+    if a <= -1.0:
+        raise DomainError(f"weight must be > -1, not {a!r}: "
                           "t^weight is not integrable at 0")
 
     def integrand(t):
@@ -677,11 +674,10 @@ def integrate_improper(spec: CoefficientSpec, weight: float = 0.0,
     if spec.is_zero:
         return IntegralVerdict(CONVERGES, 0.0, "closed form: integrand identically zero")
     if spec.family == "tabulated":
-        edges = np.array([t_lower] + [t for t, _ in spec.table if t > t_lower])
+        edges = np.array([0.0] + [t for t, _ in spec.table if t > 0.0])
         body = float(np.sum(_panel_sums(integrand, edges[:-1], edges[1:])))
-        tail = integrate_improper(spec.eventual, a, edges[-1]).value
-        return IntegralVerdict(CONVERGES, body + tail, f"closed form: {reason}")
-    if spec.family == "exp_decay" and t_lower == 0.0:
+        return IntegralVerdict(CONVERGES, body, f"closed form: {reason}")
+    if spec.family == "exp_decay":
         # int_0^inf t^a A e^{-lam t} dt = A Gamma(a+1) / lam^(a+1)
         ln_value = (math.log(spec.amplitude) + math.lgamma(a + 1.0)
                     - (a + 1.0) * math.log(spec.lam))
@@ -690,20 +686,20 @@ def integrate_improper(spec: CoefficientSpec, weight: float = 0.0,
         except OverflowError:
             value = math.inf
         return IntegralVerdict(CONVERGES, value, f"closed form: {reason}")
-    value, note = _convergent_value(integrand, t_lower, spec, total)
+    value, note = _convergent_value(integrand, spec, total)
     return IntegralVerdict(CONVERGES, value, f"closed form: {reason}{note}")
 
 
-def _convergent_value(integrand, t_lower, spec, form: GrowthForm):
-    """Numerical value of a convergent improper integral."""
+def _convergent_value(integrand, spec, form: GrowthForm):
+    """Numerical value of a convergent improper integral from 0."""
     borderline = abs(form.power + 1.0) <= 1e-9 and form.logs
     if borderline and spec.family == "power_log":
         # slow iterated-log decay: decade panels to t_cut, then the tail in
         # closed form (the integrand is the derivative of -ln_j^{-delta}/delta
         # up to a factor that is 1 + O(T_j/t_cut) at the cut)
-        t_cut = max(t_lower, 1e8)
+        t_cut = 1e8
         body = 0.0
-        a = t_lower
+        a = 0.0
         while a < t_cut:
             b = min(max(a * 10.0, 1.0), t_cut)
             body += _quad(integrand, a, b)[0]
@@ -714,13 +710,13 @@ def _convergent_value(integrand, t_lower, spec, form: GrowthForm):
         tail = spec.amplitude * iterated_log(j, s) ** (-delta) / delta
         return body + tail, f"; slow-log tail beyond {t_cut:.3g} added in closed form"
     try:
-        val, err = _quad(integrand, t_lower, np.inf, limit=400)
+        val, err = _quad(integrand, 0.0, np.inf, limit=400)
         if math.isfinite(val) and err <= 1e-6 * max(1.0, abs(val)):
             return val, ""
     except Exception:
         pass
     # fall back to decade summation with a geometric tail estimate
-    verdict = numeric_improper(integrand, t_lower)
+    verdict = numeric_improper(integrand)
     if verdict.value is not None:
         return verdict.value, "; value from decade summation"
     return math.nan, "; value unresolved numerically"
@@ -734,13 +730,12 @@ def _quad(f, a, b, limit: int = 200) -> tuple[float, float]:
         return integrate.quad(lambda t: float(f(t)), a, b, limit=limit)
 
 
-def numeric_improper(f: Callable, t_lower: float = 0.0) -> IntegralVerdict:
-    """Decade protocol on an arbitrary scalar integrand callable."""
+def numeric_improper(f: Callable) -> IntegralVerdict:
+    """Decade protocol on an arbitrary scalar integrand callable, from 0."""
     tiny = 1e-300
-    start = max(t_lower, 1.0)
-    total = _quad(f, t_lower, start)[0] if start > t_lower else 0.0
+    total = _quad(f, 0.0, 1.0)[0]
     incs: list[float] = []
-    a = start
+    a = 1.0
     while a < _NUMERIC_T_MAX:
         b = min(a * 10.0, _NUMERIC_T_MAX)
         inc = _quad(f, a, b)[0]
@@ -791,6 +786,16 @@ def numeric_improper(f: Callable, t_lower: float = 0.0) -> IntegralVerdict:
 # ---------------------------------------------------------------------------
 # square-root-window supremum
 
+# the window width, the first and last probe times, the number of probe
+# times (geometric) and the Gauss-Legendre nodes per window; the geometry
+# only sizes the reported sup, since `holds` is read off the growth form
+_WINDOW_T0 = 1.0
+_WINDOW_START = 2.0
+_WINDOW_T_PROBE = 1e4
+_WINDOW_PROBES = 120
+_WINDOW_NODES = 48
+
+
 def _window_rule(t0: float, nodes: int) -> tuple[np.ndarray, np.ndarray, float]:
     """Gauss-Legendre rule on s in [0, sqrt(t0)]: (s^2, weights, scale)."""
     u, w = _gauss_rule(nodes)
@@ -818,10 +823,9 @@ class WindowBound:
     values: np.ndarray
 
 
-def memory_window_check(k: CoefficientSpec, t0: float = 1.0, alpha: float = 2.0,
-                        t_probe: float = 1e4, n_probes: int = 120,
-                        nodes: int = 48, flux: Optional[Flux] = None) -> WindowBound:
-    """Supremum over t in [alpha, t_probe] of the sqrt-window integral of tau*k(tau).
+def memory_window_check(k: CoefficientSpec, flux: Optional[Flux] = None) -> WindowBound:
+    """Supremum over t in [_WINDOW_START, _WINDOW_T_PROBE] of the
+    sqrt-window integral of tau*k(tau), over windows of width _WINDOW_T0.
 
     `flux` (default tau*k(tau)) is called once, on every window node of
     every probe time.  A window of fixed width over a continuous flux is
@@ -829,15 +833,13 @@ def memory_window_check(k: CoefficientSpec, t0: float = 1.0, alpha: float = 2.0,
     `holds` is `form_bounded` of the flux's growth form; the probed sup
     only reports the size, and an overflow of it still fails.
     """
-    if alpha < t0:
-        raise DomainError("probe start must be >= the window width t0")
     if flux is None:
         flux = Flux(lambda ts: np.asarray(ts, dtype=float) * eval_coeff(k, ts),
                     growth_form(k).times(GrowthForm(power=1.0)))
-    times = np.geomspace(alpha, t_probe, n_probes)
-    s2, w, scale = _window_rule(float(t0), nodes)
+    times = np.geomspace(_WINDOW_START, _WINDOW_T_PROBE, _WINDOW_PROBES)
+    s2, w, scale = _window_rule(_WINDOW_T0, _WINDOW_NODES)
     fvals = np.asarray(flux((times[:, None] - s2).ravel()), dtype=float)
-    vals = scale * np.sum(w * fvals.reshape(n_probes, nodes), axis=1)
+    vals = scale * np.sum(w * fvals.reshape(_WINDOW_PROBES, _WINDOW_NODES), axis=1)
     k_sup = float(vals.max())
     holds = form_bounded(flux.form) and math.isfinite(k_sup)
     return WindowBound(k_sup=k_sup, holds=holds, probe_times=times, values=vals)

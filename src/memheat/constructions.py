@@ -222,13 +222,11 @@ def z_profile(p: float, alpha: float, Y: float, c, t):
     return np.power(base, -1.0 / (p - 1.0))
 
 
-def build_th2_supersolution(scenario: Scenario, t_max: float,
-                            alpha: Optional[float] = None,
-                            ) -> SupersolutionSpec:
+def build_th2_supersolution(scenario: Scenario, t_max: float) -> SupersolutionSpec:
     """Barrier alpha z(t) y(x,t) for min(p, q) > 1 under decaying forcing.
 
-    y solves the linear problem with prescribed influx t k(t); admissibility
-    alpha^{q-1} Y^q <= 1 caps alpha at Y^{-q/(q-1)}.
+    y solves the linear problem with prescribed influx t k(t); alpha is the
+    admissibility cap Y^{-q/(q-1)}, where alpha^{q-1} Y^q = 1.
     """
     p, q = scenario.p, scenario.q
     if min(p, q) <= 1.0:
@@ -246,8 +244,7 @@ def build_th2_supersolution(scenario: Scenario, t_max: float,
     if not aux.stabilized:
         raise NotApplicableError("auxiliary bound Y did not stabilize")
     Y = aux.bound
-    alpha_max = Y ** (-q / (q - 1.0))
-    alpha = alpha_max if alpha is None else min(alpha, alpha_max)
+    alpha = Y ** (-q / (q - 1.0))
     cum = CumulativeIntegral(scenario.c)
 
     def evaluate(x: np.ndarray, t) -> np.ndarray:
@@ -258,14 +255,13 @@ def build_th2_supersolution(scenario: Scenario, t_max: float,
     return SupersolutionSpec("Th2", params, evaluate, aux=aux)
 
 
-def build_th4_supersolution(scenario: Scenario, t_max: float,
-                            alpha: Optional[float] = None,
-                            ) -> SupersolutionSpec:
+def build_th4_supersolution(scenario: Scenario, t_max: float) -> SupersolutionSpec:
     """Barrier alpha e^{C(t)} h(x,t) for a linear reaction term (p = 1).
 
     h solves the linear problem with the effective influx
-    k e^{-C} int_0^t e^{qC}; the bounded flag records whether the reaction
-    integral converges, which keeps the barrier itself bounded.
+    k e^{-C} int_0^t e^{qC}, and alpha is the admissibility cap
+    H^{-q/(q-1)}; the bounded flag records whether the reaction integral
+    converges, which keeps the barrier itself bounded.
     """
     if scenario.p != 1.0 or scenario.q <= 1.0:
         raise NotApplicableError(
@@ -288,8 +284,7 @@ def build_th4_supersolution(scenario: Scenario, t_max: float,
     if not aux.stabilized:
         raise NotApplicableError("auxiliary bound H did not stabilize")
     H = aux.bound
-    alpha_max = H ** (-q / (q - 1.0))
-    alpha = alpha_max if alpha is None else min(alpha, alpha_max)
+    alpha = H ** (-q / (q - 1.0))
 
     def evaluate(x: np.ndarray, t) -> np.ndarray:
         return alpha * np.exp(cum(t)) * aux.at(x, t)

@@ -12,7 +12,7 @@ alternative) so the two routes can be cross-checked.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -33,19 +33,20 @@ from .errors import ConfigurationError, NotApplicableError, SolverFault
 STATUS_ODE_BLOWUP = "BlowUp"
 STATUS_ODE_GLOBAL = "GlobalUpTo"
 _ENERGY_Y_CAP = 1e6  # energy_drift reads the path while y stays at or below
+_ATOL = 1e-12        # absolute tolerance of the first pass; the second halves it
 
 
 @dataclass(frozen=True)
 class OdeControls:
-    """Tolerances and the blow-up threshold, which mirrors the PDE solver."""
+    """The relative tolerance and the blow-up threshold, which mirrors the
+    PDE solver."""
 
     rtol: float = 1e-8
-    atol: float = 1e-12
     blowup_threshold: float = 1e10
 
     def __post_init__(self):
-        if not (0 < self.rtol < 1 and 0 < self.atol < 1):
-            raise ConfigurationError("tolerances must lie in (0, 1)")
+        if not 0 < self.rtol < 1:
+            raise ConfigurationError("rtol must lie in (0, 1)")
         # the solve ends only at the threshold or at r_max
         if not 0.0 < self.blowup_threshold < math.inf:
             raise ConfigurationError("blowup_threshold must be finite and > 0")
@@ -95,7 +96,8 @@ class OdeOutcome:
     yp_path: np.ndarray
 
 
-def _integrate_once(prob: OdeProblem, r_max: float, ctr: OdeControls):
+def _integrate_once(prob: OdeProblem, r_max: float, rtol: float, atol: float,
+                    thresh: float):
     """-> (R_star or None, r, y, y') with the accepted-step path.
 
     One DOP853 solve of s = (r, y, y') in a rescaled time tau:
@@ -109,7 +111,6 @@ def _integrate_once(prob: OdeProblem, r_max: float, ctr: OdeControls):
     leaves the float range is a SolverFault, never a warning.
     """
     b, hq = prob.b, 0.5 * prob.q
-    thresh = ctr.blowup_threshold
     last_r = [prob.a]     # where the latest evaluation sat, for a fault
 
     def rhs(tau, s):
@@ -138,7 +139,7 @@ def _integrate_once(prob: OdeProblem, r_max: float, ctr: OdeControls):
     try:
         with np.errstate(all="raise", under="ignore"):
             sol = solve_ivp(rhs, (0.0, math.inf), (r, y, yp), method="DOP853",
-                            rtol=ctr.rtol, atol=ctr.atol,
+                            rtol=rtol, atol=atol,
                             events=(blow, horizon))
     except (FloatingPointError, OverflowError):
         raise SolverFault(f"integration failed at r = {last_r[0]:.6g}: "
@@ -172,9 +173,9 @@ def integrate_ode(prob: OdeProblem, r_max: float,
     if not (math.isfinite(r_max) and r_max > prob.a):
         raise ConfigurationError("r_max must be finite and > a")
 
-    R1, rs, ys, vs = _integrate_once(prob, r_max, ctr)
-    tighter = replace(ctr, rtol=ctr.rtol / 2.0, atol=ctr.atol / 2.0)
-    R2, *_ = _integrate_once(prob, r_max, tighter)
+    thresh = ctr.blowup_threshold
+    R1, rs, ys, vs = _integrate_once(prob, r_max, ctr.rtol, _ATOL, thresh)
+    R2, *_ = _integrate_once(prob, r_max, ctr.rtol / 2.0, _ATOL / 2.0, thresh)
     stability = None
     if R1 is not None and R2 is not None:
         stability = abs(R1 - R2) / max(abs(R2), 1e-300)
@@ -221,19 +222,17 @@ class Th0Report:
     applies: bool
 
 
-def check_th0_criterion(b: CoefficientSpec, q: float, a: float = 0.0) -> Th0Report:
+def check_th0_criterion(b: CoefficientSpec, q: float) -> Th0Report:
     """Blow-up criterion record for y'' >= b y^q from nonnegative data.
 
-    applies = (int_a^inf r^q b(r) dr diverges) and at least one regularity
+    applies = (int_0^inf r^q b(r) dr diverges) and at least one regularity
     alternative holds (eventual domination by B r^{-(q+1)}, or eventual
     monotone decay).  Both are read off the growth form of `b.eventual`, so
     a table is judged by its last value.
     """
     if q <= 1:
         raise ConfigurationError("exponent q must be > 1")
-    if a < 0:
-        raise ConfigurationError("start point a must be >= 0")
-    divergence = integrate_improper(b, weight=q, t_lower=a)
+    divergence = integrate_improper(b, weight=q)
     alt_monotone = EVENTUALLY_NONINCREASING
     # b <= B r^{-(q+1)} eventually iff r^{q+1} b stays bounded
     alt_bounded = form_bounded(growth_form(b).times(GrowthForm(power=q + 1.0)))

@@ -16,12 +16,12 @@ the yielded steps; `verify_comparison` steps the high field on the yielded
 dt and c(t).
 
 `run_group` returns `[run(s) for s in scenarios]` bit for bit for scenarios
-that share length, controls and initial data, such as the cells of a sweep.
-Its memory-rule cells on a common dt advance as one lockstep block: one
-reaction per distinct p, one multi-column solve and one max per row, with
-t shared and each cell's sup, accumulators and step values in arrays.  A
-cell whose dt differs, or whose row turns non-finite, leaves the block and
-finishes through `advance` from its last state.
+with the memory boundary that share length, controls and initial data, such
+as the cells of a sweep.  Its cells on a common dt advance as one lockstep
+block: one reaction per distinct p, one multi-column solve and one max per
+row, with t shared and each cell's sup, accumulators and step values in
+arrays.  A cell whose dt differs, or whose row turns non-finite, leaves the
+block and finishes through `advance` from its last state.
 """
 
 from __future__ import annotations
@@ -487,11 +487,7 @@ def choose_dt(state: State, scenario: Scenario, rule=None,
     ctr = scenario.controls
     c_t, g_left, g_right, _ = values or step_values(state, scenario, rule)
     sup = state.sup
-    if sup <= 0.0:
-        rate_react = 0.0
-    else:
-        s = sup if scenario.p >= 1.0 else max(sup, 1e-6)
-        rate_react = c_t * s ** (scenario.p - 1.0)
+    rate_react = _reaction_rate(c_t, sup, scenario.p)
     scale_left = max(float(state.u[0]), 1e-6 * sup, 1e-300)
     scale_right = max(float(state.u[-1]), 1e-6 * sup, 1e-300)
     nu = max(abs(g_left) / scale_left, abs(g_right) / scale_right)
@@ -504,6 +500,18 @@ def choose_dt(state: State, scenario: Scenario, rule=None,
     if state.steps == 0:
         dt = min(dt, ctr.theta * scenario.h * scenario.h)
     return dt
+
+
+def _reaction_rate(c_t: float, sup: float, p: float) -> float:
+    """c(t) sup^(p-1), with sup floored at 1e-6 for p < 1, and 0 at sup <= 0.
+    A power past the float range gives 0 where c(t) = 0, as 0 x is for every
+    finite x, and inf otherwise, which takes the token step."""
+    if sup <= 0.0:
+        return 0.0
+    try:
+        return c_t * (sup if p >= 1.0 else max(sup, 1e-6)) ** (p - 1.0)
+    except OverflowError:
+        return 0.0 if c_t == 0.0 else math.inf
 
 
 def _ladder(dt: float, dt_max: float) -> float:
@@ -585,7 +593,6 @@ class _Run:
 
     def __init__(self, scenario: Scenario, u0: np.ndarray):
         self.scenario = scenario
-        self.rule = scenario.boundary_rule()
         # u0 comes from a validated InitialSpec: finite and >= 0
         self.state = state = State(0.0, u0, 0.0, 0.0, nonneg=True)
         self.h = scenario.h
@@ -642,24 +649,20 @@ def run(scenario: Scenario) -> SimulationOutcome:
 
 
 class _Block:
-    """The memory-rule runs of `run_group`, sorted by p, at a shared t and
-    step count.  Their fields are the rows of U; every other array has one
-    entry, or a left and a right one, per run.  A memory rule's flux is
-    (s M_left, s M_right, w), or (0, 0, w) where s = 0, so (s, s, w) is its
-    flux at unit accumulators: each distinct c, and each memory rule on a
-    distinct k, is evaluated once per t."""
+    """The runs of `run_group`, sorted by p, at a shared t and step count.
+    Their fields are the rows of U; every other array has one entry, or a
+    left and a right one, per run.  A `MemoryRule`'s flux is (k(t) M_left,
+    k(t) M_right, 1), or (0, 0, 1) where k(t) = 0: each distinct c and k is
+    evaluated once per t."""
 
     def __init__(self, runs: list, u0: np.ndarray):
         self.runs = sorted(runs, key=lambda r: r.scenario.p)
-        c_index, rule_index = {}, {}
+        c_index, k_index = {}, {}
         self.c_of = np.array([c_index.setdefault(r.scenario.c, len(c_index))
                               for r in self.runs], dtype=int)
-        self.rule_of = np.array([rule_index.setdefault(
-            r.rule.k if type(r.rule) is MemoryRule else r.rule, len(rule_index))
-            for r in self.runs], dtype=int)
-        self.c_specs = list(c_index)
-        self.rules = [MemoryRule(k) if isinstance(k, CoefficientSpec) else k
-                      for k in rule_index]
+        self.k_of = np.array([k_index.setdefault(r.scenario.k, len(k_index))
+                              for r in self.runs], dtype=int)
+        self.c_specs, self.k_specs = list(c_index), list(k_index)
         self.p, self.q = (np.array([getattr(r.scenario, x) for r in self.runs],
                                    dtype=float) for x in "pq")
         m, self.steps = len(self.runs), 0
@@ -669,19 +672,17 @@ class _Block:
 
     def at(self, t: float, dt: float):
         """Move to t, reached by a step of dt: evaluate c, the slopes and the
-        accumulator terms w u_b^q at t, and add the step's trapezoid to M."""
+        accumulator terms u_b^q at t, and add the step's trapezoid to M."""
         c = [eval_coeff(spec, t) for spec in self.c_specs]
-        fluxes = [rule.flux(t, 1.0, 1.0) for rule in self.rules]
+        k = [eval_coeff(spec, t) for spec in self.k_specs]
         self.t, self.c_t, self.c_nonzero = t, np.array(c).take(self.c_of), all(c)
-        s, _, w = np.array(fluxes).reshape(-1, 3).take(self.rule_of, axis=0).T
         ends = self.U[:, ::self.U.shape[1] - 1].tolist()
-        acc = np.array([_acc_term(wi, ub, q) for wi, pair, q in zip(
-            w.tolist(), ends, self.q.tolist()) for ub in pair]).reshape(-1, 2)
+        acc = np.array([_acc_term(1.0, ub, q) for pair, q in zip(
+            ends, self.q.tolist()) for ub in pair]).reshape(-1, 2)
         if dt:
             self.M = self.M + 0.5 * dt * (self.acc + acc)
-        self.acc, s = acc, s[:, None]
-        nonzero = all(f[0] for f in fluxes)
-        self.g = s * (self.M if nonzero else np.where(s == 0.0, 0.0, self.M))
+        self.acc, s = acc, np.array(k, dtype=float).take(self.k_of)[:, None]
+        self.g = s * (self.M if all(k) else np.where(s == 0.0, 0.0, self.M))
 
     def state(self, row: int) -> State:
         return State(self.t, self.U[row], *self.M[row].tolist(), self.steps,
@@ -695,7 +696,7 @@ class _Block:
             self.runs[row].state = self.state(row)
         gone = [r for r, kept in zip(self.runs, keep) if not kept]
         self.runs = [r for r, kept in zip(self.runs, keep) if kept]
-        for name in ("c_of", "rule_of", "p", "q", "U", "M", "sup", "c_t", "acc", "g"):
+        for name in ("c_of", "k_of", "p", "q", "U", "M", "sup", "c_t", "acc", "g"):
             setattr(self, name, getattr(self, name)[keep])
         return gone
 
@@ -704,10 +705,8 @@ class _Block:
         cap.  The float arithmetic is choose_dt's on arrays; each power and
         log2 stays a Python float, which numpy may round otherwise."""
         sup = self.sup
-        rate_react = [0.0 if s <= 0.0 else
-                      c * (s if p >= 1.0 else max(s, 1e-6)) ** (p - 1.0)
-                      for s, c, p in zip(sup.tolist(), self.c_t.tolist(),
-                                         self.p.tolist())]
+        rate_react = [_reaction_rate(c, s, p) for s, c, p in zip(
+            sup.tolist(), self.c_t.tolist(), self.p.tolist())]
         # no row and no sup in the block is NaN, but a slope may be
         ends = self.U[:, ::self.U.shape[1] - 1]
         scale = np.maximum(np.maximum(ends, 1e-6 * sup[:, None]), 1e-300)
@@ -752,15 +751,15 @@ class _Block:
 
 
 def run_group(scenarios) -> list:
-    """[run(s) for s in scenarios], bit for bit, for scenarios that agree in
-    length, controls and initial field.
+    """[run(s) for s in scenarios], bit for bit, for scenarios with the
+    memory boundary (`boundary` None) that agree in length, controls and
+    initial field.
 
-    The cells with a memory rule step as a `_Block`, and those on the most
-    common laddered dt (the larger on a tie) take each step together, with
-    one multi-column diffusion solve.  A cell that halts, has another dt or
-    whose new row is not finite leaves the block and finishes through
-    `advance` from its last state, which redoes that step as `run` takes
-    it.  Other cells run alone.
+    The cells step as a `_Block`, and those on the most common laddered dt
+    (the larger on a tie) take each step together, with one multi-column
+    diffusion solve.  A cell that halts, has another dt or whose new row is
+    not finite leaves the block and finishes through `advance` from its
+    last state, which redoes that step as `run` takes it.
     """
     scenarios = list(scenarios)
     if not scenarios:
@@ -768,18 +767,19 @@ def run_group(scenarios) -> list:
     head = scenarios[0]
     ctr = head.controls
     u0 = head.initial_field()
+    if any(scn.boundary is not None for scn in scenarios):
+        raise ConfigurationError(
+            "must be None for every group scenario: a group takes the memory "
+            "boundary rule only", "boundary")
     for scn in scenarios[1:]:
         if ((scn.length, scn.controls) != (head.length, ctr)
                 or not np.array_equal(scn.initial_field(), u0)):
             raise ConfigurationError(
                 "group scenarios must agree in length, controls and initial data")
     runs = [_Run(scn, u0) for scn in scenarios]
-    for r in runs:
-        if type(r.rule) not in (MemoryRule, WeightedMemoryRule):
-            r.follow()
-    # c(t) >= 0 and a memory rule's slopes are >= 0: as in `step`, the
-    # block's rows keep no negative entry, so it takes no min
-    block = _Block([r for r in runs if r.outcome is None], u0)
+    # c(t) >= 0 and k(t) >= 0 give slopes >= 0: as in `step`, the block's
+    # rows keep no negative entry, so it takes no min
+    block = _Block(runs, u0)
     clock = _Clock(ctr)
     while True:
         going = block.t < ctr.t_max - 1e-12 and block.steps < ctr.max_steps

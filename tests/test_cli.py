@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from memheat import cli
@@ -308,6 +308,24 @@ def test_run_step_budget_aborts_with_exit_3(tmp_path, capsys):
     assert "OUTCOME: status Aborted" in capsys.readouterr().out
 
 
+# c = 0, p = 40: the rate power sup^39 passes the float range at sup = 8e7,
+# short of the 1e10 threshold
+P40_DOC = base_doc(domain={"nodes": 21}, exponents={"p": 40.0, "q": 2.0},
+                   c={"family": "constant", "amplitude": 0.0},
+                   k={"family": "constant", "amplitude": 5.0},
+                   solver={"t_max": 3.0})
+
+
+def test_run_past_the_rate_power_range_blows_up(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, P40_DOC)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "OUTCOME: status BlowUp" in captured.out
+    assert "OUTCOME: t_end 0.66313897907755281" in captured.out
+    assert "OUTCOME: steps 20984" in captured.out
+
+
 def test_refine_doubles_grid(tmp_path):
     cfg = write_cfg(tmp_path, base_doc(solver={"t_max": 0.1}))
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "r"),
@@ -452,6 +470,37 @@ def test_benchmark_analyze_answers(tmp_path, capsys, monkeypatch, name):
                  *op["args"]])
     got = dict(answers["parse_report"](capsys.readouterr().out), exit=code)
     assert answers["mismatches"](got, want) == []
+
+
+@pytest.mark.parametrize("workload,name", [
+    ("march", "run_powerlog_k"), ("march", "run_linear"),
+    ("march", "run_reaction_refine2"), ("march", "run_boundary_blowup"),
+    ("certify", "transform_power"), ("certify", "transform_powerlog_c"),
+    ("certify", "transform_blowup"), ("sweep", "sweep_grid")])
+def test_benchmark_march_transform_and_sweep_answers(tmp_path, capsys, monkeypatch,
+                                                     workload, name):
+    # the run, route-agreement and per-cell sweep answers, fingerprinted and
+    # compared as the benchmark does, so a moved answer fails here first;
+    # the sweep's stalled cell matches its reference as Aborted
+    workloads = runpy.run_path(str(PERFBENCH / "workloads.py"))["WORKLOADS"]
+    [op] = [o for o in workloads[workload] if o["name"] == name]
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    answers = runpy.run_path(str(PERFBENCH / "answers.py"))
+    reference = json.loads((PERFBENCH / "reference.json").read_text())
+    want = {key: fp for key, fp in reference["workloads"][workload]["answers"].items()
+            if key.partition("/")[0] == name}
+    out = tmp_path / "out"
+    code = main([op["command"], "--config", write_cfg(tmp_path, op["config"]),
+                 "--out", str(out), *op["args"]])
+    if op["command"] == "sweep":
+        got = {f"{name}/{key}": dict(fp, exit=code)
+               for key, fp in answers["sweep_cells"](out / "sweep.csv")}
+    else:
+        got = {name: dict(answers["parse_report"](capsys.readouterr().out),
+                          exit=code)}
+    assert got.keys() == want.keys()
+    for key, fp in want.items():
+        assert answers["mismatches"](got[key], fp) == [], key
 
 
 def test_verify_transform_equivalence(tmp_path, capsys):
@@ -708,3 +757,84 @@ def test_csv_writer_matches_per_value_formatting(tmp_path):
     assert (tmp_path / "out.csv").read_text() == expected
     _write_csv(tmp_path / "empty.csv", "a", (np.array([]),))
     assert (tmp_path / "empty.csv").read_text() == "a\n"
+
+
+# ---------------------------------------------------------------------------
+# every accepted config ends in a named outcome
+
+_FUZZ_AMPLITUDE = st.floats(0.0, 10.0)
+_FUZZ_RATE = st.floats(0.0, 5.0)
+_FUZZ_COEFFICIENTS = st.one_of(
+    st.builds(CoefficientSpec.constant, _FUZZ_AMPLITUDE),
+    st.builds(CoefficientSpec.power, _FUZZ_AMPLITUDE, _FUZZ_RATE),
+    st.builds(CoefficientSpec.exp_decay, _FUZZ_AMPLITUDE, _FUZZ_RATE),
+    st.builds(CoefficientSpec.power_log, _FUZZ_AMPLITUDE, _FUZZ_RATE,
+              st.integers(0, 3), _FUZZ_RATE),
+    st.builds(CoefficientSpec.tabulated,
+              st.lists(st.tuples(st.floats(0.01, 10.0), _FUZZ_AMPLITUDE),
+                       min_size=1, max_size=4).map(
+                  lambda rows: [[sum(dt for dt, _ in rows[:i + 1]), v]
+                                for i, (_, v) in enumerate(rows)]),
+              _FUZZ_AMPLITUDE),
+).map(spec_to_json)
+
+# one strategy per cli._SCHEMA key: a key added there fails the draw here
+_FUZZ_KEYS = {
+    "domain.length": st.floats(0.01, 50.0),
+    "domain.nodes": st.integers(3, 21),
+    # the exponents the regimes turn on, or any
+    "exponents.p": st.sampled_from([0.5, 1.0, 2.0, 40.0]) | st.floats(0.1, 40.0),
+    "exponents.q": st.sampled_from([0.5, 1.0, 2.0, 3.0]) | st.floats(0.1, 20.0),
+    "c": _FUZZ_COEFFICIENTS,
+    "k": _FUZZ_COEFFICIENTS,
+    "initial.family": st.sampled_from(["constant", "cos_bump", "tabulated"]),
+    # a tabulated family takes the value at every node
+    "initial.value": st.floats(0.0, 5.0),
+    "solver.t_max": st.floats(0.01, 10.0),
+    "solver.blowup_threshold": st.floats(1.0, 1e12),
+    "solver.theta": st.floats(0.01, 1.0),
+    "solver.dt_max": st.floats(1e-4, 0.1),
+    "solver.max_steps": st.integers(1, 2000),
+    "output.dir": st.just("out"),
+    "output.snapshot_every": st.none() | st.floats(0.01, 10.0),
+}
+
+
+@st.composite
+def _fuzz_documents(draw):
+    doc = {}
+    for key in cli._SCHEMA:
+        (doc.setdefault(key.block, {}) if key.block else doc)[key.name] = (
+            draw(_FUZZ_KEYS[key.path]))
+    if doc["initial"]["family"] == "tabulated":
+        doc["initial"]["value"] = [doc["initial"]["value"]] * doc["domain"]["nodes"]
+    return doc
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=_fuzz_documents())
+@example(doc=P40_DOC)
+def test_every_accepted_config_ends_in_a_named_outcome(tmp_path, capsys, doc):
+    # a nonzero exit either prints one error line on stderr, or reports on
+    # stdout an aborted run (3) or a failed verification (4)
+    cfg = write_cfg(tmp_path, doc)
+    for command, *extra in (["run"], ["classify"], ["verify"],
+                            ["verify", "--transform"], ["oracle"]):
+        code = main([command, "--config", cfg, "--out", str(tmp_path / "out"),
+                     *extra])
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert code in (0, 2, 3, 4), (command, extra, code)
+        if code == 0:
+            assert err == []
+        elif code == 2:
+            assert len(err) == 1 and err[0].startswith("CONFIG ERROR: ")
+        elif err:
+            assert code == 3 and len(err) == 1
+            assert err[0].startswith("SOLVER FAULT: ")
+        elif code == 3:
+            assert "OUTCOME: status Aborted" in captured.out.splitlines()
+        else:
+            assert any(line.startswith("VERDICT: FAIL")
+                       for line in captured.out.splitlines())

@@ -755,9 +755,6 @@ def test_improper_weight_not_integrable_at_zero_is_a_domain_error():
                      CoefficientSpec.tabulated([[0.0, 1.0], [5.0, 0.0]])):
             with pytest.raises(DomainError, match="weight"):
                 integrate_improper(spec, weight=weight)
-    # away from 0 the same weight is a tail question
-    v = integrate_improper(CoefficientSpec.constant(1.0), weight=-2.0, t_lower=1.0)
-    assert v.status == CONVERGES and v.value == pytest.approx(1.0, rel=1e-9)
 
 
 @pytest.mark.parametrize("amp,lam,weight", [
@@ -775,9 +772,6 @@ def test_improper_exp_decay_from_zero_is_closed_form(amp, lam, weight):
 def test_improper_zero_and_lower_limit():
     v = integrate_improper(CoefficientSpec.constant(0.0))
     assert v.status == CONVERGES and v.value == 0.0
-    v = integrate_improper(CoefficientSpec.power(1.0, 2.0), t_lower=1.0)
-    # int_1^inf (1+t)^-2 = 1/2
-    assert v.value == pytest.approx(0.5, rel=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -888,7 +882,7 @@ def test_memory_window_check_decaying():
 
 def test_memory_window_check_growing():
     # k constant: windowed integral grows linearly, sup keeps moving
-    res = memory_window_check(CoefficientSpec.constant(1.0), t_probe=1e4)
+    res = memory_window_check(CoefficientSpec.constant(1.0))
     assert not res.holds
     assert res.k_sup == pytest.approx(2.0 * 1e4 - 2.0 / 3.0, rel=1e-6)
 
@@ -911,8 +905,8 @@ def test_memory_window_check_matches_per_probe_integrals(k):
 def test_memory_window_check_effective_flux_matches_per_probe_integrals():
     k = CoefficientSpec.power(1.0, 3.0)
     flux = effective_flux(CoefficientSpec.power_log(1.0, 1.0, 1), k, 2.0)
-    res = memory_window_check(k, t0=0.5, alpha=1.0, flux=flux)
-    want = [sqrt_window_integral(flux, float(t), 0.5) for t in res.probe_times]
+    res = memory_window_check(k, flux=flux)
+    want = [sqrt_window_integral(flux, float(t), 1.0) for t in res.probe_times]
     np.testing.assert_allclose(res.values, want, rtol=1e-14, atol=0.0)
 
 
@@ -924,9 +918,8 @@ def test_memory_window_check_calls_flux_on_one_flat_array():
         shapes.append(ts.shape)
         return np.ones_like(ts)
 
-    res = memory_window_check(ZERO, t_probe=100.0, n_probes=30, nodes=12,
-                              flux=Flux(flux, GrowthForm()))
-    assert shapes == [(30 * 12,)]
+    res = memory_window_check(ZERO, flux=Flux(flux, GrowthForm()))
+    assert shapes == [(120 * 48,)]
     # flux 1 over a width-1 window: int_0^1 s^-1/2 ds = 2
     np.testing.assert_allclose(res.values, 2.0, rtol=1e-14)
 
@@ -940,8 +933,3 @@ def test_memory_window_check_decides_by_the_growth_form():
     # a flux with a bounded form still fails when its probed sup overflows
     inf = Flux(lambda ts: np.full_like(ts, np.inf), GrowthForm())
     assert not memory_window_check(ZERO, flux=inf).holds
-
-
-def test_memory_window_check_guard():
-    with pytest.raises(DomainError):
-        memory_window_check(CoefficientSpec.constant(1.0), t0=3.0, alpha=2.0)

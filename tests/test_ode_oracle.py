@@ -314,8 +314,6 @@ def test_criterion_table_constant_past_its_last_node_applies():
 def test_criterion_validation():
     with pytest.raises(ConfigurationError):
         check_th0_criterion(ZERO, q=1.0)
-    with pytest.raises(ConfigurationError):
-        check_th0_criterion(ZERO, q=2.0, a=-1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -770,25 +770,6 @@ def _record_block_steps(monkeypatch) -> list:
     return steps
 
 
-def test_run_group_weighted_members_equal_run_bitwise(monkeypatch):
-    # the reaction-stripped twin of a p = 1 cell has a WeightedMemoryRule,
-    # whose accumulator weight e^{q C(t)} passes 1 once C(t) > 0
-    ctrl = dict(n_nodes=51, t_max=1.0)
-    bases = [scenario(1.0, q, c, k, ("cos_bump", 0.5), **ctrl) for q, c, k in [
-        (2.0, ONE, CoefficientSpec.power(2.0, 1.0)),
-        (1.0, CoefficientSpec.power_log(1.0, 1.0, 1), ONE),
-        (3.0, CoefficientSpec.power(2.0, 1.0), ONE)]]
-    twins = [to_transformed(base).scenario for base in bases]
-    assert all(twin.boundary.acc_weight(0.5) > 1.0 for twin in twins)
-    blocks = _record_block_steps(monkeypatch)
-    group = bases + twins
-    for got, scn in zip(run_group(group), group):
-        _assert_same_outcome(got, run(scn))
-    weighted = [sum(type(r.rule) is WeightedMemoryRule for r in runs)
-                for runs, *_ in blocks]
-    assert len(weighted) > 400 and min(weighted) == 3
-
-
 def test_run_group_evaluates_each_distinct_spec_once_per_time(monkeypatch):
     def specs():
         return CoefficientSpec.power(1.0, 2.0), CoefficientSpec.power_log(1.0, 2.0, 1)
@@ -798,10 +779,7 @@ def test_run_group_evaluates_each_distinct_spec_once_per_time(monkeypatch):
     group = [scenario(2.0, 2.0, c, k, ("constant", 0.1), **ctrl),
              scenario(2.0, 3.0, c, k, ("constant", 0.1), **ctrl),
              scenario(1.0, 2.0, c_copy, k_copy, ("constant", 0.1), **ctrl),
-             # a memory rule on another k than the scenario's k, which the
-             # cell never evaluates
-             replace(scenario(1.5, 2.0, c, k, ("constant", 0.1), **ctrl),
-                     boundary=MemoryRule(ONE))]
+             scenario(1.5, 2.0, c, ONE, ("constant", 0.1), **ctrl)]
     asked = Counter()
     evaluate = pde_core.eval_coeff
     monkeypatch.setattr(pde_core, "eval_coeff",
@@ -841,8 +819,7 @@ def test_run_group_row_without_reaction_keeps_its_field_past_the_power_range(
         monkeypatch):
     # with c = 0 a row's rhs is its field, also once u^40 passes the float
     # range (u above 5.1e7), where u + 0 u^40 would be NaN; the two cells
-    # share every dt, so the block holds both up to the threshold, which
-    # stays below 8e7, where choose_dt's sup^39 overflows
+    # share every dt, so the block holds both up to the threshold
     cell = scenario(p=40.0, q=2.0, c=ZERO, k=CoefficientSpec.constant(5.0),
                     n_nodes=21, t_max=3.0, blowup_threshold=7e7)
     blocks = _record_block_steps(monkeypatch)
@@ -861,18 +838,35 @@ def test_run_group_row_without_reaction_keeps_its_field_past_the_power_range(
     assert not any(gone for *_, gone in blocks)
 
 
-def test_run_group_member_fault_ends_aborted_as_under_run():
-    # an outflow at the vanishing ends of a bump undershoots on the first
-    # step; prescribed-flux cells run alone, beside the block
-    outflow = PrescribedFluxRule(lambda t: -0.1)
-    base = scenario(p=2.0, q=2.0, u0=("cos_bump", 1.0), n_nodes=201, t_max=0.1)
-    group = [replace(base, boundary=outflow), replace(base, p=3.0, boundary=outflow),
-             replace(base, c=ONE)]
-    outs = run_group(group)
-    for got, scn in zip(outs, group):
-        _assert_same_outcome(got, run(scn))
-    assert [o.status for o in outs] == ["Aborted", "Aborted", "GlobalToHorizon"]
-    assert outs[0].reason.startswith("negative undershoot")
+def test_run_group_row_without_reaction_passes_the_rate_power_range():
+    # past sup = 8e7 the rate power sup^39 leaves the float range; with
+    # c = 0 the reaction rate is 0 there, so the flux still sets dt and both
+    # cells reach the default threshold in lockstep, as under run
+    cell = scenario(p=40.0, q=2.0, c=ZERO, k=CoefficientSpec.constant(5.0),
+                    n_nodes=21, t_max=3.0)
+    want = run(cell)
+    assert (want.status, want.steps) == ("BlowUp", 20984)
+    assert want.t_end == 0.66313897907755281
+    for got in run_group([cell, cell]):
+        _assert_same_outcome(got, want)
+
+
+def test_choose_dt_reaction_rate_past_the_float_range():
+    # sup^(p - 1) overflows: a rate of 0 without reaction, the token step
+    # with it
+    cell = scenario(p=40.0, q=2.0, c=ZERO, k=ZERO, n_nodes=21)
+    state = State(1.0, np.full(21, 1e9), 0.0, 0.0, steps=1)
+    assert choose_dt(state, cell) == cell.controls.dt_max
+    hot = replace(cell, c=ONE)
+    assert choose_dt(state, hot) == hot.controls.dt_max * 2.0 ** -60
+
+
+def test_run_group_rejects_a_given_boundary_rule():
+    base = scenario(n_nodes=21, t_max=0.1)
+    for rule in (MemoryRule(ONE), PrescribedFluxRule(lambda t: 0.5),
+                 WeightedMemoryRule(ONE, CumulativeIntegral(ONE), q=2.0)):
+        with pytest.raises(ConfigurationError, match="^boundary "):
+            run_group([base, replace(base, boundary=rule)])
 
 
 def _accumulator_overflow_case():
