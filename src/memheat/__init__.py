@@ -11,8 +11,8 @@ from .coeffs import (CONVERGES, DIVERGES, INDETERMINATE, FAMILIES, ZERO,
                      CoefficientSpec, CumulativeIntegral, Flux, GrowthForm,
                      IntegralVerdict, WindowBound, coefficient_sup,
                      eval_coeff, growth_form, integrate_improper,
-                     memory_window_check, numeric_improper, spec_from_json,
-                     spec_to_json, tail_verdict)
+                     memory_window_check, spec_from_json, spec_to_json,
+                     tail_verdict)
 from .constructions import (AuxiliarySolution, DominationReport,
                             ResidualReport, SupersolutionSpec,
                             build_th00_supersolution, build_th2_supersolution,
@@ -46,8 +46,8 @@ __all__ = [
     "CONVERGES", "DIVERGES", "INDETERMINATE", "FAMILIES", "ZERO",
     "CoefficientSpec", "CumulativeIntegral", "Flux", "GrowthForm", "IntegralVerdict",
     "WindowBound", "coefficient_sup", "eval_coeff", "growth_form",
-    "integrate_improper", "memory_window_check", "numeric_improper",
-    "spec_from_json", "spec_to_json", "tail_verdict",
+    "integrate_improper", "memory_window_check", "spec_from_json",
+    "spec_to_json", "tail_verdict",
     "AuxiliarySolution", "DominationReport", "ResidualReport",
     "SupersolutionSpec", "build_th00_supersolution", "build_th2_supersolution",
     "build_th4_supersolution", "check_domination",

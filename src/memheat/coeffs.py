@@ -7,11 +7,11 @@ large t (`CoefficientSpec.eventual`, a table's last value held constant).
 Every judgement on behaviour as t -> inf that the classifier and the
 oracle make lives here, and each is read off a growth form: improper
 integrals against a power weight, boundedness and eventual monotonicity.
-Samples only report the sup of a windowed flux, and a decade protocol only
-backs up quad for the value of a convergent integral.  Cumulative
-integrals C(t) = int_0^t c, their tails and the weights ln int_0^t e^{mC}
-are closed forms where the family allows and otherwise use one
-Gauss-Legendre rule on dyadic panels.
+Samples only report the sup of a windowed flux, and the value of a
+convergent integral is a closed form, the panel rule or one quad call.
+Cumulative integrals C(t) = int_0^t c, their tails and the weights
+ln int_0^t e^{mC} are closed forms where the family allows and otherwise
+use one Gauss-Legendre rule on dyadic panels.
 """
 
 from __future__ import annotations
@@ -67,19 +67,6 @@ def _log_chain(s, depth: int, log):
         v = log(v)
         prod = prod * v
     return v, prod
-
-
-def iterated_log(j: int, t):
-    """ln_j t  (ln_1 = ln, ln_{j+1} = ln o ln_j).  Requires t > T_{j-1}."""
-    if j < 1:
-        raise DomainError("iterated_log depth must be >= 1")
-    threshold = log_tower(j - 1)
-    arr = np.asarray(t, dtype=float)
-    if np.any(arr <= threshold):
-        raise DomainError(
-            f"iterated_log depth {j} needs t > {threshold!r}; got min {arr.min()!r}")
-    v, _ = _log_chain(arr, j, np.log)
-    return float(v) if arr.ndim == 0 else v
 
 
 # ---------------------------------------------------------------------------
@@ -472,11 +459,16 @@ class CumulativeIntegral:
 
     def tail(self, t):
         """int_t^inf f = int_0^inf f - C(t), for a float or an array t >= 0.
-        Raises NotApplicableError when divergent."""
+        Raises NotApplicableError when divergent, or convergent to a value
+        that is not finite (one quad could not resolve)."""
         total = self._total
         if not total.converges:
             raise NotApplicableError(
                 f"tail integral does not converge ({total.status})")
+        if not math.isfinite(total.value):
+            raise NotApplicableError(
+                f"tail integral converges but its value is not finite "
+                f"({total.evidence})")
         return total.value - self(t)
 
     def log_int_exp(self, t, mult: float):
@@ -627,14 +619,6 @@ def form_bounded(form: GrowthForm) -> bool:
 # ---------------------------------------------------------------------------
 # improper integrals
 
-# thresholds of the numerical decade protocol
-_NUMERIC_T_MAX = 1e9
-_EPS_FLAT = 1e-6          # relative decade increment that counts as flat
-_RATIO_CONVERGE = 0.9     # sustained decade ratio below this => geometric tail
-_RATIO_DRIFT = 0.005      # max allowed drift among the final ratios
-_RATIO_DIVERGE = 0.999    # sustained ratio at/above this => still growing
-
-
 @dataclass(frozen=True)
 class IntegralVerdict:
     status: str
@@ -691,7 +675,8 @@ def integrate_improper(spec: CoefficientSpec, weight: float = 0.0) -> IntegralVe
 
 
 def _convergent_value(integrand, spec, form: GrowthForm):
-    """Numerical value of a convergent improper integral from 0."""
+    """(value, evidence note) of a convergent improper integral from 0;
+    the value is nan when quad cannot resolve it."""
     borderline = abs(form.power + 1.0) <= 1e-9 and form.logs
     if borderline and spec.family == "power_log":
         # slow iterated-log decay: decade panels to t_cut, then the tail in
@@ -707,7 +692,7 @@ def _convergent_value(integrand, spec, form: GrowthForm):
         delta = -(form.logs[-1] + 1.0)  # ln_j exponent is -(1+delta)
         j = spec.log_depth
         s = log_tower(j) + t_cut
-        tail = spec.amplitude * iterated_log(j, s) ** (-delta) / delta
+        tail = spec.amplitude * float(_log_chain(s, j, np.log)[0]) ** (-delta) / delta
         return body + tail, f"; slow-log tail beyond {t_cut:.3g} added in closed form"
     try:
         val, err = _quad(integrand, 0.0, np.inf, limit=400)
@@ -715,10 +700,6 @@ def _convergent_value(integrand, spec, form: GrowthForm):
             return val, ""
     except Exception:
         pass
-    # fall back to decade summation with a geometric tail estimate
-    verdict = numeric_improper(integrand)
-    if verdict.value is not None:
-        return verdict.value, "; value from decade summation"
     return math.nan, "; value unresolved numerically"
 
 
@@ -728,59 +709,6 @@ def _quad(f, a, b, limit: int = 200) -> tuple[float, float]:
     with np.errstate(all="ignore"), warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         return integrate.quad(lambda t: float(f(t)), a, b, limit=limit)
-
-
-def numeric_improper(f: Callable) -> IntegralVerdict:
-    """Decade protocol on an arbitrary scalar integrand callable, from 0."""
-    tiny = 1e-300
-    total = _quad(f, 0.0, 1.0)[0]
-    incs: list[float] = []
-    a = 1.0
-    while a < _NUMERIC_T_MAX:
-        b = min(a * 10.0, _NUMERIC_T_MAX)
-        inc = _quad(f, a, b)[0]
-        if not math.isfinite(inc):
-            return IntegralVerdict(DIVERGES, None,
-                                   "numeric: integrand overflows on a finite panel")
-        incs.append(inc)
-        total += inc
-        if len(incs) >= 2:
-            prev = incs[-2]
-            if abs(inc) <= tiny and abs(prev) <= tiny:
-                return IntegralVerdict(CONVERGES, total,
-                                       "numeric: tail vanishes beyond the data")
-            rel = abs(inc) / max(abs(total), tiny)
-            if rel < _EPS_FLAT and inc <= prev:
-                r = inc / prev if prev > tiny else 0.0
-                tail = inc * r / (1.0 - r) if 0.0 <= r < 1.0 else 0.0
-                return IntegralVerdict(
-                    CONVERGES, total + tail,
-                    f"numeric: decade increments flattened (relative {rel:.2e})")
-        if len(incs) >= 4:
-            r3 = [incs[i] / incs[i - 1] for i in range(len(incs) - 3, len(incs))
-                  if incs[i - 1] > tiny]
-            if len(r3) == 3 and min(r3) >= 1.2:
-                return IntegralVerdict(DIVERGES, None,
-                                       "numeric: decade increments growing")
-        a = b
-    if len(incs) >= 4:
-        rs = [incs[i] / incs[i - 1] for i in range(len(incs) - 3, len(incs))
-              if incs[i - 1] > tiny]
-        if len(rs) == 3:
-            if min(rs) >= _RATIO_DIVERGE or rs[-1] > 1.0:
-                return IntegralVerdict(
-                    DIVERGES, None,
-                    f"numeric: partial sums still growing at t={_NUMERIC_T_MAX:.3g}"
-                    f" (decade ratio {rs[-1]:.4f})")
-            if max(rs) < _RATIO_CONVERGE and max(rs) - min(rs) < _RATIO_DRIFT:
-                r = rs[-1]
-                tail = incs[-1] * r / (1.0 - r)
-                return IntegralVerdict(
-                    CONVERGES, total + tail,
-                    f"numeric: stable geometric decade decay (ratio {r:.4f})")
-    return IntegralVerdict(
-        INDETERMINATE, None,
-        f"numeric: undecided at t={_NUMERIC_T_MAX:.3g}; partial sum {total:.6g}")
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,9 @@ from .pde_core import (
 )
 
 _DOMINATION_TOL = 1e-8  # check_domination's bound on (u - barrier)/(1 + sup)
+# _checkable_horizon gives up on a nonzero horizon once it bisects below
+# this fraction of T with nothing checkable yet
+_HORIZON_FLOOR = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -416,11 +419,12 @@ def _checkable(mins: tuple, mins_fine: tuple) -> bool:
 def _checkable_horizon(spec: SupersolutionSpec, scenario: Scenario,
                        T: float) -> float:
     """The largest horizon below T, to six significant digits, on which every
-    residual minimum is finite (bisection); 0.0 when there is none."""
+    residual minimum is finite (bisection); 0.0 when there is none, or none
+    above _HORIZON_FLOOR * T."""
     lo, hi = 0.0, T
     while True:
         mid = float(f"{0.5 * (lo + hi):.6g}")
-        if mid <= lo or mid >= hi:
+        if mid <= lo or mid >= hi or lo == 0.0 and hi <= _HORIZON_FLOOR * T:
             return lo
         (mins, _), mins_fine = _check_mins(spec, scenario, mid)
         if _checkable(mins, mins_fine):

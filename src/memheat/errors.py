@@ -15,7 +15,7 @@ class ConfigurationError(ValueError):
 
 
 class DomainError(ValueError):
-    """A function was evaluated outside its domain (e.g. iterated log below its threshold)."""
+    """A function was evaluated outside its domain (e.g. a coefficient at t < 0)."""
 
 
 class NotApplicableError(RuntimeError):

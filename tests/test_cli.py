@@ -308,6 +308,14 @@ def test_run_step_budget_aborts_with_exit_3(tmp_path, capsys):
     assert "OUTCOME: status Aborted" in capsys.readouterr().out
 
 
+# the reaction tail int_t^inf c converges, as t^-1.03 / ln t, too slowly
+# for quad to value it
+NAN_TAIL_DOC = base_doc(c={"family": "power_log", "amplitude": 1.0, "gamma": 1.03,
+                           "log_depth": 1, "log_power": 0.0},
+                        k={"family": "power", "amplitude": 1.0, "gamma": 3.0},
+                        initial={"family": "constant", "value": 0.05})
+
+
 # c = 0, p = 40: the rate power sup^39 passes the float range at sup = 8e7,
 # short of the 1e10 threshold
 P40_DOC = base_doc(domain={"nodes": 21}, exponents={"p": 40.0, "q": 2.0},
@@ -381,6 +389,18 @@ def test_verify_barrier_past_float_range_exits_2_naming_the_horizon(
     err = capsys.readouterr().err
     assert err.startswith(f"CONFIG ERROR: the {kind} barrier")
     assert f"after t = {t_cap};" in err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_verify_with_an_unresolved_reaction_tail_exits_2_naming_it(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, NAN_TAIL_DOC)
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "CONFIG ERROR: tail integral converges but its value is not finite "
+        "(closed form: tail ~ t^-1.03 with exponent < -1; value unresolved "
+        "numerically)"]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -815,6 +835,7 @@ def _fuzz_documents(draw):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(doc=_fuzz_documents())
 @example(doc=P40_DOC)
+@example(doc={**NAN_TAIL_DOC, "domain": {"length": 1.0, "nodes": 21}})
 def test_every_accepted_config_ends_in_a_named_outcome(tmp_path, capsys, doc):
     # a nonzero exit either prints one error line on stderr, or reports on
     # stdout an aborted run (3) or a failed verification (4)

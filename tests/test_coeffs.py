@@ -16,7 +16,6 @@ from memheat import coeffs
 from memheat.coeffs import (
     CONVERGES,
     DIVERGES,
-    INDETERMINATE,
     ZERO,
     CoefficientSpec,
     CumulativeIntegral,
@@ -27,11 +26,9 @@ from memheat.coeffs import (
     form_bounded,
     growth_form,
     integrate_improper,
-    iterated_log,
     log_lane,
     log_tower,
     memory_window_check,
-    numeric_improper,
     spec_from_json,
     spec_to_json,
     tail_verdict,
@@ -52,16 +49,10 @@ def test_log_tower_values():
 
 
 def test_iterated_log_values():
-    # ln_2(e^e) = ln(ln(e^e)) = ln(e) = 1
-    assert iterated_log(2, math.exp(E)) == pytest.approx(1.0)
-    assert iterated_log(1, E**3) == pytest.approx(3.0)
-
-
-def test_iterated_log_domain_guard():
-    with pytest.raises(DomainError):
-        iterated_log(2, E)  # needs t > T_1 = e
-    with pytest.raises(DomainError):
-        iterated_log(1, 1.0)
+    # ln_2(e^e) = ln(ln(e^e)) = ln(e) = 1, with l_2(e^e) = e * 1
+    assert coeffs._log_chain(math.exp(E), 2, np.log) == pytest.approx((1.0, E))
+    assert coeffs._log_chain(E**3, 1, np.log) == pytest.approx((3.0, 3.0))
+    assert coeffs._log_chain(5.0, 0, np.log) == (5.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -520,6 +511,17 @@ def test_tail_takes_one_verdict_and_raises_when_divergent():
             CumulativeIntegral(spec).tail(3.0)
 
 
+def test_tail_refuses_a_value_quad_cannot_resolve():
+    # a tail t^-1.03 / ln t converges too slowly for one quad call
+    spec = CoefficientSpec.power_log(1.0, 1.03, 1)
+    assert math.isnan(integrate_improper(spec).value)
+    C = CumulativeIntegral(spec)
+    with pytest.raises(NotApplicableError, match=(
+            r"^tail integral converges but its value is not finite \(closed form: "
+            r"tail ~ t\^-1\.03 with exponent < -1; value unresolved numerically\)$")):
+        C.tail(0.0)
+
+
 def test_log_int_exp_constant():
     C = CumulativeIntegral(CoefficientSpec.constant(2.0))
     # ln int_0^3 e^{2 s} ds = ln((e^6 - 1)/2)
@@ -775,13 +777,7 @@ def test_improper_zero_and_lower_limit():
 
 
 # ---------------------------------------------------------------------------
-# improper integrals: numeric lane
-
-def forced_numeric(spec, weight=0.0):
-    """The numeric protocol on the integrand integrate_improper builds."""
-    return numeric_improper(
-        lambda t: np.asarray(t, dtype=float) ** weight * eval_coeff(spec, t))
-
+# improper integrals: values by quad, the slow-log lane and the panel rule
 
 @pytest.mark.parametrize("gamma,weight,expected", [
     (0.5, "1", DIVERGES),
@@ -792,20 +788,30 @@ def forced_numeric(spec, weight=0.0):
     (2.5, "t", CONVERGES),
 ])
 def test_numeric_agrees_with_analytic_power(gamma, weight, expected):
+    # quad's value against int_0^inf t^a (1+t)^-gamma = B(a+1, gamma-a-1)
     spec = CoefficientSpec.power(1.0, gamma)
     a = {"1": 0.0, "t": 1.0}[weight]
-    analytic = integrate_improper(spec, weight=a)
-    numeric = forced_numeric(spec, weight=a)
-    assert analytic.status == expected
-    assert numeric.status == expected
+    v = integrate_improper(spec, weight=a)
+    assert v.status == expected
     if expected == CONVERGES:
-        assert numeric.value == pytest.approx(analytic.value, rel=1e-3)
+        assert v.value == pytest.approx(special.beta(a + 1.0, gamma - a - 1.0),
+                                        rel=1e-9)
 
 
-def test_numeric_exp_decay_value():
-    v = forced_numeric(CoefficientSpec.exp_decay(1.0, 1.0))
+def test_improper_slow_log_tail_is_added_in_closed_form():
+    # int_0^inf dt / ((e+t) ln^2(e+t)) = 1 / ln(e) = 1: harmonic, so quad
+    # alone cannot value it, and the tail past 1e8 is added in closed form
+    v = integrate_improper(CoefficientSpec.power_log(1.0, 1.0, 1, log_power=1.0))
     assert v.status == CONVERGES
-    assert v.value == pytest.approx(1.0, rel=1e-6)
+    assert v.value == pytest.approx(1.0, rel=1e-9)
+    assert v.evidence == ("closed form: harmonic tail, ln_1 exponent -2 < -1; "
+                          "slow-log tail beyond 1e+08 added in closed form")
+
+
+def test_numeric_divergent_borderline_detected():
+    v = integrate_improper(CoefficientSpec.power(1.0, 1.0))
+    assert v.status == DIVERGES
+    assert v.evidence == "closed form: harmonic tail with all iterated-log exponents = -1"
 
 
 def test_numeric_tabulated_compact_support():
@@ -818,20 +824,6 @@ def test_numeric_tabulated_compact_support():
 def test_numeric_tabulated_constant_tail_diverges():
     spec = CoefficientSpec.tabulated([[0.0, 1.0], [5.0, 2.0]])
     assert integrate_improper(spec).status == DIVERGES
-
-
-def test_numeric_honest_indeterminate_on_slow_logs():
-    # 1/((e+t) ln^2(e+t)) converges, but so slowly that the numeric protocol
-    # cannot certify it by t = 1e9; the analytic lane resolves it instead
-    spec = CoefficientSpec.power_log(1.0, 1.0, 1, log_power=1.0)
-    assert forced_numeric(spec).status == INDETERMINATE
-    assert integrate_improper(spec).status == CONVERGES
-
-
-def test_numeric_divergent_borderline_detected():
-    # constant-in-decades increments: ratios ~= 1 -> divergence verdict
-    spec = CoefficientSpec.power(1.0, 1.0)
-    assert forced_numeric(spec).status == DIVERGES
 
 
 # ---------------------------------------------------------------------------

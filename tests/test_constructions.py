@@ -550,6 +550,24 @@ def test_streamed_residuals_keep_the_first_nan():
         assert worst["interior"] == (x[len(x) // 4], times[times >= 0.3][0])
 
 
+@pytest.mark.filterwarnings("error")
+def test_barrier_with_nothing_checkable_names_horizon_0_in_few_checks(monkeypatch):
+    # every row NaN: the bisection for a checkable horizon stops at
+    # 1e-6 T instead of halving T down to the smallest float
+    scn = scenario(1.0, 1.0, ONE, ONE, n_nodes=21)
+    spec = SupersolutionSpec("Th00", {},
+                             lambda x, t: np.full(rows_shape(x, t), np.nan))
+    horizons = []
+    check = constructions._check_mins
+    monkeypatch.setattr(constructions, "_check_mins",
+                        lambda sp, sc, T: horizons.append(T) or check(sp, sc, T))
+    with pytest.raises(NotApplicableError, match=(
+            r"^the residuals of the Th00 barrier pass the float range on "
+            r"\[0, 1\]; 0 is the largest horizon on which they can be checked$")):
+        verify_supersolution(spec, scn, 1.0)
+    assert len(horizons) <= 25
+
+
 def test_residual_check_memory_is_bounded():
     # the certify benchmark's verify_th00: 2001 x 201, refined 4001 x 401
     scn = scenario(0.5, 0.5, ONE, ONE, t_max=5.0)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from memheat import coeffs, criteria
+from memheat import coeffs
 from memheat.coeffs import (
     CONVERGES,
     DIVERGES,
@@ -18,7 +18,6 @@ from memheat.coeffs import (
     eval_coeff,
     integrate_improper,
     memory_window_check,
-    numeric_improper,
 )
 from memheat.criteria import (
     REGIME_BLOWUP_ALL,
@@ -506,6 +505,37 @@ def _old_sup_stabilized(times, values):
                 and values.max() <= early * (1.0 + 1e-3) + 1e-12 * (1.0 + abs(early)))
 
 
+def _old_decade_status(f):
+    """The status the decade protocol gave int_0^inf f: quad over [0, 1]
+    and the decades [1, 10], ..., [1e8, 1e9], judged by how the decade
+    increments shrink.  How integrals off the closed forms were judged
+    before each was read off a growth form."""
+    tiny = 1e-300
+    total = coeffs._quad(f, 0.0, 1.0)[0]
+    incs = []
+    for e in range(9):
+        inc = coeffs._quad(f, 10.0 ** e, 10.0 ** (e + 1))[0]
+        if not math.isfinite(inc):
+            return DIVERGES
+        incs.append(inc)
+        total += inc
+        if len(incs) >= 2:
+            prev = incs[-2]
+            if abs(inc) <= tiny and abs(prev) <= tiny:
+                return CONVERGES
+            if abs(inc) / max(abs(total), tiny) < 1e-6 and inc <= prev:
+                return CONVERGES
+        rs = [b / a for a, b in zip(incs[-4:-1], incs[-3:]) if a > tiny]
+        if len(incs) >= 4 and len(rs) == 3 and min(rs) >= 1.2:
+            return DIVERGES
+    if len(rs) == 3:
+        if min(rs) >= 0.999 or rs[-1] > 1.0:
+            return DIVERGES
+        if max(rs) < 0.9 and max(rs) - min(rs) < 0.005:
+            return CONVERGES
+    return INDETERMINATE
+
+
 def _old_nonincreasing(values):
     v = np.asarray(values, dtype=float)
     return bool(np.isfinite(v).all()
@@ -557,26 +587,17 @@ def test_closed_form_tail_judgements_match_the_old_sampled_ones(k, c, q):
     envelope = _old_sup_stabilized(_OLD_TS, _OLD_TS ** 2 * eval_coeff(k, _OLD_TS))
     assert memory_moment_conditions(q, k).envelope.holds is envelope
     for weight in (0.0, 1.0, q):
-        old = numeric_improper(
+        old = _old_decade_status(
             lambda t: np.asarray(t, dtype=float) ** weight * eval_coeff(k, t))
-        if old.status != INDETERMINATE:
-            assert integrate_improper(k, weight=weight).status == old.status
-
-
-def _refuse_decade_numerics(monkeypatch):
-    """Make every module binding of numeric_improper raise."""
-    def refuse(*args, **kwargs):
-        raise AssertionError("decade numerics")
-
-    bound = [mod for mod in (coeffs, criteria)
-             if getattr(mod, "numeric_improper", None) is numeric_improper]
-    assert coeffs in bound
-    for mod in bound:
-        monkeypatch.setattr(mod, "numeric_improper", refuse)
+        if old != INDETERMINATE:
+            assert integrate_improper(k, weight=weight).status == old
 
 
 def test_tables_are_judged_without_sampling_or_decade_numerics(monkeypatch):
-    _refuse_decade_numerics(monkeypatch)
+    # a table is valued by the panel rule over its nodes: no quad at all
+    def refuse(*args, **kwargs):
+        raise AssertionError("quad")
+    monkeypatch.setattr(coeffs, "_quad", refuse)
     tables = [CoefficientSpec.tabulated([[0.0, 1.0], [5.0, 0.0]]),
               CoefficientSpec.tabulated([[0.0, 0.0], [1e4, 0.0], [1e5, 1.0]]),
               CoefficientSpec.tabulated([[0.0, 1.0], [2e9, 1.0], [3e9, 0.0]])]
@@ -591,10 +612,9 @@ def test_tables_are_judged_without_sampling_or_decade_numerics(monkeypatch):
 
 @pytest.mark.parametrize("gamma", [0.0, 0.5, 0.9])
 @pytest.mark.parametrize("depth", [1, 2])
-def test_off_lane_reaction_is_judged_without_decade_numerics(monkeypatch, gamma, depth):
+def test_off_lane_reaction_is_judged_without_decade_numerics(gamma, depth):
     # every condition on an off-lane c is read off growth forms: the
     # weighted integrals, the envelope and both windows
-    _refuse_decade_numerics(monkeypatch)
     ks = [CONST1, CoefficientSpec.power(1.0, 3.0), CoefficientSpec.exp_decay(1.0, 0.5),
           CoefficientSpec.power_log(1.0, 3.0, 1, log_power=1.0),
           CoefficientSpec.tabulated([[0.0, 1.0], [5.0, 0.0]])]
