@@ -7,24 +7,21 @@ large t (`CoefficientSpec.eventual`, a table's last value held constant).
 Every judgement on behaviour as t -> inf that the classifier and the
 oracle make lives here, and each is read off a growth form: improper
 integrals against a power weight, boundedness and eventual monotonicity.
-Samples only report the sup of a windowed flux, and the value of a
-convergent integral is a closed form, the panel rule or one quad call.
-Cumulative integrals C(t) = int_0^t c, their tails and the weights
-ln int_0^t e^{mC} are closed forms where the family allows and otherwise
-use one Gauss-Legendre rule on dyadic panels.
+Samples only report the sup of a windowed flux.  The value of a
+convergent improper integral, cumulative integrals C(t) = int_0^t c, their
+tails and the weights ln int_0^t e^{mC} are closed forms where the family
+allows and otherwise use one Gauss-Legendre rule on dyadic panels.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from .errors import ConfigurationError, DomainError, NotApplicableError
 
@@ -460,7 +457,7 @@ class CumulativeIntegral:
     def tail(self, t):
         """int_t^inf f = int_0^inf f - C(t), for a float or an array t >= 0.
         Raises NotApplicableError when divergent, or convergent to a value
-        that is not finite (one quad could not resolve)."""
+        that overflows."""
         total = self._total
         if not total.converges:
             raise NotApplicableError(
@@ -639,76 +636,68 @@ def integrate_improper(spec: CoefficientSpec, weight: float = 0.0) -> IntegralVe
 
     The verdict is the tail verdict of the growth form; a weight <= -1 is a
     DomainError, since t^weight is not integrable at 0.  A convergent
-    integral of a table is the panel rule over its nodes, since its eventual
-    constant is then 0; of exp_decay, A Gamma(a+1) / lam^(a+1); of any other
-    analytic family, quad.
+    integral of the canonical spec is valued in closed form or by the panel
+    rule: a table by the panel rule over its nodes, since its eventual
+    constant is then 0; exp_decay as A Gamma(a+1) / lam^(a+1); power as
+    A B(a+1, gamma-a-1); power_log by `_power_log_total`.  A value that
+    passes the float range is inf.
     """
     a = float(weight)
     if a <= -1.0:
         raise DomainError(f"weight must be > -1, not {a!r}: "
                           "t^weight is not integrable at 0")
-
-    def integrand(t):
-        return np.asarray(t, dtype=float) ** a * eval_coeff(spec, t)
-
-    total = growth_form(spec).times(GrowthForm(power=a))
-    status, reason = tail_verdict(total)
+    spec = spec.canonical
+    status, reason = tail_verdict(growth_form(spec).times(GrowthForm(power=a)))
     if status == DIVERGES:
         return IntegralVerdict(DIVERGES, None, f"closed form: {reason}")
     if spec.is_zero:
         return IntegralVerdict(CONVERGES, 0.0, "closed form: integrand identically zero")
     if spec.family == "tabulated":
         edges = np.array([0.0] + [t for t, _ in spec.table if t > 0.0])
-        body = float(np.sum(_panel_sums(integrand, edges[:-1], edges[1:])))
-        return IntegralVerdict(CONVERGES, body, f"closed form: {reason}")
-    if spec.family == "exp_decay":
-        # int_0^inf t^a A e^{-lam t} dt = A Gamma(a+1) / lam^(a+1)
-        ln_value = (math.log(spec.amplitude) + math.lgamma(a + 1.0)
-                    - (a + 1.0) * math.log(spec.lam))
-        try:
-            value = math.exp(ln_value)
-        except OverflowError:
-            value = math.inf
-        return IntegralVerdict(CONVERGES, value, f"closed form: {reason}")
-    value, note = _convergent_value(integrand, spec, total)
-    return IntegralVerdict(CONVERGES, value, f"closed form: {reason}{note}")
+        value = float(np.sum(_panel_sums(lambda t: t ** a * eval_coeff(spec, t),
+                                         edges[:-1], edges[1:])))
+    elif spec.family == "exp_decay":
+        value = _exp_or_inf(math.log(spec.amplitude) + math.lgamma(a + 1.0)
+                            - (a + 1.0) * math.log(spec.lam))
+    elif spec.family == "power":
+        value = _exp_or_inf(math.log(spec.amplitude) + math.lgamma(a + 1.0)
+                            + math.lgamma(spec.gamma - a - 1.0) - math.lgamma(spec.gamma))
+    else:
+        value = _power_log_total(spec, a)
+    return IntegralVerdict(CONVERGES, value, f"closed form: {reason}")
 
 
-def _convergent_value(integrand, spec, form: GrowthForm):
-    """(value, evidence note) of a convergent improper integral from 0;
-    the value is nan when quad cannot resolve it."""
-    borderline = abs(form.power + 1.0) <= 1e-9 and form.logs
-    if borderline and spec.family == "power_log":
-        # slow iterated-log decay: decade panels to t_cut, then the tail in
-        # closed form (the integrand is the derivative of -ln_j^{-delta}/delta
-        # up to a factor that is 1 + O(T_j/t_cut) at the cut)
-        t_cut = 1e8
-        body = 0.0
-        a = 0.0
-        while a < t_cut:
-            b = min(max(a * 10.0, 1.0), t_cut)
-            body += _quad(integrand, a, b)[0]
-            a = b
-        delta = -(form.logs[-1] + 1.0)  # ln_j exponent is -(1+delta)
-        j = spec.log_depth
-        s = log_tower(j) + t_cut
-        tail = spec.amplitude * float(_log_chain(s, j, np.log)[0]) ** (-delta) / delta
-        return body + tail, f"; slow-log tail beyond {t_cut:.3g} added in closed form"
+def _exp_or_inf(x: float) -> float:
     try:
-        val, err = _quad(integrand, 0.0, np.inf, limit=400)
-        if math.isfinite(val) and err <= 1e-6 * max(1.0, abs(val)):
-            return val, ""
-    except Exception:
-        pass
-    return math.nan, "; value unresolved numerically"
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
-def _quad(f, a, b, limit: int = 200) -> tuple[float, float]:
-    """(value, error estimate) of quad on the scalar integrand f over [a, b].
-    Its warnings are silenced: each caller judges the result itself."""
-    with np.errstate(all="ignore"), warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        return integrate.quad(lambda t: float(f(t)), a, b, limit=limit)
+def _power_log_total(spec: CoefficientSpec, a: float) -> float:
+    """int_0^inf t^a spec(t) dt for a convergent power_log of depth j >= 1.
+
+    In u = ln(T_j + t) = T_{j-1} + w it is A e^{-eps T_{j-1}} int_0^inf
+    (1 - e^{-w})^a e^{-eps w} / (u l_{j-1}(u) ln_{j-1}(u)^lam) dw with
+    eps = gamma - a - 1: the panel rule on [0, 2^-60] and dyadic panels up
+    to where eps w passes 800.  On the borderline |eps| <= _EXP_TOL the
+    panels stop at w = 2^7, where 1 - e^{-w} is 1 in floats, and the rest is
+    the antiderivative ln_{j-1}(u)^{-lam} / lam, exact but for e^{-eps w}.
+    """
+    j, lam = spec.log_depth, spec.log_power
+    eps = spec.gamma - a - 1.0
+    u0 = log_tower(j - 1)
+    borderline = abs(eps) <= _EXP_TOL
+    top = 7 if borderline else max(0, math.ceil(math.log2(800.0 / eps)))
+    edges = np.concatenate([[0.0], np.ldexp(1.0, np.arange(-60, top + 1))])
+
+    def integrand(w):
+        v, prod = _log_chain(u0 + w, j - 1, np.log)
+        return (-np.expm1(-w)) ** a * np.exp(-eps * w) / ((u0 + w) * prod * v ** lam)
+    body = math.exp(-eps * u0) * float(np.sum(_panel_sums(integrand, edges[:-1], edges[1:])))
+    if borderline:
+        body += float(_log_chain(u0 + edges[-1], j - 1, np.log)[0]) ** -lam / lam
+    return spec.amplitude * body
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 from scipy.optimize import brentq
 
 from .coeffs import (
@@ -324,6 +323,11 @@ class ResidualReport:
 _BLOCK_BYTES = 1 << 20
 
 
+def _cumulative_trapezoid(y: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """scipy's cumulative_trapezoid(y, t, initial=0.0), bit for bit."""
+    return np.concatenate([[0.0], np.cumsum(np.diff(t) * (y[1:] + y[:-1]) / 2.0)])
+
+
 # a stencil that overflows shows as a non-finite minimum
 @np.errstate(over="ignore", invalid="ignore")
 def _residual_mins(spec: SupersolutionSpec, scenario: Scenario,
@@ -365,8 +369,8 @@ def _residual_mins(spec: SupersolutionSpec, scenario: Scenario,
     left, right = edges[:, :3], edges[:, 3:]
     slope_nu_l = (3.0 * left[:, 0] - 4.0 * left[:, 1] + left[:, 2]) / (2.0 * h)
     slope_nu_r = (3.0 * right[:, 2] - 4.0 * right[:, 1] + right[:, 0]) / (2.0 * h)
-    mem_l = cumulative_trapezoid(left[:, 0] ** scenario.q, times, initial=0.0)
-    mem_r = cumulative_trapezoid(right[:, 2] ** scenario.q, times, initial=0.0)
+    mem_l = _cumulative_trapezoid(left[:, 0] ** scenario.q, times)
+    mem_r = _cumulative_trapezoid(right[:, 2] ** scenario.q, times)
     r_bnd = np.stack([slope_nu_l - kvals * mem_l, slope_nu_r - kvals * mem_r])
 
     u0_on_x = np.interp(x, scenario.grid(), scenario.initial_field())

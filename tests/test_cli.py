@@ -308,12 +308,23 @@ def test_run_step_budget_aborts_with_exit_3(tmp_path, capsys):
     assert "OUTCOME: status Aborted" in capsys.readouterr().out
 
 
-# the reaction tail int_t^inf c converges, as t^-1.03 / ln t, too slowly
-# for quad to value it
-NAN_TAIL_DOC = base_doc(c={"family": "power_log", "amplitude": 1.0, "gamma": 1.03,
-                           "log_depth": 1, "log_power": 0.0},
-                        k={"family": "power", "amplitude": 1.0, "gamma": 3.0},
-                        initial={"family": "constant", "value": 0.05})
+def _tail_doc(c):
+    return base_doc(c=c, k={"family": "power", "amplitude": 1.0, "gamma": 3.0},
+                    initial={"family": "constant", "value": 0.05})
+
+
+def _power_log(gamma, depth, log_power=0.0):
+    return {"family": "power_log", "amplitude": 1.0, "gamma": gamma,
+            "log_depth": depth, "log_power": log_power}
+
+
+# reaction tails int_t^inf c that converge slowly: as t^-1.03 / ln t, once
+# valued nan; as t^-(1+5e-10) / ln t, once a ZeroDivisionError
+SLOW_TAIL_DOC = _tail_doc(_power_log(1.03, 1))
+EPS_TAIL_DOC = _tail_doc(_power_log(1.0 + 5e-10, 1))
+# int_0^inf c = 1e300 / 2e-12 passes the float range
+OVERFLOW_TAIL_DOC = _tail_doc({"family": "exp_decay", "amplitude": 1e300,
+                               "lambda": 2e-12})
 
 
 # c = 0, p = 40: the rate power sup^39 passes the float range at sup = 8e7,
@@ -392,15 +403,37 @@ def test_verify_barrier_past_float_range_exits_2_naming_the_horizon(
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_verify_with_an_unresolved_reaction_tail_exits_2_naming_it(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, NAN_TAIL_DOC)
+def test_verify_with_an_overflowing_reaction_tail_exits_2_naming_it(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, OVERFLOW_TAIL_DOC)
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
         "CONFIG ERROR: tail integral converges but its value is not finite "
-        "(closed form: tail ~ t^-1.03 with exponent < -1; value unresolved "
-        "numerically)"]
+        "(closed form: exponential decay rate -2e-12)"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("doc, reaction", [
+    (SLOW_TAIL_DOC, "2.95912"),
+    # E_1(5e-10) = -gamma_E - ln(5e-10) + O(5e-10)
+    (EPS_TAIL_DOC, "20.8392"),
+    # quad once read -1.47956e-11
+    (_tail_doc(_power_log(1.4, 3, 2.0)), "0.000104521"),
+])
+def test_classify_values_slow_reaction_tails(tmp_path, capsys, doc, reaction):
+    cfg = write_cfg(tmp_path, doc)
+    assert main(["classify", "--config", cfg]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert (f"OUTCOME: total-forcing holds (reaction part {reaction} + memory "
+            "moment part 0.5)") in captured.out.splitlines()
+
+
+def test_verify_on_a_slow_reaction_tail_passes(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, SLOW_TAIL_DOC)
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert "VERDICT: PASS (Th2 barrier)" in capsys.readouterr().out
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -835,7 +868,8 @@ def _fuzz_documents(draw):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(doc=_fuzz_documents())
 @example(doc=P40_DOC)
-@example(doc={**NAN_TAIL_DOC, "domain": {"length": 1.0, "nodes": 21}})
+@example(doc={**SLOW_TAIL_DOC, "domain": {"length": 1.0, "nodes": 21}})
+@example(doc={**EPS_TAIL_DOC, "domain": {"length": 1.0, "nodes": 21}})
 def test_every_accepted_config_ends_in_a_named_outcome(tmp_path, capsys, doc):
     # a nonzero exit either prints one error line on stderr, or reports on
     # stdout an aborted run (3) or a failed verification (4)

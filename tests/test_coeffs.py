@@ -511,14 +511,14 @@ def test_tail_takes_one_verdict_and_raises_when_divergent():
             CumulativeIntegral(spec).tail(3.0)
 
 
-def test_tail_refuses_a_value_quad_cannot_resolve():
-    # a tail t^-1.03 / ln t converges too slowly for one quad call
-    spec = CoefficientSpec.power_log(1.0, 1.03, 1)
-    assert math.isnan(integrate_improper(spec).value)
+def test_tail_refuses_a_value_that_overflows():
+    # A / lam = 1e300 / 2e-12 passes the float range
+    spec = CoefficientSpec.exp_decay(1e300, 2e-12)
+    assert integrate_improper(spec).value == math.inf
     C = CumulativeIntegral(spec)
     with pytest.raises(NotApplicableError, match=(
             r"^tail integral converges but its value is not finite \(closed form: "
-            r"tail ~ t\^-1\.03 with exponent < -1; value unresolved numerically\)$")):
+            r"exponential decay rate -2e-12\)$")):
         C.tail(0.0)
 
 
@@ -764,7 +764,7 @@ def test_improper_weight_not_integrable_at_zero_is_a_domain_error():
 def test_improper_exp_decay_from_zero_is_closed_form(amp, lam, weight):
     # A Gamma(a+1) / lam^(a+1), without quad
     want = amp * math.gamma(weight + 1.0) / lam ** (weight + 1.0)
-    with mock.patch.object(coeffs, "_quad", side_effect=AssertionError("quad")):
+    with mock.patch.object(integrate, "quad", side_effect=AssertionError("quad")):
         v = integrate_improper(CoefficientSpec.exp_decay(amp, lam), weight=weight)
     assert v.status == CONVERGES
     assert v.value == pytest.approx(want, rel=1e-12)
@@ -777,7 +777,7 @@ def test_improper_zero_and_lower_limit():
 
 
 # ---------------------------------------------------------------------------
-# improper integrals: values by quad, the slow-log lane and the panel rule
+# improper integrals: values in closed form and by the panel rule
 
 @pytest.mark.parametrize("gamma,weight,expected", [
     (0.5, "1", DIVERGES),
@@ -788,24 +788,123 @@ def test_improper_zero_and_lower_limit():
     (2.5, "t", CONVERGES),
 ])
 def test_numeric_agrees_with_analytic_power(gamma, weight, expected):
-    # quad's value against int_0^inf t^a (1+t)^-gamma = B(a+1, gamma-a-1)
+    # int_0^inf t^a (1+t)^-gamma = B(a+1, gamma-a-1)
     spec = CoefficientSpec.power(1.0, gamma)
     a = {"1": 0.0, "t": 1.0}[weight]
     v = integrate_improper(spec, weight=a)
     assert v.status == expected
     if expected == CONVERGES:
         assert v.value == pytest.approx(special.beta(a + 1.0, gamma - a - 1.0),
-                                        rel=1e-9)
+                                        rel=1e-13)
+
+
+@pytest.mark.parametrize("amp", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("weight", [0.0, 1.0, 1.5, 3.0, 20.0])
+@pytest.mark.parametrize("eps", [1e-11, 1e-3, 0.05, 0.4, 3.0])
+def test_power_value_is_the_beta_closed_form(amp, weight, eps):
+    # power_log at depth 0 is the same function, valued the same way
+    gamma = weight + 1.0 + eps
+    want = amp * special.beta(weight + 1.0, gamma - weight - 1.0)
+    for spec in (CoefficientSpec.power(amp, gamma), CoefficientSpec.power_log(amp, gamma, 0)):
+        assert integrate_improper(spec, weight=weight).value == pytest.approx(
+            want, rel=1e-13, abs=0.0)
+
+
+def _mp_power_log_total(spec, a):
+    """int_0^inf t^a c(t) dt for a convergent power_log c, to 20 digits.
+
+    At depth 1 with an integer weight the substitution u = ln(e + t) gives
+    A sum_k binom(a, k) (-e)^k E_{1+lam}(eps + k), eps = gamma - a - 1, in
+    the generalized exponential integrals E_n(x) = int_1^inf e^{-xu} u^-n du.
+    Otherwise mpmath.quad takes the same substitution, which is exact: in
+    w = ln(T_j + t) - T_{j-1} on the dyadic w-panels, and on the borderline
+    eps = 0 past w = 2^8 by the antiderivative ln_{j-1}^{-lam} / lam.
+    """
+    with mpmath.workdps(20):
+        A, lam = mpmath.mpf(spec.amplitude), mpmath.mpf(spec.log_power)
+        eps = mpmath.mpf(spec.gamma) - a - 1
+        j = spec.log_depth
+        if j == 1 and a == int(a):
+            return float(A * mpmath.fsum(mpmath.binomial(a, k) * (-mpmath.e) ** k
+                                         * mpmath.expint(1 + lam, eps + k)
+                                         for k in range(int(a) + 1)))
+        u0 = mpmath.mpf(1)
+        for _ in range(j - 1):
+            u0 = mpmath.exp(u0)
+
+        def chain(u):
+            v, prod = u, 1
+            for _ in range(j - 1):
+                v = mpmath.log(v)
+                prod *= v
+            return v, prod
+
+        def f(w):
+            v, prod = chain(u0 + w)
+            return (-mpmath.expm1(-w)) ** a * mpmath.exp(-eps * w) / (
+                (u0 + w) * prod * v ** lam)
+        top = 8 if eps == 0 else max(1, int(mpmath.ceil(mpmath.log(80 / eps, 2))))
+        edges = [0] + [mpmath.ldexp(1, k) for k in range(-8, top + 1)]
+        total = mpmath.quad(f, edges + ([] if eps == 0 else [mpmath.inf]))
+        if eps == 0:
+            total += chain(u0 + edges[-1])[0] ** -lam / lam
+        return float(A * mpmath.exp(-eps * u0) * total)
+
+
+@pytest.mark.parametrize("depth,lam", [(1, 0.0), (2, 1.0), (3, 2.5)])
+@pytest.mark.parametrize("weight", [0.0, 1.0, 1.5, 3.0])
+@pytest.mark.parametrize("eps", [1e-3, 0.05, 0.4, 3.0])
+def test_power_log_value_matches_mpmath(depth, lam, weight, eps):
+    spec = CoefficientSpec.power_log(1.7, weight + 1.0 + eps, depth, log_power=lam)
+    v = integrate_improper(spec, weight=weight)
+    assert v.status == CONVERGES
+    assert v.value == pytest.approx(_mp_power_log_total(spec, weight), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("spec,weight,exact", [
+    # the harmonic borderline: int_0^inf A/((T_j+t) l_j ln_j^lam) = A/lam
+    (CoefficientSpec.power_log(2.0, 1.0, 3, log_power=0.5), 0.0, 4.0),
+    (CoefficientSpec.power_log(1.5, 2.0, 2, log_power=1.0), 1.0, None),
+])
+def test_power_log_borderline_value_matches_mpmath(spec, weight, exact):
+    v = integrate_improper(spec, weight=weight)
+    assert v.evidence.startswith("closed form: harmonic tail")
+    want = _mp_power_log_total(spec, weight)
+    assert v.value == pytest.approx(want, rel=1e-12, abs=0.0)
+    if exact is not None:
+        assert want == pytest.approx(exact, rel=1e-15)
+
+
+def test_power_log_slow_tail_is_the_exponential_integral():
+    # int_0^inf dt/((e+t)^(1+eps) ln(e+t)) = E_1(eps), ~ -gamma_E - ln eps
+    spec = CoefficientSpec.power_log(1.0, 1.0 + 5e-10, 1)
+    want = float(mpmath.e1(mpmath.mpf(spec.gamma) - 1))
+    assert integrate_improper(spec).value == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_improper_values_call_no_quad():
+    # every family, at the weights the criteria and the oracle ask for
+    q = 2.5
+    specs = [CoefficientSpec.constant(0.0), CoefficientSpec.power(1.0, 4.0),
+             CoefficientSpec.exp_decay(2.0, 0.5),
+             CoefficientSpec.power_log(1.0, 4.0, 2, log_power=1.0),
+             CoefficientSpec.power_log(1.0, 2.0, 1, log_power=1.0),
+             CoefficientSpec.tabulated([[0.0, 1.0], [5.0, 0.0]])]
+    with mock.patch.object(integrate, "quad", side_effect=AssertionError("quad")):
+        verdicts = [integrate_improper(spec, weight=a)
+                    for spec in specs for a in (0.0, 1.0, q)]
+    assert {spec.family for spec in specs} == set(coeffs.FAMILIES)
+    for v in verdicts:
+        assert v.diverges or math.isfinite(v.value) and v.value >= 0.0
 
 
 def test_improper_slow_log_tail_is_added_in_closed_form():
-    # int_0^inf dt / ((e+t) ln^2(e+t)) = 1 / ln(e) = 1: harmonic, so quad
-    # alone cannot value it, and the tail past 1e8 is added in closed form
+    # int_0^inf dt / ((e+t) ln^2(e+t)) = 1 / ln(e) = 1: harmonic, so the
+    # panels stop at a fixed cut and the tail is its antiderivative
     v = integrate_improper(CoefficientSpec.power_log(1.0, 1.0, 1, log_power=1.0))
     assert v.status == CONVERGES
-    assert v.value == pytest.approx(1.0, rel=1e-9)
-    assert v.evidence == ("closed form: harmonic tail, ln_1 exponent -2 < -1; "
-                          "slow-log tail beyond 1e+08 added in closed form")
+    assert v.value == pytest.approx(1.0, rel=1e-14)
+    assert v.evidence == "closed form: harmonic tail, ln_1 exponent -2 < -1"
 
 
 def test_numeric_divergent_borderline_detected():

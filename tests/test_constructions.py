@@ -521,6 +521,19 @@ def test_streamed_residuals_match_whole_array_bit_for_bit(monkeypatch, kind,
     assert worst == ref_worst
 
 
+def test_cumulative_trapezoid_is_scipys_bit_for_bit():
+    rng = np.random.default_rng(23)
+    for _ in range(1000):
+        n = int(rng.integers(1, 300))
+        times = np.cumsum(rng.exponential(size=n)) * 10.0 ** rng.uniform(-6.0, 6.0)
+        y = rng.exponential(size=n) ** rng.uniform(0.5, 4.0) * 10.0 ** rng.uniform(-300.0, 300.0)
+        if rng.random() < 0.1:
+            y[rng.integers(n)] = rng.choice([np.inf, np.nan])
+        got = constructions._cumulative_trapezoid(y, times)
+        want = cumulative_trapezoid(y, times, initial=0.0)
+        assert [_bits(v) for v in got] == [_bits(v) for v in want]
+
+
 @pytest.mark.parametrize("grid", [0, 1], ids=["coarse", "refined"])
 @pytest.mark.parametrize("kind", ["th00", "th2", "th4", "th2_power_log",
                                   "th2_table", "th4_power_log", "th4_table"])

@@ -1,6 +1,7 @@
 """Regime classifier: rule ladder, weighted reductions, and flag conditions."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from memheat import coeffs
 from memheat.coeffs import (
     CONVERGES,
     DIVERGES,
@@ -505,16 +505,24 @@ def _old_sup_stabilized(times, values):
                 and values.max() <= early * (1.0 + 1e-3) + 1e-12 * (1.0 + abs(early)))
 
 
+def _quad(f, a, b):
+    """quad's value of f over [a, b], its warnings silenced, as the decade
+    protocol took it."""
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        return integrate.quad(lambda t: float(f(t)), a, b, limit=200)[0]
+
+
 def _old_decade_status(f):
     """The status the decade protocol gave int_0^inf f: quad over [0, 1]
     and the decades [1, 10], ..., [1e8, 1e9], judged by how the decade
     increments shrink.  How integrals off the closed forms were judged
     before each was read off a growth form."""
     tiny = 1e-300
-    total = coeffs._quad(f, 0.0, 1.0)[0]
+    total = _quad(f, 0.0, 1.0)
     incs = []
     for e in range(9):
-        inc = coeffs._quad(f, 10.0 ** e, 10.0 ** (e + 1))[0]
+        inc = _quad(f, 10.0 ** e, 10.0 ** (e + 1))
         if not math.isfinite(inc):
             return DIVERGES
         incs.append(inc)
@@ -597,7 +605,7 @@ def test_tables_are_judged_without_sampling_or_decade_numerics(monkeypatch):
     # a table is valued by the panel rule over its nodes: no quad at all
     def refuse(*args, **kwargs):
         raise AssertionError("quad")
-    monkeypatch.setattr(coeffs, "_quad", refuse)
+    monkeypatch.setattr(integrate, "quad", refuse)
     tables = [CoefficientSpec.tabulated([[0.0, 1.0], [5.0, 0.0]]),
               CoefficientSpec.tabulated([[0.0, 0.0], [1e4, 0.0], [1e5, 1.0]]),
               CoefficientSpec.tabulated([[0.0, 1.0], [2e9, 1.0], [3e9, 0.0]])]

@@ -86,3 +86,22 @@ def test_dead_name_scan_sees_functions_classes_and_constants():
     # assignment to the same name; an attribute of that name is a use
     assert _dead_names(sources) == ["a.Shadow", "a.UNUSED", "a.recursive",
                                     "b.Shadow", "b.x"]
+
+
+def _imported_modules(source: str) -> set[str]:
+    """Dotted names of the modules and module members a source imports."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names |= {node.module} | {f"{node.module}.{a.name}" for a in node.names}
+    return names
+
+
+def test_only_the_ode_oracle_imports_scipy_integrate():
+    importers = sorted(
+        path.stem for path in Path(memheat.__file__).parent.glob("*.py")
+        if any(name.startswith("scipy.integrate")
+               for name in _imported_modules(path.read_text())))
+    assert importers == ["ode_oracle"]
