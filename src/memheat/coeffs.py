@@ -359,6 +359,14 @@ def _panel_sums(f: Callable, a, b):
     return width * np.sum(vals * w, axis=-1)
 
 
+def harmonic_lane(spec: CoefficientSpec) -> bool:
+    """Whether spec = A/(1+t): a power with gamma 1 up to _EXP_TOL.
+
+    On this lane C(t) = A ln(1+t) and log_int_exp has a closed form.
+    """
+    return spec.family == "power" and abs(spec.gamma - 1.0) <= _EXP_TOL
+
+
 def log_lane(spec: CoefficientSpec) -> Optional[tuple[float, int]]:
     """(A, j) when spec = A/((T_j+t) l_j(T_j+t)) with j >= 1, else None.
 
@@ -417,9 +425,9 @@ class CumulativeIntegral:
             return self._tabulated_cumulative(np.asarray(t))
         if sp.family == "constant":
             return sp.amplitude * t
+        if harmonic_lane(sp):
+            return sp.amplitude * np.log1p(t)
         if sp.family == "power":
-            if abs(sp.gamma - 1.0) <= _EXP_TOL:
-                return sp.amplitude * np.log1p(t)
             # (1+t)^(1-gamma) - 1 as expm1, without cancellation at small t
             e = 1.0 - sp.gamma
             return sp.amplitude * np.expm1(e * np.log1p(t)) / e
@@ -485,7 +493,7 @@ class CumulativeIntegral:
                 # int_0^t e^{r tau} = e^{rt} (1 - e^{-rt})/r, r = mult A
                 r = mult * sp.amplitude
                 out = r * arr + np.log(-np.expm1(-r * arr)) - math.log(r)
-            elif sp.family == "power" and abs(sp.gamma - 1.0) <= _EXP_TOL:
+            elif harmonic_lane(sp):
                 # int_0^t (1+tau)^e = e^x (1 - e^{-x})/(e+1), e = mult A and
                 # x = (e+1) ln(1+t)
                 e1 = mult * sp.amplitude + 1.0
@@ -549,12 +557,20 @@ class GrowthForm:
             for i in range(n)
         )
         return GrowthForm(
-            exp_rate=self.exp_rate + other.exp_rate,
-            stretch_rate=self.stretch_rate + other.stretch_rate,
+            exp_rate=_rate_sum(self.exp_rate, other.exp_rate),
+            stretch_rate=_rate_sum(self.stretch_rate, other.stretch_rate),
             stretch_pow=sp,
             power=self.power + other.power,
             logs=logs,
         )
+
+
+def _rate_sum(a: float, b: float) -> float:
+    """a + b, or 0 where the sum is within _EXP_TOL of the larger term,
+    relative to it: the rounding noise of a balance such as x A - lam.  An
+    infinite term stays infinite."""
+    s = a + b
+    return 0.0 if abs(s) < _EXP_TOL * max(abs(a), abs(b)) else s
 
 
 def growth_form(spec: CoefficientSpec) -> GrowthForm:
@@ -574,16 +590,20 @@ def growth_form(spec: CoefficientSpec) -> GrowthForm:
 
 
 def tail_verdict(form: GrowthForm) -> tuple[str, str]:
-    """(status, reason) for int^inf of a function with the given growth form."""
+    """(status, reason) for int^inf of a function with the given growth form.
+
+    Rates are judged by their sign, powers and log exponents against their
+    borderline -1 up to _EXP_TOL.
+    """
     if form.zero:
         return CONVERGES, "integrand vanishes for large t"
-    if form.exp_rate > _EXP_TOL:
+    if form.exp_rate > 0.0:
         return DIVERGES, f"exponential growth rate {form.exp_rate:.6g}"
-    if form.exp_rate < -_EXP_TOL:
+    if form.exp_rate < 0.0:
         return CONVERGES, f"exponential decay rate {form.exp_rate:.6g}"
-    if form.stretch_rate > _EXP_TOL:
+    if form.stretch_rate > 0.0:
         return DIVERGES, f"stretched-exponential growth ~ exp({form.stretch_rate:.4g} t^{form.stretch_pow:.4g})"
-    if form.stretch_rate < -_EXP_TOL:
+    if form.stretch_rate < 0.0:
         return CONVERGES, f"stretched-exponential decay ~ exp({form.stretch_rate:.4g} t^{form.stretch_pow:.4g})"
     if form.power > -1.0 + _EXP_TOL:
         return DIVERGES, f"tail ~ t^{form.power:.6g} with exponent > -1"
@@ -603,11 +623,15 @@ def form_bounded(form: GrowthForm) -> bool:
 
     The factors are compared in order of dominance (exponential, stretched
     exponential, power, then each iterated log); the first nonzero exponent
-    decides, and a form with none is a constant.
+    decides, and a form with none is a constant.  A rate is nonzero by its
+    sign, a power or log exponent beyond _EXP_TOL.
     """
     if form.zero:
         return True
-    for e in (form.exp_rate, form.stretch_rate, form.power) + form.logs:
+    for e in (form.exp_rate, form.stretch_rate):
+        if e != 0.0:
+            return e < 0.0
+    for e in (form.power,) + form.logs:
         if abs(e) > _EXP_TOL:
             return e < 0.0
     return True
@@ -756,7 +780,9 @@ def memory_window_check(k: CoefficientSpec, flux: Optional[Flux] = None) -> Wind
     times = np.geomspace(_WINDOW_START, _WINDOW_T_PROBE, _WINDOW_PROBES)
     s2, w, scale = _window_rule(_WINDOW_T0, _WINDOW_NODES)
     fvals = np.asarray(flux((times[:, None] - s2).ravel()), dtype=float)
-    vals = scale * np.sum(w * fvals.reshape(_WINDOW_PROBES, _WINDOW_NODES), axis=1)
+    # a window of flux values near the float range sums to inf, and fails
+    with np.errstate(over="ignore"):
+        vals = scale * np.sum(w * fvals.reshape(_WINDOW_PROBES, _WINDOW_NODES), axis=1)
     k_sup = float(vals.max())
     holds = form_bounded(flux.form) and math.isfinite(k_sup)
     return WindowBound(k_sup=k_sup, holds=holds, probe_times=times, values=vals)

@@ -269,11 +269,11 @@ def build_th4_supersolution(scenario: Scenario, t_max: float) -> SupersolutionSp
         raise NotApplicableError(
             "the exponential-factor barrier needs p = 1 and q > 1")
     q, c, k = scenario.q, scenario.c, scenario.k
-    conds = effective_flux_conditions(q, c, k)
-    if not conds.flux_integral.converges:
+    flux_integral, window, reaction_tail = effective_flux_conditions(q, c, k)
+    if not flux_integral.holds:
         raise NotApplicableError(
-            f"effective flux integral must converge ({conds.flux_integral.status})")
-    if not conds.window.holds:
+            f"effective flux integral must converge ({flux_integral.verdict.status})")
+    if not window.holds:
         raise NotApplicableError("effective-flux window bound fails")
     cum = CumulativeIntegral(c)
     # alpha h <= H^{-1/(q-1)} <= 1, so the barrier is finite while e^C is
@@ -292,7 +292,7 @@ def build_th4_supersolution(scenario: Scenario, t_max: float) -> SupersolutionSp
         return alpha * np.exp(cum(t)) * aux.at(x, t)
 
     params = {"alpha": alpha, "H": H,
-              "bounded": conds.reaction_tail.converges}
+              "bounded": reaction_tail.holds}
     return SupersolutionSpec("Th4", params, evaluate, aux=aux)
 
 

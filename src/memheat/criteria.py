@@ -2,7 +2,9 @@
 
 Given the exponent pair (p, q) and the coefficient specs c, k, the classifier
 walks a fixed rule ladder and reports the first certified regime together with
-every condition it actually evaluated.  For linear reaction (p = 1) the
+every condition it actually evaluated, as a ledger of `ConditionReport`s.
+Each condition group returns its reports in ledger order, so a rule reads
+its certificate off their `holds`.  For linear reaction (p = 1) the
 conditions use exponential weights t^a e^{-mC} (int_0^t e^{rC})^n built from
 C(t) = int_0^t c, each described once by its exponents (`_Weight`), whose
 growth form `_weight_growth` reads off `CoefficientSpec.eventual` for every
@@ -15,12 +17,14 @@ the size of a window's sup.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .coeffs import (
+    _EXP_TOL,
     CONVERGES,
     DIVERGES,
     EVENTUALLY_NONINCREASING,
@@ -34,6 +38,7 @@ from .coeffs import (
     eval_coeff,
     form_bounded,
     growth_form,
+    harmonic_lane,
     integrate_improper,
     log_lane,
     memory_window_check,
@@ -51,22 +56,6 @@ HOLDS = "holds"
 FAILS = "fails"
 UNDECIDED = "undecided"
 
-_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class FlagReport:
-    """A yes/no/unknown side condition with its evidence line."""
-
-    holds: Optional[bool]
-    evidence: str
-
-    @property
-    def outcome(self) -> str:
-        if self.holds is None:
-            return UNDECIDED
-        return HOLDS if self.holds else FAILS
-
 
 @dataclass(frozen=True)
 class ConditionReport:
@@ -74,6 +63,10 @@ class ConditionReport:
     outcome: str            # holds / fails / undecided
     evidence: str
     verdict: Optional[IntegralVerdict] = None
+
+    @property
+    def holds(self) -> bool:
+        return self.outcome == HOLDS
 
 
 @dataclass(frozen=True)
@@ -84,32 +77,16 @@ class RegimeVerdict:
     notes: str = ""
 
 
-@dataclass(frozen=True)
-class MemoryMomentConditions:
-    """Moment divergence of t*k_lower plus its two envelope alternatives."""
-
-    moment: IntegralVerdict
-    envelope: FlagReport       # k_lower(t) <= const / t^2 for large t
-    monotone: FlagReport       # t^{1-q} k_lower(t) nonincreasing for large t
-
-
-@dataclass(frozen=True)
-class WeightedMemoryConditions:
-    """Exponentially weighted analogues used when the reaction is linear."""
-
-    blowup_integral: IntegralVerdict
-    envelope: FlagReport
-    monotone: FlagReport
+def _verdict_report(cid: str, v: IntegralVerdict, want: str) -> ConditionReport:
+    if v.status == INDETERMINATE:
+        outcome = UNDECIDED
+    else:
+        outcome = HOLDS if v.status == want else FAILS
+    return ConditionReport(cid, outcome, v.evidence, v)
 
 
-@dataclass(frozen=True)
-class EffectiveFluxConditions:
-    """Small-data conditions for linear reaction: effective-flux integrability,
-    its square-root-window bound, and the reaction-tail upgrade."""
-
-    flux_integral: IntegralVerdict
-    window: WindowBound
-    reaction_tail: IntegralVerdict
+def _flag_report(cid: str, ok: bool, evidence: str) -> ConditionReport:
+    return ConditionReport(cid, HOLDS if ok else FAILS, evidence)
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +114,13 @@ class _Weight:
         return cls(0.0, 1.0, q, 1.0)
 
 
+def _rate(x: float, amplitude: float) -> float:
+    """x * amplitude for amplitude > 0, kept at the smallest float of x's
+    sign where the product underflows: a rate is judged by its sign."""
+    r = x * amplitude
+    return r if r != 0.0 or x == 0.0 else math.copysign(math.ulp(0.0), x)
+
+
 def _weight_growth(c: CoefficientSpec, w: _Weight) -> GrowthForm:
     """Tail growth form of the weight w, per lane of c.eventual.
 
@@ -152,13 +136,13 @@ def _weight_growth(c: CoefficientSpec, w: _Weight) -> GrowthForm:
     c = c.eventual
     x = w.n * w.r - w.m
     if c.family == "constant" and c.amplitude > 0.0:
-        return GrowthForm(exp_rate=x * c.amplitude, power=w.a)
-    if c.family == "power" and abs(c.gamma - 1.0) <= _TOL:
+        return GrowthForm(exp_rate=_rate(x, c.amplitude), power=w.a)
+    if harmonic_lane(c):
         return GrowthForm(power=w.a + w.n + x * c.amplitude)
-    if (c.family in ("power", "power_log") and c.gamma < 1.0 - _TOL
+    if (c.family in ("power", "power_log") and c.gamma < 1.0 - _EXP_TOL
             and c.amplitude > 0.0):
         g = c.gamma
-        return GrowthForm(stretch_rate=x * c.amplitude / (1.0 - g),
+        return GrowthForm(stretch_rate=_rate(x, c.amplitude) / (1.0 - g),
                           stretch_pow=1.0 - g, power=w.a + w.n * g)
     lane = log_lane(c)
     if lane is not None:
@@ -170,30 +154,34 @@ def _weight_growth(c: CoefficientSpec, w: _Weight) -> GrowthForm:
 # ---------------------------------------------------------------------------
 # "for large values of t" conditions
 
-def _envelope_bounded(kl: CoefficientSpec) -> FlagReport:
-    """Whether t^2 * kl(t) is bounded for large t (i.e. kl <= const/t^2)."""
+def _envelope(cid: str, kl: CoefficientSpec, prefix: str = "") -> ConditionReport:
+    """Whether t^2 * kl(t) is bounded for large t (i.e. kl <= const/t^2);
+    prefix leads the evidence."""
     ok = form_bounded(growth_form(kl).times(GrowthForm(power=2.0)))
-    return FlagReport(ok, f"growth form of t^2*k: "
-                          f"{'bounded' if ok else 'unbounded'} tail")
+    return _flag_report(cid, ok, f"{prefix}growth form of t^2*k: "
+                                 f"{'bounded' if ok else 'unbounded'} tail")
 
 
-def _monotone(weight: str) -> FlagReport:
+def _monotone(cid: str, weight: str) -> ConditionReport:
     """weight * k is nonincreasing for large t when weight is."""
-    return FlagReport(EVENTUALLY_NONINCREASING,
-                      f"closed form: {weight} falls for q > 1 and k is "
-                      "nonincreasing for large t")
+    return _flag_report(cid, EVENTUALLY_NONINCREASING,
+                        f"closed form: {weight} falls for q > 1 and k is "
+                        "nonincreasing for large t")
 
 
 # ---------------------------------------------------------------------------
-# condition groups
+# condition groups: each returns its reports in ledger order
 
-def memory_moment_conditions(q: float, k_lower: CoefficientSpec) -> MemoryMomentConditions:
-    """Divergence of int t*k_lower plus the envelope/monotonicity alternatives."""
+def memory_moment_conditions(q: float, k_lower: CoefficientSpec
+                             ) -> tuple[ConditionReport, ConditionReport, ConditionReport]:
+    """Divergence of int t*k_lower, then its two alternatives: k_lower <=
+    const/t^2, or t^{1-q} k_lower nonincreasing, for large t."""
     if q <= 1.0:
         raise ConfigurationError("memory blow-up conditions require q > 1")
-    moment = integrate_improper(k_lower, weight=1.0)
-    envelope = _envelope_bounded(k_lower)
-    return MemoryMomentConditions(moment, envelope, _monotone("t^(1-q)"))
+    return (_verdict_report("memory-moment", integrate_improper(k_lower, weight=1.0),
+                            want=DIVERGES),
+            _envelope("memory-envelope", k_lower),
+            _monotone("memory-moment-monotone", "t^(1-q)"))
 
 
 def _weighted_integral(c: CoefficientSpec, c_tail: Optional[IntegralVerdict],
@@ -220,8 +208,8 @@ def _weighted_integral(c: CoefficientSpec, c_tail: Optional[IntegralVerdict],
     return IntegralVerdict(status, None, f"weighted growth-form reduction: {reason}")
 
 
-def weighted_memory_conditions(q: float, c: CoefficientSpec,
-                               k_lower: CoefficientSpec) -> WeightedMemoryConditions:
+def weighted_memory_conditions(q: float, c: CoefficientSpec, k_lower: CoefficientSpec
+                               ) -> tuple[ConditionReport, ConditionReport, ConditionReport]:
     """Exponentially weighted blow-up conditions for linear reaction (p = 1).
 
     The blow-up weight t^{1-q} e^{-C(t)} (int_0^t e^C)^q multiplies k_lower
@@ -235,16 +223,17 @@ def weighted_memory_conditions(q: float, c: CoefficientSpec,
     blow = _weighted_integral(c, c_tail, k_lower, _Weight.blowup(q))
 
     if k_lower.is_zero:
-        env = FlagReport(True, "weight times zero")
+        env = _flag_report("weighted-envelope", True, "weight times zero")
     elif c.is_zero or c_tail.converges:
-        envelope = _envelope_bounded(k_lower)
-        env = FlagReport(envelope.holds,
-                         f"bounded exponential weights; reduces to t^2*k: {envelope.evidence}")
+        env = _envelope("weighted-envelope", k_lower,
+                        "bounded exponential weights; reduces to t^2*k: ")
     else:
         ok = form_bounded(_weight_growth(c, _Weight.bound(q)).times(growth_form(k_lower)))
-        env = FlagReport(ok, "weighted growth-form reduction: companion weight "
-                             f"{'bounded' if ok else 'unbounded'}")
-    return WeightedMemoryConditions(blow, env, _monotone("t^(1-q) e^(-2C)"))
+        env = _flag_report("weighted-envelope", ok,
+                           "weighted growth-form reduction: companion weight "
+                           f"{'bounded' if ok else 'unbounded'}")
+    return (_verdict_report("weighted-memory", blow, want=DIVERGES), env,
+            _monotone("weighted-monotone", "t^(1-q) e^(-2C)"))
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +254,7 @@ def effective_flux(c: CoefficientSpec, k: CoefficientSpec, q: float) -> Flux:
         return Flux(lambda ts: np.asarray(ts, dtype=float) * eval_coeff(k, ts), form)
     cum = CumulativeIntegral(c)
     cc = cum.spec
-    if cc.family == "constant" or (cc.family == "power"
-                                   and abs(cc.gamma - 1.0) <= _TOL):
+    if cc.family == "constant" or harmonic_lane(cc):
         def kappa_lane(ts):
             ts = np.asarray(ts, dtype=float)
             with np.errstate(over="ignore", invalid="ignore"):
@@ -292,8 +280,8 @@ def effective_flux(c: CoefficientSpec, k: CoefficientSpec, q: float) -> Flux:
     return Flux(kappa_grid, form)
 
 
-def effective_flux_conditions(q: float, c: CoefficientSpec,
-                              k: CoefficientSpec) -> EffectiveFluxConditions:
+def effective_flux_conditions(q: float, c: CoefficientSpec, k: CoefficientSpec
+                              ) -> tuple[ConditionReport, ConditionReport, ConditionReport]:
     """Small-data side for linear reaction: integrability of the effective flux
     kappa = k e^{-C} int e^{qC}, its square-root-window bound, and the
     reaction-tail condition that upgrades global to bounded."""
@@ -302,7 +290,13 @@ def effective_flux_conditions(q: float, c: CoefficientSpec,
     reaction_tail = integrate_improper(c)
     flux = _weighted_integral(c, reaction_tail, k, _Weight.flux(q))
     window = memory_window_check(k, flux=effective_flux(c, k, q))
-    return EffectiveFluxConditions(flux, window, reaction_tail)
+    return (_verdict_report("effective-flux", flux, want=CONVERGES),
+            _window_report("effective-flux-window", "effective flux", window),
+            _verdict_report("reaction-integral", reaction_tail, want=CONVERGES))
+
+
+def _part(v: IntegralVerdict) -> str:
+    return f"{v.value:.6g}" if math.isfinite(v.value) else "past the float range"
 
 
 def total_forcing_condition(c: CoefficientSpec, k: CoefficientSpec) -> IntegralVerdict:
@@ -314,31 +308,19 @@ def total_forcing_condition(c: CoefficientSpec, k: CoefficientSpec) -> IntegralV
         return IntegralVerdict(DIVERGES, None, f"{which} diverges")
     if vc.converges and vk.converges:
         return IntegralVerdict(CONVERGES, vc.value + vk.value,
-                               f"reaction part {vc.value:.6g} + memory moment part {vk.value:.6g}")
+                               f"reaction part {_part(vc)} + memory moment part {_part(vk)}")
     return IntegralVerdict(INDETERMINATE, None,
                            f"reaction part {vc.status}; memory moment part {vk.status}")
 
 
+def _window_report(cid: str, flux: str, win: WindowBound) -> ConditionReport:
+    return _flag_report(cid, win.holds,
+                        f"windowed {flux} sup {win.k_sup:.6g} on the probes; "
+                        f"{'bounded' if win.holds else 'not bounded'}")
+
+
 # ---------------------------------------------------------------------------
 # the classifier
-
-def _verdict_report(cid: str, v: IntegralVerdict, want: str) -> ConditionReport:
-    if v.status == INDETERMINATE:
-        outcome = UNDECIDED
-    else:
-        outcome = HOLDS if v.status == want else FAILS
-    return ConditionReport(cid, outcome, v.evidence, v)
-
-
-def _flag_report(cid: str, f: FlagReport) -> ConditionReport:
-    return ConditionReport(cid, f.outcome, f.evidence)
-
-
-def _window_report(cid: str, flux: str, win: WindowBound) -> ConditionReport:
-    return ConditionReport(cid, HOLDS if win.holds else FAILS,
-                           f"windowed {flux} sup {win.k_sup:.6g} on the probes; "
-                           f"{'bounded' if win.holds else 'not bounded'}")
-
 
 def classify_regime(p: float, q: float, c: CoefficientSpec, k: CoefficientSpec,
                     k_lower: Optional[CoefficientSpec] = None) -> RegimeVerdict:
@@ -359,66 +341,52 @@ def classify_regime(p: float, q: float, c: CoefficientSpec, k: CoefficientSpec,
             raise ConfigurationError(f"{name} must be a CoefficientSpec")
     kl = k if k_lower is None else k_lower
 
-    conds: list[ConditionReport] = []
-
-    if max(p, q) <= 1.0:
-        conds.append(ConditionReport("max-exponent", HOLDS,
-                                     f"max(p, q) = {max(p, q):.6g} <= 1"))
-        return RegimeVerdict(REGIME_GLOBAL_ALL, "linear-growth-barrier",
-                             tuple(conds),
+    linear = max(p, q) <= 1.0
+    conds = [_flag_report("max-exponent", linear,
+                          f"max(p, q) = {max(p, q):.6g} {'<=' if linear else '>'} 1")]
+    if linear:
+        return RegimeVerdict(REGIME_GLOBAL_ALL, "linear-growth-barrier", tuple(conds),
                              notes="every nonnegative solution is global")
-    conds.append(ConditionReport("max-exponent", FAILS,
-                                 f"max(p, q) = {max(p, q):.6g} > 1"))
 
     if p > 1.0:
-        vc = integrate_improper(c)
-        conds.append(_verdict_report("reaction-integral", vc, want=DIVERGES))
-        if vc.diverges:
+        mass = _verdict_report("reaction-integral", integrate_improper(c), want=DIVERGES)
+        conds.append(mass)
+        if mass.holds:
             return RegimeVerdict(REGIME_BLOWUP_ALL, "reaction-mass-blowup",
                                  tuple(conds),
                                  notes="superlinear reaction with divergent mass")
 
     if q > 1.0:
-        mm = memory_moment_conditions(q, kl)
-        conds.append(_verdict_report("memory-moment", mm.moment, want=DIVERGES))
-        conds.append(_flag_report("memory-envelope", mm.envelope))
-        conds.append(_flag_report("memory-moment-monotone", mm.monotone))
-        if mm.moment.diverges and (mm.envelope.holds or mm.monotone.holds):
+        moment, envelope, monotone = memory_moment_conditions(q, kl)
+        conds += (moment, envelope, monotone)
+        if moment.holds and (envelope.holds or monotone.holds):
             return RegimeVerdict(REGIME_BLOWUP_ALL, "memory-moment-blowup",
                                  tuple(conds),
                                  notes="divergent memory moment with a tame envelope")
 
     if p == 1.0 and q > 1.0:
-        wm = weighted_memory_conditions(q, c, kl)
-        conds.append(_verdict_report("weighted-memory", wm.blowup_integral,
-                                     want=DIVERGES))
-        conds.append(_flag_report("weighted-envelope", wm.envelope))
-        conds.append(_flag_report("weighted-monotone", wm.monotone))
-        if wm.blowup_integral.diverges and (wm.envelope.holds or wm.monotone.holds):
+        weighted, envelope, monotone = weighted_memory_conditions(q, c, kl)
+        conds += (weighted, envelope, monotone)
+        if weighted.holds and (envelope.holds or monotone.holds):
             return RegimeVerdict(REGIME_BLOWUP_ALL, "weighted-memory-blowup",
                                  tuple(conds),
                                  notes="divergent weighted memory integral")
 
     if min(p, q) > 1.0:
-        tf = total_forcing_condition(c, k)
-        conds.append(_verdict_report("total-forcing", tf, want=CONVERGES))
-        win = memory_window_check(k)
-        conds.append(_window_report("memory-window", "flux", win))
-        if tf.converges and win.holds:
+        forcing = _verdict_report("total-forcing", total_forcing_condition(c, k),
+                                  want=CONVERGES)
+        window = _window_report("memory-window", "flux", memory_window_check(k))
+        conds += (forcing, window)
+        if forcing.holds and window.holds:
             return RegimeVerdict(
                 REGIME_BOUNDED_SMALL, "small-data-barrier", tuple(conds),
                 notes="bounded for small initial data; unresolved for large data")
 
     if p == 1.0 and q > 1.0:
-        ef = effective_flux_conditions(q, c, k)
-        conds.append(_verdict_report("effective-flux", ef.flux_integral,
-                                     want=CONVERGES))
-        conds.append(_window_report("effective-flux-window", "effective flux",
-                                    ef.window))
-        conds.append(_verdict_report("reaction-integral", ef.reaction_tail,
-                                     want=CONVERGES))
-        if ef.flux_integral.converges and ef.window.holds:
-            if ef.reaction_tail.converges:
+        flux, window, reaction_tail = effective_flux_conditions(q, c, k)
+        conds += (flux, window, reaction_tail)
+        if flux.holds and window.holds:
+            if reaction_tail.holds:
                 return RegimeVerdict(
                     REGIME_BOUNDED_SMALL, "exponential-factor-barrier",
                     tuple(conds),

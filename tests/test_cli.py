@@ -430,6 +430,48 @@ def test_classify_values_slow_reaction_tails(tmp_path, capsys, doc, reaction):
             "moment part 0.5)") in captured.out.splitlines()
 
 
+def test_classify_values_an_overflowing_reaction_part_in_words(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, OVERFLOW_TAIL_DOC)
+    assert main(["classify", "--config", cfg]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "VERDICT: BoundedGlobalSmallData via small-data-barrier"
+    assert ("OUTCOME: total-forcing holds (reaction part past the float range "
+            "+ memory moment part 0.5)") in lines
+
+
+def _rate_doc(p, c, k):
+    return base_doc(exponents={"p": p, "q": 2.0}, c=c, k=k)
+
+
+_POWER = {"family": "power", "amplitude": 1.0}
+
+
+@pytest.mark.parametrize("doc, verdict", [
+    # int t e^{-1e-13 t} = 1e26 converges; the decay once read as no rate
+    (_rate_doc(2.0, {**_POWER, "gamma": 2.0},
+               {"family": "exp_decay", "amplitude": 1.0, "lambda": 1e-13}),
+     "BoundedGlobalSmallData via small-data-barrier"),
+    # every constant c > 0 makes the weight e^{(q-1)ct} win over k
+    (_rate_doc(1.0, {"family": "constant", "amplitude": 1e-12}, {**_POWER, "gamma": 3.0}),
+     "BlowUpAll via weighted-memory-blowup"),
+    (_rate_doc(1.0, {"family": "constant", "amplitude": 1e-11}, {**_POWER, "gamma": 3.0}),
+     "BlowUpAll via weighted-memory-blowup"),
+])
+def test_classify_judges_tiny_rates_by_their_sign(tmp_path, capsys, doc, verdict):
+    assert main(["classify", "--config", write_cfg(tmp_path, doc)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == f"VERDICT: {verdict}"
+
+
+def test_oracle_judges_a_tiny_decay_rate_by_its_sign(tmp_path, capsys):
+    # int r^2 e^{-1e-13 r} dr = 2e39 converges, so the criterion is silent
+    doc = base_doc(k={"family": "exp_decay", "amplitude": 1.0, "lambda": 1e-13})
+    assert main(["oracle", "--config", write_cfg(tmp_path, doc)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert ("OUTCOME: divergence Converges (closed form: exponential decay "
+            "rate -1e-13)") in lines
+    assert lines[-1] == "VERDICT: criterion does not apply"
+
+
 def test_verify_on_a_slow_reaction_tail_passes(tmp_path, capsys):
     cfg = write_cfg(tmp_path, SLOW_TAIL_DOC)
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 0

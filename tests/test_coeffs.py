@@ -771,6 +771,31 @@ def test_improper_exp_decay_from_zero_is_closed_form(amp, lam, weight):
     assert v.evidence == f"closed form: exponential decay rate {-lam:.6g}"
 
 
+@pytest.mark.parametrize("lam", [1e-11, 1e-12, 1e-13])
+def test_improper_exp_decay_at_a_tiny_rate_converges(lam):
+    # a rate is judged by its sign: a decay rate within 1e-12 of 0 once read
+    # as no rate at all, so int e^{-lam t} = 1/lam was said to diverge
+    v = integrate_improper(CoefficientSpec.exp_decay(1.0, lam))
+    assert v.status == CONVERGES
+    assert v.value == pytest.approx(1.0 / lam, rel=1e-12)
+
+
+def test_rate_sum_drops_only_the_rounding_of_a_balance():
+    # 3 * 0.1 - 0.3 is 5.6e-17 in floats: a balance, so no rate is left
+    balance = GrowthForm(exp_rate=3 * 0.1, power=-2.0).times(GrowthForm(exp_rate=-0.3))
+    assert balance.exp_rate == 0.0 and tail_verdict(balance)[0] == CONVERGES
+    stretch = GrowthForm(stretch_rate=3 * 0.1, stretch_pow=0.5).times(
+        GrowthForm(stretch_rate=-0.3, stretch_pow=0.5))
+    assert stretch.stretch_rate == 0.0 and form_bounded(stretch)
+    # an overflowed weight rate x A still beats any decay
+    assert GrowthForm(exp_rate=math.inf).times(GrowthForm(exp_rate=-1.0)).exp_rate == math.inf
+    # a rate far below 1e-12 that nothing cancels keeps its sign
+    tiny = GrowthForm(exp_rate=1e-300).times(GrowthForm(power=-9.0))
+    assert tail_verdict(tiny)[0] == DIVERGES and not form_bounded(tiny)
+    assert tail_verdict(GrowthForm(stretch_rate=-1e-300, stretch_pow=0.5,
+                                   power=9.0))[0] == CONVERGES
+
+
 def test_improper_zero_and_lower_limit():
     v = integrate_improper(CoefficientSpec.constant(0.0))
     assert v.status == CONVERGES and v.value == 0.0

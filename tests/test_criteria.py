@@ -1,11 +1,12 @@
 """Regime classifier: rule ladder, weighted reductions, and flag conditions."""
 
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -186,29 +187,35 @@ def test_k_scaling_monotonicity():
     CoefficientSpec.tabulated([[0.0, 1.0], [5.0, 0.0]]),
 ])
 def test_weighted_reduces_exactly_at_zero_reaction(k):
-    res = weighted_memory_conditions(2.0, ZERO, k)
+    blow, _, _ = weighted_memory_conditions(2.0, ZERO, k)
     base = integrate_improper(k, weight=1.0)
-    assert res.blowup_integral.status == base.status
-    assert res.blowup_integral.value == base.value
+    assert blow.id == "weighted-memory"
+    assert blow.verdict.status == base.status
+    assert blow.verdict.value == base.value
 
 
 def test_effective_flux_reduces_exactly_at_zero_reaction():
     k = CoefficientSpec.power(1.0, 3.0)
-    res = effective_flux_conditions(2.0, ZERO, k)
+    flux, window, _ = effective_flux_conditions(2.0, ZERO, k)
     base = integrate_improper(k, weight=1.0)
-    assert res.flux_integral.status == base.status
-    assert res.flux_integral.value == base.value
+    assert flux.verdict.status == base.status
+    assert flux.verdict.value == base.value
     direct = memory_window_check(k)
-    assert res.window.k_sup == pytest.approx(direct.k_sup, rel=1e-12)
-    assert res.window.holds == direct.holds
+    win = memory_window_check(k, flux=effective_flux(ZERO, k, 2.0))
+    assert win.k_sup == pytest.approx(direct.k_sup, rel=1e-12)
+    assert win.holds == direct.holds == window.holds
 
 
 def test_effective_flux_window_overflow_is_not_stabilized():
     # constant reaction with q = 2: kappa grows like e^t and overflows a float
     # inside the probe range, so the window sup cannot have stabilized
-    res = effective_flux_conditions(2.0, CONST1, CoefficientSpec.power(1.0, 4.0))
-    assert math.isinf(res.window.k_sup)
-    assert not res.window.holds
+    k = CoefficientSpec.power(1.0, 4.0)
+    win = memory_window_check(k, flux=effective_flux(CONST1, k, 2.0))
+    assert math.isinf(win.k_sup)
+    assert not win.holds
+    _, window, _ = effective_flux_conditions(2.0, CONST1, k)
+    assert window.outcome == "fails"
+    assert window.evidence.startswith("windowed effective flux sup inf on the probes")
 
 
 def test_effective_flux_grid_lane_overflow_is_not_stabilized():
@@ -220,11 +227,13 @@ def test_effective_flux_grid_lane_overflow_is_not_stabilized():
 
     def window(amplitude):
         c = CoefficientSpec.power_log(amplitude, 0.5, 1)
-        res = effective_flux_conditions(10.0, c, k)
-        assert res.flux_integral.status == CONVERGES
-        assert res.flux_integral.evidence == ("weighted growth-form reduction: "
-                                              "exponential decay rate -0.001")
-        return res.window
+        flux, window, _ = effective_flux_conditions(10.0, c, k)
+        assert flux.verdict.status == CONVERGES
+        assert flux.evidence == ("weighted growth-form reduction: "
+                                 "exponential decay rate -0.001")
+        win = memory_window_check(k, flux=effective_flux(c, k, 10.0))
+        assert window.holds == win.holds
+        return win
 
     big = window(10.0)
     assert not big.holds
@@ -237,12 +246,25 @@ def test_effective_flux_grid_lane_overflow_is_not_stabilized():
     assert small.k_sup == pytest.approx(8.132901094461697e+113, rel=1e-9)
 
 
+def test_effective_flux_window_sum_past_the_float_range_fails_quietly():
+    # finite kappa values whose window sum passes the float range: the sup
+    # is inf, without an overflow warning
+    spec = CoefficientSpec.power_log(2.2222832706920586, 0.1523892675354173, 2,
+                                     1.0091248264704185)
+    _, window, _ = effective_flux_conditions(9.17708526409792, spec, spec)
+    assert window.outcome == "fails"
+    assert window.evidence.startswith("windowed effective flux sup inf on the probes")
+
+
 def test_effective_flux_window_at_zero_memory_is_the_plain_window():
     # kappa = t k exactly when k = 0, whatever lane c is on
-    res = effective_flux_conditions(2.0, CoefficientSpec.power(1.0, 0.5), ZERO)
+    c = CoefficientSpec.power(1.0, 0.5)
+    win = memory_window_check(ZERO, flux=effective_flux(c, ZERO, 2.0))
     plain = memory_window_check(ZERO)
-    assert (res.window.k_sup, res.window.holds) == (plain.k_sup, plain.holds)
-    np.testing.assert_array_equal(res.window.values, plain.values)
+    assert (win.k_sup, win.holds) == (plain.k_sup, plain.holds)
+    np.testing.assert_array_equal(win.values, plain.values)
+    _, window, _ = effective_flux_conditions(2.0, c, ZERO)
+    assert window.holds == plain.holds
 
 
 def _ln_leading_term(form, t):
@@ -281,15 +303,28 @@ def test_weight_growth_forms_track_the_weights(c):
             assert abs(drift[1] - drift[0]) < 0.23, (q, w)
 
 
+def test_weight_rate_keeps_its_sign_where_it_underflows():
+    # q = 1.5, c = 5e-324: x A = 0.5 * 5e-324 rounds to 0, but e^{C/2} still
+    # beats every power of t
+    form = _weight_growth(CoefficientSpec.constant(5e-324), _Weight.blowup(1.5))
+    assert form.exp_rate > 0.0
+    stretch = _weight_growth(CoefficientSpec.power(5e-324, 0.5), _Weight.blowup(1.5))
+    assert stretch.stretch_rate > 0.0
+    v = classify_regime(1.0, 1.5, CoefficientSpec.constant(5e-324),
+                        CoefficientSpec.power(1.0, 9.0))
+    assert (v.regime, v.rule) == (REGIME_BLOWUP_ALL, "weighted-memory-blowup")
+
+
 def test_weighted_constant_reaction_rate_balance():
     # c = 1: weight grows like e^{(q-1)t}; flux e^{-2qt} wins -> convergence
     q = 2.0
-    res = weighted_memory_conditions(q, CONST1, CoefficientSpec.exp_decay(1.0, 2.0 * q))
-    assert res.blowup_integral.status == CONVERGES
+    blow, _, _ = weighted_memory_conditions(q, CONST1, CoefficientSpec.exp_decay(1.0, 2.0 * q))
+    assert blow.verdict.status == CONVERGES
     # flux e^{-t/2} loses against e^{(q-1)t} = e^t -> divergence
-    res2 = weighted_memory_conditions(q, CONST1, CoefficientSpec.exp_decay(1.0, 0.5))
-    assert res2.blowup_integral.status == DIVERGES
-    assert res2.monotone.holds  # e^{-2t} weight dominates the sampled values
+    blow2, _, monotone2 = weighted_memory_conditions(q, CONST1,
+                                                     CoefficientSpec.exp_decay(1.0, 0.5))
+    assert blow2.verdict.status == DIVERGES
+    assert monotone2.holds  # e^{-2t} weight dominates the sampled values
 
 
 def test_weighted_bounded_reaction_delegates():
@@ -297,8 +332,8 @@ def test_weighted_bounded_reaction_delegates():
     c = CoefficientSpec.exp_decay(1.0, 1.0)
     for k, expected in [(CoefficientSpec.power(1.0, 2.0), DIVERGES),
                         (CoefficientSpec.power(1.0, 3.0), CONVERGES)]:
-        res = weighted_memory_conditions(2.0, c, k)
-        assert res.blowup_integral.status == expected
+        blow, _, _ = weighted_memory_conditions(2.0, c, k)
+        assert blow.verdict.status == expected
 
 
 def test_weighted_numeric_fallback_stretched_growth():
@@ -306,9 +341,9 @@ def test_weighted_numeric_fallback_stretched_growth():
     # stretch that its log factor slows but does not stop, so the blow-up
     # weight e^{(q-1) C} beats every power of t
     c = CoefficientSpec.power_log(1.0, 0.5, 1)
-    res = weighted_memory_conditions(2.0, c, CoefficientSpec.power(1.0, 5.0))
-    assert res.blowup_integral.status == DIVERGES
-    assert res.blowup_integral.evidence == (
+    blow, _, _ = weighted_memory_conditions(2.0, c, CoefficientSpec.power(1.0, 5.0))
+    assert blow.verdict.status == DIVERGES
+    assert blow.evidence == (
         "weighted growth-form reduction: stretched-exponential growth ~ exp(2 t^0.5)")
 
 
@@ -317,10 +352,10 @@ def test_weighted_envelope_overflow_is_not_bounded():
     # e^{9 C} (it passes e^709 before t = 1e3): not a bound
     c = CoefficientSpec.power_log(1.0, 0.5, 1)
     k = CoefficientSpec.tabulated([[0.0, 1.0], [1.0, 1.0]])
-    res = weighted_memory_conditions(10.0, c, k)
-    assert res.envelope.holds is False
-    assert res.envelope.evidence == ("weighted growth-form reduction: "
-                                     "companion weight unbounded")
+    _, envelope, _ = weighted_memory_conditions(10.0, c, k)
+    assert envelope.holds is False
+    assert envelope.evidence == ("weighted growth-form reduction: "
+                                 "companion weight unbounded")
 
 
 # ---------------------------------------------------------------------------
@@ -330,21 +365,21 @@ def test_slow_stretch_weighted_integral_diverges():
     # C(t) ~ 10 t^0.1 / ln t grows without bound, so the blow-up weight,
     # which grows like e^{C/2}, beats k = (1+t)^-5; decade numerics up to
     # t = 1e9 saw flat increments
-    res = weighted_memory_conditions(1.5, CoefficientSpec.power_log(1.0, 0.9, 1),
-                                     CoefficientSpec.power(1.0, 5.0))
-    assert res.blowup_integral.status == DIVERGES
-    assert res.blowup_integral.evidence == (
+    blow, _, _ = weighted_memory_conditions(1.5, CoefficientSpec.power_log(1.0, 0.9, 1),
+                                            CoefficientSpec.power(1.0, 5.0))
+    assert blow.verdict.status == DIVERGES
+    assert blow.evidence == (
         "weighted growth-form reduction: stretched-exponential growth ~ exp(5 t^0.1)")
 
 
 def test_exponential_decay_beats_a_stretched_weight():
     # e^{-t/1000} beats e^{2 C} with C ~ 2 t^0.5 / (ln t ln_2^2 t); decade
     # numerics to 1e9 saw the weight's growth before the decay took over
-    res = weighted_memory_conditions(3.0, CoefficientSpec.power_log(1.0, 0.5, 2, 1.0),
-                                     CoefficientSpec.exp_decay(1.0, 1e-3))
-    assert res.blowup_integral.status == CONVERGES
-    assert res.blowup_integral.evidence == ("weighted growth-form reduction: "
-                                            "exponential decay rate -0.001")
+    blow, _, _ = weighted_memory_conditions(3.0, CoefficientSpec.power_log(1.0, 0.5, 2, 1.0),
+                                            CoefficientSpec.exp_decay(1.0, 1e-3))
+    assert blow.verdict.status == CONVERGES
+    assert blow.evidence == ("weighted growth-form reduction: "
+                             "exponential decay rate -0.001")
 
 
 def test_memory_window_of_a_late_rise_fails():
@@ -432,18 +467,20 @@ def test_effective_flux_grid_lane_matches_quadrature():
 
 
 def test_effective_flux_window_decaying_holds():
-    res = effective_flux_conditions(2.0, CoefficientSpec.power(1.0, 1.0),
-                                    CoefficientSpec.power_log(1.0, 3.0, 1, log_power=1.0))
-    assert res.flux_integral.status == CONVERGES
-    assert res.window.holds
-    assert res.reaction_tail.status == DIVERGES
+    flux, window, tail = effective_flux_conditions(
+        2.0, CoefficientSpec.power(1.0, 1.0),
+        CoefficientSpec.power_log(1.0, 3.0, 1, log_power=1.0))
+    assert flux.verdict.status == CONVERGES
+    assert window.holds
+    assert tail.verdict.status == DIVERGES
 
 
 def test_reaction_tail_value_frozen():
-    res = effective_flux_conditions(2.0, CoefficientSpec.power(1.0, 2.0),
-                                    CoefficientSpec.power(1.0, 3.0))
+    _, _, tail = effective_flux_conditions(2.0, CoefficientSpec.power(1.0, 2.0),
+                                           CoefficientSpec.power(1.0, 3.0))
     # int_0^inf (1+t)^-2 dt = 1
-    assert res.reaction_tail.value == pytest.approx(1.0, rel=1e-6)
+    assert tail.id == "reaction-integral"
+    assert tail.verdict.value == pytest.approx(1.0, rel=1e-6)
 
 
 def test_total_forcing_divergent_part():
@@ -586,14 +623,14 @@ def test_closed_form_tail_judgements_match_the_old_sampled_ones(k, c, q):
         wm_old = _old_nonincreasing(np.exp(
             (1.0 - q) * np.log(_OLD_TS) - 2.0 * CumulativeIntegral(c)(_OLD_TS)
             + np.log(eval_coeff(k, _OLD_TS))))
-    assert memory_moment_conditions(q, k).monotone.holds is mm_old
-    assert weighted_memory_conditions(q, c, k).monotone.holds is wm_old
+    assert memory_moment_conditions(q, k)[2].holds is mm_old
+    assert weighted_memory_conditions(q, c, k)[2].holds is wm_old
     rep = check_th0_criterion(k, q)
     if k.family != "tabulated":
         return
     assert (rep.alt_bounded, rep.alt_monotone) == _old_th0_alternatives(k, q)
     envelope = _old_sup_stabilized(_OLD_TS, _OLD_TS ** 2 * eval_coeff(k, _OLD_TS))
-    assert memory_moment_conditions(q, k).envelope.holds is envelope
+    assert memory_moment_conditions(q, k)[1].holds is envelope
     for weight in (0.0, 1.0, q):
         old = _old_decade_status(
             lambda t: np.asarray(t, dtype=float) ** weight * eval_coeff(k, t))
@@ -653,41 +690,69 @@ SCAN = [
 ]
 
 
-def _blowup_certified(p, q, c, k):
+_BLOWUP_RULES = {"reaction-mass-blowup", "memory-moment-blowup", "weighted-memory-blowup"}
+
+
+def _certified_rules(p, q, c, k):
+    """The ladder's rules whose hypotheses hold, each checked on its own."""
+    rules = set()
+    if max(p, q) <= 1.0:
+        rules.add("linear-growth-barrier")
     if p > 1.0 and integrate_improper(c).diverges:
-        return True
+        rules.add("reaction-mass-blowup")
     if q > 1.0:
-        mm = memory_moment_conditions(q, k)
-        if mm.moment.diverges and (mm.envelope.holds or mm.monotone.holds):
-            return True
+        moment, envelope, monotone = memory_moment_conditions(q, k)
+        if moment.holds and (envelope.holds or monotone.holds):
+            rules.add("memory-moment-blowup")
     if p == 1.0 and q > 1.0:
-        wm = weighted_memory_conditions(q, c, k)
-        if wm.blowup_integral.diverges and (wm.envelope.holds or wm.monotone.holds):
-            return True
-    return False
-
-
-def _small_data_certified(p, q, c, k):
+        blow, envelope, monotone = weighted_memory_conditions(q, c, k)
+        if blow.holds and (envelope.holds or monotone.holds):
+            rules.add("weighted-memory-blowup")
     if min(p, q) > 1.0:
         if total_forcing_condition(c, k).converges and memory_window_check(k).holds:
-            return True
+            rules.add("small-data-barrier")
     if p == 1.0 and q > 1.0:
-        ef = effective_flux_conditions(q, c, k)
-        if ef.flux_integral.converges and ef.window.holds:
-            return True
-    return False
+        flux, window, _ = effective_flux_conditions(q, c, k)
+        if flux.holds and window.holds:
+            rules.add("exponential-factor-barrier")
+    return rules
 
 
-def test_certified_rules_disjoint_on_scan():
-    for p, q, c, k in SCAN:
-        assert not (_blowup_certified(p, q, c, k)
-                    and _small_data_certified(p, q, c, k)), (p, q, c, k)
+def _tiny(spec, amplitude):
+    return dataclasses.replace(spec, amplitude=amplitude)
 
 
-def test_classifier_consistent_with_direct_checks():
-    for p, q, c, k in SCAN:
-        v = classify_regime(p, q, c, k)
-        if v.regime == REGIME_BLOWUP_ALL:
-            assert _blowup_certified(p, q, c, k)
-        if v.regime in (REGIME_GLOBAL_SMALL, REGIME_BOUNDED_SMALL):
-            assert _small_data_certified(p, q, c, k)
+_SCAN_EXAMPLES = [example(*case) for case in SCAN] + [
+    # a weight rate of 1e-15 once read as no rate, so both outcomes held
+    example(1.0, 2.0, CoefficientSpec.constant(1e-15), CoefficientSpec.power(1.0, 2.0))]
+
+
+def _ladder_draws(test):
+    """About 150 derandomized (p, q, c, k) draws, p = 1 and c amplitudes down
+    to 5e-324 among them, plus the SCAN cases as examples."""
+    for ex in reversed(_SCAN_EXAMPLES):
+        test = ex(test)
+    return settings(max_examples=150, deadline=None, derandomize=True)(given(
+        st.one_of(st.just(1.0), st.floats(0.1, 4.0)),
+        st.one_of(st.sampled_from([1.5, 2.0, 3.0]), st.floats(0.1, 10.0)),
+        st.one_of(_SPECS, st.builds(_tiny, _SPECS, st.floats(5e-324, 1e-9))),
+        _SPECS)(test))
+
+
+@_ladder_draws
+def test_certified_rules_disjoint_on_scan(p, q, c, k):
+    # no data certifies both a blow-up rule and a small-data rule
+    rules = _certified_rules(p, q, c, k)
+    assert not (rules & _BLOWUP_RULES and rules - _BLOWUP_RULES), rules
+
+
+@_ladder_draws
+def test_classifier_consistent_with_direct_checks(p, q, c, k):
+    # the verdict's rule is certified, and a certified rule is never left
+    # for Indeterminate
+    v = classify_regime(p, q, c, k)
+    rules = _certified_rules(p, q, c, k)
+    if v.regime == REGIME_INDETERMINATE:
+        assert not rules, rules
+    else:
+        assert v.rule in rules, (v.rule, rules)
