@@ -320,7 +320,7 @@ class ResidualReport:
 
 
 # the residual check holds about this many bytes of barrier columns at a time
-_BLOCK_BYTES = 1 << 20
+_BLOCK_BYTES = 1 << 18
 
 
 def _cumulative_trapezoid(y: np.ndarray, t: np.ndarray) -> np.ndarray:

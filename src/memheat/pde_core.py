@@ -30,7 +30,7 @@ import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -48,6 +48,8 @@ TRACE_HEADER = "t,sup_norm,mass_w,M_left,M_right,dt"
 _MASS_SUP_CAP = 1e6  # mass_inequality_check skips rows with a larger sup
 
 _SQRT2 = math.sqrt(2.0)
+# ndarray.max and .min without the Python-level wrapper around the reduction
+_max, _min = np.maximum.reduce, np.minimum.reduce
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +257,7 @@ class Scenario:
         if not isinstance(self.u0, InitialSpec):
             raise ConfigurationError("must be an InitialSpec", "u0")
 
-    @property
+    @cached_property
     def h(self) -> float:
         return self.length / (self.controls.n_nodes - 1)
 
@@ -269,7 +271,7 @@ class Scenario:
         return self.u0.evaluate(self.length, self.controls.n_nodes)
 
 
-@dataclass
+@dataclass(slots=True)
 class State:
     t: float
     u: np.ndarray
@@ -337,7 +339,9 @@ def _banded_factor(n: int, h: float, dt: float):
 
 def cho_solve_banded(cb: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve with the upper banded Cholesky factor cb, overwriting b."""
-    x, info = dpbtrs(cb, b, lower=0, overwrite_b=1)
+    # lower=0, ldab, overwrite_b=1, passed by position: f2py's keyword
+    # parsing costs about 0.5 us a call
+    x, info = dpbtrs(cb, b, 0, len(cb), 1)
     if info != 0:
         raise ValueError(f"illegal value in argument {-info} of LAPACK dpbtrs")
     return x
@@ -380,8 +384,9 @@ def step(state: State, scenario: Scenario, dt: float, rule=None,
     h = scenario.h
     # the end rows take the explicit flux and the symmetrizing 1/sqrt(2) as
     # floats, and the solve overwrites this step's own rhs
-    f_left = dt * (2.0 / h) * g_left
-    f_right = dt * (2.0 / h) * g_right
+    f = dt * (2.0 / h)
+    f_left = f * g_left
+    f_right = f * g_right
     rhs = _explicit(state, c_t, dt, scenario.p)
     rhs[0] = (rhs.item(0) + f_left) / _SQRT2
     rhs[-1] = (rhs.item(-1) + f_right) / _SQRT2
@@ -395,8 +400,8 @@ def step(state: State, scenario: Scenario, dt: float, rule=None,
     # needed, and a NaN in the rhs still shows in the max
     nonneg = (state.nonneg and c_t >= 0.0 and g_left >= 0.0
               and g_right >= 0.0)
-    m = 0.0 if nonneg else u_new.min().item()
-    sup = u_new.max().item()
+    m = 0.0 if nonneg else float(_min(u_new))
+    sup = float(_max(u_new))
     finite = math.isfinite(m) and math.isfinite(sup)
     if not finite:
         # a non-finite rhs always solves to a non-finite field, so only now
@@ -411,7 +416,7 @@ def step(state: State, scenario: Scenario, dt: float, rule=None,
                 raise SolverFault(f"negative undershoot {m:.3e} at "
                                   f"t={state.t:.6g} (dt too large)")
             np.clip(u_new, 0.0, None, out=u_new)
-            sup = u_new.max().item()
+            sup = float(_max(u_new))
         # no entry is negative now, unless a NaN hid one from the min
         nonneg = not math.isnan(m)
     else:
@@ -488,8 +493,9 @@ def choose_dt(state: State, scenario: Scenario, rule=None,
     c_t, g_left, g_right, _ = values or step_values(state, scenario, rule)
     sup = state.sup
     rate_react = _reaction_rate(c_t, sup, scenario.p)
-    scale_left = max(float(state.u[0]), 1e-6 * sup, 1e-300)
-    scale_right = max(float(state.u[-1]), 1e-6 * sup, 1e-300)
+    u = state.u
+    scale_left = max(u.item(0), 1e-6 * sup, 1e-300)
+    scale_right = max(u.item(-1), 1e-6 * sup, 1e-300)
     nu = max(abs(g_left) / scale_left, abs(g_right) / scale_right)
     denom = rate_react + nu + nu * nu + 1e-30
     if not math.isfinite(denom):
@@ -602,21 +608,24 @@ class _Run:
         self.outcome = None
 
     def add(self, state: State, dt: float, landed: bool):
+        """Record a step to state that landed or reached dense_from."""
         self.state = state
-        if landed or state.sup >= self.dense_from:
-            self.rows.append((state.t, state.sup, state.mass(self.h),
-                              state.M_left, state.M_right, dt))
+        self.rows.append((state.t, state.sup, state.mass(self.h),
+                          state.M_left, state.M_right, dt))
         if landed:
             self.snapshots.append((state.t, state.u.copy()))
 
     def follow(self) -> SimulationOutcome:
         """Record the steps `advance` takes from the state to its halt."""
+        state, dense_from = self.state, self.dense_from
         try:
-            for state, dt, _, landed in advance(self.scenario, self.state):
-                self.add(state, dt, landed)
-            status, reason = _stop(self.state, self.scenario.controls)
+            for state, dt, _, landed in advance(self.scenario, state):
+                if landed or state.sup >= dense_from:
+                    self.add(state, dt, landed)
+            status, reason = _stop(state, self.scenario.controls)
         except SolverFault as fault:
             status, reason = STATUS_ABORTED, str(fault)
+        self.state = state
         return self.finish(status, reason)
 
     def finish(self, status: str, reason: str) -> SimulationOutcome:

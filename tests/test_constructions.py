@@ -592,7 +592,7 @@ def test_residual_check_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert rep.passed
-    assert peak <= 16e6
+    assert peak <= 4e6
 
 
 # ---------------------------------------------------------------------------

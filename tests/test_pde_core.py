@@ -368,6 +368,75 @@ def test_lean_step_equals_reference_step_at_the_overflow_bound(
     _assert_lean_step_is_reference(state, scn, dt, rule, values)
 
 
+def _reference_run(scn):
+    """run(scn) as the reference step chained: each step's own step_values,
+    the laddered choose_dt cut by a `_Clock`, and the trace rows and
+    snapshots that `run` records."""
+    ctr, rule, h = scn.controls, scn.boundary_rule(), scn.h
+    state = State(0.0, scn.initial_field(), 0.0, 0.0)
+    rows = [(0.0, state.sup, state.mass(h), 0.0, 0.0, 0.0)]
+    snapshots = [(0.0, state.u.copy())]
+    clock = pde_core._Clock(ctr)
+    try:
+        while pde_core._stop(state, ctr) is None:
+            values = step_values(state, scn, rule)
+            dt, landed = clock.cut(state.t, _ladder(
+                choose_dt(state, scn, rule, values), ctr.dt_max))
+            state = _reference_step(state, scn, dt, rule, values)
+            if landed or state.sup >= 0.01 * ctr.blowup_threshold:
+                rows.append((state.t, state.sup, state.mass(h), state.M_left,
+                             state.M_right, dt))
+            if landed:
+                snapshots.append((state.t, state.u.copy()))
+        status, reason = pde_core._stop(state, ctr)
+    except SolverFault as fault:
+        status, reason = pde_core.STATUS_ABORTED, str(fault)
+    if rows[-1][0] != state.t:
+        rows.append((state.t, state.sup, state.mass(h), state.M_left,
+                     state.M_right, 0.0))
+    if snapshots[-1][0] != state.t:
+        snapshots.append((state.t, state.u.copy()))
+    trace = Trace(*(np.array(col) for col in zip(*rows)))
+    estimate = (estimate_blowup_time(trace, scn.p, ctr.blowup_threshold)
+                if status == pde_core.STATUS_BLOWUP else None)
+    t_end = max(state.t, ctr.t_max) if status == pde_core.STATUS_GLOBAL else state.t
+    return SimulationOutcome(status, t_end, state.sup, trace, snapshots,
+                             estimate, reason, state.steps)
+
+
+_RUN_COEFF = st.one_of(
+    st.just(ZERO),
+    st.builds(CoefficientSpec.constant, st.floats(0.1, 4.0)),
+    st.builds(CoefficientSpec.power, st.floats(0.1, 4.0), st.floats(0.5, 3.0)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(3, 31), p=st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]),
+       q=st.sampled_from([0.5, 1.0, 2.0, 3.0]), c=_RUN_COEFF, k=_RUN_COEFF,
+       weighted=st.booleans(),
+       u0=st.tuples(st.sampled_from(["constant", "cos_bump"]),
+                    st.floats(0.05, 4.0)),
+       t_max=st.floats(0.05, 1.0), threshold=st.sampled_from([1e3, 1e10]))
+# a reaction blow-up, a boundary blow-up and a weighted (p = 1) blow-up
+@example(n=11, p=2.0, q=2.0, c=CoefficientSpec.constant(3.0), k=ZERO,
+         weighted=False, u0=("constant", 1.0), t_max=1.0, threshold=1e10)
+@example(n=21, p=2.0, q=2.0, c=ZERO, k=CoefficientSpec.constant(4.0),
+         weighted=False, u0=("cos_bump", 2.0), t_max=1.0, threshold=1e3)
+@example(n=7, p=1.0, q=3.0, c=CoefficientSpec.power(2.0, 1.0),
+         k=CoefficientSpec.constant(4.0), weighted=True, u0=("constant", 2.0),
+         t_max=1.0, threshold=1e3)
+def test_run_equals_the_reference_step_chained_bitwise(n, p, q, c, k, weighted,
+                                                       u0, t_max, threshold):
+    # `run` hands its recorder only the rows it keeps; the reference tests
+    # every step itself.  The weighted rule is the reaction-stripped twin
+    # of a p = 1 scenario.
+    scn = scenario(1.0 if weighted else p, q, c, k, u0, n_nodes=n, t_max=t_max,
+                   blowup_threshold=threshold, max_steps=3000)
+    if weighted:
+        scn = to_transformed(scn).scenario
+    _assert_same_outcome(run(scn), _reference_run(scn))
+
+
 @settings(max_examples=200, deadline=None)
 @given(n=st.integers(3, 401), m=st.integers(0, 4), level=st.integers(0, 60),
        data=st.data())
