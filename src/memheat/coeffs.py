@@ -167,13 +167,21 @@ class CoefficientSpec:
     @cached_property
     def scalar(self) -> Callable[[float], float]:
         """Pure-math evaluator for one float t >= 0, compiled on first use."""
-        f = _formula(self, math.exp, math.log)
+        f = self._scalar_law[3]
 
         def scalar(t: float) -> float:
             if t < 0:
                 raise DomainError("coefficients are defined for t >= 0")
             return float(f(t))
         return scalar
+
+    @cached_property
+    def _scalar_law(self) -> tuple[str, float, float, Callable[[float], float]]:
+        """(family, amplitude, -gamma, formula) as floats for `eval_coeff`:
+        the same operations as `scalar`'s formula, since an int operand
+        converts to the same float either way."""
+        return (self.family, float(self.amplitude), -float(self.gamma),
+                _formula(self, math.exp, math.log))
 
     @cached_property
     def canonical(self) -> "CoefficientSpec":
@@ -256,7 +264,19 @@ ZERO = CoefficientSpec.constant(0.0)
 
 
 def eval_coeff(spec: CoefficientSpec, t):
-    """Evaluate the coefficient at t (scalar or array), t >= 0."""
+    """Evaluate the coefficient at t (scalar or array), t >= 0.
+
+    A float t >= 0, the stepping loop's case, takes `CoefficientSpec.scalar`'s
+    arithmetic in this one frame; an int, a numpy float, a negative or a NaN
+    t takes `scalar` itself.
+    """
+    if t.__class__ is float and t >= 0.0:
+        family, amp, exponent, f = spec._scalar_law
+        if family == "constant":
+            return amp
+        if family == "power":
+            return amp * (1.0 + t) ** exponent
+        return float(f(t))
     if isinstance(t, (int, float)):
         return spec.scalar(float(t))
     arr = np.asarray(t, dtype=float)
@@ -357,6 +377,19 @@ def _panel_sums(f: Callable, a, b):
     with np.errstate(over="ignore"):
         vals = f(a[..., None] + width[..., None] * u)
     return width * np.sum(vals * w, axis=-1)
+
+
+def bisect_crossing(g: Callable[[float], float], lo: float, hi: float) -> float:
+    """The point in (lo, hi] where g turns nonnegative, given g(lo) < 0 <=
+    g(hi): bisection until no float lies between the ends, then hi."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            return hi
+        if g(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
 
 
 def harmonic_lane(spec: CoefficientSpec) -> bool:
@@ -552,15 +585,15 @@ class GrowthForm:
         sp = self.stretch_pow if self.stretch_rate else other.stretch_pow
         n = max(len(self.logs), len(other.logs))
         logs = tuple(
-            (self.logs[i] if i < len(self.logs) else 0.0)
-            + (other.logs[i] if i < len(other.logs) else 0.0)
+            exponent_sum(self.logs[i] if i < len(self.logs) else 0.0,
+                         other.logs[i] if i < len(other.logs) else 0.0)
             for i in range(n)
         )
         return GrowthForm(
             exp_rate=_rate_sum(self.exp_rate, other.exp_rate),
             stretch_rate=_rate_sum(self.stretch_rate, other.stretch_rate),
             stretch_pow=sp,
-            power=self.power + other.power,
+            power=exponent_sum(self.power, other.power),
             logs=logs,
         )
 
@@ -571,6 +604,22 @@ def _rate_sum(a: float, b: float) -> float:
     infinite term stays infinite."""
     s = a + b
     return 0.0 if abs(s) < _EXP_TOL * max(abs(a), abs(b)) else s
+
+
+def exponent_sum(*terms: float) -> float:
+    """The sum of power (or iterated-log) exponents, or the borderline 0 or
+    -1 where the sum is within _EXP_TOL of it: the rounding noise of a
+    balance such as a + n s + x A - gamma.  A sum with one nonzero term is
+    that term, which nothing rounded, and is compared exactly."""
+    s = 0.0
+    for term in terms:
+        s += term
+    if sum(term != 0.0 for term in terms) < 2:
+        return s
+    for border in (0.0, -1.0):
+        if abs(s - border) <= _EXP_TOL:
+            return border
+    return s
 
 
 def growth_form(spec: CoefficientSpec) -> GrowthForm:
@@ -593,7 +642,8 @@ def tail_verdict(form: GrowthForm) -> tuple[str, str]:
     """(status, reason) for int^inf of a function with the given growth form.
 
     Rates are judged by their sign, powers and log exponents against their
-    borderline -1 up to _EXP_TOL.
+    borderline -1 exactly; a sum of exponents that was a balance already
+    reads as the borderline (`exponent_sum`).
     """
     if form.zero:
         return CONVERGES, "integrand vanishes for large t"
@@ -605,15 +655,15 @@ def tail_verdict(form: GrowthForm) -> tuple[str, str]:
         return DIVERGES, f"stretched-exponential growth ~ exp({form.stretch_rate:.4g} t^{form.stretch_pow:.4g})"
     if form.stretch_rate < 0.0:
         return CONVERGES, f"stretched-exponential decay ~ exp({form.stretch_rate:.4g} t^{form.stretch_pow:.4g})"
-    if form.power > -1.0 + _EXP_TOL:
+    if form.power > -1.0:
         return DIVERGES, f"tail ~ t^{form.power:.6g} with exponent > -1"
-    if form.power < -1.0 - _EXP_TOL:
+    if form.power < -1.0:
         return CONVERGES, f"tail ~ t^{form.power:.6g} with exponent < -1"
     # harmonic borderline: ladder of iterated-log exponents
     for i, e in enumerate(form.logs, start=1):
-        if e > -1.0 + _EXP_TOL:
+        if e > -1.0:
             return DIVERGES, f"harmonic tail, ln_{i} exponent {e:.6g} > -1"
-        if e < -1.0 - _EXP_TOL:
+        if e < -1.0:
             return CONVERGES, f"harmonic tail, ln_{i} exponent {e:.6g} < -1"
     return DIVERGES, "harmonic tail with all iterated-log exponents = -1"
 
@@ -623,16 +673,14 @@ def form_bounded(form: GrowthForm) -> bool:
 
     The factors are compared in order of dominance (exponential, stretched
     exponential, power, then each iterated log); the first nonzero exponent
-    decides, and a form with none is a constant.  A rate is nonzero by its
-    sign, a power or log exponent beyond _EXP_TOL.
+    decides, and a form with none is a constant.  Every exponent is judged
+    by its sign; a sum of exponents that was a balance already reads 0
+    (`_rate_sum`, `exponent_sum`).
     """
     if form.zero:
         return True
-    for e in (form.exp_rate, form.stretch_rate):
+    for e in (form.exp_rate, form.stretch_rate, form.power) + form.logs:
         if e != 0.0:
-            return e < 0.0
-    for e in (form.power,) + form.logs:
-        if abs(e) > _EXP_TOL:
             return e < 0.0
     return True
 
@@ -704,14 +752,15 @@ def _power_log_total(spec: CoefficientSpec, a: float) -> float:
     In u = ln(T_j + t) = T_{j-1} + w it is A e^{-eps T_{j-1}} int_0^inf
     (1 - e^{-w})^a e^{-eps w} / (u l_{j-1}(u) ln_{j-1}(u)^lam) dw with
     eps = gamma - a - 1: the panel rule on [0, 2^-60] and dyadic panels up
-    to where eps w passes 800.  On the borderline |eps| <= _EXP_TOL the
-    panels stop at w = 2^7, where 1 - e^{-w} is 1 in floats, and the rest is
-    the antiderivative ln_{j-1}(u)^{-lam} / lam, exact but for e^{-eps w}.
+    to where eps w passes 800.  On the borderline, where the power
+    `exponent_sum`(-gamma, a) is -1, the panels stop at w = 2^7, where
+    1 - e^{-w} is 1 in floats, and the rest is the antiderivative
+    ln_{j-1}(u)^{-lam} / lam, exact but for e^{-eps w}.
     """
     j, lam = spec.log_depth, spec.log_power
     eps = spec.gamma - a - 1.0
     u0 = log_tower(j - 1)
-    borderline = abs(eps) <= _EXP_TOL
+    borderline = exponent_sum(-spec.gamma, a) == -1.0
     top = 7 if borderline else max(0, math.ceil(math.log2(800.0 / eps)))
     edges = np.concatenate([[0.0], np.ldexp(1.0, np.arange(-60, top + 1))])
 

@@ -17,12 +17,12 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .coeffs import (
     ZERO,
     CoefficientSpec,
     CumulativeIntegral,
+    bisect_crossing,
     coefficient_sup,
     eval_coeff,
     memory_window_check,
@@ -278,8 +278,8 @@ def build_th4_supersolution(scenario: Scenario, t_max: float) -> SupersolutionSp
     cum = CumulativeIntegral(c)
     # alpha h <= H^{-1/(q-1)} <= 1, so the barrier is finite while e^C is
     if cum(t_max) > _LOG_MAX:
-        raise _horizon_error("exponential-factor",
-                             brentq(lambda t: cum(t) - _LOG_MAX, 0.0, t_max))
+        raise _horizon_error("exponential-factor", bisect_crossing(
+            lambda t: cum(t) - _LOG_MAX, 0.0, t_max))
     kappa = effective_flux(c, k, q)
     flux = None if k.is_zero else kappa
     aux = solve_auxiliary_linear(flux, scenario, t_max)

@@ -36,6 +36,7 @@ from .coeffs import (
     IntegralVerdict,
     WindowBound,
     eval_coeff,
+    exponent_sum,
     form_bounded,
     growth_form,
     harmonic_lane,
@@ -138,17 +139,18 @@ def _weight_growth(c: CoefficientSpec, w: _Weight) -> GrowthForm:
     if c.family == "constant" and c.amplitude > 0.0:
         return GrowthForm(exp_rate=_rate(x, c.amplitude), power=w.a)
     if harmonic_lane(c):
-        return GrowthForm(power=w.a + w.n + x * c.amplitude)
+        return GrowthForm(power=exponent_sum(w.a, w.n, x * c.amplitude))
     if (c.family in ("power", "power_log") and c.gamma < 1.0 - _EXP_TOL
             and c.amplitude > 0.0):
         g = c.gamma
         return GrowthForm(stretch_rate=_rate(x, c.amplitude) / (1.0 - g),
-                          stretch_pow=1.0 - g, power=w.a + w.n * g)
+                          stretch_pow=1.0 - g, power=exponent_sum(w.a, w.n * g))
     lane = log_lane(c)
     if lane is not None:
         A, j = lane
-        return GrowthForm(power=w.a + w.n, logs=(0.0,) * (j - 1) + (x * A,))
-    return GrowthForm(power=w.a + w.n)
+        return GrowthForm(power=exponent_sum(w.a, w.n),
+                          logs=(0.0,) * (j - 1) + (x * A,))
+    return GrowthForm(power=exponent_sum(w.a, w.n))
 
 
 # ---------------------------------------------------------------------------

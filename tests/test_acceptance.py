@@ -304,3 +304,62 @@ def test_criterion_12_mass_inequality():
         checked += 1
     _report(12, ok, "%d scenarios, worst deficit at %.2f of the calibrated cap"
             % (checked, worst))
+
+
+# ---------------------------------------------------------------------------
+# 13-14. exact growth rate for p = q = 1 with constant c and k > 0
+#
+# u = e^{lam t} cosh(mu (x - L/2)) solves the linear problem with
+# lam = c + mu^2, where mu tanh(mu L/2)(c + mu^2) = k; the late log-slope of
+# the sup converges to lam at first order in dt_max.
+
+_GROWTH_CASES = [(1.0, 1.0, 2.056624161), (0.0, 1.0, 1.497874387)]
+
+
+def _exact_growth_rate(c, k, length=1.0):
+    """lam = c + mu^2 for the root mu > 0 of mu tanh(mu L/2)(c + mu^2) = k,
+    by bisection (the left side rises from 0)."""
+    def g(mu):
+        return mu * math.tanh(0.5 * mu * length) * (c + mu * mu) - k
+    lo, hi = 0.0, 1.0
+    while g(hi) < 0.0:
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if g(mid) < 0.0 else (lo, mid)
+    return c + hi * hi
+
+
+def _growth_rate(c, k, refine):
+    """The log-slope of sup over t in [40, 50] at dt_max / refine."""
+    scn = _scenario(1.0, 1.0, CoefficientSpec.constant(c),
+                    CoefficientSpec.constant(k), 1.0, 50.0, 1e200, 5.0)
+    scn = replace(scn, controls=replace(scn.controls,
+                                        dt_max=scn.controls.dt_max / refine))
+    tr = _run(scn).trace
+    at = {t: s for t, s in zip(tr.t.tolist(), tr.sup_norm.tolist())}
+    return (math.log(at[50.0]) - math.log(at[40.0])) / 10.0
+
+
+def test_criterion_13_growth_rate_extrapolates_to_exact():
+    # a consistent scheme: Richardson from dt_max and dt_max/4 removes the
+    # first-order error, leaving 3.5e-6 at both (c, k)
+    worst, details = 0.0, []
+    for c, k, published in _GROWTH_CASES:
+        exact = _exact_growth_rate(c, k)
+        assert abs(exact - published) <= 1e-9
+        coarse, fine = _growth_rate(c, k, 1), _growth_rate(c, k, 4)
+        err = (4.0 * fine - coarse) / 3.0 - exact
+        worst = max(worst, abs(err))
+        details.append("c=%g k=%g: %.2e" % (c, k, err))
+    _report(13, worst <= 1e-4, "Richardson lambda error " + ", ".join(details))
+
+
+def test_criterion_14_growth_rate_error_at_dt_max():
+    # the first-order error at dt_max: -2.95e-3 at (1, 1), -1.31e-3 at (0, 1)
+    worst, details = 0.0, []
+    for c, k, _ in _GROWTH_CASES:
+        err = _growth_rate(c, k, 1) - _exact_growth_rate(c, k)
+        worst = max(worst, abs(err))
+        details.append("c=%g k=%g: %.2e" % (c, k, err))
+    _report(14, worst < 3.5e-3, "lambda error at dt_max " + ", ".join(details))

@@ -142,10 +142,38 @@ def test_compiled_scalar_evaluator_rejects_negative_time(spec, t):
 
 def test_compiled_scalar_evaluator_is_built_on_first_use():
     spec = CoefficientSpec.power_log(1.0, 2.0, 1, 1.0)
-    assert "scalar" not in vars(spec)
+    assert "_scalar_law" not in vars(spec) and "scalar" not in vars(spec)
     spec(0.5)
+    assert "_scalar_law" in vars(spec)
+    spec(1)
     assert "scalar" in vars(spec)
     assert spec == CoefficientSpec.power_log(1.0, 2.0, 1, 1.0)
+
+
+_INTEGER_PARAMETER_SPECS = [
+    CoefficientSpec.constant(2), CoefficientSpec.power(3, 2),
+    CoefficientSpec.exp_decay(2, 1), CoefficientSpec.power_log(2, 1, 2, 1),
+    CoefficientSpec.tabulated([[0, 1], [2, 3]], amplitude=2),
+]
+
+
+@pytest.mark.parametrize("spec", _INTEGER_PARAMETER_SPECS, ids=lambda s: s.family)
+@pytest.mark.parametrize("t", [0.0, 0.7, 3, np.float64(0.7), 1e300, math.nan],
+                         ids=["zero", "float", "int", "np.float64", "huge", "nan"])
+def test_eval_coeff_scalar_path_equals_the_formula_bitwise(spec, t):
+    # the float fast path, and every other scalar, give the formula's float
+    want = float(coeffs._formula(spec, math.exp, math.log)(float(t)))
+    got = eval_coeff(spec, t)
+    assert type(got) is float
+    assert got == want or (math.isnan(got) and math.isnan(want))
+    assert math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+@pytest.mark.parametrize("spec", _INTEGER_PARAMETER_SPECS, ids=lambda s: s.family)
+@pytest.mark.parametrize("t", [-0.5, -1, np.float64(-0.5), -math.inf])
+def test_eval_coeff_scalar_path_rejects_negative_time(spec, t):
+    with pytest.raises(DomainError, match="t >= 0"):
+        eval_coeff(spec, t)
 
 
 @pytest.mark.parametrize("bad", [True, "1", None, [1.0], complex(1.0, 0.0)])
@@ -794,6 +822,41 @@ def test_rate_sum_drops_only_the_rounding_of_a_balance():
     assert tail_verdict(tiny)[0] == DIVERGES and not form_bounded(tiny)
     assert tail_verdict(GrowthForm(stretch_rate=-1e-300, stretch_pow=0.5,
                                    power=9.0))[0] == CONVERGES
+
+
+@pytest.mark.parametrize("eps", [5e-13, 1e-14, 4e-16])
+def test_lone_power_exponent_near_its_borderline_compares_exactly(eps):
+    # -gamma is one term that nothing rounded: int (1+t)^-gamma = 1/(gamma-1)
+    # converges however close gamma is to 1 (1 + 5e-13 once read as the
+    # harmonic borderline and diverged)
+    spec = CoefficientSpec.power(1.0, 1.0 + eps)
+    v = integrate_improper(spec)
+    assert v.status == CONVERGES
+    assert v.value == pytest.approx(1.0 / (spec.gamma - 1.0), rel=1e-9)
+    # t^eps grows without bound, t^-eps does not
+    assert not form_bounded(GrowthForm(power=eps))
+    assert form_bounded(growth_form(CoefficientSpec.power(1.0, eps)))
+
+
+def test_lone_log_exponent_near_its_borderline_compares_exactly():
+    # 1/((e+t) ln^(1+lam)(e+t)) integrates to 1/lam in u = ln(e+t)
+    lam = 5e-13
+    v = integrate_improper(CoefficientSpec.power_log(1.0, 1.0, 1, log_power=lam))
+    assert v.status == CONVERGES
+    assert v.value == pytest.approx(1.0 / lam, rel=1e-9)
+
+
+def test_exponent_sum_reads_a_rounded_balance_as_the_borderline():
+    # -2.2 + 1.2 is -1.0000000000000002 in floats, a balance of two terms
+    assert -2.2 + 1.2 != -1.0
+    assert coeffs.exponent_sum(-2.2, 1.2) == -1.0
+    v = integrate_improper(CoefficientSpec.power(1.0, 2.2), weight=1.2)
+    assert v.status == DIVERGES
+    assert v.evidence.endswith("harmonic tail with all iterated-log exponents = -1")
+    assert coeffs.exponent_sum(0.1 + 0.2, -0.3) == 0.0
+    # a lone term, or a sum beyond 1e-12 of either borderline, stays
+    assert coeffs.exponent_sum(-1.0 - 5e-13, 0.0) == -1.0 - 5e-13
+    assert coeffs.exponent_sum(-21.0 - 1e-11, 20.0) < -1.0
 
 
 def test_improper_zero_and_lower_limit():

@@ -315,6 +315,17 @@ def test_weight_rate_keeps_its_sign_where_it_underflows():
     assert (v.regime, v.rule) == (REGIME_BLOWUP_ALL, "weighted-memory-blowup")
 
 
+def test_reaction_power_just_past_harmonic_has_finite_mass():
+    # int (1+t)^-(1 + 5e-13) = 2e12 converges: the reaction mass is finite,
+    # so this is no reaction-mass blow-up (it once read as the harmonic
+    # borderline)
+    c = CoefficientSpec.power(1.0, 1.0 + 5e-13)
+    v = classify_regime(2.0, 2.0, c, CoefficientSpec.power(1.0, 3.0))
+    assert v.regime != REGIME_BLOWUP_ALL
+    rc = [x for x in v.conditions if x.id == "reaction-integral"][0]
+    assert rc.verdict.converges and rc.outcome == "fails"
+
+
 def test_weighted_constant_reaction_rate_balance():
     # c = 1: weight grows like e^{(q-1)t}; flux e^{-2qt} wins -> convergence
     q = 2.0

@@ -1,6 +1,10 @@
 """Every name a memheat module imports is used in that module."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -99,9 +103,22 @@ def _imported_modules(source: str) -> set[str]:
     return names
 
 
-def test_only_the_ode_oracle_imports_scipy_integrate():
+def test_no_module_imports_scipy_integrate_or_optimize():
     importers = sorted(
         path.stem for path in Path(memheat.__file__).parent.glob("*.py")
-        if any(name.startswith("scipy.integrate")
+        if any(name.startswith(("scipy.integrate", "scipy.optimize"))
                for name in _imported_modules(path.read_text())))
-    assert importers == ["ode_oracle"]
+    assert importers == []
+
+
+def test_cli_import_leaves_scipy_integrate_and_optimize_out():
+    # each of them takes a CLI process's set-up longer than the rest of it
+    src = str(Path(memheat.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import json, sys, memheat.cli; print(json.dumps(sorted("
+            "m for m in sys.modules if m.startswith(('scipy.integrate', "
+            "'scipy.optimize')))))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []

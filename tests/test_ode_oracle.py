@@ -1,16 +1,21 @@
 """ODE oracle tests against closed-form solutions and analytic verdicts."""
 
+import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
-
-from scipy.integrate import solve_ivp
+from scipy.integrate import solve_ivp as scipy_solve_ivp
+from scipy.integrate._ivp import dop853_coefficients
 
 from memheat import ode_oracle
-from memheat.coeffs import ZERO, CoefficientSpec
+from memheat.coeffs import ZERO, CoefficientSpec, eval_coeff
 from memheat.errors import ConfigurationError, NotApplicableError, SolverFault
 from memheat.ode_oracle import (
     OdeControls,
@@ -22,6 +27,7 @@ from memheat.ode_oracle import (
 )
 
 SQRT6 = math.sqrt(6.0)
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def closed_form_problem():
@@ -102,6 +108,7 @@ def test_closed_form_crossing_radius_to_1e8():
 ], ids=["blowup", "global"])
 def test_one_solve_per_tolerance_pass(prob, monkeypatch):
     calls = []
+    solve_ivp = ode_oracle.solve_ivp
 
     def counted(*args, **kwargs):
         calls.append(args[1])
@@ -159,10 +166,11 @@ def _energy_crossing_radius(q):
         return float(mpmath.quad(f, pts))
 
 
-@pytest.mark.parametrize("q", [5.0, 10.0, 40.0])
+@pytest.mark.parametrize("q", [5.0, 10.0, 40.0, 60.0])
 def test_steep_blowup_reaches_the_threshold(q):
     # stepping in r, the step size collapsed below the float spacing of r
-    # before y reached 1e10 for all three
+    # before y reached 1e10 for the first three; at q = 60, y' is about
+    # 1e305 at the threshold, which scipy's solver overflowed on
     out = integrate_ode(OdeProblem(0.0, 1.0, 0.0, q, CoefficientSpec.constant(1.0)),
                         r_max=10.0)
     assert out.status == "BlowUp"
@@ -186,6 +194,7 @@ def test_analyze_oracle_problems_need_few_rhs_evaluations(monkeypatch):
     # rescaled time keeps DOP853 from rejecting a step after each accepted
     # one near blow-up: 11,612 evaluations when stepping in r
     nfev = []
+    solve_ivp = ode_oracle.solve_ivp
 
     def counted(*args, **kwargs):
         sol = solve_ivp(*args, **kwargs)
@@ -196,6 +205,121 @@ def test_analyze_oracle_problems_need_few_rhs_evaluations(monkeypatch):
         integrate_ode(OdeProblem(0.0, 1.0, 0.0, q, b), r_max=r_max)
     assert len(nfev) == 4
     assert sum(nfev) <= 6000
+
+
+_TRACED_ORACLES = """
+import contextlib, io, json, os, sys, tempfile
+import tracer
+from workloads import WORKLOADS
+from memheat import cli
+t = tracer.Tracer()
+tracer.install(t)
+codes = []
+with tempfile.TemporaryDirectory() as tmp:
+    for o in WORKLOADS["analyze"]:
+        if o["command"] != "oracle":
+            continue
+        cfg = os.path.join(tmp, o["name"] + ".json")
+        with open(cfg, "w") as f:
+            json.dump(o["config"], f)
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes.append(cli.main([o["command"], "--config", cfg, "--out",
+                                   os.path.join(tmp, o["name"])] + o["args"]))
+print(json.dumps({"codes": codes,
+                  "calls": t.summary()["ode_oracle.solve_ivp"]["calls"],
+                  "nfev": t.counts["ode_oracle.nfev"]}))
+"""
+
+
+def test_traced_benchmark_counts_the_oracle_solves():
+    # perfbench/tracer.py wraps ode_oracle.solve_ivp by name and sums the
+    # nfev of what it returns; the two oracle commands of the analyze
+    # workload make one solve per tolerance pass
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), str(ROOT / "perfbench")]))
+    proc = subprocess.run([sys.executable, "-c", _TRACED_ORACLES], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["codes"] == [0, 0]
+    assert out["calls"] == 4
+    assert 0 < out["nfev"] <= 6000
+
+
+# ---------------------------------------------------------------------------
+# the module's own DOP853
+
+def test_dop853_tableau_is_scipys_bit_for_bit():
+    d = dop853_coefficients
+    for i, row in enumerate(ode_oracle._A, start=1):
+        assert row.tolist() == d.A[i, :i].tolist()
+        # each stage sits at node C_i, the sum of its row, up to the
+        # rounding of the published digits
+        assert math.fsum(row) == pytest.approx(d.C[i], rel=1e-14, abs=1e-16)
+    assert len(ode_oracle._A) == d.N_STAGES - 1
+    assert ode_oracle._B.tolist() == d.B.tolist()
+    assert ode_oracle._E3.tolist() == d.E3.tolist()
+    assert ode_oracle._E5.tolist() == d.E5.tolist()
+
+
+@pytest.mark.parametrize("q, b, r_max", BENCHMARK_ORACLES, ids=["q2_const", "q3_powerlog"])
+@pytest.mark.parametrize("rtol, atol", [(1e-8, 1e-12), (5e-9, 5e-13)])
+def test_accepted_steps_are_scipys_bit_for_bit(q, b, r_max, rtol, atol):
+    # the in-module DOP853 repeats scipy's arithmetic step for step; only
+    # the event point differs (a cubic Hermite, not the order-7 dense
+    # output), and it saves scipy's 3 dense-output evaluations per solve
+    def rhs(s):
+        r, y, v = s.tolist()
+        phi, h = (1.0 + y) / (1.0 + y + v), y ** (0.5 * q)
+        return phi, phi * v, h * phi * eval_coeff(b, r) * h
+
+    def blow(t, s):
+        return s[1] - 1e10
+    blow.terminal, blow.direction = True, 1
+    want = scipy_solve_ivp(lambda t, s: rhs(s), (0.0, math.inf), (0.0, 1.0, 0.0),
+                           method="DOP853", rtol=rtol, atol=atol, events=blow)
+    got = ode_oracle.solve_ivp(rhs, (0.0, 1.0, 0.0), rtol, atol, 1e10, r_max)
+    assert got.blew
+    path = np.array([got.r, got.y, got.v])
+    assert np.array_equal(path[:, :-1], want.y[:, :-1])
+    assert got.nfev == want.nfev - 3
+    assert got.r[-1] == pytest.approx(want.y[0, -1], rel=1e-9)
+    assert got.y[-1] == pytest.approx(1e10, rel=1e-12)
+
+
+def test_dop853_step_is_eighth_order():
+    # y'' = 6 y^2 from y = 1, y' = 2 is y = (1 - tau)^{-2}; the global error
+    # at tau = 1/2 falls like h^8
+    def fun(s):
+        return 1.0, s[2], 6.0 * s[1] * s[1]
+
+    def rel_error(n):
+        s, h = np.array([0.0, 1.0, 2.0]), 0.5 / n
+        f = fun(s)
+        for _ in range(n):
+            s, k = ode_oracle._dop853_step(fun, s, f, h)
+            f = k[-1]
+        assert s[0] == pytest.approx(0.5, rel=1e-15)
+        return abs(s[1] / 4.0 - 1.0)
+
+    coarse, fine = rel_error(8), rel_error(16)
+    assert fine <= 1e-12
+    assert 7.5 <= math.log2(coarse / fine) <= 8.5
+
+
+def test_collapsing_step_is_a_solver_fault_naming_r():
+    # r' = r^2 passes every float near tau = 1: the step falls below
+    # 10 ulps of tau first
+    with pytest.raises(SolverFault, match=r"^integration failed at r = \S+: "
+                                          r"Required step size is less than"):
+        ode_oracle.solve_ivp(lambda s: (s[0] * s[0], 0.0, 0.0), (1.0, 0.0, 0.0),
+                             1e-8, 1e-12, 1.0, math.inf)
+
+
+def test_negative_state_is_a_solver_fault():
+    with pytest.raises(SolverFault, match="^state turned negative$"):
+        ode_oracle.solve_ivp(lambda s: (1.0, -1.0, 0.0), (0.0, 1.0, 0.0),
+                             1e-8, 1e-12, 10.0, 10.0)
 
 
 def test_data_already_over_threshold():
