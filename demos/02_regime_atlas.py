@@ -40,4 +40,5 @@ print("\ncondition ledger for one verdict")
 v = classify_regime(2.0, 2.0, P(1.0, 2.0), P(1.0, 3.0))
 print("  %s via %s" % (v.regime, v.rule))
 for cond in v.conditions:
-    print("  - %-22s %-9s %s" % (cond.id, cond.outcome, cond.evidence))
+    print("  - %-22s %-9s %s" % (cond.id, "holds" if cond.holds else "fails",
+                                 cond.evidence))

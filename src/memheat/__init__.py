@@ -7,7 +7,7 @@ barrier functions for the global regimes, and cross-checks blow-up against
 a radial comparison ODE.
 """
 
-from .coeffs import (CONVERGES, DIVERGES, INDETERMINATE, FAMILIES, ZERO,
+from .coeffs import (CONVERGES, DIVERGES, FAMILIES, ZERO,
                      CoefficientSpec, CumulativeIntegral, Flux, GrowthForm,
                      IntegralVerdict, WindowBound, coefficient_sup,
                      eval_coeff, growth_form, integrate_improper,
@@ -19,9 +19,9 @@ from .constructions import (AuxiliarySolution, DominationReport,
                             build_th4_supersolution, check_domination,
                             small_data_threshold, solve_auxiliary_linear,
                             verify_supersolution, z_profile)
-from .criteria import (FAILS, HOLDS, REGIME_BLOWUP_ALL, REGIME_BOUNDED_SMALL,
+from .criteria import (REGIME_BLOWUP_ALL, REGIME_BOUNDED_SMALL,
                        REGIME_GLOBAL_ALL, REGIME_GLOBAL_SMALL,
-                       REGIME_INDETERMINATE, UNDECIDED, ConditionReport,
+                       REGIME_INDETERMINATE, ConditionReport,
                        RegimeVerdict, classify_regime, effective_flux,
                        effective_flux_conditions, memory_moment_conditions,
                        total_forcing_condition, weighted_memory_conditions)
@@ -43,7 +43,7 @@ from .transform import (EquivalenceReport, TransformedScenario,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CONVERGES", "DIVERGES", "INDETERMINATE", "FAMILIES", "ZERO",
+    "CONVERGES", "DIVERGES", "FAMILIES", "ZERO",
     "CoefficientSpec", "CumulativeIntegral", "Flux", "GrowthForm", "IntegralVerdict",
     "WindowBound", "coefficient_sup", "eval_coeff", "growth_form",
     "integrate_improper", "memory_window_check", "spec_from_json",
@@ -53,9 +53,9 @@ __all__ = [
     "build_th4_supersolution", "check_domination",
     "small_data_threshold", "solve_auxiliary_linear", "verify_supersolution",
     "z_profile",
-    "FAILS", "HOLDS", "REGIME_BLOWUP_ALL", "REGIME_BOUNDED_SMALL",
+    "REGIME_BLOWUP_ALL", "REGIME_BOUNDED_SMALL",
     "REGIME_GLOBAL_ALL", "REGIME_GLOBAL_SMALL", "REGIME_INDETERMINATE",
-    "UNDECIDED", "ConditionReport", "RegimeVerdict", "classify_regime",
+    "ConditionReport", "RegimeVerdict", "classify_regime",
     "effective_flux", "effective_flux_conditions", "memory_moment_conditions",
     "total_forcing_condition", "weighted_memory_conditions",
     "ConfigurationError", "DomainError", "NotApplicableError", "SolverFault",

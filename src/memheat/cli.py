@@ -36,6 +36,7 @@ from .ode_oracle import (
     integrate_ode,
 )
 from .pde_core import (
+    STATUS_ABORTED,
     TRACE_HEADER,
     InitialSpec,
     Scenario,
@@ -270,7 +271,7 @@ def _cmd_run(config: RunConfig, outdir: Path) -> int:
     outcome = run(config.scenario)
     _write_run_artifacts(outcome, config.scenario, outdir)
     _print_outcome(outcome)
-    return 3 if outcome.status == "Aborted" else 0
+    return 3 if outcome.status == STATUS_ABORTED else 0
 
 
 def _cmd_classify(config: RunConfig) -> int:
@@ -278,7 +279,8 @@ def _cmd_classify(config: RunConfig) -> int:
     verdict = classify_regime(scn.p, scn.q, scn.c, scn.k)
     print(f"VERDICT: {verdict.regime} via {verdict.rule}")
     for cond in verdict.conditions:
-        print(f"OUTCOME: {cond.id} {cond.outcome} ({cond.evidence})")
+        print(f"OUTCOME: {cond.id} {'holds' if cond.holds else 'fails'} "
+              f"({cond.evidence})")
     if verdict.notes:
         print(f"OUTCOME: note {verdict.notes}")
     return 0

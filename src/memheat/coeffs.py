@@ -29,7 +29,6 @@ FAMILIES = ("constant", "power", "exp_decay", "power_log", "tabulated")
 
 CONVERGES = "Converges"
 DIVERGES = "Diverges"
-INDETERMINATE = "Indeterminate"
 
 _EXP_TOL = 1e-12  # tolerance when comparing exponents for borderline cases
 _MAX_LOG_DEPTH = 3  # T_4 = e^(T_3) = e^(3.8e6) overflows a float
@@ -393,11 +392,11 @@ def bisect_crossing(g: Callable[[float], float], lo: float, hi: float) -> float:
 
 
 def harmonic_lane(spec: CoefficientSpec) -> bool:
-    """Whether spec = A/(1+t): a power with gamma 1 up to _EXP_TOL.
+    """Whether spec = A/(1+t): a power with gamma exactly 1.
 
     On this lane C(t) = A ln(1+t) and log_int_exp has a closed form.
     """
-    return spec.family == "power" and abs(spec.gamma - 1.0) <= _EXP_TOL
+    return spec.family == "power" and spec.gamma == 1.0
 
 
 def log_lane(spec: CoefficientSpec) -> Optional[tuple[float, int]]:
@@ -406,7 +405,7 @@ def log_lane(spec: CoefficientSpec) -> Optional[tuple[float, int]]:
     On this lane C(t) = A ln_{j+1}(T_j+t), since ln_{j+1}(T_j) = 0.
     """
     if (spec.family == "power_log" and spec.log_depth >= 1
-            and abs(spec.gamma - 1.0) <= _EXP_TOL and spec.log_power == 0.0):
+            and spec.gamma == 1.0 and spec.log_power == 0.0):
         return spec.amplitude, spec.log_depth
     return None
 
@@ -638,6 +637,13 @@ def growth_form(spec: CoefficientSpec) -> GrowthForm:
     return GrowthForm(power=-spec.gamma, logs=logs)
 
 
+def exponent_text(e: float, border: float) -> str:
+    """e to 6 significant digits, or to every digit where 6 would read as
+    the borderline that e is not."""
+    text = f"{e:.6g}"
+    return repr(e) if float(text) == border != e else text
+
+
 def tail_verdict(form: GrowthForm) -> tuple[str, str]:
     """(status, reason) for int^inf of a function with the given growth form.
 
@@ -655,16 +661,18 @@ def tail_verdict(form: GrowthForm) -> tuple[str, str]:
         return DIVERGES, f"stretched-exponential growth ~ exp({form.stretch_rate:.4g} t^{form.stretch_pow:.4g})"
     if form.stretch_rate < 0.0:
         return CONVERGES, f"stretched-exponential decay ~ exp({form.stretch_rate:.4g} t^{form.stretch_pow:.4g})"
+    power = exponent_text(form.power, -1.0)
     if form.power > -1.0:
-        return DIVERGES, f"tail ~ t^{form.power:.6g} with exponent > -1"
+        return DIVERGES, f"tail ~ t^{power} with exponent > -1"
     if form.power < -1.0:
-        return CONVERGES, f"tail ~ t^{form.power:.6g} with exponent < -1"
+        return CONVERGES, f"tail ~ t^{power} with exponent < -1"
     # harmonic borderline: ladder of iterated-log exponents
     for i, e in enumerate(form.logs, start=1):
+        text = exponent_text(e, -1.0)
         if e > -1.0:
-            return DIVERGES, f"harmonic tail, ln_{i} exponent {e:.6g} > -1"
+            return DIVERGES, f"harmonic tail, ln_{i} exponent {text} > -1"
         if e < -1.0:
-            return CONVERGES, f"harmonic tail, ln_{i} exponent {e:.6g} < -1"
+            return CONVERGES, f"harmonic tail, ln_{i} exponent {text} < -1"
     return DIVERGES, "harmonic tail with all iterated-log exponents = -1"
 
 

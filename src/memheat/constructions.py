@@ -34,6 +34,7 @@ from .criteria import (
 )
 from .errors import ConfigurationError, NotApplicableError, SolverFault
 from .pde_core import (
+    STATUS_GLOBAL,
     InitialSpec,
     PrescribedFluxRule,
     Scenario,
@@ -112,7 +113,7 @@ def solve_auxiliary_linear(flux: Optional[Callable[[float], float]],
     sup_t = list(tr.t)
     sup_run = list(np.maximum.accumulate(tr.sup_norm))
 
-    ok = out.status == "GlobalToHorizon"
+    ok = out.status == STATUS_GLOBAL
     if ok:
         # the last state of a run that reached its horizon has a finite
         # sup, so its field has no negative entry

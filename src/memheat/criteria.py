@@ -8,11 +8,13 @@ its certificate off their `holds`.  For linear reaction (p = 1) the
 conditions use exponential weights t^a e^{-mC} (int_0^t e^{rC})^n built from
 C(t) = int_0^t c, each described once by its exponents (`_Weight`), whose
 growth form `_weight_growth` reads off `CoefficientSpec.eventual` for every
-c.  One cascade (`_weighted_integral`) decides every weighted integral:
-k = 0, c = 0, a convergent reaction integral, and otherwise the growth form
-of the weight times k.  Every "for large t" condition is settled in closed
-form on growth forms, the two window bounds included; samples only report
-the size of a window's sup.
+c.  Its lanes (constant, harmonic, subharmonic and log c) take gamma = 1
+exactly, so off every lane int c converges (or c = 0), C is bounded and the
+weight is t^{a+n} up to constants.  One growth-form reduction decides every
+weighted integral and companion bound: the weight's form times k's.  Every
+"for large t" condition is settled in closed form on growth forms, the two
+window bounds included, so each condition holds or fails; samples only
+report the size of a window's sup.
 """
 
 from __future__ import annotations
@@ -24,11 +26,9 @@ from typing import Optional
 import numpy as np
 
 from .coeffs import (
-    _EXP_TOL,
     CONVERGES,
     DIVERGES,
     EVENTUALLY_NONINCREASING,
-    INDETERMINATE,
     CoefficientSpec,
     CumulativeIntegral,
     Flux,
@@ -37,6 +37,7 @@ from .coeffs import (
     WindowBound,
     eval_coeff,
     exponent_sum,
+    exponent_text,
     form_bounded,
     growth_form,
     harmonic_lane,
@@ -53,21 +54,13 @@ REGIME_GLOBAL_SMALL = "GlobalSmallData"
 REGIME_BOUNDED_SMALL = "BoundedGlobalSmallData"
 REGIME_INDETERMINATE = "Indeterminate"
 
-HOLDS = "holds"
-FAILS = "fails"
-UNDECIDED = "undecided"
-
 
 @dataclass(frozen=True)
 class ConditionReport:
     id: str
-    outcome: str            # holds / fails / undecided
+    holds: bool
     evidence: str
     verdict: Optional[IntegralVerdict] = None
-
-    @property
-    def holds(self) -> bool:
-        return self.outcome == HOLDS
 
 
 @dataclass(frozen=True)
@@ -79,15 +72,7 @@ class RegimeVerdict:
 
 
 def _verdict_report(cid: str, v: IntegralVerdict, want: str) -> ConditionReport:
-    if v.status == INDETERMINATE:
-        outcome = UNDECIDED
-    else:
-        outcome = HOLDS if v.status == want else FAILS
-    return ConditionReport(cid, outcome, v.evidence, v)
-
-
-def _flag_report(cid: str, ok: bool, evidence: str) -> ConditionReport:
-    return ConditionReport(cid, HOLDS if ok else FAILS, evidence)
+    return ConditionReport(cid, v.status == want, v.evidence, v)
 
 
 # ---------------------------------------------------------------------------
@@ -131,8 +116,9 @@ def _weight_growth(c: CoefficientSpec, w: _Weight) -> GrowthForm:
     positive last value is on the constant lane.  A subharmonic power_log c
     has C ~ A t^{1-gamma}/(1-gamma) up to its log factors, which slow the
     stretch but change neither its sign nor its rank among the factors.  On
-    no lane, int c converges: C is bounded and w lies between constant
-    multiples of t^{a+n}.
+    no lane, int c converges or c = 0: C is bounded and w lies between
+    constant multiples of t^{a+n}.  A lane takes gamma = 1 exactly, as
+    `tail_verdict` reads a lone exponent.
     """
     c = c.eventual
     x = w.n * w.r - w.m
@@ -140,7 +126,7 @@ def _weight_growth(c: CoefficientSpec, w: _Weight) -> GrowthForm:
         return GrowthForm(exp_rate=_rate(x, c.amplitude), power=w.a)
     if harmonic_lane(c):
         return GrowthForm(power=exponent_sum(w.a, w.n, x * c.amplitude))
-    if (c.family in ("power", "power_log") and c.gamma < 1.0 - _EXP_TOL
+    if (c.family in ("power", "power_log") and c.gamma < 1.0
             and c.amplitude > 0.0):
         g = c.gamma
         return GrowthForm(stretch_rate=_rate(x, c.amplitude) / (1.0 - g),
@@ -156,19 +142,18 @@ def _weight_growth(c: CoefficientSpec, w: _Weight) -> GrowthForm:
 # ---------------------------------------------------------------------------
 # "for large values of t" conditions
 
-def _envelope(cid: str, kl: CoefficientSpec, prefix: str = "") -> ConditionReport:
-    """Whether t^2 * kl(t) is bounded for large t (i.e. kl <= const/t^2);
-    prefix leads the evidence."""
+def _envelope(cid: str, kl: CoefficientSpec) -> ConditionReport:
+    """Whether t^2 * kl(t) is bounded for large t (i.e. kl <= const/t^2)."""
     ok = form_bounded(growth_form(kl).times(GrowthForm(power=2.0)))
-    return _flag_report(cid, ok, f"{prefix}growth form of t^2*k: "
-                                 f"{'bounded' if ok else 'unbounded'} tail")
+    return ConditionReport(cid, ok, "growth form of t^2*k: "
+                                    f"{'bounded' if ok else 'unbounded'} tail")
 
 
 def _monotone(cid: str, weight: str) -> ConditionReport:
     """weight * k is nonincreasing for large t when weight is."""
-    return _flag_report(cid, EVENTUALLY_NONINCREASING,
-                        f"closed form: {weight} falls for q > 1 and k is "
-                        "nonincreasing for large t")
+    return ConditionReport(cid, EVENTUALLY_NONINCREASING,
+                           f"closed form: {weight} falls for q > 1 and k is "
+                           "nonincreasing for large t")
 
 
 # ---------------------------------------------------------------------------
@@ -186,26 +171,10 @@ def memory_moment_conditions(q: float, k_lower: CoefficientSpec
             _monotone("memory-moment-monotone", "t^(1-q)"))
 
 
-def _weighted_integral(c: CoefficientSpec, c_tail: Optional[IntegralVerdict],
-                       k: CoefficientSpec, w: _Weight) -> IntegralVerdict:
-    """Verdict on int_0^inf w k for the blow-up or the flux weight.
-
-    The first rule that applies decides: k = 0; c = 0, where the weight is
-    exactly t; a convergent reaction integral (c_tail), where the weight lies
-    between constant multiples of t; the growth-form reduction.  c_tail is
-    read only when k and c are both nonzero.
-    """
-    if k.is_zero:
-        return IntegralVerdict(CONVERGES, 0.0, "memory coefficient vanishes")
-    if c.is_zero:
-        base = integrate_improper(k, weight=1.0)
-        return IntegralVerdict(base.status, base.value,
-                               f"weights collapse at c = 0 to the t-moment; {base.evidence}")
-    if c_tail.converges:
-        base = integrate_improper(k, weight=1.0)
-        return IntegralVerdict(base.status, None,
-                               "bounded exponential weights (convergent reaction "
-                               f"integral); equivalent to the t-moment: {base.evidence}")
+def _weighted_integral(c: CoefficientSpec, k: CoefficientSpec, w: _Weight
+                       ) -> IntegralVerdict:
+    """Verdict on int_0^inf w k for the blow-up or the flux weight, read off
+    the growth form of w times k's."""
     status, reason = tail_verdict(_weight_growth(c, w).times(growth_form(k)))
     return IntegralVerdict(status, None, f"weighted growth-form reduction: {reason}")
 
@@ -221,19 +190,11 @@ def weighted_memory_conditions(q: float, c: CoefficientSpec, k_lower: Coefficien
     """
     if q <= 1.0:
         raise ConfigurationError("weighted memory conditions require q > 1")
-    c_tail = None if k_lower.is_zero or c.is_zero else integrate_improper(c)
-    blow = _weighted_integral(c, c_tail, k_lower, _Weight.blowup(q))
-
-    if k_lower.is_zero:
-        env = _flag_report("weighted-envelope", True, "weight times zero")
-    elif c.is_zero or c_tail.converges:
-        env = _envelope("weighted-envelope", k_lower,
-                        "bounded exponential weights; reduces to t^2*k: ")
-    else:
-        ok = form_bounded(_weight_growth(c, _Weight.bound(q)).times(growth_form(k_lower)))
-        env = _flag_report("weighted-envelope", ok,
-                           "weighted growth-form reduction: companion weight "
-                           f"{'bounded' if ok else 'unbounded'}")
+    blow = _weighted_integral(c, k_lower, _Weight.blowup(q))
+    ok = form_bounded(_weight_growth(c, _Weight.bound(q)).times(growth_form(k_lower)))
+    env = ConditionReport("weighted-envelope", ok,
+                          "weighted growth-form reduction: companion weight "
+                          f"{'bounded' if ok else 'unbounded'}")
     return (_verdict_report("weighted-memory", blow, want=DIVERGES), env,
             _monotone("weighted-monotone", "t^(1-q) e^(-2C)"))
 
@@ -289,12 +250,11 @@ def effective_flux_conditions(q: float, c: CoefficientSpec, k: CoefficientSpec
     reaction-tail condition that upgrades global to bounded."""
     if q <= 1.0:
         raise ConfigurationError("effective flux conditions require q > 1")
-    reaction_tail = integrate_improper(c)
-    flux = _weighted_integral(c, reaction_tail, k, _Weight.flux(q))
+    flux = _weighted_integral(c, k, _Weight.flux(q))
     window = memory_window_check(k, flux=effective_flux(c, k, q))
     return (_verdict_report("effective-flux", flux, want=CONVERGES),
             _window_report("effective-flux-window", "effective flux", window),
-            _verdict_report("reaction-integral", reaction_tail, want=CONVERGES))
+            _verdict_report("reaction-integral", integrate_improper(c), want=CONVERGES))
 
 
 def _part(v: IntegralVerdict) -> str:
@@ -308,17 +268,14 @@ def total_forcing_condition(c: CoefficientSpec, k: CoefficientSpec) -> IntegralV
     if vc.diverges or vk.diverges:
         which = "reaction part" if vc.diverges else "memory moment part"
         return IntegralVerdict(DIVERGES, None, f"{which} diverges")
-    if vc.converges and vk.converges:
-        return IntegralVerdict(CONVERGES, vc.value + vk.value,
-                               f"reaction part {_part(vc)} + memory moment part {_part(vk)}")
-    return IntegralVerdict(INDETERMINATE, None,
-                           f"reaction part {vc.status}; memory moment part {vk.status}")
+    return IntegralVerdict(CONVERGES, vc.value + vk.value,
+                           f"reaction part {_part(vc)} + memory moment part {_part(vk)}")
 
 
 def _window_report(cid: str, flux: str, win: WindowBound) -> ConditionReport:
-    return _flag_report(cid, win.holds,
-                        f"windowed {flux} sup {win.k_sup:.6g} on the probes; "
-                        f"{'bounded' if win.holds else 'not bounded'}")
+    return ConditionReport(cid, win.holds,
+                           f"windowed {flux} sup {win.k_sup:.6g} on the probes; "
+                           f"{'bounded' if win.holds else 'not bounded'}")
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +301,9 @@ def classify_regime(p: float, q: float, c: CoefficientSpec, k: CoefficientSpec,
     kl = k if k_lower is None else k_lower
 
     linear = max(p, q) <= 1.0
-    conds = [_flag_report("max-exponent", linear,
-                          f"max(p, q) = {max(p, q):.6g} {'<=' if linear else '>'} 1")]
+    conds = [ConditionReport("max-exponent", linear,
+                             f"max(p, q) = {exponent_text(max(p, q), 1.0)} "
+                             f"{'<=' if linear else '>'} 1")]
     if linear:
         return RegimeVerdict(REGIME_GLOBAL_ALL, "linear-growth-barrier", tuple(conds),
                              notes="every nonnegative solution is global")
@@ -398,10 +356,7 @@ def classify_regime(p: float, q: float, c: CoefficientSpec, k: CoefficientSpec,
                 notes="global for small initial data; boundedness needs a "
                       "convergent reaction integral; unresolved for large data")
 
-    undecided = [r.id for r in conds if r.outcome == UNDECIDED]
-    if undecided:
-        note = "undecided conditions: " + ", ".join(sorted(set(undecided)))
-    elif p > 1.0 and q <= 1.0:
+    if p > 1.0 and q <= 1.0:
         note = ("uncovered exponent region: p > 1 with convergent reaction "
                 "integral and q <= 1")
     elif q > 1.0 and p < 1.0:

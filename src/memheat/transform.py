@@ -20,9 +20,9 @@ import numpy as np
 from .coeffs import ZERO, CumulativeIntegral
 from .errors import ConfigurationError, NotApplicableError
 from .pde_core import (
+    STATUS_BLOWUP,
     BlowupEstimate,
     Scenario,
-    SimulationOutcome,
     Trace,
     WeightedMemoryRule,
     estimate_blowup_time,
@@ -40,7 +40,6 @@ class TransformedScenario:
     multiplies by k(t) e^{-C(t)} at flux time.
     """
 
-    base: Scenario
     scenario: Scenario
     cumulative: CumulativeIntegral
 
@@ -55,7 +54,7 @@ def to_transformed(scenario: Scenario) -> TransformedScenario:
     cum = CumulativeIntegral(scenario.c)
     rule = WeightedMemoryRule(scenario.k, cum, scenario.q)
     twin = replace(scenario, c=ZERO, boundary=rule)
-    return TransformedScenario(base=scenario, scenario=twin, cumulative=cum)
+    return TransformedScenario(scenario=twin, cumulative=cum)
 
 
 def from_transformed(v_field, c, t: float):
@@ -71,8 +70,6 @@ class EquivalenceReport:
     status_transformed: str     # verdict of the mapped-back route
     agree: bool
     times: np.ndarray           # snapshot times that entered the comparison
-    outcome_direct: SimulationOutcome
-    outcome_transformed: SimulationOutcome
     estimate_direct: Optional[BlowupEstimate]
     estimate_mapped: Optional[BlowupEstimate]
 
@@ -89,7 +86,7 @@ def equivalence_check(scenario: Scenario, T: float) -> EquivalenceReport:
 
     Returns the max over shared snapshot times of
     ||u_direct - u_mapped||_inf / (1 + ||u_direct||_inf), truncated at the
-    earlier end when one route stops first, together with both outcomes and
+    earlier end when one route stops first, together with both statuses and
     their blow-up estimates in original-variable units.
     """
     if scenario.p != 1.0:
@@ -108,7 +105,7 @@ def equivalence_check(scenario: Scenario, T: float) -> EquivalenceReport:
 
     mapped = _mapped_trace(out_t.trace, cum)
     crossed = bool(np.any(mapped.sup_norm >= threshold))
-    status_t = "BlowUp" if crossed else out_t.status
+    status_t = STATUS_BLOWUP if crossed else out_t.status
     est_mapped = (estimate_blowup_time(mapped, scenario.p, threshold)
                   if crossed else None)
 
@@ -133,6 +130,5 @@ def equivalence_check(scenario: Scenario, T: float) -> EquivalenceReport:
         discrepancy=disc, status_direct=out_d.status,
         status_transformed=status_t,
         agree=out_d.status == status_t,
-        times=np.array(used), outcome_direct=out_d,
-        outcome_transformed=out_t,
-        estimate_direct=out_d.blowup_estimate, estimate_mapped=est_mapped)
+        times=np.array(used), estimate_direct=out_d.blowup_estimate,
+        estimate_mapped=est_mapped)

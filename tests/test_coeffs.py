@@ -25,6 +25,7 @@ from memheat.coeffs import (
     eval_coeff,
     form_bounded,
     growth_form,
+    harmonic_lane,
     integrate_improper,
     log_lane,
     log_tower,
@@ -844,6 +845,30 @@ def test_lone_log_exponent_near_its_borderline_compares_exactly():
     v = integrate_improper(CoefficientSpec.power_log(1.0, 1.0, 1, log_power=lam))
     assert v.status == CONVERGES
     assert v.value == pytest.approx(1.0 / lam, rel=1e-9)
+
+
+def test_lanes_take_gamma_one_exactly():
+    # a gamma 5e-13 past 1 has a convergent int c, so it is on no lane
+    assert harmonic_lane(CoefficientSpec.power(1.0, 1.0))
+    assert log_lane(CoefficientSpec.power_log(2.0, 1.0, 1)) == (2.0, 1)
+    for gamma in (1.0 + 5e-13, 1.0 - 5e-13):
+        assert not harmonic_lane(CoefficientSpec.power(1.0, gamma))
+        assert log_lane(CoefficientSpec.power_log(2.0, gamma, 1)) is None
+
+
+@pytest.mark.parametrize("spec,want", [
+    (CoefficientSpec.power(1.0, 1.0 + 5e-13),
+     "closed form: tail ~ t^-1.0000000000005 with exponent < -1"),
+    (CoefficientSpec.power(1.0, 1.0 - 5e-13),
+     "closed form: tail ~ t^-0.9999999999995 with exponent > -1"),
+    (CoefficientSpec.power_log(1.0, 1.0, 1, log_power=5e-13),
+     "closed form: harmonic tail, ln_1 exponent -1.0000000000005 < -1"),
+    (CoefficientSpec.power(1.0, 2.5), "closed form: tail ~ t^-2.5 with exponent < -1"),
+])
+def test_evidence_never_prints_an_exponent_as_its_borderline(spec, want):
+    # six digits of -1 - 5e-13 read "-1", the borderline it is not; an
+    # exponent that six digits show faithfully keeps them
+    assert integrate_improper(spec).evidence == want
 
 
 def test_exponent_sum_reads_a_rounded_balance_as_the_borderline():

@@ -6,14 +6,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
 from memheat.coeffs import (
     CONVERGES,
     DIVERGES,
-    INDETERMINATE,
     CoefficientSpec,
     CumulativeIntegral,
     eval_coeff,
@@ -63,7 +62,7 @@ def test_verdicts_agree_across_coefficient_aliases(a, gamma, pq, alias_is_c):
     for alias in aliases:
         c, k = (alias, other) if alias_is_c else (other, alias)
         v = classify_regime(*pq, c, k)
-        seen.add((v.regime, v.rule, tuple((x.id, x.outcome) for x in v.conditions)))
+        seen.add((v.regime, v.rule, tuple((x.id, x.holds) for x in v.conditions)))
     assert len(seen) == 1
 
 
@@ -86,7 +85,7 @@ def test_reaction_mass_blowup():
     assert v.regime == REGIME_BLOWUP_ALL
     assert v.rule == "reaction-mass-blowup"
     rc = [c for c in v.conditions if c.id == "reaction-integral"][0]
-    assert rc.outcome == "holds" and rc.verdict.diverges
+    assert rc.holds and rc.verdict.diverges
 
 
 def test_memory_moment_blowup():
@@ -96,7 +95,7 @@ def test_memory_moment_blowup():
     assert v.regime == REGIME_BLOWUP_ALL
     assert v.rule == "memory-moment-blowup"
     env = [c for c in v.conditions if c.id == "memory-envelope"][0]
-    assert env.outcome == "holds"
+    assert env.holds
 
 
 def test_memory_moment_blowup_constant_flux():
@@ -106,7 +105,7 @@ def test_memory_moment_blowup_constant_flux():
     assert v.rule == "memory-moment-blowup"
     env = [c for c in v.conditions if c.id == "memory-envelope"][0]
     mono = [c for c in v.conditions if c.id == "memory-moment-monotone"][0]
-    assert env.outcome == "fails" and mono.outcome == "holds"
+    assert not env.holds and mono.holds
 
 
 def test_small_data_barrier():
@@ -138,7 +137,7 @@ def test_exponential_factor_barrier_unbounded():
     assert v.regime == REGIME_GLOBAL_SMALL
     assert v.rule == "exponential-factor-barrier"
     rt = [c for c in v.conditions if c.id == "reaction-integral"][-1]
-    assert rt.outcome == "fails"
+    assert not rt.holds
 
 
 def test_exponential_factor_barrier_bounded():
@@ -191,7 +190,7 @@ def test_weighted_reduces_exactly_at_zero_reaction(k):
     base = integrate_improper(k, weight=1.0)
     assert blow.id == "weighted-memory"
     assert blow.verdict.status == base.status
-    assert blow.verdict.value == base.value
+    assert blow.verdict.value is None
 
 
 def test_effective_flux_reduces_exactly_at_zero_reaction():
@@ -199,7 +198,7 @@ def test_effective_flux_reduces_exactly_at_zero_reaction():
     flux, window, _ = effective_flux_conditions(2.0, ZERO, k)
     base = integrate_improper(k, weight=1.0)
     assert flux.verdict.status == base.status
-    assert flux.verdict.value == base.value
+    assert flux.verdict.value is None
     direct = memory_window_check(k)
     win = memory_window_check(k, flux=effective_flux(ZERO, k, 2.0))
     assert win.k_sup == pytest.approx(direct.k_sup, rel=1e-12)
@@ -214,7 +213,7 @@ def test_effective_flux_window_overflow_is_not_stabilized():
     assert math.isinf(win.k_sup)
     assert not win.holds
     _, window, _ = effective_flux_conditions(2.0, CONST1, k)
-    assert window.outcome == "fails"
+    assert not window.holds
     assert window.evidence.startswith("windowed effective flux sup inf on the probes")
 
 
@@ -252,7 +251,7 @@ def test_effective_flux_window_sum_past_the_float_range_fails_quietly():
     spec = CoefficientSpec.power_log(2.2222832706920586, 0.1523892675354173, 2,
                                      1.0091248264704185)
     _, window, _ = effective_flux_conditions(9.17708526409792, spec, spec)
-    assert window.outcome == "fails"
+    assert not window.holds
     assert window.evidence.startswith("windowed effective flux sup inf on the probes")
 
 
@@ -323,7 +322,25 @@ def test_reaction_power_just_past_harmonic_has_finite_mass():
     v = classify_regime(2.0, 2.0, c, CoefficientSpec.power(1.0, 3.0))
     assert v.regime != REGIME_BLOWUP_ALL
     rc = [x for x in v.conditions if x.id == "reaction-integral"][0]
-    assert rc.verdict.converges and rc.outcome == "fails"
+    assert rc.verdict.converges and not rc.holds
+
+
+def test_reaction_power_just_off_harmonic_takes_no_harmonic_lane():
+    # gamma = 1 + 5e-13 has a convergent int c, so the flux weight is t up
+    # to constants and kappa ~ t k = t^-1.5 (the harmonic lane once gave
+    # t^-0.5); gamma = 1 - 5e-13 stretches C ~ t^(5e-13) / 5e-13
+    k = CoefficientSpec.power(1.0, 2.5)
+    assert effective_flux(CoefficientSpec.power(1.0, 1.0 + 5e-13), k, 2.0).form.power == -1.5
+    g = 1.0 - 5e-13
+    form = _weight_growth(CoefficientSpec.power(1.0, g), _Weight.flux(2.0))
+    assert form.stretch_rate > 0.0 and form.stretch_pow == 1.0 - g
+
+
+def test_max_exponent_evidence_never_reads_as_one():
+    v = classify_regime(1.0 + 1e-9, 0.5, CONST1, CONST1)
+    assert v.conditions[0].evidence == "max(p, q) = 1.000000001 > 1"
+    v = classify_regime(1.0, 0.5, CONST1, CONST1)
+    assert v.conditions[0].evidence == "max(p, q) = 1 <= 1"
 
 
 def test_weighted_constant_reaction_rate_balance():
@@ -529,10 +546,10 @@ def test_table_memory_that_rises_past_the_data_blows_up():
     k = CoefficientSpec.tabulated([[0.0, 0.0], [1e4, 0.0], [1e5, 1.0]])
     v = classify_regime(2.0, 2.0, CoefficientSpec.power(1.0, 2.0), k)
     assert (v.regime, v.rule) == (REGIME_BLOWUP_ALL, "memory-moment-blowup")
-    outcomes = {r.id: r.outcome for r in v.conditions}
-    assert outcomes["memory-moment"] == "holds"
-    assert outcomes["memory-envelope"] == "fails"
-    assert outcomes["memory-moment-monotone"] == "holds"
+    holds = {r.id: r.holds for r in v.conditions}
+    assert holds["memory-moment"]
+    assert not holds["memory-envelope"]
+    assert holds["memory-moment-monotone"]
 
 
 # The reference below is the sampling and decade numerics that judged
@@ -542,6 +559,7 @@ def test_table_memory_that_rises_past_the_data_blows_up():
 # vanishing tail to the decade protocol (the test above), and a tail under
 # 1e-12 reads as bounded to `_old_sup_stabilized`'s absolute tolerance.
 _OLD_TS = np.geomspace(1e3, 1e7, 400)
+_INDETERMINATE = "Indeterminate"  # the decade protocol's third status
 
 
 def _old_sup_stabilized(times, values):
@@ -589,7 +607,7 @@ def _old_decade_status(f):
             return DIVERGES
         if max(rs) < 0.9 and max(rs) - min(rs) < 0.005:
             return CONVERGES
-    return INDETERMINATE
+    return _INDETERMINATE
 
 
 def _old_nonincreasing(values):
@@ -645,7 +663,7 @@ def test_closed_form_tail_judgements_match_the_old_sampled_ones(k, c, q):
     for weight in (0.0, 1.0, q):
         old = _old_decade_status(
             lambda t: np.asarray(t, dtype=float) ** weight * eval_coeff(k, t))
-        if old != INDETERMINATE:
+        if old != _INDETERMINATE:
             assert integrate_improper(k, weight=weight).status == old
 
 
@@ -679,7 +697,7 @@ def test_off_lane_reaction_is_judged_without_decade_numerics(gamma, depth):
         for k in ks:
             for p in (1.0, 2.0):
                 v = classify_regime(p, 2.0, c, k)
-                assert all(r.outcome != "undecided" for r in v.conditions), (c, k, p)
+                assert all(isinstance(r.holds, bool) for r in v.conditions), (c, k, p)
 
 
 # ---------------------------------------------------------------------------
@@ -748,6 +766,21 @@ def _ladder_draws(test):
         st.one_of(st.sampled_from([1.5, 2.0, 3.0]), st.floats(0.1, 10.0)),
         st.one_of(_SPECS, st.builds(_tiny, _SPECS, st.floats(5e-324, 1e-9))),
         _SPECS)(test))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_SPECS, _SPECS, st.one_of(st.sampled_from([1.5, 2.0, 3.0]),
+                                 st.floats(1.0, 20.0, exclude_min=True)))
+def test_bounded_reaction_weights_reduce_to_the_t_moment(c, k, q):
+    # with C bounded (int c converges, or c = 0) every p = 1 weight is t^{a+n}
+    # up to constants: both weighted integrals judge as the t-moment of k,
+    # and the companion bound as t^2 k
+    assume(c.is_zero or integrate_improper(c).converges)
+    moment = integrate_improper(k, weight=1.0).status
+    blow, envelope, _ = weighted_memory_conditions(q, c, k)
+    flux = effective_flux_conditions(q, c, k)[0]
+    assert blow.verdict.status == flux.verdict.status == moment
+    assert envelope.holds == memory_moment_conditions(q, k)[1].holds
 
 
 @_ladder_draws

@@ -1,4 +1,5 @@
-"""Every name a memheat module imports is used in that module."""
+"""Every name a memheat module imports is used in that module, and none is
+another module's private name."""
 
 import ast
 import json
@@ -90,6 +91,31 @@ def test_dead_name_scan_sees_functions_classes_and_constants():
     # assignment to the same name; an attribute of that name is a use
     assert _dead_names(sources) == ["a.Shadow", "a.UNUSED", "a.recursive",
                                     "b.Shadow", "b.x"]
+
+
+def _private_imports(source: str) -> list[str]:
+    """Underscore-prefixed names that a memheat module's source imports from
+    another memheat module (a relative or a memheat.* import)."""
+    return sorted(
+        f"line {node.lineno}: {node.module or ''}.{alias.name}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "memheat")
+        for alias in node.names if alias.name.startswith("_"))
+
+
+@pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.name)
+def test_module_imports_no_private_name_of_another(path):
+    assert _private_imports(path.read_text()) == []
+
+
+def test_private_import_scan_sees_relative_and_absolute_imports():
+    source = ("from .coeffs import _EXP_TOL, exponent_sum\n"
+              "from memheat.criteria import _Weight\nfrom . import _hidden\n"
+              "from os import _exit\nfrom __future__ import annotations\n")
+    assert _private_imports(source) == ["line 1: coeffs._EXP_TOL",
+                                        "line 2: memheat.criteria._Weight",
+                                        "line 3: ._hidden"]
 
 
 def _imported_modules(source: str) -> set[str]:
