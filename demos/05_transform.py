@@ -20,7 +20,7 @@ scn = Scenario(length=1.0, p=1.0, q=2.0, c=c, k=k,
                controls=SolverControls(t_max=2.0))
 
 twin = to_transformed(scn)
-C = twin.cumulative
+C = twin.boundary.cum
 print("transformed twin: reaction c set to zero, boundary slope becomes")
 print("  k(t) e^{-C(t)} * integral of e^{q C} v^q;  rho(1, 1) = %.6f"
       % math.exp(scn.q * C(1.0) - C(1.0)))

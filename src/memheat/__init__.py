@@ -37,8 +37,8 @@ from .pde_core import (STATUS_ABORTED, STATUS_BLOWUP, STATUS_GLOBAL,
                        WeightedMemoryRule, estimate_blowup_time,
                        mass_inequality_check, run, run_group,
                        verify_comparison)
-from .transform import (EquivalenceReport, TransformedScenario,
-                        equivalence_check, from_transformed, to_transformed)
+from .transform import (EquivalenceReport, equivalence_check,
+                        from_transformed, to_transformed)
 
 __version__ = "0.1.0"
 
@@ -66,7 +66,7 @@ __all__ = [
     "Scenario", "SimulationOutcome", "SolverControls", "Trace",
     "WeightedMemoryRule", "estimate_blowup_time", "mass_inequality_check",
     "run", "run_group", "verify_comparison",
-    "EquivalenceReport", "TransformedScenario", "equivalence_check",
-    "from_transformed", "to_transformed",
+    "EquivalenceReport", "equivalence_check", "from_transformed",
+    "to_transformed",
     "__version__",
 ]

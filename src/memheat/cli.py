@@ -375,8 +375,13 @@ def _cmd_oracle(config: RunConfig, refine: int) -> int:
     ctr = replace(DEFAULT_ODE_CONTROLS,
                   rtol=DEFAULT_ODE_CONTROLS.rtol / 2 ** refine,
                   blowup_threshold=scn.controls.blowup_threshold)
-    prob = OdeProblem(a=0.0, y_a=float(scn.u0.value), yp_a=0.0, q=scn.q,
-                      b=scn.k)
+    try:
+        prob = OdeProblem(a=0.0, y_a=float(scn.u0.value), yp_a=0.0, q=scn.q,
+                          b=scn.k)
+    except ConfigurationError as exc:
+        # name the JSON key of y(0) or q, the fields that a config sets
+        key = {"y_a": "initial.value", "q": "exponents.q"}.get(exc.key, exc.key)
+        raise ConfigurationError(exc.detail, key) from None
     outcome = integrate_ode(prob, r_max=scn.controls.t_max, controls=ctr)
     print(f"OUTCOME: status {outcome.status}")
     if outcome.R_star is not None:

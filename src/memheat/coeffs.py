@@ -164,21 +164,11 @@ class CoefficientSpec:
         return eval_coeff(self, t)
 
     @cached_property
-    def scalar(self) -> Callable[[float], float]:
-        """Pure-math evaluator for one float t >= 0, compiled on first use."""
-        f = self._scalar_law[3]
-
-        def scalar(t: float) -> float:
-            if t < 0:
-                raise DomainError("coefficients are defined for t >= 0")
-            return float(f(t))
-        return scalar
-
-    @cached_property
     def _scalar_law(self) -> tuple[str, float, float, Callable[[float], float]]:
-        """(family, amplitude, -gamma, formula) as floats for `eval_coeff`:
-        the same operations as `scalar`'s formula, since an int operand
-        converts to the same float either way."""
+        """(family, amplitude, -gamma, formula on math) for `eval_coeff`,
+        built on first use: the float amplitude and -gamma give the
+        formula's bits, since an int operand converts to the same float
+        either way."""
         return (self.family, float(self.amplitude), -float(self.gamma),
                 _formula(self, math.exp, math.log))
 
@@ -265,9 +255,9 @@ ZERO = CoefficientSpec.constant(0.0)
 def eval_coeff(spec: CoefficientSpec, t):
     """Evaluate the coefficient at t (scalar or array), t >= 0.
 
-    A float t >= 0, the stepping loop's case, takes `CoefficientSpec.scalar`'s
-    arithmetic in this one frame; an int, a numpy float, a negative or a NaN
-    t takes `scalar` itself.
+    A float t >= 0, the stepping loop's case, computes a constant or a power
+    in this one frame and calls the math formula otherwise; an int, a numpy
+    float or a NaN is converted to a float and calls the formula.
     """
     if t.__class__ is float and t >= 0.0:
         family, amp, exponent, f = spec._scalar_law
@@ -277,7 +267,9 @@ def eval_coeff(spec: CoefficientSpec, t):
             return amp * (1.0 + t) ** exponent
         return float(f(t))
     if isinstance(t, (int, float)):
-        return spec.scalar(float(t))
+        if t < 0:
+            raise DomainError("coefficients are defined for t >= 0")
+        return float(spec._scalar_law[3](float(t)))
     arr = np.asarray(t, dtype=float)
     if np.any(arr < 0):
         raise DomainError("coefficients are defined for t >= 0")
@@ -329,7 +321,7 @@ def spec_to_json(spec: CoefficientSpec) -> dict:
     return doc
 
 
-def spec_from_json(doc: dict, where: str = "coefficient") -> CoefficientSpec:
+def spec_from_json(doc: dict, where: str) -> CoefficientSpec:
     """The spec a JSON object describes; an error names its key as where.key."""
     if not isinstance(doc, dict):
         raise ConfigurationError("must be an object", where)

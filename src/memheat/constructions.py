@@ -42,6 +42,7 @@ from .pde_core import (
     State,
     run,
     step,
+    step_values,
 )
 
 _DOMINATION_TOL = 1e-8  # check_domination's bound on (u - barrier)/(1 + sup)
@@ -104,10 +105,9 @@ def solve_auxiliary_linear(flux: Optional[Callable[[float], float]],
                                  grid=scenario.grid(), bound=1.0,
                                  stabilized=True)
     t_settle = max(4e4, 2.0 * t_max)
-    rule = PrescribedFluxRule(flux)
     scn = Scenario(length=scenario.length, p=2.0, q=2.0, c=ZERO, k=ZERO,
                    u0=InitialSpec("constant", 1.0), controls=controls,
-                   boundary=rule)
+                   boundary=PrescribedFluxRule(flux))
     out = run(scn)
     tr = out.trace
     sup_t = list(tr.t)
@@ -127,7 +127,7 @@ def solve_auxiliary_linear(flux: Optional[Callable[[float], float]],
         try:
             while state.t < t_settle and math.isfinite(rs):
                 dt = min(dt * 1.05, 100.0, dt_cap, t_settle - state.t)
-                state = step(state, scn, dt, rule)
+                state = step(state, scn, dt, step_values(state, scn))
                 rs = max(rs, state.sup)
                 sup_t.append(state.t)
                 sup_run.append(rs)

@@ -35,6 +35,7 @@ from .coeffs import (
     GrowthForm,
     IntegralVerdict,
     WindowBound,
+    as_real,
     eval_coeff,
     exponent_sum,
     exponent_text,
@@ -281,8 +282,8 @@ def _window_report(cid: str, flux: str, win: WindowBound) -> ConditionReport:
 # ---------------------------------------------------------------------------
 # the classifier
 
-def classify_regime(p: float, q: float, c: CoefficientSpec, k: CoefficientSpec,
-                    k_lower: Optional[CoefficientSpec] = None) -> RegimeVerdict:
+def classify_regime(p: float, q: float, c: CoefficientSpec,
+                    k: CoefficientSpec) -> RegimeVerdict:
     """Walk the rule ladder; first certified rule wins.
 
     Rules, in order: every-solution-global for max(p,q) <= 1; blow-up of all
@@ -291,14 +292,13 @@ def classify_regime(p: float, q: float, c: CoefficientSpec, k: CoefficientSpec,
     and window bounds (min(p,q) > 1) or via the effective flux (p = 1).
     The linear-reaction rules require p == 1 exactly.
     """
-    if not (isinstance(p, (int, float)) and isinstance(q, (int, float))):
-        raise ConfigurationError("p and q must be numbers")
-    if p <= 0 or q <= 0:
-        raise ConfigurationError("exponents p and q must be positive")
+    p, q = as_real(p, "p"), as_real(q, "q")
+    for x, name in ((p, "p"), (q, "q")):
+        if not (math.isfinite(x) and x > 0):
+            raise ConfigurationError(f"must be finite and > 0, not {x!r}", name)
     for spec, name in ((c, "c"), (k, "k")):
         if not isinstance(spec, CoefficientSpec):
             raise ConfigurationError(f"{name} must be a CoefficientSpec")
-    kl = k if k_lower is None else k_lower
 
     linear = max(p, q) <= 1.0
     conds = [ConditionReport("max-exponent", linear,
@@ -317,7 +317,7 @@ def classify_regime(p: float, q: float, c: CoefficientSpec, k: CoefficientSpec,
                                  notes="superlinear reaction with divergent mass")
 
     if q > 1.0:
-        moment, envelope, monotone = memory_moment_conditions(q, kl)
+        moment, envelope, monotone = memory_moment_conditions(q, k)
         conds += (moment, envelope, monotone)
         if moment.holds and (envelope.holds or monotone.holds):
             return RegimeVerdict(REGIME_BLOWUP_ALL, "memory-moment-blowup",
@@ -325,7 +325,7 @@ def classify_regime(p: float, q: float, c: CoefficientSpec, k: CoefficientSpec,
                                  notes="divergent memory moment with a tame envelope")
 
     if p == 1.0 and q > 1.0:
-        weighted, envelope, monotone = weighted_memory_conditions(q, c, kl)
+        weighted, envelope, monotone = weighted_memory_conditions(q, c, k)
         conds += (weighted, envelope, monotone)
         if weighted.holds and (envelope.holds or monotone.holds):
             return RegimeVerdict(REGIME_BLOWUP_ALL, "weighted-memory-blowup",

@@ -71,16 +71,14 @@ class OdeProblem:
     b: CoefficientSpec
 
     def __post_init__(self):
-        if not (math.isfinite(self.a) and self.a >= 0):
-            raise ConfigurationError("start point a must be finite and >= 0")
-        if not (math.isfinite(self.y_a) and self.y_a >= 0):
-            raise ConfigurationError("y(a) must be finite and >= 0")
-        if not (math.isfinite(self.yp_a) and self.yp_a >= 0):
-            raise ConfigurationError("y'(a) must be finite and >= 0")
+        for name in ("a", "y_a", "yp_a"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigurationError("must be finite and >= 0", name)
         if self.y_a + self.yp_a <= 0:
-            raise ConfigurationError("need y(a) + y'(a) > 0")
+            raise ConfigurationError("must be > 0 when y'(a) = 0", "y_a")
         if not (math.isfinite(self.q) and self.q > 1):
-            raise ConfigurationError("exponent q must be > 1")
+            raise ConfigurationError("must be finite and > 1", "q")
         if not isinstance(self.b, CoefficientSpec):
             raise ConfigurationError("b must be a CoefficientSpec")
 

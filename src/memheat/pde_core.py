@@ -264,7 +264,9 @@ class Scenario:
     def grid(self) -> np.ndarray:
         return np.linspace(0.0, self.length, self.controls.n_nodes)
 
-    def boundary_rule(self):
+    @cached_property
+    def rule(self):
+        """The boundary rule: `boundary`, or the memory rule of k."""
         return self.boundary if self.boundary is not None else MemoryRule(self.k)
 
     def initial_field(self) -> np.ndarray:
@@ -365,22 +367,20 @@ def _reaction(u: np.ndarray, c_dt, p: float, out=None) -> np.ndarray:
     return r
 
 
-def step_values(state: State, scenario: Scenario, rule=None) -> tuple:
+def step_values(state: State, scenario: Scenario) -> tuple:
     """(c(t), left slope, right slope, accumulator weight) at state.t."""
-    rule = rule if rule is not None else scenario.boundary_rule()
     t = state.t
-    return (eval_coeff(scenario.c, t),) + rule.flux(t, state.M_left, state.M_right)
+    return ((eval_coeff(scenario.c, t),)
+            + scenario.rule.flux(t, state.M_left, state.M_right))
 
 
-def step(state: State, scenario: Scenario, dt: float, rule=None,
-         values=None) -> State:
+def step(state: State, scenario: Scenario, dt: float, values: tuple) -> State:
     """One IMEX step: explicit reaction and boundary flux, implicit diffusion,
     then the trapezoid update of the memory accumulators.  `values` are the
-    step_values of state, when the caller already has them."""
+    step_values of state."""
     if dt <= 0.0 or not math.isfinite(dt):
         raise ConfigurationError("dt must be positive and finite")
-    rule = rule if rule is not None else scenario.boundary_rule()
-    c_t, g_left, g_right, w0 = values or step_values(state, scenario, rule)
+    c_t, g_left, g_right, w0 = values
     h = scenario.h
     # the end rows take the explicit flux and the symmetrizing 1/sqrt(2) as
     # floats, and the solve overwrites this step's own rhs
@@ -423,7 +423,7 @@ def step(state: State, scenario: Scenario, dt: float, rule=None,
         # reaction or flux overflowed: blow-up trigger, not an error
         u_new = np.where(np.isfinite(rhs), rhs, np.inf)
         sup = math.inf
-    return _stepped(state, dt, u_new, sup, rule, w0, scenario.q, nonneg)
+    return _stepped(state, dt, u_new, sup, scenario, w0, nonneg)
 
 
 # u + c_dt u^p stays below this for entries in [0, sup] when the float bound
@@ -450,18 +450,18 @@ def _explicit(state: State, c_t: float, dt: float, p: float) -> np.ndarray:
         return _reaction(u, c_dt, p)
 
 
-def _stepped(state: State, dt: float, u_new: np.ndarray, sup: float, rule,
-             w0: float, q: float, nonneg: bool) -> State:
+def _stepped(state: State, dt: float, u_new: np.ndarray, sup: float,
+             scenario: Scenario, w0: float, nonneg: bool) -> State:
     """The state after a step of dt to u_new, with the trapezoid update of
     the memory accumulators (weight w0 at state.t); nonneg tells whether
     u_new is known to have no negative entry."""
     t = state.t + dt
-    w1 = rule.acc_weight(t)
+    w1 = scenario.rule.acc_weight(t)
     if w0 == 0.0 and w1 == 0.0:
         # no memory accumulates (prescribed flux); + 0.0 as the update would
         M_left, M_right = state.M_left + 0.0, state.M_right + 0.0
     else:
-        u = state.u
+        u, q = state.u, scenario.q
         M_left = state.M_left + 0.5 * dt * (_acc_term(w0, u.item(0), q)
                                             + _acc_term(w1, u_new.item(0), q))
         M_right = state.M_right + 0.5 * dt * (_acc_term(w0, u.item(-1), q)
@@ -483,14 +483,13 @@ def _acc_term(w: float, ub: float, q: float) -> float:
         return math.inf
 
 
-def choose_dt(state: State, scenario: Scenario, rule=None,
-              values=None) -> float:
+def choose_dt(state: State, scenario: Scenario, values: tuple) -> float:
     """Rate-controlled step: the explicit reaction and flux terms may change u
     by about theta relative per step.  The quadratic flux term resolves
     boundary-driven blow-up, where the slope grows faster than the field.
-    `values` are the step_values of state, when the caller already has them."""
+    `values` are the step_values of state."""
     ctr = scenario.controls
-    c_t, g_left, g_right, _ = values or step_values(state, scenario, rule)
+    c_t, g_left, g_right, _ = values
     sup = state.sup
     rate_react = _reaction_rate(c_t, sup, scenario.p)
     u = state.u
@@ -579,16 +578,14 @@ def advance(scenario: Scenario, state: State):
     ctr = scenario.controls
     dt_max = ctr.dt_max
     c = scenario.c
-    rule = scenario.boundary_rule()
-    flux = rule.flux
+    flux = scenario.rule.flux
     cut = _Clock(ctr).cut
     while _stop(state, ctr) is None:
         t = state.t
         # the step_values of state
         values = (eval_coeff(c, t),) + flux(t, state.M_left, state.M_right)
-        dt, landed = cut(t, _ladder(choose_dt(state, scenario, rule, values),
-                                    dt_max))
-        state = step(state, scenario, dt, rule, values)
+        dt, landed = cut(t, _ladder(choose_dt(state, scenario, values), dt_max))
+        state = step(state, scenario, dt, values)
         yield state, dt, values, landed
 
 
@@ -816,7 +813,7 @@ def run_group(scenarios) -> list:
 
 
 def estimate_blowup_time(trace: Trace, p: float,
-                         threshold: float = 1e10) -> BlowupEstimate:
+                         threshold: float) -> BlowupEstimate:
     """First threshold crossing, plus (for p > 1) the zero crossing of a line
     through the last 20 samples of sup^{1-p} against t."""
     above = np.nonzero(trace.sup_norm >= threshold)[0]
@@ -885,7 +882,7 @@ def verify_comparison(scenario_low: Scenario,
             "sublinear exponents require strictly positive lower data")
 
     threshold = a.controls.blowup_threshold
-    rule_b = b.boundary_rule()
+    flux_b = b.rule.flux
     st_low = State(0.0, u0_low, 0.0, 0.0, nonneg=True)
     st_high = State(0.0, u0_high, 0.0, 0.0, nonneg=True)
     max_viol = 0.0
@@ -895,9 +892,9 @@ def verify_comparison(scenario_low: Scenario,
         # included; "not sup < threshold" also catches NaN
         if st_high.sup < threshold:
             for st_low, dt, values, _ in advance(a, st_low):
-                values_high = values[:1] + rule_b.flux(st_high.t, st_high.M_left,
-                                                       st_high.M_right)
-                st_high = step(st_high, b, dt, rule_b, values_high)
+                values_high = values[:1] + flux_b(st_high.t, st_high.M_left,
+                                                  st_high.M_right)
+                st_high = step(st_high, b, dt, values_high)
                 with np.errstate(invalid="ignore"):
                     gap = float(np.max(st_low.u - st_high.u))
                 if math.isfinite(gap) and math.isfinite(st_high.sup):

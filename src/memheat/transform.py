@@ -30,31 +30,22 @@ from .pde_core import (
 )
 
 
-@dataclass
-class TransformedScenario:
-    """Reaction-stripped twin of a p = 1 scenario.
+def to_transformed(scenario: Scenario) -> Scenario:
+    """The reaction-stripped twin of a p = 1 scenario: c = 0 and the
+    weighted memory rule as its boundary, whose `cum` evaluates C(t).
 
-    `scenario` carries the weighted memory rule; `cumulative` evaluates
-    C(t).  The memory weight rho(t, tau) = e^{q C(tau) - C(t)} is never
+    The memory weight rho(t, tau) = e^{q C(tau) - C(t)} is never
     materialized as a table: the solver keeps A(t) = int e^{q C} v^q and
     multiplies by k(t) e^{-C(t)} at flux time.
     """
-
-    scenario: Scenario
-    cumulative: CumulativeIntegral
-
-
-def to_transformed(scenario: Scenario) -> TransformedScenario:
-    """Strip the reaction of a p = 1 scenario into the memory weight."""
     if scenario.p != 1.0:
         raise NotApplicableError("the change of variables needs p = 1")
     if scenario.boundary is not None:
         raise ConfigurationError(
             "only the standard memory boundary can be transformed")
-    cum = CumulativeIntegral(scenario.c)
-    rule = WeightedMemoryRule(scenario.k, cum, scenario.q)
-    twin = replace(scenario, c=ZERO, boundary=rule)
-    return TransformedScenario(scenario=twin, cumulative=cum)
+    rule = WeightedMemoryRule(scenario.k, CumulativeIntegral(scenario.c),
+                              scenario.q)
+    return replace(scenario, c=ZERO, boundary=rule)
 
 
 def from_transformed(v_field, c, t: float):
@@ -99,8 +90,8 @@ def equivalence_check(scenario: Scenario, T: float) -> EquivalenceReport:
     twin = to_transformed(base)
 
     out_d = run(base)
-    out_t = run(twin.scenario)
-    cum = twin.cumulative
+    out_t = run(twin)
+    cum = twin.boundary.cum
     threshold = ctr.blowup_threshold
 
     mapped = _mapped_trace(out_t.trace, cum)

@@ -814,6 +814,24 @@ def test_oracle_refuses_non_constant_initial_by_its_key(tmp_path, capsys, initia
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
+@pytest.mark.parametrize("over, key", [
+    ({"initial": {"value": 0.0}}, "initial.value"),
+    ({"exponents": {"q": 1.0}}, "exponents.q"),
+    ({"exponents": {"q": 0.5}}, "exponents.q"),
+], ids=["y0_zero", "q_one", "q_half"])
+def test_oracle_refuses_y0_or_q_by_its_key(tmp_path, capsys, over, key):
+    # y(0) = 0 stays 0 from rest, and the oracle's ODE needs q > 1
+    doc = base_doc(k={"family": "constant", "amplitude": 1.0},
+                   output={"dir": str(tmp_path / "out")}, **over)
+    cfg = write_cfg(tmp_path, doc)
+    assert main(["oracle", "--config", cfg]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"CONFIG ERROR: {key} must be ")
+    assert len(err.splitlines()) == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 # ---------------------------------------------------------------------------
 # plumbing
 

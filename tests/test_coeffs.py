@@ -101,9 +101,9 @@ def test_tabulated_eval_finite_between_close_nodes():
     # nodes closer than the value step over DBL_MAX: a slope would overflow
     k = CoefficientSpec.tabulated([[0.0, 0.0], [2.2250738585072014e-308, 4.0]])
     t = 1.1125369292536007e-308
-    assert k.scalar(t) == 2.0
+    assert eval_coeff(k, t) == 2.0
     np.testing.assert_array_equal(k(np.array([0.0, t, 1.0])), [0.0, 2.0, 4.0])
-    assert CoefficientSpec.tabulated(k.table, amplitude=0.0).scalar(t) == 0.0
+    assert eval_coeff(CoefficientSpec.tabulated(k.table, amplitude=0.0), t) == 0.0
 
 
 def test_negative_time_rejected():
@@ -130,24 +130,21 @@ _specs = st.one_of(
 @given(_specs, st.floats(0.0, 1e6))
 def test_compiled_scalar_evaluator_matches_array_path(spec, t):
     want = eval_coeff(spec, np.array([t]))[0]
-    assert math.isclose(spec.scalar(t), want, rel_tol=1e-14, abs_tol=1e-300)
-    assert eval_coeff(spec, t) == spec.scalar(t)
+    assert math.isclose(eval_coeff(spec, t), want, rel_tol=1e-14, abs_tol=1e-300)
 
 
 @settings(max_examples=100, deadline=None)
 @given(_specs, st.floats(max_value=0.0, exclude_max=True, allow_infinity=False))
 def test_compiled_scalar_evaluator_rejects_negative_time(spec, t):
     with pytest.raises(DomainError):
-        spec.scalar(t)
+        eval_coeff(spec, t)
 
 
 def test_compiled_scalar_evaluator_is_built_on_first_use():
     spec = CoefficientSpec.power_log(1.0, 2.0, 1, 1.0)
-    assert "_scalar_law" not in vars(spec) and "scalar" not in vars(spec)
+    assert "_scalar_law" not in vars(spec)
     spec(0.5)
     assert "_scalar_law" in vars(spec)
-    spec(1)
-    assert "scalar" in vars(spec)
     assert spec == CoefficientSpec.power_log(1.0, 2.0, 1, 1.0)
 
 
@@ -175,6 +172,26 @@ def test_eval_coeff_scalar_path_equals_the_formula_bitwise(spec, t):
 def test_eval_coeff_scalar_path_rejects_negative_time(spec, t):
     with pytest.raises(DomainError, match="t >= 0"):
         eval_coeff(spec, t)
+
+
+def _float_path_outcome(spec, t):
+    """eval_coeff's value at t as (type, bits), or its DomainError."""
+    try:
+        got = eval_coeff(spec, t)
+    except DomainError as exc:
+        return DomainError, str(exc)
+    return type(got), np.float64(got).tobytes()
+
+
+@pytest.mark.parametrize("spec", _INTEGER_PARAMETER_SPECS, ids=lambda s: s.family)
+@pytest.mark.parametrize("t", [3, np.float64(0.7), math.nan, np.float64(math.nan),
+                               -1, np.float64(-0.5)],
+                         ids=["int", "np.float64", "nan", "np.nan", "negative int",
+                              "negative np.float64"])
+def test_eval_coeff_takes_any_real_scalar_as_its_float(spec, t):
+    # an int or a numpy float gives the bits, or the DomainError, of the
+    # Python float it converts to
+    assert _float_path_outcome(spec, t) == _float_path_outcome(spec, float(t))
 
 
 @pytest.mark.parametrize("bad", [True, "1", None, [1.0], complex(1.0, 0.0)])
@@ -257,13 +274,13 @@ def test_json_round_trip_all_families():
     ]
     for spec in specs:
         doc = json.loads(json.dumps(spec_to_json(spec)))
-        assert spec_from_json(doc) == spec
+        assert spec_from_json(doc, "c") == spec
 
 
 @settings(max_examples=200, deadline=None)
 @given(_specs)
 def test_spec_json_round_trip(spec):
-    assert spec_from_json(json.loads(json.dumps(spec_to_json(spec)))) == spec
+    assert spec_from_json(json.loads(json.dumps(spec_to_json(spec))), "k") == spec
 
 
 def test_json_key_names():
@@ -274,12 +291,13 @@ def test_json_key_names():
 
 
 def test_json_rejects_unknown_key():
-    with pytest.raises(ConfigurationError):
-        spec_from_json({"family": "constant", "amplitude": 1.0, "gamma": 2.0})
-    with pytest.raises(ConfigurationError):
-        spec_from_json({"family": "power", "amplitude": 1.0, "gamma": 1.0, "rate": 3})
-    with pytest.raises(ConfigurationError):
-        spec_from_json({"family": "nope"})
+    with pytest.raises(ConfigurationError, match="unknown key 'gamma' in c"):
+        spec_from_json({"family": "constant", "amplitude": 1.0, "gamma": 2.0}, "c")
+    with pytest.raises(ConfigurationError, match="unknown key 'rate' in k"):
+        spec_from_json({"family": "power", "amplitude": 1.0, "gamma": 1.0, "rate": 3},
+                       "k")
+    with pytest.raises(ConfigurationError, match="^c.family must be one of"):
+        spec_from_json({"family": "nope"}, "c")
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +348,7 @@ def test_cumulative_array_monotone():
 def _quad_cumulative(spec, t):
     # adaptive quad over geometric panels, so each panel sees one scale
     edges = [0.0] + [e for e in np.geomspace(1e-9, 1e8, 35) if e < t] + [t]
-    return math.fsum(integrate.quad(spec.scalar, a, b, epsabs=0.0, epsrel=1e-13,
+    return math.fsum(integrate.quad(spec, a, b, epsabs=0.0, epsrel=1e-13,
                                     limit=200)[0]
                      for a, b in zip(edges, edges[1:]))
 
@@ -426,7 +444,7 @@ def test_canonical_maps_aliases_and_keeps_everything_else():
         assert spec.canonical is spec
     # the JSON round trip keeps the user's spelling
     alias = CoefficientSpec.power_log(2.0, 0.0, 0)
-    assert spec_from_json(spec_to_json(alias)) == alias
+    assert spec_from_json(spec_to_json(alias), "c") == alias
     assert spec_to_json(alias)["family"] == "power_log"
 
 

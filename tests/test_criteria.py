@@ -164,16 +164,30 @@ def test_classifier_input_validation():
 
 
 def test_k_scaling_monotonicity():
-    # certification through a lower envelope survives replacing k by any
-    # pointwise larger coefficient
-    kl = CoefficientSpec.power(0.5, 2.0)
-    base = classify_regime(2.0, 2.0, CoefficientSpec.power(1.0, 2.0),
-                           CoefficientSpec.power(1.0, 2.0), k_lower=kl)
-    bigger = classify_regime(2.0, 2.0, CoefficientSpec.power(1.0, 2.0),
-                             CoefficientSpec.constant(5.0), k_lower=kl)
-    assert base.regime == REGIME_BLOWUP_ALL
-    assert bigger.regime == REGIME_BLOWUP_ALL
-    assert base.rule == bigger.rule == "memory-moment-blowup"
+    # the memory-moment conditions certify blow-up on a lower envelope of k,
+    # and the classifier certifies it for every pointwise larger k
+    moment, envelope, monotone = memory_moment_conditions(
+        2.0, CoefficientSpec.power(0.5, 2.0))
+    assert moment.holds and (envelope.holds or monotone.holds)
+    for k in (CoefficientSpec.power(1.0, 2.0), CoefficientSpec.constant(5.0)):
+        v = classify_regime(2.0, 2.0, CoefficientSpec.power(1.0, 2.0), k)
+        assert (v.regime, v.rule) == (REGIME_BLOWUP_ALL, "memory-moment-blowup")
+
+
+@pytest.mark.parametrize("p, q, key", [
+    (True, 2.0, "p"), (2.0, False, "q"), (math.nan, 2.0, "p"), (2.0, math.inf, "q"),
+    ("2", 2.0, "p"), (2.0, -1, "q")])
+def test_classifier_refuses_an_exponent_by_its_name(p, q, key):
+    # a bool is no exponent, and NaN is not > 0
+    with pytest.raises(ConfigurationError, match=f"^{key} must be "):
+        classify_regime(p, q, CONST1, CONST1)
+
+
+def test_classifier_reads_a_numpy_exponent_as_its_float():
+    c, k = CoefficientSpec.power(1.0, 2.0), CONST1
+    want = classify_regime(2.0, 2.0, c, k)
+    assert classify_regime(np.int64(2), np.float64(2.0), c, k) == want
+    assert classify_regime(2, 2, c, k) == want
 
 
 # ---------------------------------------------------------------------------

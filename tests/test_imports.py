@@ -93,6 +93,82 @@ def test_dead_name_scan_sees_functions_classes_and_constants():
                                     "b.Shadow", "b.x"]
 
 
+def _unset_defaults(sources: dict) -> list[str]:
+    """Parameter defaults of the functions and methods in sources (module
+    name -> text) that no call in any of them overrides, by keyword or by
+    position.  A call matches every function of its name, and a class name
+    its __init__; a *args or **kwargs at the call overrides every default.
+    Reported as "module.[Class.]function(parameter)"."""
+    functions, calls = [], {}
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        owner = {id(item): node.name for node in ast.walk(tree)
+                 if isinstance(node, ast.ClassDef) for item in node.body}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", getattr(func, "attr", None))
+                calls.setdefault(name, []).append(node)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                functions.append((module, owner.get(id(node)), node))
+    unset = []
+    for module, cls, fn in functions:
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        static = any(getattr(d, "id", None) == "staticmethod"
+                     for d in fn.decorator_list)
+        if cls is not None and not static:
+            positional = positional[1:]     # self or cls, bound at the call
+        defaulted = [(i, arg) for i, arg in enumerate(positional)
+                     if i >= len(positional) - len(args.defaults)]
+        defaulted += [(None, arg) for arg, d in zip(args.kwonlyargs,
+                                                    args.kw_defaults) if d]
+        name = cls if fn.name == "__init__" else fn.name
+        for i, arg in defaulted:
+            if not any(any(isinstance(a, ast.Starred) for a in call.args)
+                       or i is not None and len(call.args) > i
+                       or any(kw.arg in (arg.arg, None) for kw in call.keywords)
+                       for call in calls.get(name, [])):
+                where = f"{cls}.{fn.name}" if cls else fn.name
+                unset.append(f"{module}.{where}({arg.arg})")
+    return sorted(unset)
+
+
+# parameter defaults that no package call overrides, kept on purpose
+_DEFAULTS_KEPT = {
+    # the console script calls main() on sys.argv; tests pass argv
+    "cli.main(argv)",
+    # these two constructors mirror the JSON keys' defaults
+    "coeffs.CoefficientSpec.power_log(log_power)",
+    "coeffs.CoefficientSpec.tabulated(amplitude)",
+}
+
+
+def test_every_parameter_default_is_overridden_by_a_package_call():
+    # a default that no caller overrides is a setting only tests reach
+    sources = {path.stem: path.read_text()
+               for path in Path(memheat.__file__).parent.glob("*.py")}
+    assert sorted(set(_unset_defaults(sources)) - _DEFAULTS_KEPT) == []
+
+
+def test_unset_default_scan_sees_keywords_positions_and_methods():
+    sources = {
+        "a": ("def f(x, y=1, z=2, *, w=3):\n    return x\n"
+              "class K:\n"
+              "    def __init__(self, n=0):\n        self.n = n\n"
+              "    def m(self, u=1, v=2):\n        return u\n"
+              "    @staticmethod\n    def s(r=1):\n        return r\n"
+              "    @classmethod\n    def c(cls, e=1):\n        return cls()\n"),
+        "b": ("from .a import K, f\n"
+              "f(0, 5)\nf(0, w=4)\nK().m(7)\nK.s(2)\nK.c()\n"
+              "def g(*args, q=0):\n    return K(*args)\n"),
+    }
+    # y by position and w by keyword; a method's position skips self, a
+    # static method's does not; a class name calls __init__, and a *args
+    # call overrides every default
+    assert _unset_defaults(sources) == ["a.K.c(e)", "a.K.m(v)", "a.f(z)", "b.g(q)"]
+
+
 def _private_imports(source: str) -> list[str]:
     """Underscore-prefixed names that a memheat module's source imports from
     another memheat module (a relative or a memheat.* import)."""

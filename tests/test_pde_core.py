@@ -72,6 +72,11 @@ def fresh_state(scn):
     return State(0.0, scn.initial_field(), 0.0, 0.0)
 
 
+def take_step(state, scn, dt):
+    """One step of dt on the state's own step_values."""
+    return step(state, scn, dt, step_values(state, scn))
+
+
 # ---------------------------------------------------------------------------
 # single steps
 
@@ -79,7 +84,7 @@ def test_constant_is_exact_steady_state():
     scn = scenario(c=ZERO, k=ZERO, u0=("constant", 3.0))
     st = fresh_state(scn)
     for _ in range(5):
-        st = step(st, scn, 1e-3)
+        st = take_step(st, scn, 1e-3)
     assert np.max(np.abs(st.u - 3.0)) <= 1e-13
     assert st.M_left == pytest.approx(st.t * 3.0 ** scn.q, rel=1e-12)
 
@@ -88,27 +93,27 @@ def test_uniform_reaction_single_step_is_explicit_euler():
     # implicit diffusion of a constant is the constant, so one step of the
     # uniform problem is exactly u + dt*c*u^p
     scn = scenario(p=2.0, c=ONE, k=ZERO, u0=("constant", 1.0))
-    st = step(fresh_state(scn), scn, 0.01)
+    st = take_step(fresh_state(scn), scn, 0.01)
     assert np.max(np.abs(st.u - 1.01)) <= 1e-13
 
 
 def test_memory_accumulator_matches_trapezoid():
     scn = scenario(p=2.0, q=1.0, c=ZERO, k=ONE, u0=("constant", 1.0))
     dt = 1e-3
-    st = step(fresh_state(scn), scn, dt)
+    st = take_step(fresh_state(scn), scn, dt)
     # flux is zero while the accumulator is empty, so u stays 1 exactly
     assert np.max(np.abs(st.u - 1.0)) <= 1e-13
     assert st.M_left == pytest.approx(dt, rel=1e-12)
     assert st.M_right == pytest.approx(dt, rel=1e-12)
-    st = step(st, scn, dt)
+    st = take_step(st, scn, dt)
     assert st.M_left == pytest.approx(2 * dt, rel=1e-3)
     assert st.M_left >= dt  # monotone
 
 
 def test_prescribed_influx_raises_boundary_values_symmetrically():
-    scn = scenario(c=ZERO, k=ZERO, u0=("constant", 1.0))
-    rule = PrescribedFluxRule(lambda t: 1.0)
-    st = step(fresh_state(scn), scn, 1e-4, rule=rule)
+    scn = replace(scenario(c=ZERO, k=ZERO, u0=("constant", 1.0)),
+                  boundary=PrescribedFluxRule(lambda t: 1.0))
+    st = take_step(fresh_state(scn), scn, 1e-4)
     assert st.u[0] > 1.0
     assert st.u[0] == pytest.approx(st.u[-1], rel=1e-12)
     assert st.M_left == 0.0  # prescribed flux accumulates no memory
@@ -125,7 +130,7 @@ def test_weighted_rule_damps_slope_and_inflates_accumulator():
 def test_step_rejects_nonpositive_dt():
     scn = scenario()
     with pytest.raises(ConfigurationError):
-        step(fresh_state(scn), scn, 0.0)
+        take_step(fresh_state(scn), scn, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +173,7 @@ def test_overflowing_reaction_step_is_inf_where_rhs_overflowed():
     u = np.ones(51)
     u[node] = 1e200
     dt = 1e-3
-    new = step(State(0.0, u, 0.0, 0.0), scn, dt)
+    new = take_step(State(0.0, u, 0.0, 0.0), scn, dt)
     assert new.u[node] == math.inf
     # the rhs of every other node, 1 + dt * 1^2, is taken as it is
     np.testing.assert_array_equal(np.delete(new.u, node), np.full(50, 1.0 + dt))
@@ -184,21 +189,21 @@ def _prescribed_outflow_case(overshoot):
     unit = np.zeros(51)
     unit[[0, -1]] = dt * 2.0 / scn.h
     g = -(1.0 + overshoot) / _solve_diffusion(unit, dt, scn.h)[0]
-    return scn, PrescribedFluxRule(lambda t: g), dt
+    return replace(scn, boundary=PrescribedFluxRule(lambda t: g)), dt
 
 
 def test_large_outflow_raises_negative_undershoot():
-    scn, rule, dt = _prescribed_outflow_case(1.0)
+    scn, dt = _prescribed_outflow_case(1.0)
     with pytest.raises(SolverFault, match="negative undershoot"):
-        step(fresh_state(scn), scn, dt, rule=rule)
+        take_step(fresh_state(scn), scn, dt)
 
 
 def test_slight_negative_result_is_clipped_to_zero():
-    scn, rule, dt = _prescribed_outflow_case(1e-12)
+    scn, dt = _prescribed_outflow_case(1e-12)
     rhs = np.ones(51)
-    rhs[[0, -1]] += dt * 2.0 / scn.h * rule.g(0.0)
+    rhs[[0, -1]] += dt * 2.0 / scn.h * scn.rule.g(0.0)
     assert -1e-10 < _solve_diffusion(rhs, dt, scn.h).min() < 0.0
-    new = step(fresh_state(scn), scn, dt, rule=rule)
+    new = take_step(fresh_state(scn), scn, dt)
     assert new.u.min() == 0.0 and new.u[0] == 0.0 and new.u[-1] == 0.0
     assert new.sup == float(new.u.max()) > 0.9
 
@@ -206,22 +211,21 @@ def test_slight_negative_result_is_clipped_to_zero():
 def test_overflowing_outflow_step_keeps_finite_accumulators():
     # the overflow branch keeps the rhs, so the outflow end value stays
     # negative (-0.008); its power ub ** 0.5 must not reach the accumulators
-    scn = scenario(p=2.0, q=0.5, c=CoefficientSpec.constant(0.5), k=ONE,
-                   n_nodes=3)
+    scn = replace(scenario(p=2.0, q=0.5, c=CoefficientSpec.constant(0.5), k=ONE,
+                           n_nodes=3), boundary=PrescribedFluxRule(lambda t: -1.0))
     state = State(0.0, np.array([0.0, 1e200, 1e200]), 0.0, 0.0)
-    new = step(state, scn, 2e-3, rule=PrescribedFluxRule(lambda t: -1.0))
+    new = take_step(state, scn, 2e-3)
     assert math.isfinite(new.M_left) and math.isfinite(new.M_right)
 
 
-def _reference_step(state, scenario, dt, rule=None, values=None):
+def _reference_step(state, scenario, dt, values):
     """step as it was before it skipped the min of a field that cannot go
     negative, dropped the p = 1 power, took its end rows as floats, solved in
     place and entered np.errstate only for a reaction that can overflow: the
     oracle of the lean kernel."""
     if dt <= 0.0 or not math.isfinite(dt):
         raise ConfigurationError("dt must be positive and finite")
-    rule = rule if rule is not None else scenario.boundary_rule()
-    c_t, g_left, g_right, w0 = values or step_values(state, scenario, rule)
+    c_t, g_left, g_right, w0 = values
     u = state.u
     t = state.t
     with np.errstate(over="ignore", invalid="ignore"):
@@ -246,7 +250,7 @@ def _reference_step(state, scenario, dt, rule=None, values=None):
     else:
         u_new = np.where(np.isfinite(rhs), rhs, np.inf)
         sup = math.inf
-    w1 = rule.acc_weight(t + dt)
+    w1 = scenario.rule.acc_weight(t + dt)
     q = scenario.q
     M_left = state.M_left + 0.5 * dt * (_acc_term(w0, float(u[0]), q)
                                         + _acc_term(w1, float(u_new[0]), q))
@@ -256,10 +260,10 @@ def _reference_step(state, scenario, dt, rule=None, values=None):
                  state.steps + 1, sup)
 
 
-def _outcome(kernel, state, scn, dt, rule, values):
+def _outcome(kernel, state, scn, dt, values):
     """A step's state as bytes, or its exception as (type, message)."""
     try:
-        new = kernel(state, scn, dt, rule, values)
+        new = kernel(state, scn, dt, values)
     except (SolverFault, ConfigurationError) as exc:
         return type(exc), str(exc)
     return (np.array([new.t, new.M_left, new.M_right, new.sup]).tobytes(),
@@ -274,16 +278,17 @@ def _step_rule(kind, k, q, g):
     return PrescribedFluxRule(lambda t: g)
 
 
-def _assert_lean_step_is_reference(state, scn, dt, rule, values):
-    want = _outcome(_reference_step, state, scn, dt, rule, values)
-    assert _outcome(step, state, scn, dt, rule, values) == want
+def _assert_lean_step_is_reference(state, scn, dt, values):
+    want = _outcome(_reference_step, state, scn, dt, values)
+    assert _outcome(step, state, scn, dt, values) == want
     if isinstance(want[0], type):
         return
     # from a step's own result, which carries the flag the step set
-    new = step(state, scn, dt, rule, values)
+    new = step(state, scn, dt, values)
     assert not (new.nonneg and (new.u < 0).any())
-    assert (_outcome(step, new, scn, dt, rule, None)
-            == _outcome(_reference_step, new, scn, dt, rule, None))
+    values = step_values(new, scn)
+    assert (_outcome(step, new, scn, dt, values)
+            == _outcome(_reference_step, new, scn, dt, values))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -298,28 +303,27 @@ def _assert_lean_step_is_reference(state, scn, dt, rule, values):
        hand_built=st.booleans(),
        spike=st.sampled_from([None, math.inf, -math.inf, math.nan]),
        level=st.integers(0, 30),
-       t=st.floats(0.0, 10.0), M=st.floats(0.0, 1e3), shared=st.booleans(),
-       data=st.data())
+       t=st.floats(0.0, 10.0), M=st.floats(0.0, 1e3), data=st.data())
 def test_lean_step_equals_reference_step_bitwise(n, p, q, c, k, kind, g, scale,
                                                  hand_built, spike, level, t,
-                                                 M, shared, data):
+                                                 M, data):
     # hand-built states may hold negative entries and take the full min;
     # states a step made are nonnegative and may skip it.  Either may hold
     # an inf or a NaN (not negative), a hand-built one also a -inf; the
     # prescribed "outflow" rule draws slopes of both signs and no memory; a
     # negative c(t) reaches the step only through its values
-    scn = scenario(p=p, q=q, c=CoefficientSpec.constant(abs(c)), n_nodes=n)
-    rule = _step_rule(kind, CoefficientSpec.constant(k), q, g)
+    scn = replace(scenario(p=p, q=q, c=CoefficientSpec.constant(abs(c)), n_nodes=n),
+                  boundary=_step_rule(kind, CoefficientSpec.constant(k), q, g))
     low = -1.0 if hand_built else 0.0
     u = scale * data.draw(arrays(np.float64, n, elements=st.floats(low, 10.0)))
     if spike is not None and (hand_built or spike != -math.inf):
         u[data.draw(st.integers(0, n - 1))] = spike
     state = State(t, u, M, 0.5 * M, steps=3, nonneg=not hand_built)
     dt = 2e-3 * 2.0 ** -level
-    values = step_values(state, scn, rule) if shared or c < 0.0 else None
+    values = step_values(state, scn)
     if c < 0.0:
         values = (c,) + values[1:]
-    _assert_lean_step_is_reference(state, scn, dt, rule, values)
+    _assert_lean_step_is_reference(state, scn, dt, values)
 
 
 def _bound(c_dt, sup, p):
@@ -361,28 +365,28 @@ def test_lean_step_equals_reference_step_at_the_overflow_bound(
     u = sup * frac
     u[data.draw(st.integers(0, n - 1))] = sup
     # a negative c(t) reaches the step only through its values
-    scn = scenario(p=p, q=q, c=CoefficientSpec.constant(abs(c)), n_nodes=n)
-    rule = _step_rule(kind, CoefficientSpec.constant(1.0), q, g)
+    scn = replace(scenario(p=p, q=q, c=CoefficientSpec.constant(abs(c)), n_nodes=n),
+                  boundary=_step_rule(kind, CoefficientSpec.constant(1.0), q, g))
     state = State(0.5, u, 1.0, 2.0, steps=3, nonneg=True)
-    values = (c,) + rule.flux(state.t, state.M_left, state.M_right)
-    _assert_lean_step_is_reference(state, scn, dt, rule, values)
+    values = (c,) + scn.rule.flux(state.t, state.M_left, state.M_right)
+    _assert_lean_step_is_reference(state, scn, dt, values)
 
 
 def _reference_run(scn):
     """run(scn) as the reference step chained: each step's own step_values,
     the laddered choose_dt cut by a `_Clock`, and the trace rows and
     snapshots that `run` records."""
-    ctr, rule, h = scn.controls, scn.boundary_rule(), scn.h
+    ctr, h = scn.controls, scn.h
     state = State(0.0, scn.initial_field(), 0.0, 0.0)
     rows = [(0.0, state.sup, state.mass(h), 0.0, 0.0, 0.0)]
     snapshots = [(0.0, state.u.copy())]
     clock = pde_core._Clock(ctr)
     try:
         while pde_core._stop(state, ctr) is None:
-            values = step_values(state, scn, rule)
+            values = step_values(state, scn)
             dt, landed = clock.cut(state.t, _ladder(
-                choose_dt(state, scn, rule, values), ctr.dt_max))
-            state = _reference_step(state, scn, dt, rule, values)
+                choose_dt(state, scn, values), ctr.dt_max))
+            state = _reference_step(state, scn, dt, values)
             if landed or state.sup >= 0.01 * ctr.blowup_threshold:
                 rows.append((state.t, state.sup, state.mass(h), state.M_left,
                              state.M_right, dt))
@@ -425,6 +429,13 @@ _RUN_COEFF = st.one_of(
 @example(n=7, p=1.0, q=3.0, c=CoefficientSpec.power(2.0, 1.0),
          k=CoefficientSpec.constant(4.0), weighted=True, u0=("constant", 2.0),
          t_max=1.0, threshold=1e3)
+# a power_log k, and a weighted rule on the C(t) of a power_log c
+@example(n=51, p=2.0, q=2.0, c=CoefficientSpec.power(1.0, 2.0),
+         k=CoefficientSpec.power_log(1.0, 2.0, 1, 1.0), weighted=False,
+         u0=("constant", 0.1), t_max=0.4, threshold=1e10)
+@example(n=51, p=1.0, q=2.0, c=CoefficientSpec.power_log(1.0, 1.0, 1),
+         k=CoefficientSpec.power(2.0, 1.0), weighted=True, u0=("cos_bump", 0.5),
+         t_max=0.4, threshold=1e10)
 def test_run_equals_the_reference_step_chained_bitwise(n, p, q, c, k, weighted,
                                                        u0, t_max, threshold):
     # `run` hands its recorder only the rows it keeps; the reference tests
@@ -433,7 +444,7 @@ def test_run_equals_the_reference_step_chained_bitwise(n, p, q, c, k, weighted,
     scn = scenario(1.0 if weighted else p, q, c, k, u0, n_nodes=n, t_max=t_max,
                    blowup_threshold=threshold, max_steps=3000)
     if weighted:
-        scn = to_transformed(scn).scenario
+        scn = to_transformed(scn)
     _assert_same_outcome(run(scn), _reference_run(scn))
 
 
@@ -527,50 +538,28 @@ def test_choose_dt_zero_state_uses_grid_cap_on_first_step():
     st = fresh_state(scn)
     h = scn.h
     expected = min(scn.controls.dt_max, scn.controls.theta * h * h)
-    assert choose_dt(st, scn) == pytest.approx(expected, rel=1e-12)
+    assert choose_dt(st, scn, step_values(st, scn)) == pytest.approx(expected,
+                                                                     rel=1e-12)
 
 
 def test_choose_dt_large_field_limits_reaction_growth():
     scn = scenario(p=2.0, c=ONE, k=ZERO)
     st = State(0.0, np.full(scn.controls.n_nodes, 1e6), 0.0, 0.0, steps=7)
-    assert choose_dt(st, scn) <= 1.0000001e-7
+    assert choose_dt(st, scn, step_values(st, scn)) <= 1.0000001e-7
 
 
 def test_choose_dt_stays_positive_at_threshold():
     scn = scenario(p=2.0, c=ONE, k=ONE)
     st = State(0.0, np.full(scn.controls.n_nodes, 1e10), 5.0, 5.0, steps=3)
-    assert choose_dt(st, scn) > 0.0
-
-
-def _powerlog_k_case():
-    scn = scenario(p=2.0, q=2.0, c=CoefficientSpec.power(1.0, 2.0),
-                   k=CoefficientSpec.power_log(1.0, 2.0, 1, 1.0),
-                   u0=("constant", 0.1), n_nodes=51)
-    return scn, scn.boundary_rule()
+    assert choose_dt(st, scn, step_values(st, scn)) > 0.0
 
 
 def _weighted_rule_case():
     base = scenario(p=1.0, q=2.0, c=CoefficientSpec.power_log(1.0, 1.0, 1),
                     k=CoefficientSpec.power(2.0, 1.0), u0=("cos_bump", 0.5),
                     n_nodes=51)
-    twin = to_transformed(base).scenario
+    twin = to_transformed(base)
     return twin, twin.boundary
-
-
-@pytest.mark.parametrize("case", [_powerlog_k_case, _weighted_rule_case])
-def test_shared_step_values_match_self_evaluating_kernel(case):
-    scn, rule = case()
-    assert isinstance(rule, (MemoryRule, WeightedMemoryRule))
-    shared = own = fresh_state(scn)
-    for _ in range(200):
-        values = step_values(shared, scn, rule)
-        dt = _ladder(choose_dt(shared, scn, rule, values), scn.controls.dt_max)
-        assert _ladder(choose_dt(own, scn, rule), scn.controls.dt_max) == dt
-        shared = step(shared, scn, dt, rule, values)
-        own = step(own, scn, dt, rule)
-        assert np.array_equal(shared.u, own.u)
-        assert (shared.t, shared.M_left, shared.M_right) == (own.t, own.M_left, own.M_right)
-    assert shared.M_left > 0.0 and shared.sup == float(np.max(shared.u))
 
 
 def test_rule_flux_agrees_with_slope_and_weight():
@@ -695,7 +684,7 @@ def test_linear_problem_matches_per_mode_recurrence():
     dt, steps = 0.01, 100
     st = fresh_state(scn)
     for _ in range(steps):
-        st = step(st, scn, dt)
+        st = take_step(st, scn, dt)
     x = scn.grid()
     amp_const = 0.5 * (1.0 + dt) ** steps
     amp_cos = -0.5 * ((1.0 + dt) / (1.0 - dt * mu)) ** steps
@@ -716,7 +705,7 @@ def test_temporal_convergence_is_first_order():
         dt = 1.0 / steps
         st = fresh_state(scn)
         for _ in range(steps):
-            st = step(st, scn, dt)
+            st = take_step(st, scn, dt)
         errs.append(np.max(np.abs(st.u - exact)))
     slopes = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
     for s in slopes:
@@ -925,9 +914,10 @@ def test_choose_dt_reaction_rate_past_the_float_range():
     # with it
     cell = scenario(p=40.0, q=2.0, c=ZERO, k=ZERO, n_nodes=21)
     state = State(1.0, np.full(21, 1e9), 0.0, 0.0, steps=1)
-    assert choose_dt(state, cell) == cell.controls.dt_max
+    assert choose_dt(state, cell, step_values(state, cell)) == cell.controls.dt_max
     hot = replace(cell, c=ONE)
-    assert choose_dt(state, hot) == hot.controls.dt_max * 2.0 ** -60
+    assert (choose_dt(state, hot, step_values(state, hot))
+            == hot.controls.dt_max * 2.0 ** -60)
 
 
 def test_run_group_rejects_a_given_boundary_rule():

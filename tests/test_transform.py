@@ -30,8 +30,8 @@ def rho(twin, t, tau):
     """The memory weight e^{q C(tau) - C(t)} of a transformed twin."""
     if tau > t:
         raise ConfigurationError("memory weight needs tau <= t")
-    C = twin.cumulative
-    return math.exp(twin.scenario.q * C(tau) - C(t))
+    C = twin.boundary.cum
+    return math.exp(twin.q * C(tau) - C(t))
 
 
 # ---------------------------------------------------------------------------
@@ -53,8 +53,8 @@ def test_transform_rejects_custom_boundary():
 
 def test_transform_strips_reaction_and_weights_memory():
     twin = to_transformed(scenario(1.0, 2.0, ONE, ONE))
-    assert twin.scenario.c.is_zero
-    assert twin.scenario.p == 1.0
+    assert twin.c.is_zero
+    assert twin.p == 1.0
     # C(t) = t: rho(t, tau) = e^{2 tau - t}
     assert rho(twin, 2.0, 0.5) == pytest.approx(math.exp(-1.0), rel=1e-12)
     assert rho(twin, 1.0, 1.0) == pytest.approx(math.e, rel=1e-12)
@@ -90,8 +90,7 @@ def test_from_transformed_values():
 def test_round_trip_matches_scalar_growth():
     # k = 0 and constant data: v stays flat, u = u0 e^{C(t)} solves u' = c u
     scn = scenario(1.0, 2.0, ONE, ZERO, u0=0.7, t_max=1.0, snapshot_every=0.25)
-    twin = to_transformed(scn)
-    out = run(twin.scenario)
+    out = run(to_transformed(scn))
     assert out.status == "GlobalToHorizon"
     for t, v in out.snapshots:
         u = from_transformed(v, scn.c, t)
