@@ -22,6 +22,7 @@ from functools import cached_property, lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .errors import ConfigurationError, DomainError, NotApplicableError
 
@@ -257,7 +258,7 @@ def eval_coeff(spec: CoefficientSpec, t):
 
     A float t >= 0, the stepping loop's case, computes a constant or a power
     in this one frame and calls the math formula otherwise; an int, a numpy
-    float or a NaN is converted to a float and calls the formula.
+    integer or float, or a NaN is converted to a float and calls the formula.
     """
     if t.__class__ is float and t >= 0.0:
         family, amp, exponent, f = spec._scalar_law
@@ -266,7 +267,7 @@ def eval_coeff(spec: CoefficientSpec, t):
         if family == "power":
             return amp * (1.0 + t) ** exponent
         return float(f(t))
-    if isinstance(t, (int, float)):
+    if isinstance(t, (int, float, np.integer)):
         if t < 0:
             raise DomainError("coefficients are defined for t >= 0")
         return float(spec._scalar_law[3](float(t)))
@@ -351,9 +352,10 @@ _PANEL_NODES = 20  # Gauss-Legendre nodes per panel of C(t) and log_int_exp
 def _gauss_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """The Gauss-Legendre rule on [0, 1] as (nodes, weights).
 
-    Built on first use (never at import) and shared read-only by callers.
+    Built on first use and shared read-only by callers; leggauss is imported
+    with this module, as numpy imports numpy.polynomial on first access.
     """
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = leggauss(nodes)
     u, w = 0.5 * (x + 1.0), 0.5 * w
     u.flags.writeable = w.flags.writeable = False
     return u, w

@@ -26,7 +26,10 @@ block and finishes through `advance` from its last state.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import sys
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -34,8 +37,6 @@ from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import cholesky_banded
-from scipy.linalg.lapack import dpbtrs
 
 from .coeffs import CoefficientSpec, CumulativeIntegral, as_real, eval_coeff
 from .errors import ConfigurationError, NotApplicableError, SolverFault
@@ -249,8 +250,9 @@ class Scenario:
                 f"{self.length!r} is too short: dt_max / h^2 must be <= 2^50 and "
                 f"dt_max / (theta h^2) finite, at h = {self.h!r}", "length")
         for name in ("p", "q"):
-            if not getattr(self, name) > 0:
-                raise ConfigurationError("must be > 0", name)
+            x = getattr(self, name)
+            if not (math.isfinite(x) and x > 0):
+                raise ConfigurationError(f"must be > 0 and finite, not {x!r}", name)
         for name in ("c", "k"):
             if not isinstance(getattr(self, name), CoefficientSpec):
                 raise ConfigurationError("must be a CoefficientSpec", name)
@@ -325,6 +327,41 @@ class SimulationOutcome:
 # ---------------------------------------------------------------------------
 # diffusion solve
 
+def _load_flapack():
+    """scipy's f2py LAPACK extension, loaded from its file.
+
+    `import scipy.linalg` would run the package's __init__, whose array-API
+    layer imports numpy.f2py, numpy.testing, numpy.ma and numpy.random: most
+    of a CLI process's start-up, for two routines.  The extension registers
+    itself in sys.modules under its own name, so a later scipy.linalg
+    import shares this module object.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    where = importlib.util.find_spec("scipy.linalg").submodule_search_locations
+    spec = importlib.machinery.PathFinder.find_spec(name, where)
+    if spec is None:
+        raise ImportError(f"no {name} extension in {list(where)}", name=name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_flapack = _load_flapack()
+dpbtrs = _flapack.dpbtrs
+
+
+def cholesky_banded(ab: np.ndarray) -> np.ndarray:
+    """scipy.linalg.cholesky_banded(ab) of an upper banded ab, bit for bit."""
+    c, info = _flapack.dpbtrf(np.asarray_chkfinite(ab), lower=0)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{info}-th leading minor not positive definite")
+    if info < 0:
+        raise ValueError(f"illegal value in {info}-th argument of internal pbtrf")
+    return c
+
+
 @lru_cache(maxsize=512)
 def _banded_factor(n: int, h: float, dt: float):
     # symmetrized I - dt*D: scaling the end rows by 1/sqrt(2) makes the
@@ -336,7 +373,7 @@ def _banded_factor(n: int, h: float, dt: float):
     ab[0, 1:] = -r
     ab[0, 1] = -r * _SQRT2
     ab[0, -1] = -r * _SQRT2
-    return cholesky_banded(ab, lower=False)
+    return cholesky_banded(ab)
 
 
 def cho_solve_banded(cb: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -829,7 +866,9 @@ def estimate_blowup_time(trace: Trace, p: float,
     ts = trace.t[lo:i + 1]
     ss = trace.sup_norm[lo:i + 1]
     keep = ss > 0
-    if keep.sum() < 20 or np.unique(ts[keep]).size < 20:
+    # distinct times counted without np.unique, whose first call imports
+    # numpy.ma
+    if keep.sum() < 20 or np.count_nonzero(np.diff(np.sort(ts[keep]))) < 19:
         return BlowupEstimate(T_cross, None, None)
     g = ss[keep] ** (1.0 - p)
     tt = ts[keep]

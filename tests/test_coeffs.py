@@ -185,12 +185,14 @@ def _float_path_outcome(spec, t):
 
 @pytest.mark.parametrize("spec", _INTEGER_PARAMETER_SPECS, ids=lambda s: s.family)
 @pytest.mark.parametrize("t", [3, np.float64(0.7), math.nan, np.float64(math.nan),
-                               -1, np.float64(-0.5)],
+                               -1, np.float64(-0.5), np.int64(3), np.int32(3),
+                               np.int64(-1)],
                          ids=["int", "np.float64", "nan", "np.nan", "negative int",
-                              "negative np.float64"])
+                              "negative np.float64", "np.int64", "np.int32",
+                              "negative np.int64"])
 def test_eval_coeff_takes_any_real_scalar_as_its_float(spec, t):
-    # an int or a numpy float gives the bits, or the DomainError, of the
-    # Python float it converts to
+    # an int, a numpy integer or a numpy float gives the bits, or the
+    # DomainError, of the Python float it converts to
     assert _float_path_outcome(spec, t) == _float_path_outcome(spec, float(t))
 
 

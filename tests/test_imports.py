@@ -205,22 +205,90 @@ def _imported_modules(source: str) -> set[str]:
     return names
 
 
-def test_no_module_imports_scipy_integrate_or_optimize():
+def test_no_module_imports_scipy_integrate_optimize_or_linalg():
+    # pde_core loads scipy.linalg's LAPACK extension from its file instead
     importers = sorted(
         path.stem for path in Path(memheat.__file__).parent.glob("*.py")
-        if any(name.startswith(("scipy.integrate", "scipy.optimize"))
+        if any(name.startswith(("scipy.integrate", "scipy.optimize",
+                                "scipy.linalg"))
                for name in _imported_modules(path.read_text())))
     assert importers == []
 
 
-def test_cli_import_leaves_scipy_integrate_and_optimize_out():
-    # each of them takes a CLI process's set-up longer than the rest of it
+def _run_python(code: str) -> str:
     src = str(Path(memheat.__file__).parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
-    code = ("import json, sys, memheat.cli; print(json.dumps(sorted("
-            "m for m in sys.modules if m.startswith(('scipy.integrate', "
-            "'scipy.optimize')))))")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == []
+    return proc.stdout
+
+
+# each of them takes a CLI process's set-up longer than the rest of it;
+# scipy.linalg's package __init__ is what imports the numpy ones
+_HEAVY = ("scipy.linalg", "numpy.f2py", "numpy.testing", "numpy.ma")
+
+
+def test_cli_import_leaves_heavy_modules_out():
+    code = ("import json, sys, memheat.cli; print(json.dumps(sorted("
+            "m for m in sys.modules if m.startswith(('scipy.integrate', "
+            f"'scipy.optimize')) or m in {_HEAVY!r})))")
+    assert json.loads(_run_python(code)) == []
+
+
+_COMMANDS_PASS = """
+import contextlib, io, json, sys, tempfile
+from pathlib import Path
+
+import memheat.cli as cli
+
+
+def config(p, q, c, k, u0, t_max):
+    return {"domain": {"length": 1.0, "nodes": 51},
+            "exponents": {"p": p, "q": q}, "c": c, "k": k,
+            "initial": {"family": "constant", "value": u0},
+            "solver": {"t_max": t_max}, "output": {"dir": "out"}}
+
+
+const = {"family": "constant", "amplitude": 1.0}
+zero = {"family": "constant", "amplitude": 0.0}
+power2 = {"family": "power", "amplitude": 1.0, "gamma": 2.0}
+power3 = {"family": "power", "amplitude": 1.0, "gamma": 3.0}
+power_log = {"family": "power_log", "amplitude": 1.0, "gamma": 1.0,
+             "log_depth": 1}
+table = {"family": "tabulated", "amplitude": 1.0,
+         "table": [[0.0, 1.0], [5.0, 0.0]]}
+ops = [("run", config(2.0, 2.0, const, zero, 1.0, 2.0)),
+       ("classify", config(1.0, 2.0, power_log, power3, 1.0, 10.0)),
+       ("classify", config(2.0, 2.0, table, power3, 1.0, 10.0)),
+       ("verify", config(2.0, 2.0, power2, power3, 0.05, 2.0)),
+       ("verify", config(1.0, 2.0, power2, power3, 0.05, 0.5), "--transform"),
+       ("verify", config(0.5, 0.5, const, const, 1.0, 1.0)),
+       ("oracle", config(2.0, 2.0, const, const, 1.0, 5.0)),
+       ("sweep", config([1.0, 2.0], 2.0, [power2, const], const, 0.05, 1.0))]
+before = set(sys.modules)
+reports = []
+with tempfile.TemporaryDirectory() as tmp:
+    for i, (command, doc, *extra) in enumerate(ops):
+        path = Path(tmp) / f"{i}.json"
+        path.write_text(json.dumps(doc))
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = cli.main([command, "--config", str(path),
+                             "--out", str(Path(tmp) / str(i))] + extra)
+        reports.append([command, code, out.getvalue()])
+added = sorted(m for m in set(sys.modules) - before
+               if m.startswith(("numpy.", "scipy.")))
+print(json.dumps({"reports": reports, "added": added}))
+"""
+
+
+def test_commands_import_no_numpy_or_scipy_module_in_their_pass():
+    # the benchmark times set-up (importing memheat.cli) apart from the
+    # pass; a module that a command imports on first use, such as numpy.ma
+    # from np.unique or numpy.polynomial from its package attribute, moves
+    # import time into the pass
+    out = json.loads(_run_python(_COMMANDS_PASS))
+    assert [code for _, code, _ in out["reports"]] == [0] * 8
+    run_report = out["reports"][0][2]
+    assert "status BlowUp" in run_report and "T_fit" in run_report
+    assert out["added"] == []

@@ -164,6 +164,47 @@ def test_direct_solve_matches_scipy_wrapper_bitwise(n, m, level, data):
     for x, col in pairs:
         assert x.tobytes() == wrapper(col).tobytes()
     assert rhs.tobytes() == kept.tobytes()
+    # the factor itself is scipy's, of the same symmetrized band
+    r = dt / (h * h)
+    ab = np.zeros((2, n))
+    ab[1, :] = 1.0 + 2.0 * r
+    ab[0, 1:] = -r
+    ab[0, 1] = ab[0, -1] = -r * math.sqrt(2.0)
+    assert (_banded_factor(n, h, dt).tobytes()
+            == scipy.linalg.cholesky_banded(ab).tobytes())
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_cholesky_banded_refuses_a_non_finite_band_as_scipy_does(bad):
+    ab = np.array([[0.0, -1.0, -1.0], [4.0, 4.0, 4.0]])
+    ab[1, 1] = bad
+    for factor in (pde_core.cholesky_banded, scipy.linalg.cholesky_banded):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            factor(ab)
+
+
+def test_cholesky_banded_refuses_an_indefinite_band_as_scipy_does():
+    ab = np.array([[0.0, -3.0, -1.0], [1.0, 4.0, 4.0]])
+    with pytest.raises(np.linalg.LinAlgError) as ours:
+        pde_core.cholesky_banded(ab)
+    with pytest.raises(np.linalg.LinAlgError) as theirs:
+        scipy.linalg.cholesky_banded(ab)
+    assert str(ours.value) == str(theirs.value)
+
+
+@pytest.mark.parametrize("first", ["memheat.pde_core", "scipy.linalg"])
+def test_lapack_routines_are_scipys_in_either_import_order(first):
+    # pde_core loads scipy's LAPACK extension from its file; scipy.linalg,
+    # imported before or after, shares the one module object
+    code = (f"import {first}\nimport scipy.linalg.lapack, sys\n"
+            "from memheat import pde_core\n"
+            "print(pde_core.dpbtrs is scipy.linalg.lapack.dpbtrs,\n"
+            "      pde_core._flapack is sys.modules['scipy.linalg._flapack'])")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "True"]
 
 
 @pytest.mark.filterwarnings("error")
@@ -764,6 +805,16 @@ def test_estimate_omits_fit_with_short_history():
     assert est.T_fit is None
 
 
+@pytest.mark.parametrize("repeats, fitted", [(0, True), (1, False), (2, False)])
+def test_estimate_omits_fit_unless_its_20_times_are_distinct(repeats, fitted):
+    gap = np.geomspace(1e-4, 1e-8, 30)
+    ts = 1.0 - gap
+    ts[-1 - repeats:] = ts[-1]     # the last 20 hold 20 - repeats times
+    tr = _trace_from(ts, 1.0 / gap)
+    est = estimate_blowup_time(tr, p=2.0, threshold=1e8)
+    assert (est.T_fit is not None) == fitted
+
+
 # ---------------------------------------------------------------------------
 # lockstep groups
 
@@ -1163,6 +1214,9 @@ def test_scaled_initial_data():
 def test_scenario_validation():
     with pytest.raises(ConfigurationError):
         scenario(p=0.0)
+    for name, bad in itertools.product(("p", "q"), (math.inf, math.nan)):
+        with pytest.raises(ConfigurationError, match=f"^{name} must be > 0 and finite"):
+            scenario(**{name: bad})
     with pytest.raises(ConfigurationError):
         Scenario(length=-1.0, p=2.0, q=2.0, c=ZERO, k=ZERO,
                  u0=InitialSpec("constant", 1.0))
