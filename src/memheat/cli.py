@@ -20,12 +20,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
 from .coeffs import CoefficientSpec, as_real, spec_from_json, spec_to_json
-from .constructions import (
-    build_th00_supersolution,
-    build_th2_supersolution,
-    build_th4_supersolution,
-    verify_supersolution,
-)
+from .constructions import build_barrier, verify_supersolution
 from .criteria import classify_regime
 from .errors import (ConfigurationError, DomainError, NotApplicableError,
                      SolverFault)
@@ -286,18 +281,6 @@ def _cmd_classify(config: RunConfig) -> int:
     return 0
 
 
-def _build_barrier(scenario: Scenario, T: float):
-    p, q = scenario.p, scenario.q
-    if max(p, q) <= 1.0:
-        return build_th00_supersolution(scenario, T)
-    if min(p, q) > 1.0:
-        return build_th2_supersolution(scenario, T)
-    if p == 1.0 and q > 1.0:
-        return build_th4_supersolution(scenario, T)
-    raise NotApplicableError(
-        f"no barrier construction covers p = {p:g}, q = {q:g}")
-
-
 def _cmd_verify(config: RunConfig, transform: bool) -> int:
     scn = config.scenario
     T = scn.controls.t_max
@@ -312,7 +295,7 @@ def _cmd_verify(config: RunConfig, transform: bool) -> int:
         print(f"VERDICT: {'PASS' if rep.agree else 'FAIL'} (route agreement)")
         return 0 if rep.agree else 4
 
-    barrier = _build_barrier(scn, T)
+    barrier = build_barrier(scn, T)
     rep = verify_supersolution(barrier, scn, T)
     for label, value in (("interior", rep.r_int_min),
                          ("boundary", rep.r_bnd_min),

@@ -731,17 +731,18 @@ def integrate_improper(spec: CoefficientSpec, weight: float = 0.0) -> IntegralVe
         value = float(np.sum(_panel_sums(lambda t: t ** a * eval_coeff(spec, t),
                                          edges[:-1], edges[1:])))
     elif spec.family == "exp_decay":
-        value = _exp_or_inf(math.log(spec.amplitude) + math.lgamma(a + 1.0)
-                            - (a + 1.0) * math.log(spec.lam))
+        value = exp_or_inf(math.log(spec.amplitude) + math.lgamma(a + 1.0)
+                           - (a + 1.0) * math.log(spec.lam))
     elif spec.family == "power":
-        value = _exp_or_inf(math.log(spec.amplitude) + math.lgamma(a + 1.0)
-                            + math.lgamma(spec.gamma - a - 1.0) - math.lgamma(spec.gamma))
+        value = exp_or_inf(math.log(spec.amplitude) + math.lgamma(a + 1.0)
+                           + math.lgamma(spec.gamma - a - 1.0) - math.lgamma(spec.gamma))
     else:
         value = _power_log_total(spec, a)
     return IntegralVerdict(CONVERGES, value, f"closed form: {reason}")
 
 
-def _exp_or_inf(x: float) -> float:
+def exp_or_inf(x: float) -> float:
+    """math.exp(x), or inf where e^x passes the float range."""
     try:
         return math.exp(x)
     except OverflowError:
@@ -815,19 +816,16 @@ class WindowBound:
     values: np.ndarray
 
 
-def memory_window_check(k: CoefficientSpec, flux: Optional[Flux] = None) -> WindowBound:
+def memory_window_check(flux: Flux) -> WindowBound:
     """Supremum over t in [_WINDOW_START, _WINDOW_T_PROBE] of the
-    sqrt-window integral of tau*k(tau), over windows of width _WINDOW_T0.
+    sqrt-window integral of flux, over windows of width _WINDOW_T0, from
+    one call of flux on every window node of every probe time.
 
-    `flux` (default tau*k(tau)) is called once, on every window node of
-    every probe time.  A window of fixed width over a continuous flux is
-    bounded for all t exactly when the flux is bounded for large t, so
-    `holds` is `form_bounded` of the flux's growth form; the probed sup
-    only reports the size, and an overflow of it still fails.
+    A window of fixed width over a continuous flux is bounded for all t
+    exactly when the flux is bounded for large t, so `holds` is
+    `form_bounded` of its growth form; the probed sup only reports the
+    size, and an overflow of it still fails.
     """
-    if flux is None:
-        flux = Flux(lambda ts: np.asarray(ts, dtype=float) * eval_coeff(k, ts),
-                    growth_form(k).times(GrowthForm(power=1.0)))
     times = np.geomspace(_WINDOW_START, _WINDOW_T_PROBE, _WINDOW_PROBES)
     s2, w, scale = _window_rule(_WINDOW_T0, _WINDOW_NODES)
     fvals = np.asarray(flux((times[:, None] - s2).ravel()), dtype=float)

@@ -22,6 +22,7 @@ from .coeffs import (
     ZERO,
     CoefficientSpec,
     CumulativeIntegral,
+    Flux,
     bisect_crossing,
     coefficient_sup,
     eval_coeff,
@@ -225,12 +226,21 @@ def z_profile(p: float, alpha: float, Y: float, c, t):
     return np.power(base, -1.0 / (p - 1.0))
 
 
-def build_th2_supersolution(scenario: Scenario, t_max: float) -> SupersolutionSpec:
-    """Barrier alpha z(t) y(x,t) for min(p, q) > 1 under decaying forcing.
+def _auxiliary_barrier(flux: Flux, scenario: Scenario, t_max: float,
+                       name: str) -> tuple[AuxiliarySolution, float]:
+    """The auxiliary run under flux, none where k = 0, and the cap alpha =
+    bound^{-q/(q-1)}; refused unless the bound `name` stabilizes."""
+    aux = solve_auxiliary_linear(None if scenario.k.is_zero else flux.at,
+                                 scenario, t_max)
+    if not aux.stabilized:
+        raise NotApplicableError(f"auxiliary bound {name} did not stabilize")
+    return aux, aux.bound ** (-scenario.q / (scenario.q - 1.0))
 
-    y solves the linear problem with prescribed influx t k(t); alpha is the
-    admissibility cap Y^{-q/(q-1)}, where alpha^{q-1} Y^q = 1.
-    """
+
+def build_th2_supersolution(scenario: Scenario, t_max: float) -> SupersolutionSpec:
+    """Barrier alpha z(t) y(x,t) for min(p, q) > 1 under decaying forcing:
+    y solves the linear problem under the influx t k(t) whose window bound
+    it checks, and alpha is the admissibility cap."""
     p, q = scenario.p, scenario.q
     if min(p, q) <= 1.0:
         raise NotApplicableError("the product barrier needs min(p, q) > 1")
@@ -238,23 +248,17 @@ def build_th2_supersolution(scenario: Scenario, t_max: float) -> SupersolutionSp
     if not forcing.converges:
         raise NotApplicableError(
             f"total forcing integral must converge ({forcing.status})")
-    window = memory_window_check(scenario.k)
-    if not window.holds:
+    flux = effective_flux(ZERO, scenario.k, q)
+    if not memory_window_check(flux).holds:
         raise NotApplicableError("memory window bound fails for k")
-    k = scenario.k
-    flux = None if k.is_zero else (lambda t: t * eval_coeff(k, t))
-    aux = solve_auxiliary_linear(flux, scenario, t_max)
-    if not aux.stabilized:
-        raise NotApplicableError("auxiliary bound Y did not stabilize")
+    aux, alpha = _auxiliary_barrier(flux, scenario, t_max, "Y")
     Y = aux.bound
-    alpha = Y ** (-q / (q - 1.0))
     cum = CumulativeIntegral(scenario.c)
 
     def evaluate(x: np.ndarray, t) -> np.ndarray:
         return alpha * z_profile(p, alpha, Y, cum, t) * aux.at(x, t)
 
-    params = {"alpha": alpha, "Y": Y,
-              "z0": z_profile(p, alpha, Y, cum, 0.0)}
+    params = {"alpha": alpha, "Y": Y, "z0": z_profile(p, alpha, Y, cum, 0.0)}
     return SupersolutionSpec("Th2", params, evaluate, aux=aux)
 
 
@@ -281,20 +285,26 @@ def build_th4_supersolution(scenario: Scenario, t_max: float) -> SupersolutionSp
     if cum(t_max) > _LOG_MAX:
         raise _horizon_error("exponential-factor", bisect_crossing(
             lambda t: cum(t) - _LOG_MAX, 0.0, t_max))
-    kappa = effective_flux(c, k, q)
-    flux = None if k.is_zero else kappa
-    aux = solve_auxiliary_linear(flux, scenario, t_max)
-    if not aux.stabilized:
-        raise NotApplicableError("auxiliary bound H did not stabilize")
-    H = aux.bound
-    alpha = H ** (-q / (q - 1.0))
+    aux, alpha = _auxiliary_barrier(effective_flux(c, k, q), scenario, t_max, "H")
 
     def evaluate(x: np.ndarray, t) -> np.ndarray:
         return alpha * np.exp(cum(t)) * aux.at(x, t)
 
-    params = {"alpha": alpha, "H": H,
-              "bounded": reaction_tail.holds}
+    params = {"alpha": alpha, "H": aux.bound, "bounded": reaction_tail.holds}
     return SupersolutionSpec("Th4", params, evaluate, aux=aux)
+
+
+def build_barrier(scenario: Scenario, T: float) -> SupersolutionSpec:
+    """The barrier that covers the scenario's (p, q) on [0, T]: Th00 for
+    max(p, q) <= 1, Th2 for min(p, q) > 1 and Th4 for p = 1 < q."""
+    p, q = scenario.p, scenario.q
+    if max(p, q) <= 1.0:
+        return build_th00_supersolution(scenario, T)
+    if min(p, q) > 1.0:
+        return build_th2_supersolution(scenario, T)
+    if p == 1.0 and q > 1.0:
+        return build_th4_supersolution(scenario, T)
+    raise NotApplicableError(f"no barrier construction covers p = {p:g}, q = {q:g}")
 
 
 def small_data_threshold(p: float, alpha: float, Y: float,

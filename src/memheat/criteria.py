@@ -29,6 +29,7 @@ from .coeffs import (
     CONVERGES,
     DIVERGES,
     EVENTUALLY_NONINCREASING,
+    ZERO,
     CoefficientSpec,
     CumulativeIntegral,
     Flux,
@@ -207,15 +208,15 @@ def effective_flux(c: CoefficientSpec, k: CoefficientSpec, q: float) -> Flux:
     """Vectorized kappa(t) = k(t) e^{-C(t)} int_0^t e^{q C(tau)} dtau, with
     its growth form: the flux weight's times k's.
 
-    Exactly t k(t) when c = 0 or k = 0; k e^{log_int_exp - C} on the
-    closed-form lanes of `CumulativeIntegral.log_int_exp` (constant and
-    harmonic c); otherwise a dense grid accumulation in log space up to
-    t = 2e4 (twice the last probe of `memory_window_check`) with linear
-    interpolation.
+    Exactly t k(t), a float at a float t, when c = 0 or k = 0: the Th2
+    barrier's influx; k e^{log_int_exp - C} on the closed-form lanes of
+    `CumulativeIntegral.log_int_exp` (constant and harmonic c); otherwise a
+    dense grid accumulation in log space up to t = 2e4 (twice the last
+    probe of `memory_window_check`) with linear interpolation.
     """
     form = _weight_growth(c, _Weight.flux(q)).times(growth_form(k))
     if c.is_zero or k.is_zero:
-        return Flux(lambda ts: np.asarray(ts, dtype=float) * eval_coeff(k, ts), form)
+        return Flux(lambda ts: ts * eval_coeff(k, ts), form)
     cum = CumulativeIntegral(c)
     cc = cum.spec
     if cc.family == "constant" or harmonic_lane(cc):
@@ -252,7 +253,7 @@ def effective_flux_conditions(q: float, c: CoefficientSpec, k: CoefficientSpec
     if q <= 1.0:
         raise ConfigurationError("effective flux conditions require q > 1")
     flux = _weighted_integral(c, k, _Weight.flux(q))
-    window = memory_window_check(k, flux=effective_flux(c, k, q))
+    window = memory_window_check(effective_flux(c, k, q))
     return (_verdict_report("effective-flux", flux, want=CONVERGES),
             _window_report("effective-flux-window", "effective flux", window),
             _verdict_report("reaction-integral", integrate_improper(c), want=CONVERGES))
@@ -335,7 +336,8 @@ def classify_regime(p: float, q: float, c: CoefficientSpec,
     if min(p, q) > 1.0:
         forcing = _verdict_report("total-forcing", total_forcing_condition(c, k),
                                   want=CONVERGES)
-        window = _window_report("memory-window", "flux", memory_window_check(k))
+        window = _window_report("memory-window", "flux",
+                                memory_window_check(effective_flux(ZERO, k, q)))
         conds += (forcing, window)
         if forcing.holds and window.holds:
             return RegimeVerdict(

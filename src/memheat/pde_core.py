@@ -38,7 +38,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .coeffs import CoefficientSpec, CumulativeIntegral, as_real, eval_coeff
+from .coeffs import CoefficientSpec, CumulativeIntegral, as_real, eval_coeff, exp_or_inf
 from .errors import ConfigurationError, NotApplicableError, SolverFault
 
 STATUS_BLOWUP = "BlowUp"
@@ -74,11 +74,6 @@ class MemoryRule:
         return 1.0
 
 
-def _exp(x: float) -> float:
-    # math.exp raises OverflowError instead of returning inf
-    return math.exp(x) if x < 709.0 else math.inf
-
-
 class WeightedMemoryRule:
     """Outward slope k(t) e^{-C(t)} A with A = int_0^t e^{q C} v_b^q.
 
@@ -98,7 +93,7 @@ class WeightedMemoryRule:
     def _at(self, t: float) -> tuple:
         if t != self._last[0]:
             C = self.cum(t)
-            self._last = (t, C, _exp(self.q * C))
+            self._last = (t, C, exp_or_inf(self.q * C))
         return self._last
 
     def flux(self, t: float, M_left: float, M_right: float) -> tuple:

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .coeffs import ZERO, CumulativeIntegral
+from .coeffs import ZERO, CumulativeIntegral, exp_or_inf
 from .errors import ConfigurationError, NotApplicableError
 from .pde_core import (
     STATUS_BLOWUP,
@@ -48,10 +48,17 @@ def to_transformed(scenario: Scenario) -> Scenario:
     return replace(scenario, c=ZERO, boundary=rule)
 
 
+@np.errstate(over="ignore")
+def _scaled(v, factor):
+    """v * factor: 0 where v = 0, also for factor inf, and inf past the float range."""
+    v = np.asarray(v, dtype=float)
+    return np.multiply(v, factor, out=np.zeros_like(v), where=v != 0.0)
+
+
 def from_transformed(v_field, c, t: float):
-    """Map a transformed field back: u = v e^{C(t)}."""
+    """Map a transformed field back: u = v e^{C(t)} by `_scaled`'s rule."""
     cum = c if isinstance(c, CumulativeIntegral) else CumulativeIntegral(c)
-    return np.asarray(v_field, dtype=float) * math.exp(cum(float(t)))
+    return _scaled(v_field, exp_or_inf(cum(float(t))))
 
 
 @dataclass(frozen=True)
@@ -66,9 +73,10 @@ class EquivalenceReport:
 
 
 def _mapped_trace(trace: Trace, cum: CumulativeIntegral) -> Trace:
-    factor = np.exp(cum(trace.t))
-    return Trace(t=trace.t, sup_norm=trace.sup_norm * factor,
-                 mass_w=trace.mass_w * factor, M_left=trace.M_left,
+    with np.errstate(over="ignore"):
+        factor = np.exp(cum(trace.t))
+    return Trace(t=trace.t, sup_norm=_scaled(trace.sup_norm, factor),
+                 mass_w=_scaled(trace.mass_w, factor), M_left=trace.M_left,
                  M_right=trace.M_right, dt=trace.dt)
 
 

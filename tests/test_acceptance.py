@@ -363,3 +363,50 @@ def test_criterion_14_growth_rate_error_at_dt_max():
         worst = max(worst, abs(err))
         details.append("c=%g k=%g: %.2e" % (c, k, err))
     _report(14, worst < 3.5e-3, "lambda error at dt_max " + ", ".join(details))
+
+
+# ---------------------------------------------------------------------------
+# 15. every snapshot of a linear run against its exact-in-time solution
+#
+# For p = q = 1 with constant c and k the method-of-lines system behind the
+# stepper is y' = A y with y = (u, M_left, M_right): the ghost-node Neumann
+# Laplacian plus c, (2/h) k coupling M into the end rows, and M' = u_b.
+# e^{At} y0 has no time error, so the run's error against it is pure time
+# error, first order in dt_max for IMEX Euler.
+
+def _semi_discrete(c, k, u0, times, length=1.0):
+    """The fields at `times` of the p = q = 1 method-of-lines system from
+    u0 with M = 0, by numpy.linalg.eig of A."""
+    n = len(u0)
+    h = length / (n - 1)
+    A = np.zeros((n + 2, n + 2))
+    i = np.arange(n)
+    A[i, i] = c - 2.0 / (h * h)
+    A[i[:-1], i[:-1] + 1] = A[i[1:], i[1:] - 1] = 1.0 / (h * h)
+    A[0, 1] = A[n - 1, n - 2] = 2.0 / (h * h)
+    A[0, n] = A[n - 1, n + 1] = 2.0 * k / h
+    A[n, 0] = A[n + 1, n - 1] = 1.0
+    lam, V = np.linalg.eig(A)
+    coef = np.linalg.solve(V, np.concatenate([u0, [0.0, 0.0]]))
+    return [(V @ (np.exp(lam * t) * coef)).real[:n] for t in times]
+
+
+def _snapshot_error(refine):
+    """The largest relative sup-norm error over the snapshots of the n = 51,
+    c = k = u0 = 1 run to t = 5 at dt_max / refine."""
+    scn = _scenario(1.0, 1.0, ONE, ONE, 1.0, 5.0, 1e200)
+    scn = replace(scn, controls=replace(scn.controls, n_nodes=51,
+                                        dt_max=scn.controls.dt_max / refine))
+    out = _run(scn)
+    exact = _semi_discrete(1.0, 1.0, np.ones(51), [t for t, _ in out.snapshots])
+    return max(float(np.max(np.abs(u - e)) / np.max(np.abs(e)))
+               for (_, u), e in zip(out.snapshots, exact))
+
+
+def test_criterion_15_linear_run_against_exact_time_solution():
+    # 1.54e-2 at dt_max and 3.88e-3 at dt_max / 4: order 0.995
+    coarse, fine = _snapshot_error(1), _snapshot_error(4)
+    order = math.log(coarse / fine) / math.log(4.0)
+    _report(15, coarse <= 2e-2 and abs(order - 1.0) <= 0.1,
+            "max snapshot error %.3g at dt_max, %.3g at dt_max/4, order %.3f"
+            % (coarse, fine, order))

@@ -611,6 +611,24 @@ def test_verify_transform_equivalence(tmp_path, capsys):
     assert "RESIDUAL: discrepancy" in out
 
 
+@pytest.mark.parametrize("amplitude, u0, nodes, solver, snap", [
+    # e^{C(t)} passes the float range at the last snapshots (math.exp)
+    (10.0, 1e-300, 11, {"t_max": 80.0, "dt_max": 0.05}, 1.0),
+    # ... and on the mapped trace (np.exp)
+    (80.0, 0.01, 51, {"t_max": 10.0}, None)], ids=["snapshots", "trace"])
+def test_verify_transform_past_the_float_range(tmp_path, capsys, amplitude,
+                                               u0, nodes, solver, snap):
+    output = {"dir": str(tmp_path / "out")}
+    if snap is not None:
+        output["snapshot_every"] = snap
+    doc = base_doc(domain={"nodes": nodes}, exponents={"p": 1.0, "q": 2.0},
+                   c={"family": "constant", "amplitude": amplitude},
+                   initial={"family": "constant", "value": u0},
+                   solver=solver, output=output)
+    assert main(["verify", "--config", write_cfg(tmp_path, doc), "--transform"]) == 0
+    assert "VERDICT: PASS (route agreement)" in capsys.readouterr().out
+
+
 # ---------------------------------------------------------------------------
 # sweep
 

@@ -1097,16 +1097,21 @@ def test_sqrt_window_domain_guard():
         sqrt_window_integral(lambda s: s, 0.5, 1.0)
 
 
+def _t_times(k):
+    """The flux t k(t)."""
+    return effective_flux(ZERO, k, 2.0)
+
+
 def test_memory_window_check_decaying():
     # flux t*k decays like t^-2: the windowed sup stabilizes early
-    res = memory_window_check(CoefficientSpec.power(1.0, 3.0))
+    res = memory_window_check(_t_times(CoefficientSpec.power(1.0, 3.0)))
     assert res.holds
     assert res.k_sup > 0.0
 
 
 def test_memory_window_check_growing():
     # k constant: windowed integral grows linearly, sup keeps moving
-    res = memory_window_check(CoefficientSpec.constant(1.0))
+    res = memory_window_check(_t_times(CoefficientSpec.constant(1.0)))
     assert not res.holds
     assert res.k_sup == pytest.approx(2.0 * 1e4 - 2.0 / 3.0, rel=1e-6)
 
@@ -1118,7 +1123,7 @@ _WINDOW_KS = [CoefficientSpec.power(1.0, 3.0),
 
 @pytest.mark.parametrize("k", _WINDOW_KS, ids=lambda k: k.family)
 def test_memory_window_check_matches_per_probe_integrals(k):
-    res = memory_window_check(k)
+    res = memory_window_check(_t_times(k))
 
     def flux(ts):
         return np.asarray(ts, dtype=float) * eval_coeff(k, ts)
@@ -1129,7 +1134,7 @@ def test_memory_window_check_matches_per_probe_integrals(k):
 def test_memory_window_check_effective_flux_matches_per_probe_integrals():
     k = CoefficientSpec.power(1.0, 3.0)
     flux = effective_flux(CoefficientSpec.power_log(1.0, 1.0, 1), k, 2.0)
-    res = memory_window_check(k, flux=flux)
+    res = memory_window_check(flux)
     want = [sqrt_window_integral(flux, float(t), 1.0) for t in res.probe_times]
     np.testing.assert_allclose(res.values, want, rtol=1e-14, atol=0.0)
 
@@ -1142,7 +1147,7 @@ def test_memory_window_check_calls_flux_on_one_flat_array():
         shapes.append(ts.shape)
         return np.ones_like(ts)
 
-    res = memory_window_check(ZERO, flux=Flux(flux, GrowthForm()))
+    res = memory_window_check(Flux(flux, GrowthForm()))
     assert shapes == [(120 * 48,)]
     # flux 1 over a width-1 window: int_0^1 s^-1/2 ds = 2
     np.testing.assert_allclose(res.values, 2.0, rtol=1e-14)
@@ -1151,9 +1156,9 @@ def test_memory_window_check_calls_flux_on_one_flat_array():
 def test_memory_window_check_decides_by_the_growth_form():
     # t e^{-t/1000} peaks at t = 1000, inside the last probed decade, and
     # is bounded
-    res = memory_window_check(CoefficientSpec.exp_decay(1.0, 1e-3))
+    res = memory_window_check(_t_times(CoefficientSpec.exp_decay(1.0, 1e-3)))
     assert res.holds
     assert res.k_sup == pytest.approx(2.0 * 1e3 / math.e, rel=1e-3)
     # a flux with a bounded form still fails when its probed sup overflows
     inf = Flux(lambda ts: np.full_like(ts, np.inf), GrowthForm())
-    assert not memory_window_check(ZERO, flux=inf).holds
+    assert not memory_window_check(inf).holds

@@ -12,9 +12,11 @@ import pytest
 from scipy.integrate import cumulative_trapezoid
 
 from memheat import constructions
-from memheat.coeffs import ZERO, CoefficientSpec, CumulativeIntegral, eval_coeff
+from memheat.coeffs import (ZERO, CoefficientSpec, CumulativeIntegral, eval_coeff,
+                            memory_window_check)
 from memheat.constructions import (
     SupersolutionSpec,
+    build_barrier,
     build_th00_supersolution,
     build_th2_supersolution,
     build_th4_supersolution,
@@ -326,6 +328,28 @@ def test_product_barrier_dominates_small_data_run():
     assert rep.holds, rep
 
 
+def test_product_barrier_runs_its_auxiliary_flow_under_the_flux_it_bounds(
+        monkeypatch):
+    seen = {}
+
+    def window(flux):
+        seen["window"] = flux
+        return memory_window_check(flux)
+
+    def auxiliary(flux, scn, t_max):
+        seen["influx"] = flux
+        return solve_auxiliary_linear(flux, scn, t_max)
+    monkeypatch.setattr(constructions, "memory_window_check", window)
+    monkeypatch.setattr(constructions, "solve_auxiliary_linear", auxiliary)
+    k3 = CoefficientSpec.power(1.0, 3.0)
+    build_th2_supersolution(scenario(2.0, 2.0, ZERO, k3, n_nodes=21, t_max=1.0),
+                            t_max=1.0)
+    assert seen["influx"] is seen["window"].at
+    # the influx t k(t), a Python float at a float t
+    assert type(seen["influx"](2.0)) is float
+    assert seen["influx"](2.0) == 2.0 * eval_coeff(k3, 2.0)
+
+
 # ---------------------------------------------------------------------------
 # exponential-factor barrier
 
@@ -367,6 +391,23 @@ def test_factor_barrier_residuals_pass():
     spec = build_th4_supersolution(scn, t_max=20.0)
     rep = verify_supersolution(spec, scn, T=20.0)
     assert rep.passed, rep
+
+
+# ---------------------------------------------------------------------------
+# the barrier of (p, q)
+
+@pytest.mark.parametrize("p, q, kind", [(0.5, 1.0, "Th00"), (2.0, 3.0, "Th2"),
+                                        (1.0, 2.0, "Th4")])
+def test_build_barrier_picks_the_barrier_of_the_exponents(p, q, kind):
+    scn = scenario(p, q, CoefficientSpec.power(1.0, 2.0),
+                   CoefficientSpec.power(1.0, 4.0), n_nodes=21, t_max=1.0)
+    assert build_barrier(scn, 1.0).kind == kind
+
+
+def test_build_barrier_refuses_uncovered_exponents():
+    with pytest.raises(NotApplicableError,
+                       match="no barrier construction covers p = 2, q = 0.5"):
+        build_barrier(scenario(2.0, 0.5, ONE, ONE), 1.0)
 
 
 # ---------------------------------------------------------------------------

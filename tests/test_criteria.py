@@ -213,17 +213,19 @@ def test_effective_flux_reduces_exactly_at_zero_reaction():
     base = integrate_improper(k, weight=1.0)
     assert flux.verdict.status == base.status
     assert flux.verdict.value is None
-    direct = memory_window_check(k)
-    win = memory_window_check(k, flux=effective_flux(ZERO, k, 2.0))
-    assert win.k_sup == pytest.approx(direct.k_sup, rel=1e-12)
-    assert win.holds == direct.holds == window.holds
+    # the flux is t k(t) bit for bit, a float at a float t
+    kappa = effective_flux(ZERO, k, 2.0)
+    ts = np.geomspace(1.0, 1e4, 7)
+    np.testing.assert_array_equal(kappa(ts), ts * eval_coeff(k, ts))
+    assert type(kappa(3.0)) is float and kappa(3.0) == 3.0 * eval_coeff(k, 3.0)
+    assert memory_window_check(kappa).holds == window.holds
 
 
 def test_effective_flux_window_overflow_is_not_stabilized():
     # constant reaction with q = 2: kappa grows like e^t and overflows a float
     # inside the probe range, so the window sup cannot have stabilized
     k = CoefficientSpec.power(1.0, 4.0)
-    win = memory_window_check(k, flux=effective_flux(CONST1, k, 2.0))
+    win = memory_window_check(effective_flux(CONST1, k, 2.0))
     assert math.isinf(win.k_sup)
     assert not win.holds
     _, window, _ = effective_flux_conditions(2.0, CONST1, k)
@@ -244,7 +246,7 @@ def test_effective_flux_grid_lane_overflow_is_not_stabilized():
         assert flux.verdict.status == CONVERGES
         assert flux.evidence == ("weighted growth-form reduction: "
                                  "exponential decay rate -0.001")
-        win = memory_window_check(k, flux=effective_flux(c, k, 10.0))
+        win = memory_window_check(effective_flux(c, k, 10.0))
         assert window.holds == win.holds
         return win
 
@@ -272,8 +274,8 @@ def test_effective_flux_window_sum_past_the_float_range_fails_quietly():
 def test_effective_flux_window_at_zero_memory_is_the_plain_window():
     # kappa = t k exactly when k = 0, whatever lane c is on
     c = CoefficientSpec.power(1.0, 0.5)
-    win = memory_window_check(ZERO, flux=effective_flux(c, ZERO, 2.0))
-    plain = memory_window_check(ZERO)
+    win = memory_window_check(effective_flux(c, ZERO, 2.0))
+    plain = memory_window_check(effective_flux(ZERO, ZERO, 2.0))
     assert (win.k_sup, win.holds) == (plain.k_sup, plain.holds)
     np.testing.assert_array_equal(win.values, plain.values)
     _, window, _ = effective_flux_conditions(2.0, c, ZERO)
@@ -428,7 +430,7 @@ def test_memory_window_of_a_late_rise_fails():
     # k is 0 on every probe time and 1 past t = 1e5: t k is unbounded, and
     # the product barrier that the window gates is refused
     k = CoefficientSpec.tabulated([[0.0, 0.0], [1e4, 0.0], [1e5, 1.0]])
-    win = memory_window_check(k)
+    win = memory_window_check(effective_flux(ZERO, k, 2.0))
     assert not win.holds and win.k_sup == 0.0
     scn = Scenario(length=1.0, p=2.0, q=2.0, c=CoefficientSpec.power(1.0, 2.0),
                    k=k, u0=InitialSpec("constant", 0.05))
@@ -752,7 +754,8 @@ def _certified_rules(p, q, c, k):
         if blow.holds and (envelope.holds or monotone.holds):
             rules.add("weighted-memory-blowup")
     if min(p, q) > 1.0:
-        if total_forcing_condition(c, k).converges and memory_window_check(k).holds:
+        window = memory_window_check(effective_flux(ZERO, k, q))
+        if total_forcing_condition(c, k).converges and window.holds:
             rules.add("small-data-barrier")
     if p == 1.0 and q > 1.0:
         flux, window, _ = effective_flux_conditions(q, c, k)

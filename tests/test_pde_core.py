@@ -127,6 +127,14 @@ def test_weighted_rule_damps_slope_and_inflates_accumulator():
     assert rule.acc_weight(t) == pytest.approx(4.0, rel=1e-12)
 
 
+def test_weighted_rule_weight_is_inf_only_past_the_float_range():
+    # C(t) = t and q = 2: q C = 709.5 at t = 354.75, where e^{qC} is still
+    # finite; the float range ends near q C = 709.78
+    rule = WeightedMemoryRule(ONE, CumulativeIntegral(ONE), q=2.0)
+    assert rule.acc_weight(354.75) == math.exp(709.5)
+    assert rule.acc_weight(355.0) == math.inf
+
+
 def test_step_rejects_nonpositive_dt():
     scn = scenario()
     with pytest.raises(ConfigurationError):

@@ -1,6 +1,7 @@
 """Reaction-stripping transform tests: both routes must tell the same story."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -85,6 +86,15 @@ def test_from_transformed_values():
     cum = CumulativeIntegral(CoefficientSpec.power(1.0, 1.0))
     got = from_transformed(v, cum, 3.0)       # C(3) = ln 4
     assert np.allclose(got, 4.0 * v, rtol=1e-12)
+
+
+def test_from_transformed_past_the_float_range():
+    # C(80) = 800 at c = 10: 0 e^C is 0 and a positive v is inf, quietly
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = from_transformed(np.array([0.0, 1e-300, 2.0]),
+                               CoefficientSpec.constant(10.0), 80.0)
+    assert got.tolist() == [0.0, math.inf, math.inf]
 
 
 def test_round_trip_matches_scalar_growth():
