@@ -23,7 +23,6 @@ from .pde_core import (
     STATUS_BLOWUP,
     BlowupEstimate,
     Scenario,
-    Trace,
     WeightedMemoryRule,
     estimate_blowup_time,
     run,
@@ -49,16 +48,23 @@ def to_transformed(scenario: Scenario) -> Scenario:
 
 
 @np.errstate(over="ignore")
-def _scaled(v, factor):
-    """v * factor: 0 where v = 0, also for factor inf, and inf past the float range."""
+def _scaled(v, C):
+    """v e^C: 0 where v = 0, and inf only where v e^C passes the float range,
+    by exp(ln|v| + C) where e^C alone does (math.exp for a scalar C)."""
+    factor = np.exp(C) if np.ndim(C) else exp_or_inf(C)
     v = np.asarray(v, dtype=float)
-    return np.multiply(v, factor, out=np.zeros_like(v), where=v != 0.0)
+    out = np.multiply(v, factor, out=np.zeros_like(v), where=v != 0.0)
+    far = np.isinf(out) & np.isfinite(v)
+    if far.any():
+        C = np.broadcast_to(C, v.shape)[far]
+        out[far] = np.copysign(np.exp(np.log(np.abs(v[far])) + C), v[far])
+    return out
 
 
 def from_transformed(v_field, c, t: float):
     """Map a transformed field back: u = v e^{C(t)} by `_scaled`'s rule."""
     cum = c if isinstance(c, CumulativeIntegral) else CumulativeIntegral(c)
-    return _scaled(v_field, exp_or_inf(cum(float(t))))
+    return _scaled(v_field, cum(float(t)))
 
 
 @dataclass(frozen=True)
@@ -70,14 +76,6 @@ class EquivalenceReport:
     times: np.ndarray           # snapshot times that entered the comparison
     estimate_direct: Optional[BlowupEstimate]
     estimate_mapped: Optional[BlowupEstimate]
-
-
-def _mapped_trace(trace: Trace, cum: CumulativeIntegral) -> Trace:
-    with np.errstate(over="ignore"):
-        factor = np.exp(cum(trace.t))
-    return Trace(t=trace.t, sup_norm=_scaled(trace.sup_norm, factor),
-                 mass_w=_scaled(trace.mass_w, factor), M_left=trace.M_left,
-                 M_right=trace.M_right, dt=trace.dt)
 
 
 def equivalence_check(scenario: Scenario, T: float) -> EquivalenceReport:
@@ -102,7 +100,9 @@ def equivalence_check(scenario: Scenario, T: float) -> EquivalenceReport:
     cum = twin.boundary.cum
     threshold = ctr.blowup_threshold
 
-    mapped = _mapped_trace(out_t.trace, cum)
+    C = cum(out_t.trace.t)
+    mapped = replace(out_t.trace, sup_norm=_scaled(out_t.trace.sup_norm, C),
+                     mass_w=_scaled(out_t.trace.mass_w, C))
     crossed = bool(np.any(mapped.sup_norm >= threshold))
     status_t = STATUS_BLOWUP if crossed else out_t.status
     est_mapped = (estimate_blowup_time(mapped, scenario.p, threshold)

@@ -89,12 +89,35 @@ def test_from_transformed_values():
 
 
 def test_from_transformed_past_the_float_range():
-    # C(80) = 800 at c = 10: 0 e^C is 0 and a positive v is inf, quietly
+    # C(80) = 800 at c = 10: e^C alone overflows, v e^C only for v = 2
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = from_transformed(np.array([0.0, 1e-300, 2.0]),
+        got = from_transformed(np.array([0.0, 1e-300, 2.0, -2.0]),
                                CoefficientSpec.constant(10.0), 80.0)
-    assert got.tolist() == [0.0, math.inf, math.inf]
+    assert got[0] == 0.0
+    assert got[1] == pytest.approx(1e-300 * math.exp(400.0) * math.exp(400.0), rel=1e-12)
+    assert got[2:].tolist() == [math.inf, -math.inf]
+
+
+# u0 = 1e-300 grows like e^{10 t}; e^{C(t)} = e^{10 t} overflows from t = 71
+_TINY = dict(u0=1e-300, n_nodes=11, dt_max=0.05, snapshot_every=1.0)
+
+
+def test_mapped_crossing_not_before_the_exact_one():
+    scn = scenario(1.0, 2.0, CoefficientSpec.constant(10.0), ZERO,
+                   t_max=80.0, **_TINY)
+    rep = equivalence_check(scn, T=80.0)
+    assert rep.agree
+    assert rep.estimate_mapped.T_cross >= 310.0 * math.log(10.0) / 10.0
+
+
+def test_mapped_route_below_a_high_threshold():
+    # u stays near 1e26 at t = 75, far below the threshold 1e100
+    scn = scenario(1.0, 2.0, CoefficientSpec.constant(10.0), ZERO,
+                   t_max=75.0, blowup_threshold=1e100, **_TINY)
+    rep = equivalence_check(scn, T=75.0)
+    assert rep.status_direct == rep.status_transformed == "GlobalToHorizon"
+    assert rep.estimate_mapped is None
 
 
 def test_round_trip_matches_scalar_growth():

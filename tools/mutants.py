@@ -2,14 +2,13 @@
 named tests catch.
 
 Each mutant is one string edit of src/memheat/pde_core.py that must match
-exactly once.  For each, the repository (without .git) is copied to a
+exactly once.  For each, src/, tests/ and pyproject.toml are copied to a
 temporary directory, the edit is applied there, and pytest runs the named
 test files in the copy with Hypothesis shrinking off, stopping at the first
 failure.  A mutant is "caught" when a test fails and "missed" when every
 test passes; any other pytest exit is reported as an error.
 
     python3 tools/mutants.py tests/test_invariants.py
-    python3 tools/mutants.py tests/test_invariants.py --only M4 M8
 """
 
 from __future__ import annotations
@@ -23,6 +22,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TARGET = Path("src/memheat/pde_core.py")
+COPIED = ("src", "tests")
 
 # (name, what the defect does, old text, new text)
 MUTANTS = [
@@ -80,9 +80,11 @@ def first_failure(output: str) -> str:
 
 def run_mutant(name: str, old: str, new: str, tests: list[str]) -> str:
     with tempfile.TemporaryDirectory(prefix=f"mutant-{name}-") as tmp:
-        copy = Path(tmp) / "repo"
-        shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
-            ".git", "__pycache__", ".pytest_cache", ".hypothesis"))
+        copy = Path(tmp)
+        for part in COPIED:
+            shutil.copytree(ROOT / part, copy / part, ignore=shutil.ignore_patterns(
+                "__pycache__", ".pytest_cache", ".hypothesis"))
+        shutil.copy(ROOT / "pyproject.toml", copy)
         path = copy / TARGET
         path.write_text(mutate(path.read_text(), old, new, name))
         proc = subprocess.run(
@@ -98,14 +100,11 @@ def run_mutant(name: str, old: str, new: str, tests: list[str]) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("tests", nargs="+", help="test files to run")
-    parser.add_argument("--only", nargs="+", metavar="NAME",
-                        help="run only these mutants")
     args = parser.parse_args(argv)
     source = (ROOT / TARGET).read_text()
-    chosen = [m for m in MUTANTS if not args.only or m[0] in args.only]
-    for name, _, old, new in chosen:
+    for name, _, old, new in MUTANTS:
         mutate(source, old, new, name)
-    for name, what, old, new in chosen:
+    for name, what, old, new in MUTANTS:
         print(f"{name:3} {what:38} {run_mutant(name, old, new, args.tests)}",
               flush=True)
     return 0
