@@ -376,6 +376,7 @@ def _cmd_oracle(config: RunConfig, refine: int) -> int:
               f"y_end {outcome.y_end:.17g}")
         print("OUTCOME: note no blow-up up to the horizon is evidence only, "
               "not a counterexample")
+    print(f"OUTCOME: nfev {outcome.nfev} steps {outcome.steps}")
     rep = check_th0_criterion(scn.k, scn.q)
     print(f"OUTCOME: divergence {rep.divergence.status} "
           f"({rep.divergence.evidence})")

@@ -22,7 +22,6 @@ from functools import cached_property, lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import ConfigurationError, DomainError, NotApplicableError
 
@@ -347,15 +346,50 @@ def spec_from_json(doc: dict, where: str) -> CoefficientSpec:
 
 _PANEL_NODES = 20  # Gauss-Legendre nodes per panel of C(t) and log_int_exp
 
+# The positive nodes and their weights of numpy's leggauss(n) on [-1, 1],
+# ascending, for the two rules in use (_PANEL_NODES and _WINDOW_NODES).
+# leggauss's rules are exactly antisymmetric in x and symmetric in w, so
+# mirroring these halves gives its arrays bit for bit.
+_GAUSS_HALVES = {
+    20: (
+        (0.07652652113349734, 0.22778585114164507, 0.37370608871541955,
+         0.5108670019508271, 0.636053680726515, 0.7463319064601508,
+         0.8391169718222188, 0.912234428251326, 0.9639719272779138,
+         0.993128599185095),
+        (0.15275338713072628, 0.14917298647260424, 0.1420961093183824,
+         0.1316886384491769, 0.1181945319615186, 0.1019301198172407,
+         0.08327674157670471, 0.06267204833410879, 0.040601429800386446,
+         0.017614007139150893),
+    ),
+    48: (
+        (0.03238017096286937, 0.0970046992094627, 0.1612223560688917,
+         0.22476379039468905, 0.28736248735545555, 0.3487558862921607,
+         0.4086864819907167, 0.4669029047509584, 0.523160974722233,
+         0.5772247260839727, 0.6288673967765136, 0.6778723796326639,
+         0.7240341309238146, 0.7671590325157404, 0.8070662040294426,
+         0.8435882616243935, 0.8765720202742479, 0.9058791367155696,
+         0.9313866907065543, 0.9529877031604308, 0.9705915925462473,
+         0.9841245837228269, 0.9935301722663508, 0.9987710072524261),
+        (0.06473769681268365, 0.06446616443594982, 0.06392423858464787,
+         0.06311419228625373, 0.06203942315989242, 0.0607044391658936,
+         0.059114839698395344, 0.057277292100402916, 0.05519950369998403,
+         0.05289018948519344, 0.0503590355538542, 0.04761665849249024,
+         0.04467456085669423, 0.04154508294346455, 0.0382413510658305,
+         0.034777222564770394, 0.031167227832798097, 0.027426509708357034,
+         0.023570760839324047, 0.019616160457356056, 0.015579315722943226,
+         0.011477234579234614, 0.007327553901276135, 0.0031533460523098414),
+    ),
+}
+
 
 @lru_cache(maxsize=16)
 def _gauss_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """The Gauss-Legendre rule on [0, 1] as (nodes, weights).
 
-    Built on first use and shared read-only by callers; leggauss is imported
-    with this module, as numpy imports numpy.polynomial on first access.
+    Built from _GAUSS_HALVES on first use and shared read-only by callers.
     """
-    x, w = leggauss(nodes)
+    x, w = map(np.array, _GAUSS_HALVES[nodes])
+    x, w = np.concatenate((-x[::-1], x)), np.concatenate((w[::-1], w))
     u, w = 0.5 * (x + 1.0), 0.5 * w
     u.flags.writeable = w.flags.writeable = False
     return u, w

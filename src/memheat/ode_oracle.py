@@ -93,6 +93,8 @@ class OdeOutcome:
     r_path: np.ndarray
     y_path: np.ndarray
     yp_path: np.ndarray
+    nfev: int                               # rhs evaluations, both passes
+    steps: int                              # accepted steps, both passes
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +286,8 @@ def solve_ivp(fun, s0, rtol: float, atol: float, y_stop: float,
 
 
 def _integrate_once(prob: OdeProblem, r_max: float, rtol: float, atol: float,
-                    thresh: float):
-    """-> (R_star or None, r, y, y') with the accepted-step path.
+                    thresh: float) -> IvpPath:
+    """The accepted-step path of one tolerance pass.
 
     One solve_ivp call on s = (r, y, y') in a rescaled time tau:
     ds/dtau = phi (1, y', b(r) y^q) with phi = (1 + y)/(1 + y + y').  While
@@ -293,8 +295,9 @@ def _integrate_once(prob: OdeProblem, r_max: float, rtol: float, atol: float,
     steps; near blow-up phi is about y/y' and y grows like e^{c tau}, so
     the crossing of the threshold is a regular point that the step-size
     controller approaches without overshooting.  The solve ends at the
-    first of two events: y reaches the threshold (R_star is r there) or r
-    reaches r_max (the path then ends at r_max exactly).
+    first of two events: y reaches the threshold (the path blew, and
+    R_star is its last r) or r reaches r_max (the path then ends at r_max
+    exactly).  Data already at the threshold is a path of no steps.
     """
     b, hq = prob.b, 0.5 * prob.q
 
@@ -308,9 +311,8 @@ def _integrate_once(prob: OdeProblem, r_max: float, rtol: float, atol: float,
 
     r, y, yp = prob.a, prob.y_a, prob.yp_a
     if y >= thresh:
-        return r, [r], [y], [yp]
-    path = solve_ivp(rhs, (r, y, yp), rtol, atol, thresh, r_max)
-    return (path.r[-1] if path.blew else None), path.r, path.y, path.v
+        return IvpPath([r], [y], [yp], True, 0)
+    return solve_ivp(rhs, (r, y, yp), rtol, atol, thresh, r_max)
 
 
 def integrate_ode(prob: OdeProblem, r_max: float,
@@ -323,25 +325,29 @@ def integrate_ode(prob: OdeProblem, r_max: float,
     cubic Hermite through the ends of the step that crosses; it lies short
     of the true blow-up radius by the tail past the threshold.  A second pass runs at halved tolerances;
     refinement_stability is the relative shift of the crossing radius
-    between the two passes (None when no blow-up occurs).  A SolverFault
-    names the radius where the solve failed.
+    between the two passes (None when no blow-up occurs).  nfev and steps
+    add up both passes' right-hand-side evaluations and accepted steps.  A
+    SolverFault names the radius where the solve failed.
     """
     ctr = controls or DEFAULT_ODE_CONTROLS
     if not (math.isfinite(r_max) and r_max > prob.a):
         raise ConfigurationError("r_max must be finite and > a")
 
     thresh = ctr.blowup_threshold
-    R1, rs, ys, vs = _integrate_once(prob, r_max, ctr.rtol, _ATOL, thresh)
-    R2, *_ = _integrate_once(prob, r_max, ctr.rtol / 2.0, _ATOL / 2.0, thresh)
+    first = _integrate_once(prob, r_max, ctr.rtol, _ATOL, thresh)
+    second = _integrate_once(prob, r_max, ctr.rtol / 2.0, _ATOL / 2.0, thresh)
+    R1, R2 = (path.r[-1] if path.blew else None for path in (first, second))
     stability = None
     if R1 is not None and R2 is not None:
         stability = abs(R1 - R2) / max(abs(R2), 1e-300)
 
     status = STATUS_ODE_BLOWUP if R1 is not None else STATUS_ODE_GLOBAL
-    return OdeOutcome(status=status, R_star=R1, r_end=rs[-1], y_end=ys[-1],
-                      refinement_stability=stability,
-                      r_path=np.asarray(rs), y_path=np.asarray(ys),
-                      yp_path=np.asarray(vs))
+    return OdeOutcome(status=status, R_star=R1, r_end=first.r[-1],
+                      y_end=first.y[-1], refinement_stability=stability,
+                      r_path=np.asarray(first.r), y_path=np.asarray(first.y),
+                      yp_path=np.asarray(first.v),
+                      nfev=first.nfev + second.nfev,
+                      steps=len(first.r) + len(second.r) - 2)
 
 
 def energy_drift(prob: OdeProblem, outcome: OdeOutcome) -> float:

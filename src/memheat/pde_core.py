@@ -29,6 +29,7 @@ from __future__ import annotations
 import importlib.machinery
 import importlib.util
 import math
+import os
 import sys
 from bisect import bisect_left, bisect_right
 from collections import Counter
@@ -327,17 +328,25 @@ def _load_flapack():
 
     `import scipy.linalg` would run the package's __init__, whose array-API
     layer imports numpy.f2py, numpy.testing, numpy.ma and numpy.random: most
-    of a CLI process's start-up, for two routines.  The extension registers
-    itself in sys.modules under its own name, so a later scipy.linalg
-    import shares this module object.
+    of a CLI process's start-up, for two routines.  Finding `scipy.linalg`
+    would still run `scipy`'s own __init__, so the extension is looked up
+    in the linalg folder of the scipy spec, which find_spec gives for a
+    top-level name without importing it.  The extension registers itself
+    in sys.modules under its own name, so a later scipy.linalg import
+    shares this module object.
     """
     name = "scipy.linalg._flapack"
     if name in sys.modules:
         return sys.modules[name]
-    where = importlib.util.find_spec("scipy.linalg").submodule_search_locations
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        raise ImportError(f"no {name} extension: scipy is not installed",
+                          name=name)
+    where = [os.path.join(folder, "linalg")
+             for folder in scipy.submodule_search_locations]
     spec = importlib.machinery.PathFinder.find_spec(name, where)
     if spec is None:
-        raise ImportError(f"no {name} extension in {list(where)}", name=name)
+        raise ImportError(f"no {name} extension in {where}", name=name)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from memheat import cli
+from memheat import cli, ode_oracle
 from memheat.cli import _write_csv, config_to_json, dispatch, main, parse_config
 from memheat.coeffs import CoefficientSpec, spec_to_json
 from memheat.errors import ConfigurationError
@@ -565,6 +565,31 @@ def test_benchmark_analyze_answers(tmp_path, capsys, monkeypatch, name):
                  *op["args"]])
     got = dict(answers["parse_report"](capsys.readouterr().out), exit=code)
     assert answers["mismatches"](got, want) == []
+
+
+@pytest.mark.parametrize("name", ["oracle_q2_const", "oracle_q3_powerlog"])
+def test_oracle_reports_the_work_of_both_passes(tmp_path, capsys, monkeypatch,
+                                                name):
+    # the nfev and steps line adds up the paths of the two solve_ivp calls,
+    # one per tolerance pass, and the benchmark's fingerprint leaves it out
+    workloads = runpy.run_path(str(PERFBENCH / "workloads.py"))["WORKLOADS"]
+    [op] = [o for o in workloads["analyze"] if o["name"] == name]
+    paths, solve_ivp = [], ode_oracle.solve_ivp
+
+    def seen(*args):
+        paths.append(solve_ivp(*args))
+        return paths[-1]
+    monkeypatch.setattr(ode_oracle, "solve_ivp", seen)
+    assert main([op["command"], "--config", write_cfg(tmp_path, op["config"]),
+                 *op["args"]]) == 0
+    out = capsys.readouterr().out
+    assert len(paths) == 2
+    nfev = sum(path.nfev for path in paths)
+    steps = sum(len(path.r) - 1 for path in paths)
+    assert f"OUTCOME: nfev {nfev} steps {steps}\n" in out
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    answers = runpy.run_path(str(PERFBENCH / "answers.py"))
+    assert not {"nfev", "steps"} & answers["parse_report"](out).keys()
 
 
 @pytest.mark.parametrize("workload,name", [

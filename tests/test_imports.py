@@ -2,6 +2,8 @@
 another module's private name."""
 
 import ast
+import importlib.machinery
+import importlib.util
 import json
 import os
 import subprocess
@@ -11,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import memheat
+from memheat import pde_core
 
 _MODULES = sorted(p for p in Path(memheat.__file__).parent.glob("*.py")
                   if p.name != "__init__.py")
@@ -225,8 +228,11 @@ def _run_python(code: str) -> str:
 
 
 # each of them takes a CLI process's set-up longer than the rest of it;
-# scipy.linalg's package __init__ is what imports the numpy ones
-_HEAVY = ("scipy.linalg", "numpy.f2py", "numpy.testing", "numpy.ma")
+# scipy.linalg's package __init__ is what imports the numpy ones, scipy's
+# own __init__ loads scipy._lib and subprocess, and numpy.polynomial is nine
+# modules
+_HEAVY = ("scipy", "scipy.linalg", "numpy.f2py", "numpy.testing", "numpy.ma",
+          "numpy.polynomial")
 
 
 def test_cli_import_leaves_heavy_modules_out():
@@ -234,6 +240,60 @@ def test_cli_import_leaves_heavy_modules_out():
             "m for m in sys.modules if m.startswith(('scipy.integrate', "
             f"'scipy.optimize')) or m in {_HEAVY!r})))")
     assert json.loads(_run_python(code)) == []
+
+
+def _modules_added(imports: str) -> list[str]:
+    """The modules that `import <imports>` adds after numpy, in a fresh
+    process; printed by repr so that json is not imported beforehand."""
+    code = ("import sys, numpy\nbefore = set(sys.modules)\n"
+            f"import {imports}\nprint(sorted(set(sys.modules) - before))")
+    return ast.literal_eval(_run_python(code))
+
+
+def test_cli_import_adds_only_memheat_flapack_and_its_stdlib_modules():
+    # a CLI process loads numpy, one LAPACK extension and the standard
+    # library modules of json, argparse and dataclasses; __future__ is what
+    # every module's `from __future__ import annotations` loads
+    stdlib = set(_modules_added("json, argparse, dataclasses"))
+    allowed = stdlib | {"scipy.linalg._flapack", "__future__"}
+    added = _modules_added("memheat.cli")
+    assert "scipy.linalg._flapack" in added
+    assert [m for m in added
+            if m not in allowed and m.split(".")[0] != "memheat"] == []
+
+
+def test_flapack_is_shared_with_scipy_linalg_in_either_import_order():
+    # memheat loads the extension from its file; scipy.linalg, imported
+    # before or after, must find the same module object and give the same
+    # factor bytes
+    check = ("import numpy as np\nfrom scipy.linalg import _flapack\n"
+             "ab = np.array([[0.0, -1.0, -1.0, -1.0], [4.0, 4.0, 4.0, 4.0]])\n"
+             "print(_flapack is pde_core._flapack, "
+             "scipy.linalg.lapack._flapack is pde_core._flapack, "
+             "scipy.linalg.cholesky_banded(ab).tobytes() "
+             "== pde_core.cholesky_banded(ab).tobytes())\n")
+    memheat_first = "import memheat.pde_core as pde_core\nimport scipy.linalg\n"
+    scipy_first = "import scipy.linalg\nimport memheat.pde_core as pde_core\n"
+    for order in (memheat_first, scipy_first):
+        assert _run_python(order + check).split() == ["True"] * 3, order
+
+
+@pytest.mark.parametrize("installed", [False, True],
+                         ids=["no_scipy", "no_extension"])
+def test_missing_extension_is_an_import_error_naming_it(monkeypatch, tmp_path,
+                                                        installed):
+    # find_spec gives None for a top-level package that is not installed; an
+    # installed scipy whose linalg folder lacks _flapack gives no spec for it
+    scipy = None
+    if installed:
+        scipy = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+        scipy.submodule_search_locations = [str(tmp_path)]
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: scipy)
+    with pytest.raises(ImportError, match=r"scipy\.linalg\._flapack") as info:
+        pde_core._load_flapack()
+    assert info.type is ImportError
+    assert info.value.name == "scipy.linalg._flapack"
 
 
 _COMMANDS_PASS = """

@@ -328,6 +328,7 @@ def test_data_already_over_threshold():
     assert out.status == "BlowUp"
     assert out.R_star == 0.5
     assert out.y_end == 2e10
+    assert (out.nfev, out.steps) == (0, 0)
 
 
 def test_global_case_with_weak_integrable_b():
