@@ -775,6 +775,14 @@ def integrate_improper(spec: CoefficientSpec, weight: float = 0.0) -> IntegralVe
     return IntegralVerdict(CONVERGES, value, f"closed form: {reason}")
 
 
+def moment_criterion(spec: CoefficientSpec, a: float) -> tuple[IntegralVerdict, bool]:
+    """(verdict on int_0^inf t^a spec(t) dt, whether t^(a+1) spec(t) stays
+    bounded for large t): the divergence a moment blow-up criterion asks
+    for, and its alternative spec <= B t^-(a+1) for large t."""
+    return (integrate_improper(spec, weight=a),
+            form_bounded(growth_form(spec).times(GrowthForm(power=a + 1.0))))
+
+
 def exp_or_inf(x: float) -> float:
     """math.exp(x), or inf where e^x passes the float range."""
     try:

@@ -33,7 +33,7 @@ from .criteria import (
     effective_flux_conditions,
     total_forcing_condition,
 )
-from .errors import ConfigurationError, NotApplicableError, SolverFault
+from .errors import ConfigurationError, NotApplicableError
 from .pde_core import (
     STATUS_GLOBAL,
     InitialSpec,
@@ -91,7 +91,7 @@ def solve_auxiliary_linear(flux: Optional[Callable[[float], float]],
     """Integrate v_t = v_xx, v(x,0) = 1, outward slope flux(t) at both ends,
     on the scenario's domain with its controls up to t_max.
 
-    flux maps a float t to a float; None means no influx, which keeps the
+    flux maps a float t to a float >= 0; None means no influx, which keeps the
     constant initial state exactly.  Snapshots cover [0, t_max] at the
     controls' cadence.  The integration then continues with geometrically
     growing steps out to t_settle = max(4e4, 2 t_max): power-law flux tails
@@ -116,24 +116,19 @@ def solve_auxiliary_linear(flux: Optional[Callable[[float], float]],
 
     ok = out.status == STATUS_GLOBAL
     if ok:
-        # the last state of a run that reached its horizon has a finite
-        # sup, so its field has no negative entry
         state = State(float(out.snapshots[-1][0]),
-                      out.snapshots[-1][1].copy(), 0.0, 0.0, nonneg=True)
+                      out.snapshots[-1][1].copy(), 0.0, 0.0)
         rs = sup_run[-1]
         dt = controls.dt_max
         # past dt / h^2 = 2^50, I - dt D has no Cholesky factor; `Scenario`
         # bounds dt_max by the same cap
         dt_cap = 2.0 ** 50 * scn.h * scn.h
-        try:
-            while state.t < t_settle and math.isfinite(rs):
-                dt = min(dt * 1.05, 100.0, dt_cap, t_settle - state.t)
-                state = step(state, scn, dt, step_values(state, scn))
-                rs = max(rs, state.sup)
-                sup_t.append(state.t)
-                sup_run.append(rs)
-        except SolverFault:
-            ok = False
+        while state.t < t_settle and math.isfinite(rs):
+            dt = min(dt * 1.05, 100.0, dt_cap, t_settle - state.t)
+            state = step(state, scn, dt, step_values(state, scn))
+            rs = max(rs, state.sup)
+            sup_t.append(state.t)
+            sup_run.append(rs)
 
     sup_t = np.array(sup_t)
     sup_run = np.array(sup_run)

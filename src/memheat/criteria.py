@@ -46,6 +46,7 @@ from .coeffs import (
     integrate_improper,
     log_lane,
     memory_window_check,
+    moment_criterion,
     tail_verdict,
 )
 from .errors import ConfigurationError
@@ -144,13 +145,6 @@ def _weight_growth(c: CoefficientSpec, w: _Weight) -> GrowthForm:
 # ---------------------------------------------------------------------------
 # "for large values of t" conditions
 
-def _envelope(cid: str, kl: CoefficientSpec) -> ConditionReport:
-    """Whether t^2 * kl(t) is bounded for large t (i.e. kl <= const/t^2)."""
-    ok = form_bounded(growth_form(kl).times(GrowthForm(power=2.0)))
-    return ConditionReport(cid, ok, "growth form of t^2*k: "
-                                    f"{'bounded' if ok else 'unbounded'} tail")
-
-
 def _monotone(cid: str, weight: str) -> ConditionReport:
     """weight * k is nonincreasing for large t when weight is."""
     return ConditionReport(cid, EVENTUALLY_NONINCREASING,
@@ -167,9 +161,10 @@ def memory_moment_conditions(q: float, k_lower: CoefficientSpec
     const/t^2, or t^{1-q} k_lower nonincreasing, for large t."""
     if q <= 1.0:
         raise ConfigurationError("memory blow-up conditions require q > 1")
-    return (_verdict_report("memory-moment", integrate_improper(k_lower, weight=1.0),
-                            want=DIVERGES),
-            _envelope("memory-envelope", k_lower),
+    moment, bounded = moment_criterion(k_lower, 1.0)
+    return (_verdict_report("memory-moment", moment, want=DIVERGES),
+            ConditionReport("memory-envelope", bounded, "growth form of t^2*k: "
+                            f"{'bounded' if bounded else 'unbounded'} tail"),
             _monotone("memory-moment-monotone", "t^(1-q)"))
 
 

@@ -23,4 +23,5 @@ class NotApplicableError(RuntimeError):
 
 
 class SolverFault(RuntimeError):
-    """The time integration failed in a way that aborts the run (not blow-up)."""
+    """The radial ODE oracle's integration failed (not blow-up): the solve
+    gave up at some radius, or the state turned negative."""

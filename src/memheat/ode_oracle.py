@@ -21,13 +21,10 @@ import numpy as np
 from .coeffs import (
     EVENTUALLY_NONINCREASING,
     CoefficientSpec,
-    GrowthForm,
     IntegralVerdict,
     bisect_crossing,
     eval_coeff,
-    form_bounded,
-    growth_form,
-    integrate_improper,
+    moment_criterion,
 )
 from .errors import ConfigurationError, NotApplicableError, SolverFault
 
@@ -395,10 +392,8 @@ def check_th0_criterion(b: CoefficientSpec, q: float) -> Th0Report:
     """
     if q <= 1:
         raise ConfigurationError("exponent q must be > 1")
-    divergence = integrate_improper(b, weight=q)
+    divergence, alt_bounded = moment_criterion(b, q)
     alt_monotone = EVENTUALLY_NONINCREASING
-    # b <= B r^{-(q+1)} eventually iff r^{q+1} b stays bounded
-    alt_bounded = form_bounded(growth_form(b).times(GrowthForm(power=q + 1.0)))
     applies = divergence.diverges and (alt_bounded or alt_monotone)
     return Th0Report(divergence=divergence, alt_bounded=alt_bounded,
                      alt_monotone=alt_monotone, applies=applies)

@@ -40,7 +40,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .coeffs import CoefficientSpec, CumulativeIntegral, as_real, eval_coeff, exp_or_inf
-from .errors import ConfigurationError, NotApplicableError, SolverFault
+from .errors import ConfigurationError, NotApplicableError
 
 STATUS_BLOWUP = "BlowUp"
 STATUS_GLOBAL = "GlobalToHorizon"
@@ -50,8 +50,8 @@ TRACE_HEADER = "t,sup_norm,mass_w,M_left,M_right,dt"
 _MASS_SUP_CAP = 1e6  # mass_inequality_check skips rows with a larger sup
 
 _SQRT2 = math.sqrt(2.0)
-# ndarray.max and .min without the Python-level wrapper around the reduction
-_max, _min = np.maximum.reduce, np.minimum.reduce
+# ndarray.max without the Python-level wrapper around the reduction
+_max = np.maximum.reduce
 
 
 # ---------------------------------------------------------------------------
@@ -273,18 +273,22 @@ class Scenario:
 
 @dataclass(slots=True)
 class State:
+    """A field u >= 0 at t and its memory accumulators.  Given no sup, it
+    takes u's max and refuses a negative entry; a NaN or +inf entry is
+    `_stop`'s to report.  A step passes the sup of the field it made."""
+
     t: float
     u: np.ndarray
     M_left: float
     M_right: float
     steps: int = 0
     sup: Optional[float] = None     # max of u; computed when not given
-    # no entry of u is negative (a NaN is not); never computed, only set by
-    # the steps and by callers that start from validated or stepped fields
-    nonneg: bool = False
 
     def __post_init__(self):
         if self.sup is None:
+            # fmin skips a NaN, which would hide a negative entry from min
+            if np.fmin.reduce(self.u) < 0.0:
+                raise ConfigurationError("must have no negative entry", "u")
             self.sup = float(self.u.max())
 
     def mass(self, h: float) -> float:
@@ -418,10 +422,16 @@ def step_values(state: State, scenario: Scenario) -> tuple:
 def step(state: State, scenario: Scenario, dt: float, values: tuple) -> State:
     """One IMEX step: explicit reaction and boundary flux, implicit diffusion,
     then the trapezoid update of the memory accumulators.  `values` are the
-    step_values of state."""
+    step_values of state; a negative c(t) or slope is refused, so the new
+    field has no negative entry."""
     if dt <= 0.0 or not math.isfinite(dt):
         raise ConfigurationError("dt must be positive and finite")
     c_t, g_left, g_right, w0 = values
+    # a NaN slope, from the accumulator of a NaN field, is no sign: it
+    # leaves through the overflow branch
+    if c_t < 0.0 or g_left < 0.0 or g_right < 0.0:
+        raise ConfigurationError(
+            f"must hold c(t) >= 0 and slopes >= 0, not {values[:3]!r}", "values")
     h = scenario.h
     # the end rows take the explicit flux and the symmetrizing 1/sqrt(2) as
     # floats, and the solve overwrites this step's own rhs
@@ -437,65 +447,49 @@ def step(state: State, scenario: Scenario, dt: float, values: tuple) -> State:
     # with c(t) >= 0 and both slopes >= 0, a field with no negative entry
     # gives a rhs with none; the factor of I - dt D has a positive diagonal
     # and a negative superdiagonal, so both substitutions add only
-    # nonnegative terms and the new field has none either: its min is not
-    # needed, and a NaN in the rhs still shows in the max
-    nonneg = (state.nonneg and c_t >= 0.0 and g_left >= 0.0
-              and g_right >= 0.0)
-    m = 0.0 if nonneg else float(_min(u_new))
+    # nonnegative terms and the new field has none either, and a NaN in the
+    # rhs shows in the max
     sup = float(_max(u_new))
-    finite = math.isfinite(m) and math.isfinite(sup)
-    if not finite:
+    if not math.isfinite(sup):
         # a non-finite rhs always solves to a non-finite field, so only now
         # is the rhs the solve overwrote rebuilt and tested
         rhs = _explicit(state, c_t, dt, scenario.p)
         rhs[0] = rhs.item(0) + f_left
         rhs[-1] = rhs.item(-1) + f_right
-        finite = np.isfinite(rhs).all()
-    if finite:
-        if m < 0.0:
-            if m < -1e-10 * max(sup, 1e-300):
-                raise SolverFault(f"negative undershoot {m:.3e} at "
-                                  f"t={state.t:.6g} (dt too large)")
-            np.clip(u_new, 0.0, None, out=u_new)
-            sup = float(_max(u_new))
-        # no entry is negative now, unless a NaN hid one from the min
-        nonneg = not math.isnan(m)
-    else:
-        # reaction or flux overflowed: blow-up trigger, not an error
-        u_new = np.where(np.isfinite(rhs), rhs, np.inf)
-        sup = math.inf
-    return _stepped(state, dt, u_new, sup, scenario, w0, nonneg)
+        if not np.isfinite(rhs).all():
+            # reaction or flux overflowed: blow-up trigger, not an error
+            u_new = np.where(np.isfinite(rhs), rhs, np.inf)
+            sup = math.inf
+    return _stepped(state, dt, u_new, sup, scenario, w0)
 
 
 # u + c_dt u^p stays below this for entries in [0, sup] when the float bound
-# |c_dt| sup^p + sup does; the margin covers the rounding of np.power
+# c_dt sup^p + sup does; the margin covers the rounding of np.power
 _REACTION_CAP = 1e300
 
 
 def _explicit(state: State, c_t: float, dt: float, p: float) -> np.ndarray:
     """A fresh u + dt c(t) u^p of the state's field.  Only a reaction that
-    can overflow, or that meets a negative or non-finite entry, runs under
-    np.errstate: the bound is taken from state.sup."""
+    can overflow, or that meets a non-finite entry, runs under np.errstate:
+    the bound is taken from state.sup, which a NaN or inf fails."""
     u = state.u
     if c_t == 0.0:
         return u.copy()
     c_dt = dt * c_t
-    if state.nonneg:
-        try:
-            in_range = abs(c_dt) * state.sup ** p + state.sup < _REACTION_CAP
-        except OverflowError:
-            in_range = False
-        if in_range:
-            return _reaction(u, c_dt, p)
+    try:
+        in_range = c_dt * state.sup ** p + state.sup < _REACTION_CAP
+    except OverflowError:
+        in_range = False
+    if in_range:
+        return _reaction(u, c_dt, p)
     with np.errstate(over="ignore", invalid="ignore"):
         return _reaction(u, c_dt, p)
 
 
 def _stepped(state: State, dt: float, u_new: np.ndarray, sup: float,
-             scenario: Scenario, w0: float, nonneg: bool) -> State:
-    """The state after a step of dt to u_new, with the trapezoid update of
-    the memory accumulators (weight w0 at state.t); nonneg tells whether
-    u_new is known to have no negative entry."""
+             scenario: Scenario, w0: float) -> State:
+    """The state after a step of dt to u_new, whose max is sup, with the
+    trapezoid update of the memory accumulators (weight w0 at state.t)."""
     t = state.t + dt
     w1 = scenario.rule.acc_weight(t)
     if w0 == 0.0 and w1 == 0.0:
@@ -507,14 +501,12 @@ def _stepped(state: State, dt: float, u_new: np.ndarray, sup: float,
                                             + _acc_term(w1, u_new.item(0), q))
         M_right = state.M_right + 0.5 * dt * (_acc_term(w0, u.item(-1), q)
                                               + _acc_term(w1, u_new.item(-1), q))
-    return State(t, u_new, float(M_left), float(M_right), state.steps + 1,
-                 sup, nonneg)
+    return State(t, u_new, float(M_left), float(M_right), state.steps + 1, sup)
 
 
 def _acc_term(w: float, ub: float, q: float) -> float:
     # a vanished boundary value contributes nothing even if the weight
-    # overflowed; a zero weight (prescribed flux) contributes nothing even if
-    # an outflow step left a negative end value, whose ub ** q may be complex
+    # overflowed, and a zero weight nothing even if the end value did
     if ub <= 0.0 or w == 0.0:
         return 0.0
     try:
@@ -615,7 +607,8 @@ def advance(scenario: Scenario, state: State):
     """Step from state until `_stop` halts, with the laddered `choose_dt`
     cut to land on snapshot times and t_max.  Yields (state, dt, values,
     landed) after each step: values are the step_values it used, landed is
-    true on a snapshot time or the horizon.  A SolverFault propagates."""
+    true on a snapshot time or the horizon.  A negative c(t) or slope is a
+    ConfigurationError of `step`, which propagates."""
     ctr = scenario.controls
     dt_max = ctr.dt_max
     c = scenario.c
@@ -637,8 +630,7 @@ class _Run:
 
     def __init__(self, scenario: Scenario, u0: np.ndarray):
         self.scenario = scenario
-        # u0 comes from a validated InitialSpec: finite and >= 0
-        self.state = state = State(0.0, u0, 0.0, 0.0, nonneg=True)
+        self.state = state = State(0.0, u0, 0.0, 0.0)
         self.h = scenario.h
         self.dense_from = 0.01 * scenario.controls.blowup_threshold
         self.rows = [(0.0, state.sup, state.mass(self.h), 0.0, 0.0, 0.0)]
@@ -656,14 +648,11 @@ class _Run:
     def follow(self) -> SimulationOutcome:
         """Record the steps `advance` takes from the state to its halt."""
         state, dense_from = self.state, self.dense_from
-        try:
-            for state, dt, _, landed in advance(self.scenario, state):
-                if landed or state.sup >= dense_from:
-                    self.add(state, dt, landed)
-            status, reason = _stop(state, self.scenario.controls)
-        except SolverFault as fault:
-            status, reason = STATUS_ABORTED, str(fault)
+        for state, dt, _, landed in advance(self.scenario, state):
+            if landed or state.sup >= dense_from:
+                self.add(state, dt, landed)
         self.state = state
+        status, reason = _stop(state, self.scenario.controls)
         return self.finish(status, reason)
 
     def finish(self, status: str, reason: str) -> SimulationOutcome:
@@ -733,7 +722,7 @@ class _Block:
 
     def state(self, row: int) -> State:
         return State(self.t, self.U[row], *self.M[row].tolist(), self.steps,
-                     self.sup[row].item(), nonneg=True)
+                     self.sup[row].item())
 
     def part(self, keep: np.ndarray) -> list:
         """Keep the runs where keep holds; return the others at their State."""
@@ -926,33 +915,28 @@ def verify_comparison(scenario_low: Scenario,
 
     threshold = a.controls.blowup_threshold
     flux_b = b.rule.flux
-    st_low = State(0.0, u0_low, 0.0, 0.0, nonneg=True)
-    st_high = State(0.0, u0_high, 0.0, 0.0, nonneg=True)
+    st_low = State(0.0, u0_low, 0.0, 0.0)
+    st_high = State(0.0, u0_high, 0.0, 0.0)
     max_viol = 0.0
-    note = None
-    try:
-        # the high field is checked before every low step, the first one
-        # included; "not sup < threshold" also catches NaN
-        if st_high.sup < threshold:
-            for st_low, dt, values, _ in advance(a, st_low):
-                values_high = values[:1] + flux_b(st_high.t, st_high.M_left,
-                                                  st_high.M_right)
-                st_high = step(st_high, b, dt, values_high)
-                with np.errstate(invalid="ignore"):
-                    gap = float(np.max(st_low.u - st_high.u))
-                if math.isfinite(gap) and math.isfinite(st_high.sup):
-                    max_viol = max(max_viol, max(0.0, gap) / (1.0 + st_high.sup))
-                if not st_high.sup < threshold:
-                    break
-    except SolverFault as fault:
-        note = str(fault)
-    if note is None:
-        if not st_high.sup < threshold:
-            note = "high run reached the blow-up threshold"
-        else:
-            status, note = _stop(st_low, a.controls)
-            if status == STATUS_BLOWUP:
-                note = "low run reached the blow-up threshold"
+    # the high field is checked before every low step, the first one
+    # included; "not sup < threshold" also catches NaN
+    if st_high.sup < threshold:
+        for st_low, dt, values, _ in advance(a, st_low):
+            values_high = values[:1] + flux_b(st_high.t, st_high.M_left,
+                                              st_high.M_right)
+            st_high = step(st_high, b, dt, values_high)
+            with np.errstate(invalid="ignore"):
+                gap = float(np.max(st_low.u - st_high.u))
+            if math.isfinite(gap) and math.isfinite(st_high.sup):
+                max_viol = max(max_viol, max(0.0, gap) / (1.0 + st_high.sup))
+            if not st_high.sup < threshold:
+                break
+    if not st_high.sup < threshold:
+        note = "high run reached the blow-up threshold"
+    else:
+        status, note = _stop(st_low, a.controls)
+        if status == STATUS_BLOWUP:
+            note = "low run reached the blow-up threshold"
     return ComparisonReport(holds=max_viol <= 1e-8, max_violation=max_viol,
                             t_end=st_low.t, truncated=bool(note), note=note)
 

@@ -63,6 +63,9 @@ def _dead_names(sources: dict) -> list[str]:
                 defined.append((module, stmt.name, stmt))
             elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
                 targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                # a, b = ... defines each name of the tuple
+                targets = [e for t in targets
+                           for e in (t.elts if isinstance(t, ast.Tuple) else [t])]
                 defined += [(module, t.id, stmt) for t in targets
                             if isinstance(t, ast.Name) and not t.id.startswith("__")]
             elif module == "__init__" and isinstance(stmt, ast.ImportFrom):
@@ -83,7 +86,8 @@ def test_dead_name_scan_sees_functions_classes_and_constants():
     sources = {
         "__init__": "from .a import exported\n__version__ = '1'\n",
         "a": ("LIMIT = 3\nUNUSED = 4\nREAD_AS_ATTRIBUTE = 5\n"
-              "def exported():\n    return helper() + LIMIT\n"
+              "PAIR_USED, PAIR_UNUSED = 6, 7\n"
+              "def exported():\n    return helper() + LIMIT + PAIR_USED\n"
               "def helper():\n    return 1\n"
               "def recursive(n):\n    return recursive(n - 1)\n"
               "class Shadow:\n    pass\n"),
@@ -91,9 +95,10 @@ def test_dead_name_scan_sees_functions_classes_and_constants():
               "x = helper\nprint(a.READ_AS_ATTRIBUTE)\n"),
     }
     # an import is no use, nor a call from a function's own body, nor an
-    # assignment to the same name; an attribute of that name is a use
-    assert _dead_names(sources) == ["a.Shadow", "a.UNUSED", "a.recursive",
-                                    "b.Shadow", "b.x"]
+    # assignment to the same name; an attribute of that name is a use; each
+    # name of a tuple assignment is defined on its own
+    assert _dead_names(sources) == ["a.PAIR_UNUSED", "a.Shadow", "a.UNUSED",
+                                    "a.recursive", "b.Shadow", "b.x"]
 
 
 def _unset_defaults(sources: dict) -> list[str]:

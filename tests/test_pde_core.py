@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -229,10 +229,14 @@ def test_overflowing_reaction_step_is_inf_where_rhs_overflowed():
     assert new.sup == math.inf
 
 
+# ---------------------------------------------------------------------------
+# refused input: a field never goes negative because no step is given the
+# means to make one
+
 def _prescribed_outflow_case(overshoot):
     # outward slope g on both ends of u = 1: the solve is 1 + g w, with w the
-    # solve of the end-row unit flux, so g = -(1 + overshoot) / w[0] puts the
-    # end values near -overshoot
+    # solve of the end-row unit flux, so g = -(1 + overshoot) / w[0] would put
+    # the end values near -overshoot
     scn = scenario(c=ZERO, k=ZERO, u0=("constant", 1.0), n_nodes=51)
     dt = 1e-4
     unit = np.zeros(51)
@@ -241,30 +245,73 @@ def _prescribed_outflow_case(overshoot):
     return replace(scn, boundary=PrescribedFluxRule(lambda t: g)), dt
 
 
-def test_large_outflow_raises_negative_undershoot():
-    scn, dt = _prescribed_outflow_case(1.0)
-    with pytest.raises(SolverFault, match="negative undershoot"):
-        take_step(fresh_state(scn), scn, dt)
+@pytest.mark.parametrize("overshoot", [1.0, 1e-12], ids=["large", "slight"])
+def test_step_refuses_a_negative_prescribed_slope_by_name(monkeypatch,
+                                                          overshoot):
+    # at 1.0 the field would undershoot far below zero, at 1e-12 by less
+    # than rounding; either way the slope is refused before the step builds
+    # a rhs or solves, not the field clipped
+    scn, dt = _prescribed_outflow_case(overshoot)
+    state = fresh_state(scn)
+    kept = state.u.copy()
+
+    def touched(*args):
+        raise AssertionError("the step touched the field")
+    monkeypatch.setattr(pde_core, "_explicit", touched)
+    monkeypatch.setattr(pde_core, "cho_solve_banded", touched)
+    with pytest.raises(ConfigurationError, match="^values ") as info:
+        take_step(state, scn, dt)
+    assert info.value.key == "values"
+    assert state.u.tobytes() == kept.tobytes()
+    monkeypatch.undo()
+    with pytest.raises(ConfigurationError, match="^values "):
+        run(replace(scn, controls=replace(scn.controls, t_max=1e-3)))
 
 
-def test_slight_negative_result_is_clipped_to_zero():
-    scn, dt = _prescribed_outflow_case(1e-12)
-    rhs = np.ones(51)
-    rhs[[0, -1]] += dt * 2.0 / scn.h * scn.rule.g(0.0)
-    assert -1e-10 < _solve_diffusion(rhs, dt, scn.h).min() < 0.0
-    new = take_step(fresh_state(scn), scn, dt)
-    assert new.u.min() == 0.0 and new.u[0] == 0.0 and new.u[-1] == 0.0
-    assert new.sup == float(new.u.max()) > 0.9
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(3, 41),
+       c=st.sampled_from([0.0, 0.5, 3.0, 1e10, -3.0, -1e10]),
+       g_left=st.floats(-1e3, 1e3), g_right=st.floats(-1e3, 1e3),
+       scale=st.sampled_from([1.0, 1e200, 1e307]), data=st.data())
+def test_step_refuses_negative_values_by_name(n, c, g_left, g_right, scale,
+                                              data):
+    # a negative c(t) or a negative slope on either end, as drawn for the
+    # values of a step of a nonnegative field
+    assume(min(c, g_left, g_right) < 0.0)
+    scn = scenario(c=CoefficientSpec.constant(abs(c)), n_nodes=n)
+    u = scale * data.draw(arrays(np.float64, n, elements=st.floats(0.0, 10.0)))
+    state = State(0.5, u, 1.0, 2.0, steps=3)
+    kept = u.copy()
+    with pytest.raises(ConfigurationError, match="^values ") as info:
+        step(state, scn, 1e-4, (c, g_left, g_right, 1.0))
+    assert info.value.key == "values"
+    assert u.tobytes() == kept.tobytes()
 
 
-def test_overflowing_outflow_step_keeps_finite_accumulators():
-    # the overflow branch keeps the rhs, so the outflow end value stays
-    # negative (-0.008); its power ub ** 0.5 must not reach the accumulators
-    scn = replace(scenario(p=2.0, q=0.5, c=CoefficientSpec.constant(0.5), k=ONE,
-                           n_nodes=3), boundary=PrescribedFluxRule(lambda t: -1.0))
-    state = State(0.0, np.array([0.0, 1e200, 1e200]), 0.0, 0.0)
-    new = take_step(state, scn, 2e-3)
-    assert math.isfinite(new.M_left) and math.isfinite(new.M_right)
+@pytest.mark.parametrize("entry", [-1.0, -math.inf, -5e-324])
+@pytest.mark.parametrize("node, nan_at", [(0, None), (4, 1)])
+def test_state_refuses_a_negative_entry_by_name(entry, node, nan_at):
+    # a NaN elsewhere in the field does not hide the negative entry
+    u = np.ones(5)
+    if nan_at is not None:
+        u[nan_at] = math.nan
+    u[node] = entry
+    with pytest.raises(ConfigurationError, match="^u ") as info:
+        State(0.0, u, 0.0, 0.0)
+    assert info.value.key == "u"
+
+
+@pytest.mark.parametrize("entries, status", [
+    ([math.nan], pde_core.STATUS_ABORTED), ([math.inf], pde_core.STATUS_BLOWUP),
+    ([math.nan, math.inf], pde_core.STATUS_ABORTED), ([-0.0], None)])
+def test_state_accepts_nan_inf_and_negative_zero_entries(entries, status):
+    # no input error: `_stop` reports a NaN as Aborted and an inf as BlowUp
+    u = np.ones(5)
+    u[1:1 + len(entries)] = entries
+    state = State(0.0, u, 0.0, 0.0)
+    np.testing.assert_equal(state.sup, float(u.max()))
+    assert (pde_core._stop(state, SolverControls()) or (None,))[0] == status
 
 
 def _reference_step(state, scenario, dt, values):
@@ -332,9 +379,9 @@ def _assert_lean_step_is_reference(state, scn, dt, values):
     assert _outcome(step, state, scn, dt, values) == want
     if isinstance(want[0], type):
         return
-    # from a step's own result, which carries the flag the step set
+    # from a step's own result, which has no negative entry
     new = step(state, scn, dt, values)
-    assert not (new.nonneg and (new.u < 0).any())
+    assert not (new.u < 0).any()
     values = step_values(new, scn)
     assert (_outcome(step, new, scn, dt, values)
             == _outcome(_reference_step, new, scn, dt, values))
@@ -344,35 +391,27 @@ def _assert_lean_step_is_reference(state, scn, dt, values):
 @settings(max_examples=400, deadline=None)
 @given(n=st.integers(3, 41), p=st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]),
        q=st.sampled_from([0.5, 1.0, 2.0]),
-       c=st.sampled_from([0.0, 0.5, 3.0, 1e10, -3.0, -1e10]),
+       c=st.sampled_from([0.0, 0.5, 3.0, 1e10]),
        k=st.sampled_from([0.0, 1.0, 40.0]),
-       kind=st.sampled_from(["memory", "weighted", "outflow"]),
-       g=st.floats(-1e3, 1e3),
+       kind=st.sampled_from(["memory", "weighted", "prescribed"]),
+       g=st.floats(0.0, 1e3),
        scale=st.sampled_from([1.0, 1e100, 1e200, 1e300, 1e307]),
-       hand_built=st.booleans(),
-       spike=st.sampled_from([None, math.inf, -math.inf, math.nan]),
+       spike=st.sampled_from([None, math.inf, math.nan]),
        level=st.integers(0, 30),
        t=st.floats(0.0, 10.0), M=st.floats(0.0, 1e3), data=st.data())
 def test_lean_step_equals_reference_step_bitwise(n, p, q, c, k, kind, g, scale,
-                                                 hand_built, spike, level, t,
-                                                 M, data):
-    # hand-built states may hold negative entries and take the full min;
-    # states a step made are nonnegative and may skip it.  Either may hold
-    # an inf or a NaN (not negative), a hand-built one also a -inf; the
-    # prescribed "outflow" rule draws slopes of both signs and no memory; a
-    # negative c(t) reaches the step only through its values
-    scn = replace(scenario(p=p, q=q, c=CoefficientSpec.constant(abs(c)), n_nodes=n),
+                                                 spike, level, t, M, data):
+    # a nonnegative field, which may hold an inf or a NaN; the prescribed
+    # rule draws an influx and no memory.  Negative values are refused
+    # (test_step_refuses_negative_values_by_name)
+    scn = replace(scenario(p=p, q=q, c=CoefficientSpec.constant(c), n_nodes=n),
                   boundary=_step_rule(kind, CoefficientSpec.constant(k), q, g))
-    low = -1.0 if hand_built else 0.0
-    u = scale * data.draw(arrays(np.float64, n, elements=st.floats(low, 10.0)))
-    if spike is not None and (hand_built or spike != -math.inf):
+    u = scale * data.draw(arrays(np.float64, n, elements=st.floats(0.0, 10.0)))
+    if spike is not None:
         u[data.draw(st.integers(0, n - 1))] = spike
-    state = State(t, u, M, 0.5 * M, steps=3, nonneg=not hand_built)
+    state = State(t, u, M, 0.5 * M, steps=3)
     dt = 2e-3 * 2.0 ** -level
-    values = step_values(state, scn)
-    if c < 0.0:
-        values = (c,) + values[1:]
-    _assert_lean_step_is_reference(state, scn, dt, values)
+    _assert_lean_step_is_reference(state, scn, dt, step_values(state, scn))
 
 
 def _bound(c_dt, sup, p):
@@ -386,9 +425,9 @@ def _bound(c_dt, sup, p):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=200, deadline=None)
 @given(n=st.integers(3, 41), p=st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]),
-       q=st.sampled_from([0.5, 2.0]), c=st.sampled_from([-3.0, 0.5, 3.0, 1e10]),
-       kind=st.sampled_from(["memory", "weighted", "outflow"]),
-       g=st.floats(-1e3, 1e3), level=st.integers(0, 30),
+       q=st.sampled_from([0.5, 2.0]), c=st.sampled_from([0.5, 3.0, 1e10]),
+       kind=st.sampled_from(["memory", "weighted", "prescribed"]),
+       g=st.floats(0.0, 1e3), level=st.integers(0, 30),
        above=st.booleans(), ulps=st.integers(0, 3), data=st.data())
 def test_lean_step_equals_reference_step_at_the_overflow_bound(
         n, p, q, c, kind, g, level, above, ulps, data):
@@ -413,12 +452,10 @@ def test_lean_step_equals_reference_step_at_the_overflow_bound(
     frac = data.draw(arrays(np.float64, n, elements=st.floats(0.0, 1.0)))
     u = sup * frac
     u[data.draw(st.integers(0, n - 1))] = sup
-    # a negative c(t) reaches the step only through its values
-    scn = replace(scenario(p=p, q=q, c=CoefficientSpec.constant(abs(c)), n_nodes=n),
+    scn = replace(scenario(p=p, q=q, c=CoefficientSpec.constant(c), n_nodes=n),
                   boundary=_step_rule(kind, CoefficientSpec.constant(1.0), q, g))
-    state = State(0.5, u, 1.0, 2.0, steps=3, nonneg=True)
-    values = (c,) + scn.rule.flux(state.t, state.M_left, state.M_right)
-    _assert_lean_step_is_reference(state, scn, dt, values)
+    state = State(0.5, u, 1.0, 2.0, steps=3)
+    _assert_lean_step_is_reference(state, scn, dt, step_values(state, scn))
 
 
 def _reference_run(scn):
@@ -430,20 +467,17 @@ def _reference_run(scn):
     rows = [(0.0, state.sup, state.mass(h), 0.0, 0.0, 0.0)]
     snapshots = [(0.0, state.u.copy())]
     clock = pde_core._Clock(ctr)
-    try:
-        while pde_core._stop(state, ctr) is None:
-            values = step_values(state, scn)
-            dt, landed = clock.cut(state.t, _ladder(
-                choose_dt(state, scn, values), ctr.dt_max))
-            state = _reference_step(state, scn, dt, values)
-            if landed or state.sup >= 0.01 * ctr.blowup_threshold:
-                rows.append((state.t, state.sup, state.mass(h), state.M_left,
-                             state.M_right, dt))
-            if landed:
-                snapshots.append((state.t, state.u.copy()))
-        status, reason = pde_core._stop(state, ctr)
-    except SolverFault as fault:
-        status, reason = pde_core.STATUS_ABORTED, str(fault)
+    while pde_core._stop(state, ctr) is None:
+        values = step_values(state, scn)
+        dt, landed = clock.cut(state.t, _ladder(
+            choose_dt(state, scn, values), ctr.dt_max))
+        state = _reference_step(state, scn, dt, values)
+        if landed or state.sup >= 0.01 * ctr.blowup_threshold:
+            rows.append((state.t, state.sup, state.mass(h), state.M_left,
+                         state.M_right, dt))
+        if landed:
+            snapshots.append((state.t, state.u.copy()))
+    status, reason = pde_core._stop(state, ctr)
     if rows[-1][0] != state.t:
         rows.append((state.t, state.sup, state.mass(h), state.M_left,
                      state.M_right, 0.0))
